@@ -9,8 +9,7 @@ sqrt(2) special configuration.
 import pathlib
 import sys
 
-from cevian.cli import z_locus_sweep
-from cevian.constructions import construct, special_configuration_point
+from cevian.constructions import construct, special_configuration_point, z_locus_sweep
 from cevian.projective import Point
 from cevian.render import RenderTriangle, render_svg
 

@@ -12,29 +12,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .scalar import Scalar, ScalarError
-from .projective import (
-    GeometryError,
-    Point,
-    VERTEX_A,
-    VERTEX_B,
-    VERTEX_C,
-    complement,
-    isotomic,
-)
-from .conics import conic_through_five, RankDeficient
+from .projective import VERTICES, GeometryError, OnSideline, Point
 from .constructions import (
     ConstructionSet,
     OnAnticomplementarySideline,
     construct,
-    degeneracy_report,
     locus_conic,
+    z_locus_sweep,
 )
-from .projective import OnSideline
 from .render import (
     PRESETS,
     RenderTriangle,
@@ -70,7 +60,11 @@ def parse_point(text: str) -> Point:
 def load_config_file(path: str) -> dict[str, str]:
     """key = value lines; blank lines and #-comments ignored."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -140,8 +134,11 @@ def construction_report(cs: ConstructionSet, tri: RenderTriangle) -> dict:
 
 def _emit(payload: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(payload)
 
@@ -176,7 +173,7 @@ def cmd_verify(args) -> int:
 
 def cmd_locus(args) -> int:
     conic = locus_conic(args.vertex)
-    vertex = {"A": VERTEX_A, "B": VERTEX_B, "C": VERTEX_C}[args.vertex]
+    vertex = VERTICES["ABC".index(args.vertex)]
     excluded = {
         "A": ("B", "C", "E0", "F0"),
         "B": ("C", "A", "F0", "D0"),
@@ -193,39 +190,6 @@ def cmd_locus(args) -> int:
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
-
-
-def z_locus_sweep(p: Point, tri: RenderTriangle, count: int = 80) -> list[Point]:
-    """Centers of the cevian conics as the driving point slides along the
-    line through p perpendicular to side BC in the render triangle.  Display
-    only: each sample is exact, the sweep itself is a finite sampling."""
-    (bx, by), (cx, cy) = tri.b, tri.c
-    dx, dy = -(cy - by), cx - bx
-    rows = (
-        (tri.b[1] - tri.c[1], tri.c[0] - tri.b[0]),
-        (tri.c[1] - tri.a[1], tri.a[0] - tri.c[0]),
-        (tri.a[1] - tri.b[1], tri.b[0] - tri.a[0]),
-    )
-    direction = Point(*(Scalar(r[0] * dx + r[1] * dy) for r in rows))
-    base = p.normalized()
-    out: list[Point] = []
-    for k in range(-count, count + 1):
-        if k == 0:
-            continue
-        t = Fraction(k, 3 * count)
-        moved = Point(*(base[i] + t * direction.coords[i] for i in range(3)))
-        rep = degeneracy_report(moved)
-        if rep.hard() or rep.on_median:
-            continue
-        q = complement(isotomic(moved))
-        try:
-            conic = conic_through_five((VERTEX_A, VERTEX_B, VERTEX_C, moved, q))
-        except RankDeficient:
-            continue
-        if conic.is_degenerate():
-            continue
-        out.append(conic.center())
-    return out
 
 
 def cmd_svg(args) -> int:
@@ -328,9 +292,22 @@ def _apply_config(args: argparse.Namespace) -> None:
                 setattr(args, key, _DEFAULTS[key])
 
 
+def _attach_signed_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite "--p -5:3:7" as "--p=-5:3:7", and likewise for --triangle:
+    argparse takes a separate value that starts with "-" (and is not a plain
+    number) for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--p", "--triangle") and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         _apply_config(args)
         if getattr(args, "p", "skip") is None:

@@ -26,22 +26,19 @@ from .scalar import (
 )
 from .projective import (
     AffineMap,
-    CoincidentArguments,
     GeometryError,
+    HomogeneousMatrix,
     LINE_AT_INFINITY,
     Line,
-    Mat3,
     Point,
-    SIDE_AB,
-    SIDE_BC,
-    SIDE_CA,
+    SIDELINES,
+    Triple,
     VERTEX_A,
     VERTEX_B,
     VERTEX_C,
+    VERTICES,
     adjugate3,
     are_collinear,
-    canonical_tuple,
-    det3,
     dot,
     incident,
     join,
@@ -83,21 +80,16 @@ class DegenerateQuadrangle(GeometryError):
     pass
 
 
-class Conic:
+class Conic(HomogeneousMatrix):
     """Symmetric matrix conic; equality up to nonzero scale."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ()
 
-    def __init__(self, matrix: Sequence[Sequence[ScalarLike]]):
-        rows = [tuple(as_scalar(x) for x in row) for row in matrix]
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("3x3 matrix required")
+    def _validate(self, rows: Sequence[Triple]) -> None:
         for i in range(3):
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("conic matrix must be symmetric")
-        flat = canonical_tuple([x for row in rows for x in row])
-        self.matrix: Mat3 = (flat[0:3], flat[3:6], flat[6:9])  # type: ignore[assignment]
 
     @classmethod
     def from_coefficients(
@@ -125,12 +117,6 @@ class Conic:
     def contains(self, p: Point) -> bool:
         return self.evaluate(p).is_zero()
 
-    def determinant(self) -> Scalar:
-        return det3(self.matrix)
-
-    def is_degenerate(self) -> bool:
-        return self.determinant().is_zero()
-
     def polar(self, p: Point) -> Line:
         coeffs = mat_vec(self.matrix, p.coords)
         if all(x.is_zero() for x in coeffs):
@@ -145,52 +131,36 @@ class Conic:
     def pole(self, l: Line) -> Point:
         if self.is_degenerate():
             raise DegenerateConic("pole needs a nondegenerate conic")
-        return Point.from_triple(mat_vec(adjugate3(self.matrix), l.coeffs))
+        return Point.from_triple(mat_vec(adjugate3(self.matrix), l.coords))
 
     def center(self) -> Point:
         """Pole of the line at infinity; infinite exactly for parabolas."""
         return self.pole(LINE_AT_INFINITY)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Conic):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(("conic", self.matrix))
-
-    def __repr__(self) -> str:
-        return f"Conic({str(self)!r})"
-
-    def __str__(self) -> str:
-        rows = ", ".join(
-            "[" + ", ".join(str(x) for x in row) + "]" for row in self.matrix
-        )
-        return f"[{rows}]"
-
-    @classmethod
-    def parse(cls, text: str) -> Conic:
-        inner = text.strip()
-        if not (inner.startswith("[[") and inner.endswith("]]")):
-            raise ValueError(f"malformed conic {text!r}")
-        rows = inner[1:-1].split("],")
-        entries = [
-            [Scalar.parse(x) for x in row.strip().lstrip("[").rstrip("]").split(",")]
-            for row in rows
-        ]
-        return cls(entries)
 
 
 # ---------------------------------------------------------------------------
 # constructions
 
 
-def _conic_row(p: Point) -> tuple[Scalar, ...]:
+def conic_row(p: Point) -> tuple[Scalar, ...]:
+    """The incidence condition of p on the conic with coefficient vector
+    (a, b, c, d, e, f), matrix ((a, d, e), (d, b, f), (e, f, c))."""
     x, y, z = p.coords
     return (x * x, y * y, z * z, 2 * x * y, 2 * x * z, 2 * y * z)
 
 
-def _conic_from_vector(v: Sequence[Scalar]) -> Conic:
+def polar_rows(contact: Point) -> tuple[tuple[Scalar, ...], ...]:
+    """The three components of the polar of contact, C . contact, each as a
+    row over the coefficient vector of conic_row."""
+    x, y, z = contact.coords
+    return (
+        (x, ZERO, ZERO, y, z, ZERO),
+        (ZERO, y, ZERO, x, ZERO, z),
+        (ZERO, ZERO, z, ZERO, x, y),
+    )
+
+
+def conic_from_vector(v: Sequence[Scalar]) -> Conic:
     a, b, c, d, e, f = v
     return Conic(((a, d, e), (d, b, f), (e, f, c)))
 
@@ -204,10 +174,10 @@ def conic_through_five(points: Sequence[Point]) -> Conic:
     for p, q in combinations(points, 2):
         if p == q:
             raise RankDeficient(f"duplicate point {p}")
-    basis = null_space([_conic_row(p) for p in points], 6)
+    basis = null_space([conic_row(p) for p in points], 6)
     if len(basis) != 1:
         raise RankDeficient("five points do not determine a unique conic")
-    return _conic_from_vector(basis[0])
+    return conic_from_vector(basis[0])
 
 
 def circumconic_with_center(o: Point) -> Conic:
@@ -222,7 +192,7 @@ def circumconic_with_center(o: Point) -> Conic:
     """
     if o.is_infinite():
         raise NoSuchConic("center must be ordinary")
-    if o in (VERTEX_A, VERTEX_B, VERTEX_C):
+    if o in VERTICES:
         raise NoSuchConic("no circumconic is centered at a vertex")
     u, v, w = o.coords
     rows = [
@@ -248,7 +218,6 @@ def circumconic_with_center(o: Point) -> Conic:
     return conic
 
 
-_SIDELINES = (SIDE_BC, SIDE_CA, SIDE_AB)
 _OPPOSITE_VERTICES = ((VERTEX_B, VERTEX_C), (VERTEX_C, VERTEX_A), (VERTEX_A, VERTEX_B))
 
 
@@ -259,29 +228,25 @@ def inconic_with_contacts(d: Point, e: Point, f: Point) -> Conic:
     six polar conditions are then consistent and determine the conic.
     """
     contacts = (d, e, f)
-    for contact, side, (v1, v2) in zip(contacts, _SIDELINES, _OPPOSITE_VERTICES):
+    for contact, side, (v1, v2) in zip(contacts, SIDELINES, _OPPOSITE_VERTICES):
         if not incident(contact, side):
             raise NotIncident(f"{contact} is not on {side}")
         if contact == v1 or contact == v2:
             raise NotPerspective(f"contact {contact} is a vertex")
-    p = perspector((VERTEX_A, VERTEX_B, VERTEX_C), contacts)
+    p = perspector(VERTICES, contacts)
     if p is None:
         raise NotPerspective("contacts are not the cevian traces of one point")
-    rows = []
-    for contact, kept in zip(contacts, (0, 1, 2)):
-        x, y, z = contact.coords
-        component_rows = {
-            0: (x, ZERO, ZERO, y, z, ZERO),
-            1: (ZERO, y, ZERO, x, ZERO, z),
-            2: (ZERO, ZERO, z, ZERO, x, y),
-        }
-        for idx in range(3):
-            if idx != kept:
-                rows.append(component_rows[idx])
+    # tangent to sideline k at the contact: the polar has only component k
+    rows = [
+        row
+        for k, contact in enumerate(contacts)
+        for i, row in enumerate(polar_rows(contact))
+        if i != k
+    ]
     basis = null_space(rows, 6)
     if len(basis) != 1:
         raise NotPerspective("contact conditions do not pin down one conic")
-    conic = _conic_from_vector(basis[0])
+    conic = conic_from_vector(basis[0])
     for contact in contacts:
         if not conic.contains(contact):
             raise NotPerspective("solved conic misses a contact")  # pragma: no cover
@@ -316,10 +281,10 @@ def nine_point_conic(quadrangle: Sequence[Point]) -> Conic:
             nine.append(q)
         else:
             nine.append(midpoint(p, q))
-    basis = null_space([_conic_row(p) for p in nine], 6)
+    basis = null_space([conic_row(p) for p in nine], 6)
     if len(basis) != 1:
         raise DegenerateQuadrangle("nine-point system is rank-deficient")
-    conic = _conic_from_vector(basis[0])
+    conic = conic_from_vector(basis[0])
     return conic
 
 
@@ -331,10 +296,15 @@ def second_intersection(l: Line, conic: Conic, known: Point) -> Point:
         raise DegenerateConic("second_intersection needs a nondegenerate conic")
     if not incident(known, l) or not conic.contains(known):
         raise NotIncident(f"{known} must lie on both the line and the conic")
-    other = _second_point_on(l, avoid=known)
+    other = next(p for p in _points_on_line(l) if p != known)
     cy = mat_vec(conic.matrix, other.coords)
-    u = dot(other.coords, cy)
-    v = dot(known.coords, cy)
+    return _residual(known, other, dot(other.coords, cy), dot(known.coords, cy))
+
+
+def _residual(known: Point, other: Point, u: Scalar, v: Scalar) -> Point:
+    """The second meet of the line through known and other with a conic C
+    through known, given u = other.C.other and v = known.C.other: on
+    s*known + other the quadratic is 2*v*s + u, with root s = -u / (2*v)."""
     coords = tuple(u * k - 2 * v * y for k, y in zip(known.coords, other.coords))
     if all(x.is_zero() for x in coords):  # pragma: no cover
         raise DegenerateConic("line lies on the conic")
@@ -342,7 +312,8 @@ def second_intersection(l: Line, conic: Conic, known: Point) -> Point:
 
 
 def _points_on_line(l: Line) -> list[Point]:
-    a, b, c = l.coeffs
+    """The meets of l with the sidelines: always two or three distinct points."""
+    a, b, c = l.coords
     candidates = ((ZERO, c, -b), (-c, ZERO, a), (b, -a, ZERO))
     points = []
     for cand in candidates:
@@ -352,13 +323,6 @@ def _points_on_line(l: Line) -> list[Point]:
         if p not in points:
             points.append(p)
     return points
-
-
-def _second_point_on(l: Line, avoid: Point) -> Point:
-    for p in _points_on_line(l):
-        if p != avoid:
-            return p
-    raise CoincidentArguments("line has no second point")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -402,17 +366,11 @@ def line_conic_intersections(
     if a2.is_zero():
         if b2.is_zero():
             return TangentAt(x)
-        residual = Point.from_triple(
-            tuple(c2 * xi - 2 * b2 * yi for xi, yi in zip(x.coords, y.coords))
-        )
-        return TwoPoints(x, residual)
+        return TwoPoints(x, _residual(x, y, c2, b2))
     if c2.is_zero():
         if b2.is_zero():
             return TangentAt(y)
-        residual = Point.from_triple(
-            tuple(a2 * yi - 2 * b2 * xi for xi, yi in zip(x.coords, y.coords))
-        )
-        return TwoPoints(y, residual)
+        return TwoPoints(y, _residual(y, x, a2, b2))
     outcome = solve_quadratic(a2, 2 * b2, c2, field_d=field_d)
     if isinstance(outcome, TwoRoots):
         return TwoPoints(
@@ -478,7 +436,7 @@ def transform_conic(mapping: AffineMap, conic: Conic) -> Conic:
 
 def isotomic_image_of_line(l: Line) -> Conic:
     """The circumconic swept by the isotomic conjugates of a line's points."""
-    a, b, c = l.coeffs
+    a, b, c = l.coords
     return Conic.circumconic(a, b, c)
 
 

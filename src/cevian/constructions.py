@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from fractions import Fraction
+from typing import TYPE_CHECKING, Optional
 
 from .scalar import NeedsExtension, Scalar, TwoRoots, solve_quadratic
 from .projective import (
@@ -27,37 +28,42 @@ from .projective import (
     MID_AB,
     MID_BC,
     MID_CA,
+    MIDPOINTS,
     OnSideline,
     Point,
-    SIDE_AB,
-    SIDE_BC,
-    SIDE_CA,
     VERTEX_A,
     VERTEX_B,
     VERTEX_C,
+    VERTICES,
     anticomplement,
     anticomplement_map,
     cevian_map,
     cevian_traces,
+    common_point,
     complement,
     complement_map,
-    incident,
     iso_reflection_map,
     isotomic,
     join,
     meet,
+    null_space,
     parallel_through,
     reflect_through,
 )
-from .projective import null_space
 from .conics import (
     Conic,
     RankDeficient,
+    conic_from_vector,
+    conic_row,
     conic_through_five,
     inconic_with_contacts,
     nine_point_conic,
+    polar_rows,
     transform_conic,
 )
+
+if TYPE_CHECKING:
+    from .render import RenderTriangle
 
 
 class OnAnticomplementarySideline(GeometryError):
@@ -70,11 +76,6 @@ class ConstructionInconsistency(GeometryError):
 
 class ExhaustedRejections(GeometryError):
     pass
-
-
-VERTICES = (VERTEX_A, VERTEX_B, VERTEX_C)
-MIDPOINTS = (MID_BC, MID_CA, MID_AB)
-SIDELINES = (SIDE_BC, SIDE_CA, SIDE_AB)
 
 
 @dataclass(frozen=True)
@@ -173,14 +174,11 @@ def _concurrent_parallels(
     """Common point of the lines through the bases parallel to the q-trace
     lines; raises if the three parallels fail to concur."""
     lines = [parallel_through(b, join(q, t)) for b, t in zip(bases, traces)]
-    common = None
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        if lines[i] != lines[j]:
-            common = meet(lines[i], lines[j])
-            break
+    try:
+        common = common_point(lines)
+    except CoincidentArguments as exc:
+        raise DegenerateConfiguration("parallels all coincide") from exc
     if common is None:
-        raise DegenerateConfiguration("parallels all coincide")
-    if not all(incident(common, l) for l in lines):
         raise ConstructionInconsistency("parallels are not concurrent")
     return common
 
@@ -225,7 +223,7 @@ def construct(p: Point) -> ConstructionSet:
     circum_to_inconic = t_p @ kinv @ t_p_iso
     ninepoint_to_inconic = circum_to_inconic @ kinv
 
-    ninepoint_iso = nine_point_conic((VERTEX_A, VERTEX_B, VERTEX_C, p_iso))
+    ninepoint_iso = nine_point_conic((*VERTICES, p_iso))
     circumconic = transform_conic(t_p_iso_inv, ninepoint_iso)
     ninepoint = transform_conic(kmap, circumconic)
     inconic = inconic_with_contacts(*traces)
@@ -260,9 +258,7 @@ def construct(p: Point) -> ConstructionSet:
     )
 
     try:
-        cs.cevian_conic = conic_through_five(
-            (VERTEX_A, VERTEX_B, VERTEX_C, p, q)
-        )
+        cs.cevian_conic = conic_through_five((*VERTICES, p, q))
     except RankDeficient:
         cs.absent["cevian_conic"] = "on_median"
     if cs.cevian_conic is not None:
@@ -375,29 +371,53 @@ def locus_conic(vertex: str) -> Conic:
         points, contact, tangent = _LOCUS_DATA[vertex]
     except KeyError:
         raise ValueError(f"vertex must be A, B, or C, not {vertex!r}")
-    rows = [_locus_row(pt) for pt in points]
-    x, y, z = contact.coords
-    polar_rows = {
-        0: (x, Scalar(0), Scalar(0), y, z, Scalar(0)),
-        1: (Scalar(0), y, Scalar(0), x, Scalar(0), z),
-        2: (Scalar(0), Scalar(0), z, Scalar(0), x, y),
-    }
-    l, m, n = tangent.coeffs
+    rows = [conic_row(pt) for pt in points]
+    polar = polar_rows(contact)
+    l, m, n = tangent.coords
     # cross(C.contact, tangent) = 0: three rows, two independent
     for i, j, ci, cj in ((1, 2, n, m), (2, 0, l, n), (0, 1, m, l)):
-        rows.append(
-            tuple(ci * a - cj * b for a, b in zip(polar_rows[i], polar_rows[j]))
-        )
+        rows.append(tuple(ci * a - cj * b for a, b in zip(polar[i], polar[j])))
     basis = null_space(rows, 6)
     if len(basis) != 1:
         raise RankDeficient("locus system is not rank five")  # pragma: no cover
-    a, b, c, d, e, f = basis[0]
-    return Conic(((a, d, e), (d, b, f), (e, f, c)))
+    return conic_from_vector(basis[0])
 
 
-def _locus_row(p: Point) -> tuple[Scalar, ...]:
-    x, y, z = p.coords
-    return (x * x, y * y, z * z, 2 * x * y, 2 * x * z, 2 * y * z)
+# ---------------------------------------------------------------------------
+# the sweep of cevian-conic centers (display only)
+
+
+def z_locus_sweep(p: Point, tri: RenderTriangle, count: int = 80) -> list[Point]:
+    """Centers of the cevian conics as the driving point slides along the
+    line through p perpendicular to side BC in the render triangle.  Display
+    only: each sample is exact, the sweep itself is a finite sampling."""
+    (bx, by), (cx, cy) = tri.b, tri.c
+    dx, dy = -(cy - by), cx - bx
+    rows = (
+        (tri.b[1] - tri.c[1], tri.c[0] - tri.b[0]),
+        (tri.c[1] - tri.a[1], tri.a[0] - tri.c[0]),
+        (tri.a[1] - tri.b[1], tri.b[0] - tri.a[0]),
+    )
+    direction = Point(*(Scalar(r[0] * dx + r[1] * dy) for r in rows))
+    base = p.normalized()
+    out: list[Point] = []
+    for k in range(-count, count + 1):
+        if k == 0:
+            continue
+        t = Fraction(k, 3 * count)
+        moved = Point(*(base[i] + t * direction.coords[i] for i in range(3)))
+        rep = degeneracy_report(moved)
+        if rep.hard() or rep.on_median:
+            continue
+        q = complement(isotomic(moved))
+        try:
+            conic = conic_through_five((*VERTICES, moved, q))
+        except RankDeficient:
+            continue
+        if conic.is_degenerate():
+            continue
+        out.append(conic.center())
+    return out
 
 
 # ---------------------------------------------------------------------------

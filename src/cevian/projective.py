@@ -170,17 +170,48 @@ def null_space(rows: Iterable[Sequence[ScalarLike]], ncols: int) -> list[tuple[S
 # points and lines
 
 
-class Point:
-    """Homogeneous barycentric point; equality up to nonzero scale."""
+class HomogeneousTriple:
+    """A point or line as its canonical coordinate triple, so that equality
+    up to nonzero scale is structural equality.  Subclasses differ only in
+    their brackets and their own predicates."""
 
     __slots__ = ("coords",)
+    BRACKETS = "()"
 
     def __init__(self, x: ScalarLike, y: ScalarLike, z: ScalarLike):
         self.coords: Triple = canonical_tuple((x, y, z))  # type: ignore[assignment]
 
     @classmethod
-    def from_triple(cls, triple: Sequence[ScalarLike]) -> Point:
+    def from_triple(cls, triple: Sequence[ScalarLike]):
         return cls(triple[0], triple[1], triple[2])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.coords))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+    def __str__(self) -> str:
+        return self.BRACKETS[0] + " : ".join(str(c) for c in self.coords) + self.BRACKETS[1]
+
+    @classmethod
+    def parse(cls, text: str):
+        inner = text.strip()
+        parts = inner[1:-1].split(":")
+        if inner[:1] + inner[-1:] != cls.BRACKETS or len(parts) != 3:
+            raise ValueError(f"malformed {cls.__name__.lower()} {text!r}")
+        return cls(*(Scalar.parse(p) for p in parts))
+
+
+class Point(HomogeneousTriple):
+    """Homogeneous barycentric point; equality up to nonzero scale."""
+
+    __slots__ = ()
 
     def is_infinite(self) -> bool:
         return (self.coords[0] + self.coords[1] + self.coords[2]).is_zero()
@@ -192,69 +223,15 @@ class Point:
             raise InfiniteInput(f"{self} is at infinity")
         return (self.coords[0] / s, self.coords[1] / s, self.coords[2] / s)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Point):
-            return NotImplemented
-        return self.coords == other.coords
 
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self) -> str:
-        return f"Point({str(self)!r})"
-
-    def __str__(self) -> str:
-        return "(" + " : ".join(str(c) for c in self.coords) + ")"
-
-    @classmethod
-    def parse(cls, text: str) -> Point:
-        inner = text.strip()
-        if not (inner.startswith("(") and inner.endswith(")")):
-            raise ValueError(f"malformed point {text!r}")
-        parts = inner[1:-1].split(":")
-        if len(parts) != 3:
-            raise ValueError(f"malformed point {text!r}")
-        return cls(*(Scalar.parse(p) for p in parts))
-
-
-class Line:
+class Line(HomogeneousTriple):
     """Homogeneous line coefficients; incidence is l.x + m.y + n.z = 0."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, l: ScalarLike, m: ScalarLike, n: ScalarLike):
-        self.coeffs: Triple = canonical_tuple((l, m, n))  # type: ignore[assignment]
-
-    @classmethod
-    def from_triple(cls, triple: Sequence[ScalarLike]) -> Line:
-        return cls(triple[0], triple[1], triple[2])
+    __slots__ = ()
+    BRACKETS = "[]"
 
     def is_line_at_infinity(self) -> bool:
         return self == LINE_AT_INFINITY
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Line):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("line", self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"Line({str(self)!r})"
-
-    def __str__(self) -> str:
-        return "[" + " : ".join(str(c) for c in self.coeffs) + "]"
-
-    @classmethod
-    def parse(cls, text: str) -> Line:
-        inner = text.strip()
-        if not (inner.startswith("[") and inner.endswith("]")):
-            raise ValueError(f"malformed line {text!r}")
-        parts = inner[1:-1].split(":")
-        if len(parts) != 3:
-            raise ValueError(f"malformed line {text!r}")
-        return cls(*(Scalar.parse(p) for p in parts))
 
 
 VERTEX_A = Point(1, 0, 0)
@@ -268,10 +245,13 @@ LINE_AT_INFINITY = Line(1, 1, 1)
 SIDE_BC = Line(1, 0, 0)
 SIDE_CA = Line(0, 1, 0)
 SIDE_AB = Line(0, 0, 1)
+VERTICES = (VERTEX_A, VERTEX_B, VERTEX_C)
+MIDPOINTS = (MID_BC, MID_CA, MID_AB)
+SIDELINES = (SIDE_BC, SIDE_CA, SIDE_AB)
 
 
 def incident(p: Point, l: Line) -> bool:
-    return dot(p.coords, l.coeffs).is_zero()
+    return dot(p.coords, l.coords).is_zero()
 
 
 def join(p1: Point, p2: Point) -> Line:
@@ -282,7 +262,7 @@ def join(p1: Point, p2: Point) -> Line:
 
 
 def meet(l1: Line, l2: Line) -> Point:
-    c = cross(l1.coeffs, l2.coeffs)
+    c = cross(l1.coords, l2.coords)
     if all(x.is_zero() for x in c):
         raise CoincidentArguments(f"meet of coincident lines {l1}")
     return Point.from_triple(c)
@@ -398,12 +378,10 @@ class GeneralMap:
 Classification = Union[Identity, Translation, Homothety, AffineReflection, GeneralMap]
 
 
-class AffineMap:
-    """3x3 Scalar matrix with equal column sums, up to scale.
-
-    Equal column sums mean the map carries the line at infinity to itself,
-    which is exactly affineness in homogeneous barycentric coordinates.
-    """
+class HomogeneousMatrix:
+    """A 3x3 Scalar matrix up to nonzero scale, stored as its canonical
+    flattening so that projective equality is structural equality.
+    Subclasses add only their own validation of the rows."""
 
     __slots__ = ("matrix",)
 
@@ -411,13 +389,64 @@ class AffineMap:
         rows = [tuple(as_scalar(x) for x in row) for row in matrix]
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("3x3 matrix required")
+        self._validate(rows)
+        flat = canonical_tuple([x for row in rows for x in row])
+        self.matrix: Mat3 = (flat[0:3], flat[3:6], flat[6:9])  # type: ignore[assignment]
+
+    def _validate(self, rows: Sequence[Triple]) -> None:
+        pass
+
+    def determinant(self) -> Scalar:
+        return det3(self.matrix)
+
+    def is_degenerate(self) -> bool:
+        return self.determinant().is_zero()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.matrix == other.matrix
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.matrix))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+    def __str__(self) -> str:
+        rows = ", ".join(
+            "[" + ", ".join(str(x) for x in row) + "]" for row in self.matrix
+        )
+        return f"[{rows}]"
+
+    @classmethod
+    def parse(cls, text: str):
+        inner = text.strip()
+        if not (inner.startswith("[[") and inner.endswith("]]")):
+            raise ValueError(f"malformed matrix {text!r}")
+        rows = inner[1:-1].split("],")
+        entries = [
+            [Scalar.parse(x) for x in row.strip().lstrip("[").rstrip("]").split(",")]
+            for row in rows
+        ]
+        return cls(entries)
+
+
+class AffineMap(HomogeneousMatrix):
+    """3x3 Scalar matrix with equal column sums, up to scale.
+
+    Equal column sums mean the map carries the line at infinity to itself,
+    which is exactly affineness in homogeneous barycentric coordinates.
+    """
+
+    __slots__ = ()
+
+    def _validate(self, rows: Sequence[Triple]) -> None:
         sums = [rows[0][j] + rows[1][j] + rows[2][j] for j in range(3)]
         if sums[0] != sums[1] or sums[1] != sums[2]:
             raise ValueError("column sums differ: not an affine map")
         if sums[0].is_zero():
             raise ValueError("zero column sums: does not fix the affine plane")
-        flat = canonical_tuple([x for row in rows for x in row])
-        self.matrix: Mat3 = (flat[0:3], flat[3:6], flat[6:9])  # type: ignore[assignment]
 
     # -- constructors ---------------------------------------------------------
 
@@ -456,12 +485,6 @@ class AffineMap:
             return NotImplemented
         return AffineMap(mat_mul(self.matrix, other.matrix))
 
-    def determinant(self) -> Scalar:
-        return det3(self.matrix)
-
-    def is_degenerate(self) -> bool:
-        return self.determinant().is_zero()
-
     def inverse(self) -> AffineMap:
         if self.is_degenerate():
             raise DegenerateMap("map is not invertible")
@@ -474,36 +497,7 @@ class AffineMap:
         """Image of a line: coefficients transform by the adjugate transpose."""
         if self.is_degenerate():
             raise DegenerateMap("cannot push a line through a degenerate map")
-        return Line.from_triple(mat_vec(transpose(adjugate3(self.matrix)), l.coeffs))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AffineMap):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(("map", self.matrix))
-
-    def __repr__(self) -> str:
-        return f"AffineMap({self.matrix!r})"
-
-    def __str__(self) -> str:
-        rows = ", ".join(
-            "[" + ", ".join(str(x) for x in row) + "]" for row in self.matrix
-        )
-        return f"[{rows}]"
-
-    @classmethod
-    def parse(cls, text: str) -> AffineMap:
-        inner = text.strip()
-        if not (inner.startswith("[[") and inner.endswith("]]")):
-            raise ValueError(f"malformed matrix {text!r}")
-        rows = inner[1:-1].split("],")
-        entries = [
-            [Scalar.parse(x) for x in row.strip().lstrip("[").rstrip("]").split(",")]
-            for row in rows
-        ]
-        return cls(entries)
+        return Line.from_triple(mat_vec(transpose(adjugate3(self.matrix)), l.coords))
 
     # -- classification ----------------------------------------------------------
 
@@ -534,18 +528,24 @@ class AffineMap:
                 if all(x.is_zero() for x in shift):
                     shift = tuple(m[i][1] - ident[i][1] for i in range(3))
                 return Translation(Point.from_triple(shift))
-            fixed = null_space([tuple(m[i][j] - (ONE if i == j else ZERO) for j in range(3)) for i in range(3)], 3)
-            center = Point.from_triple(fixed[0])
+            center = Point.from_triple(_eigenvectors(m, ONE)[0])
             return Homothety(center, k1)
         m2 = mat_mul(m, m)
         if m2 == ident:
-            fixed = null_space([tuple(m[i][j] - (ONE if i == j else ZERO) for j in range(3)) for i in range(3)], 3)
+            fixed = _eigenvectors(m, ONE)
             if len(fixed) == 2:
                 axis = join(Point.from_triple(fixed[0]), Point.from_triple(fixed[1]))
                 if not axis.is_line_at_infinity():
-                    minus = null_space([tuple(m[i][j] + (ONE if i == j else ZERO) for j in range(3)) for i in range(3)], 3)
+                    minus = _eigenvectors(m, -ONE)
                     return AffineReflection(axis, Point.from_triple(minus[0]))
         return GeneralMap()
+
+
+def _eigenvectors(m: Mat3, k: Scalar) -> list[tuple[Scalar, ...]]:
+    """Kernel basis of m - k*I."""
+    return null_space(
+        [tuple(m[i][j] - (k if i == j else ZERO) for j in range(3)) for i in range(3)], 3
+    )
 
 
 def _proportionality(w: Sequence[Scalar], v: Sequence[Scalar]) -> Optional[Scalar]:
@@ -567,9 +567,7 @@ def complement_map() -> AffineMap:
     """Homothety at the centroid with ratio -1/2: sends ABC to the medial
     triangle.  Constructed from its defining point pairs, not hard-coded;
     the closed form (x:y:z) -> (y+z : z+x : x+y) is asserted in tests."""
-    return AffineMap.from_pairs(
-        ((VERTEX_A, MID_BC), (VERTEX_B, MID_CA), (VERTEX_C, MID_AB))
-    )
+    return AffineMap.from_pairs(tuple(zip(VERTICES, MIDPOINTS)))
 
 
 @lru_cache(maxsize=1)
@@ -604,8 +602,7 @@ def cevian_traces(p: Point) -> tuple[Point, Point, Point]:
 
 def cevian_map(p: Point) -> AffineMap:
     """The affine map taking ABC to the cevian triangle of p."""
-    d, e, f = cevian_traces(p)
-    return AffineMap.from_pairs(((VERTEX_A, d), (VERTEX_B, e), (VERTEX_C, f)))
+    return AffineMap.from_pairs(tuple(zip(VERTICES, cevian_traces(p))))
 
 
 def iso_reflection_map(p: Point, p_iso: Point, q: Point, q_iso: Point) -> AffineMap:
@@ -632,6 +629,20 @@ def iso_reflection_map(p: Point, p_iso: Point, q: Point, q_iso: Point) -> Affine
     return eta
 
 
+def common_point(lines: Sequence[Line]) -> Optional[Point]:
+    """The point all the lines pass through, or None when they do not
+    concur.  Raises CoincidentArguments when the lines are all one line,
+    since then every point of it is common."""
+    first = lines[0]
+    other = next((l for l in lines[1:] if l != first), None)
+    if other is None:
+        raise CoincidentArguments(f"the lines all coincide with {first}")
+    candidate = meet(first, other)
+    if all(incident(candidate, l) for l in lines):
+        return candidate
+    return None
+
+
 def perspector(
     tri1: tuple[Point, Point, Point], tri2: tuple[Point, Point, Point]
 ) -> Optional[Point]:
@@ -639,14 +650,8 @@ def perspector(
     None when the triangles are not perspective.  Corresponding vertices must
     be distinct."""
     lines = [join(a, b) for a, b in zip(tri1, tri2)]
-    candidate = None
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        if lines[i] != lines[j]:
-            candidate = meet(lines[i], lines[j])
-            break
-    if candidate is None:
+    try:
+        return common_point(lines)
+    except CoincidentArguments:
         # all three joins are one line: every point of it works; degenerate
         return None
-    if all(incident(candidate, l) for l in lines):
-        return candidate
-    return None

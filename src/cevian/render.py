@@ -54,7 +54,10 @@ class RenderTriangle:
             xy = part.split(",")
             if len(xy) != 2:
                 raise ValueError(f"malformed vertex {part!r}")
-            coords.append((Fraction(xy[0]), Fraction(xy[1])))
+            try:
+                coords.append((Fraction(xy[0]), Fraction(xy[1])))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in vertex {part!r}") from None
         tri = cls(*coords)
         if tri.doubled_area() == 0:
             raise ValueError("triangle vertices are collinear")

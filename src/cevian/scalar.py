@@ -305,9 +305,10 @@ class Scalar:
         sign = "+" if self.b >= 0 else "-"
         return f"{self.a}{sign}{abs(self.b)}*sqrt({self.d})"
 
+    # a denominator must have a nonzero digit, so "1/0" is malformed text
     _PATTERN = re.compile(
-        r"^(?P<a>-?\d+(?:/\d+)?)"
-        r"(?:(?P<sign>[+-])(?P<b>\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\))?$"
+        r"^(?P<a>-?\d+(?:/0*[1-9]\d*)?)"
+        r"(?:(?P<sign>[+-])(?P<b>\d+(?:/0*[1-9]\d*)?)\*sqrt\((?P<d>\d+)\))?$"
     )
 
     @classmethod

@@ -22,16 +22,18 @@ from .projective import (
     GeometryError,
     Homothety,
     LINE_AT_INFINITY,
-    Line,
     MID_AB,
     MID_BC,
     MID_CA,
+    MIDPOINTS,
     Point,
     SIDE_BC,
+    SIDELINES,
     Translation,
     VERTEX_A,
     VERTEX_B,
     VERTEX_C,
+    VERTICES,
     anticomplement,
     anticomplement_map,
     are_collinear,
@@ -274,7 +276,7 @@ def _check_ho_formula(ctx: CheckContext, cl: Claims) -> None:
     cl.equal("o_formula", o_formula, cs.circumcenter)
     cl.equal("h_formula", h_formula, cs.orthocenter)
     cl.equal("o_is_complement_of_h", complement(cs.orthocenter), cs.circumcenter)
-    for tag, bases in (("h", (VERTEX_A, VERTEX_B, VERTEX_C)), ("o", (MID_BC, MID_CA, MID_AB))):
+    for tag, bases in (("h", VERTICES), ("o", MIDPOINTS)):
         target = cs.orthocenter if tag == "h" else cs.circumcenter
         for i, (base, trace) in enumerate(zip(bases, cs.traces)):
             line = parallel_through(base, join(cs.q, trace))
@@ -337,7 +339,7 @@ def _check_ninepoint_center(ctx: CheckContext, cl: Claims) -> None:
         cs.circumconic,
         transform_conic(cs.cevian_map_iso.inverse(), cs.ninepoint_conic_iso),
     )
-    for name, v in (("a", VERTEX_A), ("b", VERTEX_B), ("c", VERTEX_C)):
+    for name, v in zip("abc", VERTICES):
         cl.true(f"{name}_on_circumconic", cs.circumconic.contains(v))
     cl.equal("circumconic_center", cs.circumconic.center(), cs.circumcenter)
     if cs.feuerbach_point is not None:
@@ -361,7 +363,7 @@ def _check_nh_complement(ctx: CheckContext, cl: Claims) -> None:
         transform_conic(complement_map(), cs.circumconic),
     )
     quadrangle_conic = nine_point_conic(
-        (VERTEX_A, VERTEX_B, VERTEX_C, cs.orthocenter)
+        (*VERTICES, cs.orthocenter)
     )
     cl.equal("nh_is_quadrangle_conic", cs.ninepoint_conic, quadrangle_conic)
     halfturn = complement_map() @ point_reflection(cs.circumcenter)
@@ -400,11 +402,7 @@ def _check_m_to_inconic(ctx: CheckContext, cl: Claims) -> None:
     # corollary: the circumconic's tangents at the medial preimages are
     # parallel to the corresponding sides
     t_inv = cs.cevian_map_iso.inverse()
-    for name, mid, side in (
-        ("bc", MID_BC, SIDE_BC),
-        ("ca", MID_CA, Line(0, 1, 0)),
-        ("ab", MID_AB, Line(0, 0, 1)),
-    ):
+    for name, mid, side in zip(("bc", "ca", "ab"), MIDPOINTS, SIDELINES):
         preimage = t_inv(mid)
         cl.true(
             f"medial_preimage_tangent_parallel_{name}",
@@ -504,7 +502,7 @@ def _check_feuerbach(ctx: CheckContext, cl: Claims) -> None:
         cs.inconic,
     )
     # the companion statement for p_iso's nine-point conic and inconic
-    ninepoint_p = nine_point_conic((VERTEX_A, VERTEX_B, VERTEX_C, cs.p))
+    ninepoint_p = nine_point_conic((*VERTICES, cs.p))
     circ_iso = transform_conic(cs.cevian_map.inverse(), ninepoint_p)
     nh_iso = transform_conic(complement_map(), circ_iso)
     cl.equal(
@@ -630,12 +628,7 @@ def _check_four_points(ctx: CheckContext, cl: Claims) -> None:
     for i, conic in enumerate(conics):
         if conic is None:
             continue
-        for tag, pt in (
-            ("a", VERTEX_A),
-            ("b", VERTEX_B),
-            ("c", VERTEX_C),
-            ("h", cs.orthocenter),
-        ):
+        for tag, pt in (*zip("abc", VERTICES), ("h", cs.orthocenter)):
             cl.true(f"conic_{i}_contains_{tag}", conic.contains(pt))
 
 
@@ -649,9 +642,8 @@ def _check_persp_a(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_median()
     ctx.require_off_steiner()
     cs = ctx.cs
-    tri1 = (MID_BC, MID_CA, MID_AB)
-    tri2 = tuple(cs.transfer_map(v) for v in (VERTEX_A, VERTEX_B, VERTEX_C))
-    cl.equal("perspector_is_q", perspector(tri1, tri2), cs.q)
+    tri2 = tuple(cs.transfer_map(v) for v in VERTICES)
+    cl.equal("perspector_is_q", perspector(MIDPOINTS, tri2), cs.q)
 
 
 @_register("perspectivity_anticevian_medial")
@@ -661,8 +653,8 @@ def _check_persp_b(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     tinv = cs.cevian_map.inverse()
     tinv_iso = cs.cevian_map_iso.inverse()
-    tri1 = tuple(tinv(v) for v in (VERTEX_A, VERTEX_B, VERTEX_C))
-    tri2 = tuple(tinv_iso(m) for m in (MID_BC, MID_CA, MID_AB))
+    tri1 = tuple(tinv(v) for v in VERTICES)
+    tri2 = tuple(tinv_iso(m) for m in MIDPOINTS)
     cl.equal("perspector_is_preimage", perspector(tri1, tri2), cs.orthocenter_preimage)
     cl.true(
         "first_vertex_collinear",
@@ -676,10 +668,10 @@ def _check_persp_c(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_steiner()
     cs = ctx.cs
     tinv = cs.transfer_map.inverse()
-    tri2 = tuple(tinv(m) for m in (MID_BC, MID_CA, MID_AB))
+    tri2 = tuple(tinv(m) for m in MIDPOINTS)
     cl.equal(
         "perspector_is_orthocenter",
-        perspector((VERTEX_A, VERTEX_B, VERTEX_C), tri2),
+        perspector(VERTICES, tri2),
         cs.orthocenter,
     )
     cl.true("a_h_collinear", are_collinear(VERTEX_A, cs.orthocenter, tri2[0]))
@@ -705,8 +697,8 @@ def _check_persp_e(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_steiner()
     cs = ctx.cs
     tinv = cs.transfer_map.inverse()
-    tri1 = tuple(tinv(v) for v in (VERTEX_A, VERTEX_B, VERTEX_C))
-    tri2 = tuple(cs.second_cevian_map(v) for v in (VERTEX_A, VERTEX_B, VERTEX_C))
+    tri1 = tuple(tinv(v) for v in VERTICES)
+    tri2 = tuple(cs.second_cevian_map(v) for v in VERTICES)
     cl.equal(
         "perspector_is_orthocenter", perspector(tri1, tri2), cs.orthocenter
     )
@@ -783,8 +775,8 @@ def _check_ha_fallback(ctx: CheckContext, cl: Claims) -> None:
     which = cs.flags.h_is_vertex
     if which is None:
         raise _Skip("orthocenter-like point is not a vertex")
-    vertex = {"A": VERTEX_A, "B": VERTEX_B, "C": VERTEX_C}[which]
-    mid_opposite = {"A": MID_BC, "B": MID_CA, "C": MID_AB}[which]
+    vertex = VERTICES["ABC".index(which)]
+    mid_opposite = MIDPOINTS["ABC".index(which)]
     cl.equal("orthocenter_is_vertex", cs.orthocenter, vertex)
     cl.equal("circumcenter_is_midpoint", cs.circumcenter, mid_opposite)
     cl.equal(

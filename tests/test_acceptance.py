@@ -296,8 +296,9 @@ def test_criterion_10_harness_integrity():
     report(10, "deterministic suite, complete registry, reproducible negated-check witness")
 
 
-def test_full_suite_is_green():
-    suite = run_suite(SEED, COUNT)
+def test_full_suite_is_green(suite_42_25):
+    suite = suite_42_25
+    assert (suite.seed, suite.count) == (SEED, COUNT)
     assert suite.ok(), [f.to_dict() for f in suite.failures()]
     tallies = suite.tallies()
     for cid, _ in DOCUMENTED_CHECKS:

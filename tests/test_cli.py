@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from cevian.cli import main
-from cevian.projective import AffineMap, Point
+from cevian.projective import AffineMap, Line, Point
 from cevian.conics import Conic
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -59,6 +59,29 @@ def test_construct_exact_strings_parse_back(tmp_path):
         assert str(AffineMap.parse(text)) == text
 
 
+@pytest.mark.parametrize(
+    "cls, text",
+    [
+        (Point, "(1 : 2)"),
+        (Point, "[1 : 2 : 3]"),
+        (Point, "(1 : 1/0 : 2)"),
+        (Point, "(0 : 0 : 0)"),
+        (Line, "(1 : 2 : 3)"),
+        (Line, "[1 : x : 3]"),
+        (Line, "[1/0 : 1 : 1]"),
+        (AffineMap, "[[1, 0, 0], [0, 1, 0]]"),
+        (AffineMap, "[[1, 0, 0], [0, 1, 0], [0, 0, 2]]"),
+        (AffineMap, "[[1/0, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+        (Conic, "[[1, 2, 0], [0, 1, 0], [0, 0, 1]]"),
+        (Conic, "[[1, 0, 0], [0, 1, 0], [0, 0, 1]"),
+        (Conic, "[[1, 0, 0], [0, 1+1/0*sqrt(2), 0], [0, 0, 1]]"),
+    ],
+)
+def test_parse_rejects_malformed_text(cls, text):
+    with pytest.raises(ValueError):
+        cls.parse(text)
+
+
 def test_construct_quadratic_point(tmp_path):
     out = tmp_path / "report.json"
     code = run(
@@ -110,6 +133,38 @@ def test_construct_bad_point():
 
 def test_construct_degenerate_triangle():
     assert run(["construct", "--p", "2:3:6", "--triangle", "0,0;1,1;2,2"]) == 2
+
+
+def test_construct_zero_denominator_is_input_error():
+    assert run(["construct", "--p", "1/0:1:1"]) == 2
+    assert run(["construct", "--p", "2:3:6", "--triangle", "1/0,0;1,0;0,1"]) == 2
+
+
+def test_unreadable_config_is_input_error(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert run(["--config", str(missing), "construct", "--p", "2:3:6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_unwritable_out_is_input_error(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "x.json"
+    assert run(["construct", "--p", "2:3:6", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["construct", "svg"])
+@pytest.mark.parametrize(
+    "flag, value", [("--p", "-5:3:7"), ("--triangle", "-1,0;1,0;0,1")]
+)
+def test_negative_value_after_space(tmp_path, command, flag, value):
+    """A separate value with a leading minus reads like the "=" form."""
+    base = [command] + (["--p", "2:3:6"] if flag != "--p" else [])
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert run(base + [flag, value, "--out", str(spaced)]) == 0
+    assert run(base + [f"{flag}={value}", "--out", str(joined)]) == 0
+    assert spaced.read_text() == joined.read_text()
 
 
 def test_verify_exit_zero(tmp_path):

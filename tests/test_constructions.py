@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from cevian.scalar import Scalar
 from cevian.projective import (
     CENTROID,
+    DegenerateConfiguration,
     Line,
     MID_AB,
     MID_BC,
@@ -35,7 +36,9 @@ from cevian.conics import (
     tangent_conics_at,
 )
 from cevian.constructions import (
+    ConstructionInconsistency,
     OnAnticomplementarySideline,
+    _concurrent_parallels,
     anticevian_family,
     construct,
     degeneracy_report,
@@ -173,6 +176,17 @@ def test_steiner_point_collapse():
 def test_extension_marker():
     assert construct(Point(2, 3, 6)).extension_d == 1
     assert special_configuration().extension_d == 2
+
+
+def test_concurrent_parallels_keeps_its_two_errors():
+    # every q-trace join is parallel to AB, so all three parallels are AB
+    traces = (Point(2, 0, 1), Point(0, 2, 1), Point(3, -1, 1))
+    with pytest.raises(DegenerateConfiguration):
+        _concurrent_parallels((VERTEX_A, VERTEX_B, MID_AB), CENTROID, traces)
+    # two medians meet at the centroid; the third parallel misses it
+    traces = (MID_BC, MID_CA, Point(1, 2, 0))
+    with pytest.raises(ConstructionInconsistency):
+        _concurrent_parallels((VERTEX_A, VERTEX_B, VERTEX_C), CENTROID, traces)
 
 
 # -- anticevian family -------------------------------------------------------------

@@ -30,6 +30,7 @@ from cevian.projective import (
     VERTEX_A,
     VERTEX_B,
     VERTEX_C,
+    VERTICES,
     anticomplement,
     anticomplement_map,
     cevian_map,
@@ -308,5 +309,8 @@ def test_perspector_of_cevian_triangle():
 
 
 def test_perspector_none_when_not_perspective():
-    tri2 = (Point(0, 1, 1), Point(1, 0, 1), Point(2, 1, 0))
-    assert perspector((VERTEX_A, VERTEX_B, VERTEX_C), tri2) is None
+    not_perspective = (VERTICES, (Point(0, 1, 1), Point(1, 0, 1), Point(2, 1, 0)))
+    # all three joins are the sideline AB, so no single point is singled out
+    joins_coincide = ((VERTEX_A, VERTEX_B, MID_AB), (VERTEX_B, MID_AB, VERTEX_A))
+    for tri1, tri2 in (not_perspective, joins_coincide):
+        assert perspector(tri1, tri2) is None

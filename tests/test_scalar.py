@@ -91,8 +91,9 @@ def test_parse_examples():
     assert Scalar.parse("-2") == -2
     assert Scalar.parse("1/3+2/5*sqrt(2)") == Scalar(Fraction(1, 3), Fraction(2, 5), 2)
     assert Scalar.parse("0-1*sqrt(3)") == Scalar(0, -1, 3)
-    with pytest.raises(ValueError):
-        Scalar.parse("sqrt(2)")
+    for malformed in ("sqrt(2)", "1/0", "1+1/00*sqrt(2)"):
+        with pytest.raises(ValueError):
+            Scalar.parse(malformed)
 
 
 @given(any_scalars)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 from fractions import Fraction
@@ -21,6 +22,7 @@ from cevian.verify import (
 )
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cevian"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def test_registry_matches_documented_list():
@@ -128,6 +130,18 @@ def test_suite_is_deterministic():
     second = run_suite(11, 3)
     assert first.canonical_dict() == second.canonical_dict()
     assert first.ok()
+
+
+def test_suite_seed_42_matches_golden_report(suite_42_25):
+    """The canonical report of run_suite(42, 25) is a behaviour invariant:
+    tallies first, for a readable diff, then the digest of every result."""
+    golden = json.loads((GOLDEN / "suite-42-25.json").read_text())
+    canonical = suite_42_25.canonical_dict()
+    assert (canonical["seed"], canonical["count"]) == (golden["seed"], golden["count"])
+    assert canonical["tallies"] == golden["tallies"]
+    assert len(canonical["results"]) == golden["results"]
+    text = json.dumps(canonical, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == golden["sha256"]
 
 
 def test_suite_rejects_unknown_check_filter():

@@ -49,6 +49,7 @@ from .projective import (
     null_space,
     parallel_through,
     reflect_through,
+    reflection_axis_point,
 )
 from .conics import (
     Conic,
@@ -272,13 +273,15 @@ def construct(p: Point) -> ConstructionSet:
             cs.absent[name] = "on_median"
     else:
         try:
-            cs.v = meet(join(p, q), join(p_iso, q_iso))
-        except CoincidentArguments:
-            cs.absent["v"] = "axis point undetermined"
-        try:
-            cs.iso_reflection = iso_reflection_map(p, p_iso, q, q_iso)
+            cs.v = reflection_axis_point(p, p_iso, q, q_iso)
         except DegenerateConfiguration as exc:
+            cs.absent["v"] = "axis point undetermined"
             cs.absent["iso_reflection"] = str(exc)
+        else:
+            try:
+                cs.iso_reflection = iso_reflection_map(p, p_iso, q, q_iso, cs.v)
+            except DegenerateConfiguration as exc:
+                cs.absent["iso_reflection"] = str(exc)
         cs.insimilicenter = _insimilicenter(cs)
         if cs.insimilicenter is None:
             cs.absent["insimilicenter"] = "center lines coincide"
@@ -391,14 +394,7 @@ def z_locus_sweep(p: Point, tri: RenderTriangle, count: int = 80) -> list[Point]
     """Centers of the cevian conics as the driving point slides along the
     line through p perpendicular to side BC in the render triangle.  Display
     only: each sample is exact, the sweep itself is a finite sampling."""
-    (bx, by), (cx, cy) = tri.b, tri.c
-    dx, dy = -(cy - by), cx - bx
-    rows = (
-        (tri.b[1] - tri.c[1], tri.c[0] - tri.b[0]),
-        (tri.c[1] - tri.a[1], tri.a[0] - tri.c[0]),
-        (tri.a[1] - tri.b[1], tri.b[0] - tri.a[0]),
-    )
-    direction = Point(*(Scalar(r[0] * dx + r[1] * dy) for r in rows))
+    direction = tri.perpendicular_to_bc()
     base = p.normalized()
     out: list[Point] = []
     for k in range(-count, count + 1):

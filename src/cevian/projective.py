@@ -605,17 +605,27 @@ def cevian_map(p: Point) -> AffineMap:
     return AffineMap.from_pairs(tuple(zip(VERTICES, cevian_traces(p))))
 
 
-def iso_reflection_map(p: Point, p_iso: Point, q: Point, q_iso: Point) -> AffineMap:
+def reflection_axis_point(p: Point, p_iso: Point, q: Point, q_iso: Point) -> Point:
+    """v = pq . p_iso q_iso, the point that with the centroid spans the axis
+    of the iso-reflection."""
+    try:
+        return meet(join(p, q), join(p_iso, q_iso))
+    except CoincidentArguments as exc:
+        raise DegenerateConfiguration("reflection axis is undetermined") from exc
+
+
+def iso_reflection_map(
+    p: Point, p_iso: Point, q: Point, q_iso: Point, v: Optional[Point] = None
+) -> AffineMap:
     """The affine reflection fixing the centroid and v = pq . p_iso q_iso
-    pointwise and swapping p with p_iso (hence q with q_iso).
+    pointwise and swapping p with p_iso (hence q with q_iso).  A caller that
+    has v from `reflection_axis_point` already passes it in.
 
     Verified involutive on construction; configurations where v is undefined,
     infinite, or centroidal are rejected rather than guessed at.
     """
-    try:
-        v = meet(join(p, q), join(p_iso, q_iso))
-    except CoincidentArguments as exc:
-        raise DegenerateConfiguration("reflection axis is undetermined") from exc
+    if v is None:
+        v = reflection_axis_point(p, p_iso, q, q_iso)
     if v.is_infinite() or v == CENTROID:
         raise DegenerateConfiguration(f"axis point {v} unusable")
     try:

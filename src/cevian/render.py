@@ -78,6 +78,24 @@ class RenderTriangle:
 
         return (sq(self.b, self.c), sq(self.c, self.a), sq(self.a, self.b))
 
+    def line_rows(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+        """The sidelines BC, CA, AB as Cartesian rows (u, v, w) of
+        u*x + v*y + w = 0; applied to (x, y, 1), the rows give the
+        barycentric coordinates of (x, y) times the doubled area."""
+        (ax, ay), (bx, by), (cx, cy) = self.a, self.b, self.c
+        return (
+            (by - cy, cx - bx, bx * cy - cx * by),
+            (cy - ay, ax - cx, cx * ay - ax * cy),
+            (ay - by, bx - ax, ax * by - bx * ay),
+        )
+
+    def perpendicular_to_bc(self) -> Point:
+        """The barycentric direction (a point at infinity) perpendicular to
+        side BC: the image of the normal (u, v) of the row of BC."""
+        rows = self.line_rows()
+        dx, dy, _ = rows[0]
+        return Point(*(Scalar(u * dx + v * dy) for u, v, _ in rows))
+
 
 def bary_to_cartesian_exact(p: Point, tri: RenderTriangle) -> tuple[Scalar, Scalar]:
     """Exact Cartesian image of an ordinary point (Scalars, possibly quadratic)."""
@@ -103,13 +121,7 @@ def direction_to_xy(p: Point, tri: RenderTriangle) -> tuple[float, float]:
 
 def conic_cartesian_matrix(conic: Conic, tri: RenderTriangle) -> list[list[float]]:
     """Float matrix of the conic in (x, y, 1) coordinates."""
-    (ax, ay), (bx, by), (cx, cy) = tri.a, tri.b, tri.c
-    rows = (
-        (by - cy, cx - bx, bx * cy - cx * by),
-        (cy - ay, ax - cx, cx * ay - ax * cy),
-        (ay - by, bx - ax, ax * by - bx * ay),
-    )
-    n = [[float(v) for v in row] for row in rows]
+    n = [[float(v) for v in row] for row in tri.line_rows()]
     c = [[x.to_float() for x in row] for row in conic.matrix]
     nc = [[sum(n[k][i] * c[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
     return [

@@ -2,10 +2,18 @@
 
 Every quantity in the geometry kernel is a ``Scalar``: a value a + b*sqrt(d)
 with rational a, b and a square-free positive integer d.  Plain rationals are
-the degenerate case b = 0, d = 1.  Values are immutable, kept in canonical
-form after every operation, and compared structurally, so ``==`` is semantic
-equality.  Only one extension at a time is supported: combining scalars whose
-d fields differ (both with irrational part) is an error, never a coercion.
+the degenerate case b = 0, d = 1.  Values are immutable, always in canonical
+form, and compared structurally, so ``==`` is semantic equality.  Only one
+extension at a time is supported: combining scalars whose d fields differ
+(both with irrational part) is an error, never a coercion.
+
+Canonical form is established where a value enters: the public constructor
+``Scalar(a, b, d)`` (and ``parse`` and ``sqrt_of``, which call it) factors d
+to its square-free part.  Arithmetic on canonical operands keeps the d of an
+operand, which is square-free already, so it never factors d again; it builds
+its results with ``Scalar._make``, which only folds d to 1 when b is 0.
+Factoring a user-supplied d has a fixed step budget: a d whose prime factors
+are too large to find within it raises ``FactorizationBudgetExceeded``.
 """
 
 from __future__ import annotations
@@ -33,6 +41,10 @@ class IncompatibleExtensions(ScalarError):
     """Mixing sqrt(d) and sqrt(d') with d != d', or a tower would be needed."""
 
 
+class FactorizationBudgetExceeded(ScalarError):
+    """A d whose square-free part cannot be found within the step budget."""
+
+
 class DegenerateEquation(ScalarError):
     """a = b = 0 with c != 0: no roots at all."""
 
@@ -46,6 +58,13 @@ class AllZeroEquation(ScalarError):
 # trial-division-with-cutoff shortcuts)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Pollard rho finds a prime factor p in about sqrt(p) steps, and the budget
+# is shared by all splits of one n: it factors an n whose prime factors, all
+# but the largest, have up to about 32 bits (a product of two 32-bit primes
+# took 30782 steps).  One step costs about 2.5 us at 112 bits (Python 3.11,
+# x86-64), so a d beyond the budget is rejected in well under a second.
+_RHO_STEP_BUDGET = 1 << 18
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -73,26 +92,34 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
+def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
+    """A proper factor of the composite n and the steps left of budget, or
+    (0, 0) when the budget runs out before a factor is found."""
     for c in range(1, 100):
         x = y = 2
         d = 1
         while d == 1:
+            if not budget:
+                return 0, 0
+            budget -= 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = math.gcd(abs(x - y), n)
         if d != n:
-            return d
+            return d, budget
     raise ScalarError(f"factorization failed for {n}")  # pragma: no cover
 
 
 def _factor(n: int, out: dict[int, int]) -> None:
+    """Prime factorization of n into out, within _RHO_STEP_BUDGET steps."""
+    rest = n
     for p in _SMALL_PRIMES:
-        while n % p == 0:
+        while rest % p == 0:
             out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
+            rest //= p
+    budget = _RHO_STEP_BUDGET
+    stack = [rest] if rest > 1 else []
     while stack:
         m = stack.pop()
         if m == 1:
@@ -104,7 +131,11 @@ def _factor(n: int, out: dict[int, int]) -> None:
         if r * r == m:
             stack.extend((r, r))
             continue
-        d = _pollard_rho(m)
+        d, budget = _pollard_rho(m, budget)
+        if not d:
+            raise FactorizationBudgetExceeded(
+                f"cannot factor {n} within {_RHO_STEP_BUDGET} Pollard-rho steps"
+            )
         stack.extend((d, m // d))
 
 
@@ -176,12 +207,24 @@ class Scalar:
         """sqrt(n) for a positive integer n (e.g. sqrt_of(8) == 2*sqrt(2))."""
         return cls(0, 1, n)
 
+    @classmethod
+    def _make(cls, a: Fraction, b: Fraction, d: int) -> Scalar:
+        """The value a + b*sqrt(d) from fields already known to be canonical:
+        a and b are Fractions and d is square-free, as in the fields of a
+        canonical Scalar.  Only a zero b is folded (to d = 1); d is never
+        factored.  Arithmetic builds every result this way."""
+        s = object.__new__(cls)
+        s.a = a
+        s.b = b
+        s.d = d if b else 1
+        return s
+
     @staticmethod
     def _coerce(value: ScalarLike) -> "Scalar":
         if isinstance(value, Scalar):
             return value
         if isinstance(value, (int, Fraction)):
-            return Scalar(value)
+            return _make(Fraction(value), _FZERO, 1)
         raise TypeError(f"cannot interpret {value!r} as a Scalar")
 
     def _join_d(self, other: Scalar) -> int:
@@ -224,7 +267,9 @@ class Scalar:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return Scalar(self.a + o.a, self.b + o.b, self._join_d(o))
+        if not self.b and not o.b:
+            return _make(self.a + o.a, _FZERO, 1)
+        return _make(self.a + o.a, self.b + o.b, self._join_d(o))
 
     __radd__ = __add__
 
@@ -233,21 +278,25 @@ class Scalar:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return Scalar(self.a - o.a, self.b - o.b, self._join_d(o))
+        if not self.b and not o.b:
+            return _make(self.a - o.a, _FZERO, 1)
+        return _make(self.a - o.a, self.b - o.b, self._join_d(o))
 
     def __rsub__(self, other: ScalarLike) -> Scalar:
         return (-self) + other
 
     def __neg__(self) -> Scalar:
-        return Scalar(-self.a, -self.b, self.d)
+        return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other: ScalarLike) -> Scalar:
         try:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
+        if not self.b and not o.b:
+            return _make(self.a * o.a, _FZERO, 1)
         d = self._join_d(o)
-        return Scalar(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
+        return _make(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
 
     __rmul__ = __mul__
 
@@ -256,25 +305,32 @@ class Scalar:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        if o.is_zero():
-            raise DivisionByZero("scalar division by zero")
+        if not o.b:
+            if not o.a:
+                raise DivisionByZero("scalar division by zero")
+            if not self.b:
+                return _make(self.a / o.a, _FZERO, 1)
+            return _make(self.a / o.a, self.b / o.a, self.d)
         d = self._join_d(o)
         # multiply by the conjugate a' - b'*sqrt(d); the norm is rational
         norm = o.a * o.a - o.b * o.b * d
-        num = self * Scalar(o.a, -o.b, d)
-        return Scalar(num.a / norm, num.b / norm, d)
+        return _make(
+            (self.a * o.a - self.b * o.b * d) / norm,
+            (self.b * o.a - self.a * o.b) / norm,
+            d,
+        )
 
     def __rtruediv__(self, other: ScalarLike) -> Scalar:
         return self._coerce(other) / self
 
     def conjugate(self) -> Scalar:
-        return Scalar(self.a, -self.b, self.d)
+        return _make(self.a, -self.b, self.d)
 
     # -- comparison / hashing ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
+            return not self.b and self.a == other
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
@@ -325,6 +381,9 @@ class Scalar:
             b = -b
         return cls(a, b, int(m.group("d")))
 
+
+_FZERO = Fraction(0)
+_make = Scalar._make
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
@@ -399,7 +458,7 @@ def sqrt_in_field(x: Scalar, ambient_d: Optional[int] = None) -> Optional[Scalar
         u = rational_sqrt(candidate)
         if u is not None and u != 0:
             v = x.b / (2 * u)
-            root = Scalar(u, v, x.d)
+            root = _make(u, v, x.d)
             if root * root == x:
                 return root if root.sign() > 0 else -root
     return None

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -138,6 +139,15 @@ def test_construct_degenerate_triangle():
 def test_construct_zero_denominator_is_input_error():
     assert run(["construct", "--p", "1/0:1:1"]) == 2
     assert run(["construct", "--p", "2:3:6", "--triangle", "1/0,0;1,0;0,1"]) == 2
+
+
+def test_construct_unfactorable_d_is_input_error(capsys):
+    d = 72057594037928017 * 144115188075855881  # primes of 57 and 58 bits
+    start = time.perf_counter()
+    assert run(["construct", "--p", f"1:1+1*sqrt({d}):2"]) == 2
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad point") and str(d) in err
 
 
 def test_unreadable_config_is_input_error(tmp_path, capsys):

@@ -4,11 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cevian.scalar as scalar_module
+from cevian.constructions import construct
+from cevian.projective import Point
 from cevian.scalar import (
     AllZeroEquation,
     DegenerateEquation,
     DivisionByZero,
     DoubleRoot,
+    FactorizationBudgetExceeded,
     IncompatibleExtensions,
     Linear,
     NeedsExtension,
@@ -58,6 +62,45 @@ def test_canonical_form():
     assert Scalar(3, 0, 7) == Scalar(3)  # zero irrational part drops d
     assert Scalar(0, 1, 4).is_rational and Scalar(0, 1, 4) == 2
     assert Scalar.sqrt_of(18) == Scalar(0, 3, 2)
+
+
+@st.composite
+def same_field_operands(draw):
+    """Two operands in one field Q(sqrt(d)), each either rational or built
+    over the non-square-free 8 or 12, plus a plain rational."""
+    d = draw(st.sampled_from([8, 12]))
+    over_d = st.builds(lambda a, b: Scalar(a, b, d), rationals, rationals)
+    operand = st.one_of(rationals.map(Scalar), over_d)
+    return draw(operand), draw(operand), draw(rationals)
+
+
+@given(same_field_operands())
+@settings(max_examples=300, deadline=None)
+def test_arithmetic_results_are_canonical(operands):
+    x, y, k = operands
+    results = [x + y, x - y, x * y, -x, x.conjugate(), x + k, k - x, k * x]
+    if y:
+        results += [x / y, k / y]
+    if k:
+        results.append(x / k)
+    for r in results:
+        full = Scalar(r.a, r.b, r.d)
+        assert (type(r.a), type(r.b)) == (Fraction, Fraction)
+        assert (r.a, r.b, r.d) == (full.a, full.b, full.d)
+        assert (r.d == 1) == (r.b == 0)
+
+
+def test_construct_over_quadratic_field_never_refactors_d(monkeypatch):
+    d = 1610924047  # 49157 * 32771
+    p = Point(Scalar(3), Scalar(1, 2, d), Scalar(-1, 1, d))
+    calls = []
+    real = scalar_module.squarefree_decompose
+    monkeypatch.setattr(
+        scalar_module, "squarefree_decompose", lambda n: calls.append(n) or real(n)
+    )
+    cs = construct(p)
+    assert calls == []
+    assert {c.d for c in cs.orthocenter.coords} <= {1, d}
 
 
 def test_sign_is_exact():
@@ -124,6 +167,20 @@ def test_squarefree_large():
     n = (10**9 + 7) ** 2 * 10
     f, s = squarefree_decompose(n)
     assert f == 10 and s == 10**9 + 7
+
+
+def test_squarefree_within_budget():
+    # 2147483659 * 3221225473: two 32-bit primes
+    assert squarefree_decompose(6917529065222045707) == (6917529065222045707, 1)
+    assert squarefree_decompose(49157 * 32771 * 4) == (49157 * 32771, 2)
+
+
+def test_squarefree_budget_exceeded_names_n():
+    n = 72057594037928017 * 144115188075855881  # primes of 57 and 58 bits
+    with pytest.raises(FactorizationBudgetExceeded, match=str(n)):
+        squarefree_decompose(n)
+    with pytest.raises(FactorizationBudgetExceeded):
+        Scalar.sqrt_of(n)
 
 
 def test_rational_sqrt():

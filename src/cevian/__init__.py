@@ -37,6 +37,7 @@ from .conics import (
     steiner_circumellipse,
 )
 from .constructions import (
+    Centers,
     ConstructionSet,
     anticevian_family,
     construct,
@@ -52,6 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap",
+    "Centers",
     "Conic",
     "ConstructionSet",
     "DOCUMENTED_CHECKS",

@@ -422,10 +422,6 @@ class InfinityInvolution:
         return meet(self.conic.polar(x), LINE_AT_INFINITY)
 
 
-def conjugate_involution(conic: Conic, x: Point) -> Point:
-    return InfinityInvolution(conic)(x)
-
-
 def transform_conic(mapping: AffineMap, conic: Conic) -> Conic:
     """Push-forward of a conic: contains mapping(X) iff the original contains X."""
     if mapping.is_degenerate():

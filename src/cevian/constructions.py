@@ -1,6 +1,13 @@
 """The full construction pipeline: from a driving point p, every derived
 point, affine map, and conic of the generalized-center configuration.
 
+`Centers(p)` holds the defining objects: q = K(isotomic(p)), the
+orthocenter-like point H, computed both from the affine formula and as the
+common point of the parallels through the vertices, O = K(H), and the
+cevian conic through A, B, C, p, q, whose center is Z.  `ConstructionSet`
+extends it with every other member; `construct(p)` builds one.  The
+anticevian siblings of p, which share H and O, need only `Centers`.
+
 Degeneracy is graded.  A point on a sideline of the reference triangle or of
 its anticomplementary triangle is a hard error (nothing is constructible).
 A point on a median keeps the central objects but loses the members that
@@ -12,7 +19,7 @@ orthocenter, circumcenter, and inconic center into one infinite point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
@@ -119,52 +126,13 @@ def degeneracy_report(p: Point) -> DegeneracyReport:
     return DegeneracyReport(on_side, on_anti, on_median, on_steiner, h_vertex)
 
 
-@dataclass
-class ConstructionSet:
-    """Everything derived from one driving point.
-
-    q is the complement of the isotomic conjugate of p (the inconic center);
-    q_iso is the same construction applied to p_iso, i.e. the complement of
-    p itself.  Members that a degenerate p cannot support are None, with the
-    reason recorded in `absent`.
-    """
-
-    p: Point
-    p_iso: Point
-    q: Point
-    q_iso: Point
-    traces: tuple[Point, Point, Point]
-    traces_iso: tuple[Point, Point, Point]
-    orthocenter: Point
-    circumcenter: Point
-    orthocenter_iso: Point
-    circumcenter_iso: Point
-    ninepoint_center: Point
-    orthocenter_preimage: Point
-    cevian_map: AffineMap
-    cevian_map_iso: AffineMap
-    transfer_map: AffineMap
-    second_cevian_map: AffineMap
-    second_cevian_map_iso: AffineMap
-    circum_to_inconic: AffineMap
-    ninepoint_to_inconic: AffineMap
-    circumconic: Conic
-    ninepoint_conic_iso: Conic
-    ninepoint_conic: Conic
-    inconic: Conic
-    inconic_iso: Conic
-    flags: DegeneracyReport
-    v: Optional[Point] = None
-    iso_reflection: Optional[AffineMap] = None
-    insimilicenter: Optional[Point] = None
-    cevian_conic: Optional[Conic] = None
-    feuerbach_point: Optional[Point] = None
-    fourth_intersection: Optional[Point] = None
-    absent: dict = field(default_factory=dict)
-
-    @property
-    def extension_d(self) -> int:
-        return max(c.d for c in self.p.coords)
+def cevian_conic(p: Point, q: Point) -> Optional[Conic]:
+    """The conic through A, B, C, p and q, or None when the five points
+    leave a whole pencil (p on a median)."""
+    try:
+        return conic_through_five((*VERTICES, p, q))
+    except RankDeficient:
+        return None
 
 
 def _concurrent_parallels(
@@ -184,121 +152,129 @@ def _concurrent_parallels(
     return common
 
 
-def construct(p: Point) -> ConstructionSet:
-    """Derive the complete configuration of p.  The orthocenter-like and
-    circumcenter-like points are computed independently from the affine
-    formula and from the defining parallels, and must agree exactly."""
-    flags = degeneracy_report(p)
-    if flags.on_sideline:
-        raise OnSideline(f"{p} lies on a sideline of the reference triangle")
-    if flags.on_anticomplementary_sideline:
-        raise OnAnticomplementarySideline(
-            f"{p} lies on a sideline of the anticomplementary triangle"
+class Centers:
+    """The defining objects of one driving point p.
+
+    q is the complement of the isotomic conjugate p_iso of p (the inconic
+    center).  The circumcenter-like point O = T_p_iso^-1(K(q)) and the
+    orthocenter-like point H = K^-1(O) come from the affine formula and are
+    checked against the common points of the parallels to the q-trace lines
+    through the vertices (H) and the midpoints (O).  The cevian conic through
+    A, B, C, p, q is None when p lies on a median, with the reason recorded
+    in `absent`.
+    """
+
+    def __init__(self, p: Point):
+        flags = degeneracy_report(p)
+        if flags.on_sideline:
+            raise OnSideline(f"{p} lies on a sideline of the reference triangle")
+        if flags.on_anticomplementary_sideline:
+            raise OnAnticomplementarySideline(
+                f"{p} lies on a sideline of the anticomplementary triangle"
+            )
+        self.p = p
+        self.flags = flags
+        self.absent: dict[str, str] = {}
+        self.p_iso = isotomic(p)
+        self.q = q = complement(self.p_iso)
+        self.traces = cevian_traces(p)
+        self.cevian_map_iso = cevian_map(self.p_iso)
+        self.cevian_map_iso_inverse = self.cevian_map_iso.inverse()
+
+        self.circumcenter = self.cevian_map_iso_inverse(complement(q))
+        self.orthocenter = anticomplement(self.circumcenter)
+        h_direct = _concurrent_parallels(VERTICES, q, self.traces)
+        o_direct = _concurrent_parallels(MIDPOINTS, q, self.traces)
+        if h_direct != self.orthocenter or o_direct != self.circumcenter:
+            raise ConstructionInconsistency(
+                f"formula and parallel definitions disagree at p={p}"
+            )
+
+        self.cevian_conic = cevian_conic(p, q)
+        if self.cevian_conic is None:
+            self.absent["cevian_conic"] = "on_median"
+
+    @property
+    def extension_d(self) -> int:
+        return max(c.d for c in self.p.coords)
+
+
+class ConstructionSet(Centers):
+    """Everything derived from one driving point.
+
+    q_iso is the construction of q applied to p_iso, i.e. the complement of
+    p itself.  Members that a degenerate p cannot support are None, with the
+    reason recorded in `absent`.
+    """
+
+    def __init__(self, p: Point):
+        super().__init__(p)
+        p_iso, q = self.p_iso, self.q
+        self.q_iso = q_iso = complement(p)
+        self.traces_iso = cevian_traces(p_iso)
+        self.cevian_map = t_p = cevian_map(p)
+        t_p_iso = self.cevian_map_iso
+        t_p_inv = t_p.inverse()
+        kinv = anticomplement_map()
+
+        self.circumcenter_iso = t_p_inv(complement(q_iso))
+        self.orthocenter_iso = anticomplement(self.circumcenter_iso)
+        self.orthocenter_preimage = t_p_inv(self.orthocenter)
+
+        self.transfer_map = t_p_iso @ t_p_inv
+        self.second_cevian_map = t_p @ t_p_iso
+        self.second_cevian_map_iso = t_p_iso @ t_p
+        self.circum_to_inconic = t_p @ kinv @ t_p_iso
+        self.ninepoint_to_inconic = self.circum_to_inconic @ kinv
+
+        self.ninepoint_conic_iso = nine_point_conic((*VERTICES, p_iso))
+        self.circumconic = transform_conic(
+            self.cevian_map_iso_inverse, self.ninepoint_conic_iso
         )
-    p_iso = isotomic(p)
-    q = complement(p_iso)
-    q_iso = complement(p)
-    traces = cevian_traces(p)
-    traces_iso = cevian_traces(p_iso)
-    t_p = cevian_map(p)
-    t_p_iso = cevian_map(p_iso)
-    t_p_inv = t_p.inverse()
-    t_p_iso_inv = t_p_iso.inverse()
-    kmap = complement_map()
-    kinv = anticomplement_map()
+        self.ninepoint_conic = transform_conic(complement_map(), self.circumconic)
+        self.ninepoint_center = self.ninepoint_conic.center()
+        self.inconic = inconic_with_contacts(*self.traces)
+        self.inconic_iso = inconic_with_contacts(*self.traces_iso)
 
-    circumcenter = t_p_iso_inv(complement(q))
-    orthocenter = anticomplement(circumcenter)
-    h_direct = _concurrent_parallels(VERTICES, q, traces)
-    o_direct = _concurrent_parallels(MIDPOINTS, q, traces)
-    if h_direct != orthocenter or o_direct != circumcenter:
-        raise ConstructionInconsistency(
-            f"formula and parallel definitions disagree at p={p}"
-        )
-    circumcenter_iso = t_p_inv(complement(q_iso))
-    orthocenter_iso = anticomplement(circumcenter_iso)
-
-    transfer = t_p_iso @ t_p_inv
-    second_cev = t_p @ t_p_iso
-    second_cev_iso = t_p_iso @ t_p
-    circum_to_inconic = t_p @ kinv @ t_p_iso
-    ninepoint_to_inconic = circum_to_inconic @ kinv
-
-    ninepoint_iso = nine_point_conic((*VERTICES, p_iso))
-    circumconic = transform_conic(t_p_iso_inv, ninepoint_iso)
-    ninepoint = transform_conic(kmap, circumconic)
-    inconic = inconic_with_contacts(*traces)
-    inconic_iso = inconic_with_contacts(*traces_iso)
-
-    cs = ConstructionSet(
-        p=p,
-        p_iso=p_iso,
-        q=q,
-        q_iso=q_iso,
-        traces=traces,
-        traces_iso=traces_iso,
-        orthocenter=orthocenter,
-        circumcenter=circumcenter,
-        orthocenter_iso=orthocenter_iso,
-        circumcenter_iso=circumcenter_iso,
-        ninepoint_center=ninepoint.center(),
-        orthocenter_preimage=t_p_inv(orthocenter),
-        cevian_map=t_p,
-        cevian_map_iso=t_p_iso,
-        transfer_map=transfer,
-        second_cevian_map=second_cev,
-        second_cevian_map_iso=second_cev_iso,
-        circum_to_inconic=circum_to_inconic,
-        ninepoint_to_inconic=ninepoint_to_inconic,
-        circumconic=circumconic,
-        ninepoint_conic_iso=ninepoint_iso,
-        ninepoint_conic=ninepoint,
-        inconic=inconic,
-        inconic_iso=inconic_iso,
-        flags=flags,
-    )
-
-    try:
-        cs.cevian_conic = conic_through_five((*VERTICES, p, q))
-    except RankDeficient:
-        cs.absent["cevian_conic"] = "on_median"
-    if cs.cevian_conic is not None:
-        if cs.cevian_conic.is_degenerate():
-            cs.absent["feuerbach_point"] = "on_median"
-        else:
-            cs.feuerbach_point = cs.cevian_conic.center()
-
-    if flags.on_median:
-        for name in ("v", "iso_reflection", "insimilicenter"):
-            cs.absent[name] = "on_median"
-    else:
-        try:
-            cs.v = reflection_axis_point(p, p_iso, q, q_iso)
-        except DegenerateConfiguration as exc:
-            cs.absent["v"] = "axis point undetermined"
-            cs.absent["iso_reflection"] = str(exc)
+        self.v: Optional[Point] = None
+        self.iso_reflection: Optional[AffineMap] = None
+        self.insimilicenter: Optional[Point] = None
+        if self.flags.on_median:
+            for name in ("v", "iso_reflection", "insimilicenter"):
+                self.absent[name] = "on_median"
         else:
             try:
-                cs.iso_reflection = iso_reflection_map(p, p_iso, q, q_iso, cs.v)
+                self.v = reflection_axis_point(p, p_iso, q, q_iso)
             except DegenerateConfiguration as exc:
-                cs.absent["iso_reflection"] = str(exc)
-        cs.insimilicenter = _insimilicenter(cs)
-        if cs.insimilicenter is None:
-            cs.absent["insimilicenter"] = "center lines coincide"
+                self.absent["v"] = "axis point undetermined"
+                self.absent["iso_reflection"] = str(exc)
+            else:
+                try:
+                    self.iso_reflection = iso_reflection_map(p, p_iso, q, q_iso, self.v)
+                except DegenerateConfiguration as exc:
+                    self.absent["iso_reflection"] = str(exc)
+            self.insimilicenter = _insimilicenter(self)
+            if self.insimilicenter is None:
+                self.absent["insimilicenter"] = "center lines coincide"
 
-    if cs.feuerbach_point is not None:
-        try:
-            cs.fourth_intersection = reflect_through(
-                cs.circumcenter, anticomplement(cs.feuerbach_point)
-            )
-        except InfiniteInput:
-            cs.absent["fourth_intersection"] = "circumcenter at infinity"
-    elif "feuerbach_point" in cs.absent:
-        cs.absent["fourth_intersection"] = cs.absent["feuerbach_point"]
-    else:
-        cs.absent["feuerbach_point"] = cs.absent.get("cevian_conic", "on_median")
-        cs.absent["fourth_intersection"] = cs.absent["feuerbach_point"]
-    return cs
+        self.feuerbach_point: Optional[Point] = None
+        self.fourth_intersection: Optional[Point] = None
+        if self.cevian_conic is None or self.cevian_conic.is_degenerate():
+            self.absent["feuerbach_point"] = "on_median"
+            self.absent["fourth_intersection"] = "on_median"
+        else:
+            self.feuerbach_point = self.cevian_conic.center()
+            try:
+                self.fourth_intersection = reflect_through(
+                    self.circumcenter, anticomplement(self.feuerbach_point)
+                )
+            except InfiniteInput:
+                self.absent["fourth_intersection"] = "circumcenter at infinity"
+
+
+def construct(p: Point) -> ConstructionSet:
+    """Derive the complete configuration of p, every member computed."""
+    return ConstructionSet(p)
 
 
 def _insimilicenter(cs: ConstructionSet) -> Optional[Point]:
@@ -344,10 +320,10 @@ class AnticevianFamily:
         return (self.p_a, self.p_b, self.p_c)
 
 
-def anticevian_family(cs: ConstructionSet) -> AnticevianFamily:
+def anticevian_family(cs: Centers) -> AnticevianFamily:
     if cs.flags.on_median:
         raise DegenerateConfiguration("anticevian family needs p off the medians")
-    tinv = cs.cevian_map_iso.inverse()
+    tinv = cs.cevian_map_iso_inverse
     q_a, q_b, q_c = (tinv(v) for v in VERTICES)
     p_a, p_b, p_c = (isotomic(anticomplement(x)) for x in (q_a, q_b, q_c))
     return AnticevianFamily(q_a, q_b, q_c, p_a, p_b, p_c)
@@ -390,12 +366,16 @@ def locus_conic(vertex: str) -> Conic:
 # the sweep of cevian-conic centers (display only)
 
 
-def z_locus_sweep(p: Point, tri: RenderTriangle, count: int = 80) -> list[Point]:
+_Z_LOCUS_SAMPLES = 80  # sweep positions on each side of p
+
+
+def z_locus_sweep(p: Point, tri: RenderTriangle) -> list[Point]:
     """Centers of the cevian conics as the driving point slides along the
     line through p perpendicular to side BC in the render triangle.  Display
     only: each sample is exact, the sweep itself is a finite sampling."""
     direction = tri.perpendicular_to_bc()
     base = p.normalized()
+    count = _Z_LOCUS_SAMPLES
     out: list[Point] = []
     for k in range(-count, count + 1):
         if k == 0:
@@ -405,12 +385,8 @@ def z_locus_sweep(p: Point, tri: RenderTriangle, count: int = 80) -> list[Point]
         rep = degeneracy_report(moved)
         if rep.hard() or rep.on_median:
             continue
-        q = complement(isotomic(moved))
-        try:
-            conic = conic_through_five((*VERTICES, moved, q))
-        except RankDeficient:
-            continue
-        if conic.is_degenerate():
+        conic = cevian_conic(moved, complement(isotomic(moved)))
+        if conic is None or conic.is_degenerate():
             continue
         out.append(conic.center())
     return out
@@ -442,9 +418,10 @@ def special_configuration() -> ConstructionSet:
 # sampling
 
 
-def sample_nondegenerate(
-    seed: int, count: int, bound: int = 50
-) -> list[Point]:
+_SAMPLE_BOUND = 50  # largest absolute coordinate of a sampled point
+
+
+def sample_nondegenerate(seed: int, count: int) -> list[Point]:
     """Deterministic rational points clear of every degeneracy flag.
 
     Small integer coordinates keep coefficient growth bounded through the
@@ -459,7 +436,7 @@ def sample_nondegenerate(
         attempts += 1
         if attempts > 10_000:
             raise ExhaustedRejections(f"10^4 rejections at seed {seed}")
-        coords = tuple(rng.randint(-bound, bound) for _ in range(3))
+        coords = tuple(rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND) for _ in range(3))
         if any(c == 0 for c in coords):
             continue
         candidate = Point(*coords)

@@ -615,17 +615,15 @@ def reflection_axis_point(p: Point, p_iso: Point, q: Point, q_iso: Point) -> Poi
 
 
 def iso_reflection_map(
-    p: Point, p_iso: Point, q: Point, q_iso: Point, v: Optional[Point] = None
+    p: Point, p_iso: Point, q: Point, q_iso: Point, v: Point
 ) -> AffineMap:
     """The affine reflection fixing the centroid and v = pq . p_iso q_iso
-    pointwise and swapping p with p_iso (hence q with q_iso).  A caller that
-    has v from `reflection_axis_point` already passes it in.
+    (from `reflection_axis_point`) pointwise and swapping p with p_iso
+    (hence q with q_iso).
 
-    Verified involutive on construction; configurations where v is undefined,
-    infinite, or centroidal are rejected rather than guessed at.
+    Verified involutive on construction; configurations where v is
+    infinite or centroidal are rejected rather than guessed at.
     """
-    if v is None:
-        v = reflection_axis_point(p, p_iso, q, q_iso)
     if v.is_infinite() or v == CENTROID:
         raise DegenerateConfiguration(f"axis point {v} unusable")
     try:

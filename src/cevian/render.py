@@ -29,6 +29,8 @@ from .conics import Conic
 from .constructions import ConstructionSet
 
 _FMT = "{:.4f}"
+_SVG_WIDTH = 720  # pixels
+_CONIC_STEPS = 256  # sampled directions through a conic's seed point
 
 
 @dataclass(frozen=True)
@@ -69,14 +71,6 @@ class RenderTriangle:
 
     def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return (self.a, self.b, self.c)
-
-    def squared_side_lengths(self) -> tuple[Fraction, Fraction, Fraction]:
-        """(|BC|^2, |CA|^2, |AB|^2)."""
-
-        def sq(p, q):
-            return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-
-        return (sq(self.b, self.c), sq(self.c, self.a), sq(self.a, self.b))
 
     def line_rows(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
         """The sidelines BC, CA, AB as Cartesian rows (u, v, w) of
@@ -133,7 +127,6 @@ def sample_conic(
     conic: Conic,
     seed_point: Point,
     tri: RenderTriangle,
-    steps: int = 256,
     clip: float = 64.0,
 ) -> list[list[tuple[float, float]]]:
     """Polyline segments tracing a conic through one known exact point.
@@ -153,8 +146,8 @@ def sample_conic(
         )
 
     pts: list[Optional[tuple[float, float]]] = []
-    for k in range(steps + 1):
-        theta = math.pi * k / steps
+    for k in range(_CONIC_STEPS + 1):
+        theta = math.pi * k / _CONIC_STEPS
         wx, wy = math.cos(theta), math.sin(theta)
         denom = sum(
             m[i][j] * (wx, wy, 0.0)[i] * (wx, wy, 0.0)[j]
@@ -297,12 +290,12 @@ def render_svg(
     cs: ConstructionSet,
     tri: RenderTriangle,
     preset: str = "fig2",
-    width: int = 720,
     z_locus: Optional[Sequence[Point]] = None,
 ) -> str:
     """Deterministic standalone SVG for one configuration."""
     from .conics import steiner_circumellipse
 
+    width = _SVG_WIDTH
     try:
         chosen = PRESETS[preset]
     except KeyError:

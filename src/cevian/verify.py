@@ -64,6 +64,7 @@ from .conics import (
     transform_conic,
 )
 from .constructions import (
+    Centers,
     ConstructionSet,
     OnAnticomplementarySideline,
     anticevian_family,
@@ -168,9 +169,9 @@ class CheckContext:
             self._family = anticevian_family(self.cs)
         return self._family
 
-    def sibling_sets(self):
+    def sibling_centers(self) -> tuple[Centers, Centers, Centers]:
         if self._siblings is None:
-            self._siblings = tuple(construct(p) for p in self.family().siblings())
+            self._siblings = tuple(Centers(p) for p in self.family().siblings())
         return self._siblings
 
     def require_off_median(self):
@@ -296,7 +297,7 @@ def _check_lambda(ctx: CheckContext, cl: Claims) -> None:
     cl.equal(
         "orthocenter_preimage_two_ways",
         cs.orthocenter_preimage,
-        cs.cevian_map_iso.inverse()(cs.q),
+        cs.cevian_map_iso_inverse(cs.q),
     )
 
 
@@ -337,7 +338,7 @@ def _check_ninepoint_center(ctx: CheckContext, cl: Claims) -> None:
     cl.equal(
         "circumconic_is_pullback",
         cs.circumconic,
-        transform_conic(cs.cevian_map_iso.inverse(), cs.ninepoint_conic_iso),
+        transform_conic(cs.cevian_map_iso_inverse, cs.ninepoint_conic_iso),
     )
     for name, v in zip("abc", VERTICES):
         cl.true(f"{name}_on_circumconic", cs.circumconic.contains(v))
@@ -401,7 +402,7 @@ def _check_m_to_inconic(ctx: CheckContext, cl: Claims) -> None:
     cl.equal("m_sends_o_to_q", cs.circum_to_inconic(cs.circumcenter), cs.q)
     # corollary: the circumconic's tangents at the medial preimages are
     # parallel to the corresponding sides
-    t_inv = cs.cevian_map_iso.inverse()
+    t_inv = cs.cevian_map_iso_inverse
     for name, mid, side in zip(("bc", "ca", "ab"), MIDPOINTS, SIDELINES):
         preimage = t_inv(mid)
         cl.true(
@@ -615,7 +616,7 @@ def _check_four_points(ctx: CheckContext, cl: Claims) -> None:
         cs.circumconic,
     )
     conics = [cs.cevian_conic]
-    for name, sib in zip(("p_a", "p_b", "p_c"), ctx.sibling_sets()):
+    for name, sib in zip(("p_a", "p_b", "p_c"), ctx.sibling_centers()):
         cl.equal(f"{name}_same_o", sib.circumcenter, cs.circumcenter)
         cl.equal(f"{name}_same_h", sib.orthocenter, cs.orthocenter)
         conics.append(sib.cevian_conic)
@@ -630,11 +631,6 @@ def _check_four_points(ctx: CheckContext, cl: Claims) -> None:
             continue
         for tag, pt in (*zip("abc", VERTICES), ("h", cs.orthocenter)):
             cl.true(f"conic_{i}_contains_{tag}", conic.contains(pt))
-
-
-def _medial_of(tri: tuple[Point, Point, Point]) -> tuple[Point, Point, Point]:
-    a, b, c = tri
-    return (midpoint(b, c), midpoint(c, a), midpoint(a, b))
 
 
 @_register("perspectivity_medial_transfer")
@@ -652,7 +648,7 @@ def _check_persp_b(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_steiner()
     cs = ctx.cs
     tinv = cs.cevian_map.inverse()
-    tinv_iso = cs.cevian_map_iso.inverse()
+    tinv_iso = cs.cevian_map_iso_inverse
     tri1 = tuple(tinv(v) for v in VERTICES)
     tri2 = tuple(tinv_iso(m) for m in MIDPOINTS)
     cl.equal("perspector_is_preimage", perspector(tri1, tri2), cs.orthocenter_preimage)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -46,7 +47,9 @@ from cevian.constructions import (
     sample_nondegenerate,
     special_configuration,
     special_configuration_point,
+    z_locus_sweep,
 )
+from cevian.render import RenderTriangle
 
 
 # -- degeneracy flags -----------------------------------------------------------
@@ -163,6 +166,45 @@ def test_median_point_keeps_central_members():
     # the central objects survive
     assert cs.circumconic.center() == cs.circumcenter
     assert cs.inconic.center() == cs.q
+
+
+OPTIONAL_MEMBERS = (
+    "v",
+    "iso_reflection",
+    "insimilicenter",
+    "cevian_conic",
+    "feuerbach_point",
+    "fourth_intersection",
+)
+ALL_ON_MEDIAN = dict.fromkeys(OPTIONAL_MEMBERS, "on_median")
+
+
+@pytest.mark.parametrize(
+    "coords, absent",
+    [
+        ((1, 1, 1), ALL_ON_MEDIAN),
+        ((1, 1, 2), {k: v for k, v in ALL_ON_MEDIAN.items() if k != "cevian_conic"}),
+        (
+            (-6, -3, 2),
+            {
+                "fourth_intersection": "circumcenter at infinity",
+                "iso_reflection": "axis point (1 : 2 : -3) unusable",
+            },
+        ),
+        (
+            (3, 6, -2),
+            {
+                "fourth_intersection": "circumcenter at infinity",
+                "iso_reflection": "axis point (2 : 1 : -3) unusable",
+            },
+        ),
+        ((1, 2, -3), {"iso_reflection": "axis point (1 : 2 : -3) unusable"}),
+        ((1, -6, 15), {}),
+        ((6, 3, 2), {}),
+    ],
+)
+def test_absence_reasons(coords, absent):
+    assert construct(Point(*coords)).absent == absent
 
 
 def test_steiner_point_collapse():
@@ -358,6 +400,33 @@ def test_construct_total_on_every_non_hard_point(t):
     assert cs.inconic.center() == cs.q
     for name in cs.absent:
         assert getattr(cs, name) is None
+    for name in OPTIONAL_MEMBERS:
+        if getattr(cs, name) is None:
+            assert name in cs.absent
+
+
+# -- the cevian-conic center sweep ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "p, tri, digest",
+    [
+        (
+            Point(7, 3, 2),
+            RenderTriangle.parse("0,0;1,0;7/20,4/5"),
+            "f491c9b1de689376c5354d7bd66acc7811200e1924f19c6827f001ce734309c4",
+        ),
+        (
+            Point(2, 3, 6),
+            RenderTriangle.default(),
+            "61e5243fd72b2d8bfb0f6cf414d5285ee1385031c3f2e96a2902dcf10f2c78c3",
+        ),
+    ],
+)
+def test_z_locus_sweep_is_pinned(p, tri, digest):
+    points = z_locus_sweep(p, tri)
+    assert len(points) == 160
+    assert hashlib.sha256("\n".join(map(str, points)).encode()).hexdigest() == digest
 
 
 # -- sampling -----------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from cevian.projective import (
     perspector,
     point_reflection,
     reflect_through,
+    reflection_axis_point,
 )
 
 coords = st.integers(min_value=-20, max_value=20)
@@ -284,7 +285,7 @@ def _standard_quadruple(p):
 
 def test_iso_reflection_swaps_pairs():
     p, p_iso, q, q_iso = _standard_quadruple(Point(2, 3, 6))
-    eta = iso_reflection_map(p, p_iso, q, q_iso)
+    eta = iso_reflection_map(p, p_iso, q, q_iso, reflection_axis_point(p, p_iso, q, q_iso))
     assert eta(p) == p_iso
     assert eta(q) == q_iso
     assert eta @ eta == AffineMap.identity()
@@ -298,7 +299,7 @@ def test_iso_reflection_swaps_pairs():
 
 def test_iso_reflection_commutes_with_complement():
     p, p_iso, q, q_iso = _standard_quadruple(Point(5, 2, 9))
-    eta = iso_reflection_map(p, p_iso, q, q_iso)
+    eta = iso_reflection_map(p, p_iso, q, q_iso, reflection_axis_point(p, p_iso, q, q_iso))
     k = complement_map()
     assert eta @ k == k @ eta
 

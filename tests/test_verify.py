@@ -240,3 +240,51 @@ def test_registry_holds_over_quadratic_extension():
             result = _evaluate(fn, cid, ctx)
             assert result.status != "fail", (cid, str(p), result.witness)
         done += 1
+
+
+@pytest.fixture
+def construct_calls(monkeypatch):
+    import cevian.verify
+
+    calls = []
+    original = cevian.verify.construct
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(cevian.verify, "construct", counted)
+    return calls
+
+
+def test_siblings_build_no_construction_set(construct_calls):
+    assert run_check("four_points_same_HO", Point(2, 3, 6)).status == "pass"
+    assert len(construct_calls) == 1
+
+
+def test_suite_constructs_each_configuration_once(construct_calls):
+    report = run_suite(1, 2)
+    configs = {json.dumps(r.config, sort_keys=True) for r in report.results}
+    assert len(configs) == 10
+    assert len(construct_calls) == 10
+
+
+def test_siblings_keep_the_dual_path_check(monkeypatch):
+    from cevian import constructions
+    from cevian.verify import _evaluate
+
+    ctx = CheckContext(Config(Point(2, 3, 6)))
+    monkeypatch.setattr(constructions, "_concurrent_parallels", lambda *args: CENTROID)
+    result = _evaluate(REGISTRY["four_points_same_HO"], "four_points_same_HO", ctx)
+    assert result.status == "fail"
+    assert result.witness["error"].startswith("ConstructionInconsistency: ")
+
+
+def test_siblings_keep_the_hard_degeneracy_gate():
+    from cevian.constructions import Centers, OnAnticomplementarySideline
+    from cevian.projective import OnSideline
+
+    with pytest.raises(OnSideline):
+        Centers(Point(0, 1, 2))
+    with pytest.raises(OnAnticomplementarySideline):
+        Centers(Point(1, 2, -2))

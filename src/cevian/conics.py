@@ -1,7 +1,8 @@
 """Exact conics: construction, polarity, tangency, and line intersection.
 
-A conic is a symmetric 3x3 Scalar matrix up to scale; a point X lies on it
-iff X^T C X = 0.  Degenerate conics (line pairs) are representable and
+A conic is a symmetric 3x3 matrix up to scale, held like a map as a
+canonical integer vector over Z[sqrt(d)]; a point X lies on it iff
+X^T C X = 0.  Degenerate conics (line pairs) are representable and
 flagged, but polarity-based operations reject them explicitly.  All
 constructions here are solved as exact null spaces of incidence systems, and
 every result contains its defining points with zero residual.
@@ -20,8 +21,8 @@ from .scalar import (
     Scalar,
     ScalarLike,
     TwoRoots,
-    ZERO,
     as_scalar,
+    join_d,
     solve_quadratic,
 )
 from .projective import (
@@ -30,15 +31,16 @@ from .projective import (
     HomogeneousMatrix,
     LINE_AT_INFINITY,
     Line,
+    Pair,
     Point,
     SIDELINES,
-    Triple,
     VERTEX_A,
     VERTEX_B,
     VERTEX_C,
     VERTICES,
     adjugate3,
     are_collinear,
+    combine,
     dot,
     incident,
     join,
@@ -48,8 +50,15 @@ from .projective import (
     midpoint,
     null_space,
     perspector,
+    scalar_row,
+    to_scalar,
     transpose,
+    zmul,
+    zscale,
+    zsub,
 )
+
+_ZERO: Pair = (0, 0)
 
 
 class RankDeficient(GeometryError):
@@ -85,7 +94,7 @@ class Conic(HomogeneousMatrix):
 
     __slots__ = ()
 
-    def _validate(self, rows: Sequence[Triple]) -> None:
+    def _validate(self, rows: Sequence[Sequence[Pair]]) -> None:
         for i in range(3):
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
@@ -111,17 +120,22 @@ class Conic(HomogeneousMatrix):
         """The circumconic a*yz + b*zx + c*xy = 0."""
         return cls.from_coefficients(0, 0, 0, c, b, a)
 
+    def _form(self, p: Point, d: int) -> Pair:
+        return dot(p.ints, mat_vec(self.ints, p.ints, d), d)
+
     def evaluate(self, p: Point) -> Scalar:
-        return dot(p.coords, mat_vec(self.matrix, p.coords))
+        d = join_d(self.d, p.d)
+        return to_scalar(self._form(p, d), d)
 
     def contains(self, p: Point) -> bool:
-        return self.evaluate(p).is_zero()
+        return self._form(p, join_d(self.d, p.d)) == _ZERO
 
     def polar(self, p: Point) -> Line:
-        coeffs = mat_vec(self.matrix, p.coords)
-        if all(x.is_zero() for x in coeffs):
+        d = join_d(self.d, p.d)
+        coeffs = mat_vec(self.ints, p.ints, d)
+        if all(x == _ZERO for x in coeffs):
             raise DegenerateConic(f"{p} is a singular point; polar undefined")
-        return Line.from_triple(coeffs)
+        return Line.from_ints(d, coeffs)
 
     def tangent_at(self, p: Point) -> Line:
         if not self.contains(p):
@@ -131,7 +145,8 @@ class Conic(HomogeneousMatrix):
     def pole(self, l: Line) -> Point:
         if self.is_degenerate():
             raise DegenerateConic("pole needs a nondegenerate conic")
-        return Point.from_triple(mat_vec(adjugate3(self.matrix), l.coords))
+        d = join_d(self.d, l.d)
+        return Point.from_ints(d, mat_vec(adjugate3(self.ints, self.d), l.ints, d))
 
     def center(self) -> Point:
         """Pole of the line at infinity; infinite exactly for parabolas."""
@@ -142,21 +157,24 @@ class Conic(HomogeneousMatrix):
 # constructions
 
 
-def conic_row(p: Point) -> tuple[Scalar, ...]:
+def conic_row(p: Point) -> tuple[ScalarLike, ...]:
     """The incidence condition of p on the conic with coefficient vector
     (a, b, c, d, e, f), matrix ((a, d, e), (d, b, f), (e, f, c))."""
-    x, y, z = p.coords
-    return (x * x, y * y, z * z, 2 * x * y, 2 * x * z, 2 * y * z)
+    (x, y, z), d = p.ints, p.d
+    return scalar_row(d, (
+        zmul(x, x, d), zmul(y, y, d), zmul(z, z, d),
+        zscale(2, zmul(x, y, d)), zscale(2, zmul(x, z, d)), zscale(2, zmul(y, z, d)),
+    ))
 
 
-def polar_rows(contact: Point) -> tuple[tuple[Scalar, ...], ...]:
+def polar_rows(contact: Point) -> tuple[tuple[ScalarLike, ...], ...]:
     """The three components of the polar of contact, C . contact, each as a
     row over the coefficient vector of conic_row."""
-    x, y, z = contact.coords
+    (x, y, z), d = contact.ints, contact.d
     return (
-        (x, ZERO, ZERO, y, z, ZERO),
-        (ZERO, y, ZERO, x, ZERO, z),
-        (ZERO, ZERO, z, ZERO, x, y),
+        scalar_row(d, (x, _ZERO, _ZERO, y, z, _ZERO)),
+        scalar_row(d, (_ZERO, y, _ZERO, x, _ZERO, z)),
+        scalar_row(d, (_ZERO, _ZERO, z, _ZERO, x, y)),
     )
 
 
@@ -194,21 +212,24 @@ def circumconic_with_center(o: Point) -> Conic:
         raise NoSuchConic("center must be ordinary")
     if o in VERTICES:
         raise NoSuchConic("no circumconic is centered at a vertex")
-    u, v, w = o.coords
+    u, v, w = o.ints
     rows = [
-        (w - v, -u, u),
-        (v, u - w, -v),
-        (-w, w, v - u),
+        scalar_row(o.d, pairs)
+        for pairs in (
+            (zsub(w, v), zscale(-1, u), u),
+            (v, zsub(u, w), zscale(-1, v)),
+            (zscale(-1, w), w, zsub(v, u)),
+        )
     ]
     basis = null_space(rows, 3)
     if len(basis) == 2:
         # o is a side midpoint; impose the mirror symmetry of that side
-        if u.is_zero():
-            rows.append((ZERO, Scalar(1), Scalar(-1)))
-        elif v.is_zero():
-            rows.append((Scalar(1), ZERO, Scalar(-1)))
+        if u == _ZERO:
+            rows.append((0, 1, -1))
+        elif v == _ZERO:
+            rows.append((1, 0, -1))
         else:
-            rows.append((Scalar(1), Scalar(-1), ZERO))
+            rows.append((1, -1, 0))
         basis = null_space(rows, 3)
     if len(basis) != 1:
         raise NoSuchConic(f"no circumconic has center {o}")
@@ -297,29 +318,30 @@ def second_intersection(l: Line, conic: Conic, known: Point) -> Point:
     if not incident(known, l) or not conic.contains(known):
         raise NotIncident(f"{known} must lie on both the line and the conic")
     other = next(p for p in _points_on_line(l) if p != known)
-    cy = mat_vec(conic.matrix, other.coords)
-    return _residual(known, other, dot(other.coords, cy), dot(known.coords, cy))
+    d = join_d(conic.d, join_d(known.d, other.d))
+    cy = mat_vec(conic.ints, other.ints, d)
+    return _residual(known, other, dot(other.ints, cy, d), dot(known.ints, cy, d), d)
 
 
-def _residual(known: Point, other: Point, u: Scalar, v: Scalar) -> Point:
+def _residual(known: Point, other: Point, u: Pair, v: Pair, d: int) -> Point:
     """The second meet of the line through known and other with a conic C
     through known, given u = other.C.other and v = known.C.other: on
     s*known + other the quadratic is 2*v*s + u, with root s = -u / (2*v)."""
-    coords = tuple(u * k - 2 * v * y for k, y in zip(known.coords, other.coords))
-    if all(x.is_zero() for x in coords):  # pragma: no cover
+    coords = combine(u, known.ints, zscale(-2, v), other.ints, d)
+    if all(x == _ZERO for x in coords):  # pragma: no cover
         raise DegenerateConic("line lies on the conic")
-    return Point.from_triple(coords)
+    return Point.from_ints(d, coords)
 
 
 def _points_on_line(l: Line) -> list[Point]:
     """The meets of l with the sidelines: always two or three distinct points."""
-    a, b, c = l.coords
-    candidates = ((ZERO, c, -b), (-c, ZERO, a), (b, -a, ZERO))
+    a, b, c = l.ints
+    candidates = ((_ZERO, c, zscale(-1, b)), (zscale(-1, c), _ZERO, a), (b, zscale(-1, a), _ZERO))
     points = []
     for cand in candidates:
-        if all(x.is_zero() for x in cand):
+        if all(x == _ZERO for x in cand):
             continue
-        p = Point.from_triple(cand)
+        p = Point.from_ints(l.d, cand)
         if p not in points:
             points.append(p)
     return points
@@ -357,21 +379,24 @@ def line_conic_intersections(
         raise DegenerateConic("intersection needs a nondegenerate conic")
     pts = _points_on_line(l)
     x, y = pts[0], pts[1]
-    cy = mat_vec(conic.matrix, y.coords)
-    a2 = conic.evaluate(x)
-    b2 = dot(x.coords, cy)
-    c2 = conic.evaluate(y)
-    if a2.is_zero() and c2.is_zero():
+    d = join_d(conic.d, l.d)
+    cy = mat_vec(conic.ints, y.ints, d)
+    a2 = conic._form(x, d)
+    b2 = dot(x.ints, cy, d)
+    c2 = conic._form(y, d)
+    if a2 == _ZERO and c2 == _ZERO:
         return TwoPoints(x, y)
-    if a2.is_zero():
-        if b2.is_zero():
+    if a2 == _ZERO:
+        if b2 == _ZERO:
             return TangentAt(x)
-        return TwoPoints(x, _residual(x, y, c2, b2))
-    if c2.is_zero():
-        if b2.is_zero():
+        return TwoPoints(x, _residual(x, y, c2, b2, d))
+    if c2 == _ZERO:
+        if b2 == _ZERO:
             return TangentAt(y)
-        return TwoPoints(y, _residual(y, x, a2, b2))
-    outcome = solve_quadratic(a2, 2 * b2, c2, field_d=field_d)
+        return TwoPoints(y, _residual(y, x, a2, b2, d))
+    outcome = solve_quadratic(
+        to_scalar(a2, d), to_scalar(zscale(2, b2), d), to_scalar(c2, d), field_d=field_d
+    )
     if isinstance(outcome, TwoRoots):
         return TwoPoints(
             _combine(x, y, outcome.r1),
@@ -426,14 +451,15 @@ def transform_conic(mapping: AffineMap, conic: Conic) -> Conic:
     """Push-forward of a conic: contains mapping(X) iff the original contains X."""
     if mapping.is_degenerate():
         raise DegenerateConic("cannot push a conic through a degenerate map")
-    adj = adjugate3(mapping.matrix)
-    return Conic(mat_mul(transpose(adj), mat_mul(conic.matrix, adj)))
+    adj = adjugate3(mapping.ints, mapping.d)
+    d = join_d(mapping.d, conic.d)
+    return Conic.from_ints(d, mat_mul(transpose(adj), mat_mul(conic.ints, adj, d), d))
 
 
 def isotomic_image_of_line(l: Line) -> Conic:
     """The circumconic swept by the isotomic conjugates of a line's points."""
-    a, b, c = l.coords
-    return Conic.circumconic(a, b, c)
+    a, b, c = l.ints
+    return Conic.from_ints(l.d, ((_ZERO, c, b), (c, _ZERO, a), (b, a, _ZERO)))
 
 
 def steiner_circumellipse() -> Conic:

@@ -57,6 +57,8 @@ from .projective import (
     parallel_through,
     reflect_through,
     reflection_axis_point,
+    zmul,
+    zsum,
 )
 from .conics import (
     Conic,
@@ -109,19 +111,19 @@ class DegeneracyReport:
 
 
 def degeneracy_report(p: Point) -> DegeneracyReport:
-    x, y, z = p.coords
-    on_side = x.is_zero() or y.is_zero() or z.is_zero()
-    on_anti = (y + z).is_zero() or (z + x).is_zero() or (x + y).is_zero()
-    on_median = (x - y).is_zero() or (y - z).is_zero() or (z - x).is_zero()
-    s = x * y + y * z + z * x
-    on_steiner = s.is_zero()
+    (x, y, z), d = p.ints, p.d
+    on_side = (0, 0) in p.ints
+    on_anti = any(zsum(pair) == (0, 0) for pair in ((y, z), (z, x), (x, y)))
+    on_median = x == y or y == z or z == x
+    s = zsum((zmul(x, y, d), zmul(y, z, d), zmul(z, x, d)))
+    on_steiner = s == (0, 0)
     h_vertex = None
     if not on_side:
-        if s == x * x:
+        if s == zmul(x, x, d):
             h_vertex = "A"
-        elif s == y * y:
+        elif s == zmul(y, y, d):
             h_vertex = "B"
-        elif s == z * z:
+        elif s == zmul(z, z, d):
             h_vertex = "C"
     return DegeneracyReport(on_side, on_anti, on_median, on_steiner, h_vertex)
 
@@ -196,7 +198,7 @@ class Centers:
 
     @property
     def extension_d(self) -> int:
-        return max(c.d for c in self.p.coords)
+        return self.p.d
 
 
 class ConstructionSet(Centers):
@@ -214,7 +216,7 @@ class ConstructionSet(Centers):
         self.traces_iso = cevian_traces(p_iso)
         self.cevian_map = t_p = cevian_map(p)
         t_p_iso = self.cevian_map_iso
-        t_p_inv = t_p.inverse()
+        self.cevian_map_inverse = t_p_inv = t_p.inverse()
         kinv = anticomplement_map()
 
         self.circumcenter_iso = t_p_inv(complement(q_iso))
@@ -222,6 +224,7 @@ class ConstructionSet(Centers):
         self.orthocenter_preimage = t_p_inv(self.orthocenter)
 
         self.transfer_map = t_p_iso @ t_p_inv
+        self.transfer_map_inverse = self.transfer_map.inverse()
         self.second_cevian_map = t_p @ t_p_iso
         self.second_cevian_map_iso = t_p_iso @ t_p
         self.circum_to_inconic = t_p @ kinv @ t_p_iso

@@ -3,8 +3,18 @@
 Coordinates are relative to the fixed reference triangle A = (1:0:0),
 B = (0:1:0), C = (0:0:1).  The line at infinity is x + y + z = 0, so
 parallelism is incidence with (1,1,1) and no metric ever enters.  Affine
-maps are 3x3 Scalar matrices with equal column sums acting on columns of
+maps are 3x3 matrices with equal column sums acting on columns of
 homogeneous coordinates; they preserve the line at infinity by construction.
+
+Points, lines, maps and conics are held as integer vectors over Z[sqrt(d)].
+An entry is a pair of ints (a, b) standing for a + b*sqrt(d), and one
+square-free d serves the whole vector (d = 1 when every b is 0).  The
+stored vector is the canonical representative of the projective class: its
+ints have gcd 1 and its leading nonzero entry is a positive integer, so
+equality up to nonzero scale is structural equality.  Joins, meets,
+incidence, map products and inverses and the fraction-free elimination of
+`null_space` all run on these ints.  The ``coords`` and ``matrix``
+attributes are read-only Scalar views, built on first access.
 """
 
 from __future__ import annotations
@@ -12,9 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .scalar import Scalar, ScalarLike, ZERO, ONE, as_scalar
+from .scalar import (
+    InexactDivision,
+    ONE,
+    Scalar,
+    ScalarLike,
+    ZERO,
+    as_scalar,
+    join_d,
+)
 
 
 class GeometryError(Exception):
@@ -54,104 +73,208 @@ class OnSideline(GeometryError):
 
 
 Triple = tuple[Scalar, Scalar, Scalar]
-Mat3 = tuple[Triple, Triple, Triple]
+Pair = tuple[int, int]  # (a, b) stands for a + b*sqrt(d)
+Vector = tuple[Pair, ...]
+Rows = tuple[Vector, Vector, Vector]
+
+_ZERO: Pair = (0, 0)
+_ONE: Pair = (1, 0)
 
 
 # ---------------------------------------------------------------------------
-# canonicalization and small exact linear algebra
+# arithmetic in Z[sqrt(d)]
 
 
-def canonical_tuple(values: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
-    """Scale a coordinate tuple to a canonical representative.
+def zmul(x: Pair, y: Pair, d: int) -> Pair:
+    (a, b), (c, e) = x, y
+    return a * c + b * e * d, a * e + b * c
 
-    Divides by the first nonzero entry (so projectively equal tuples over the
-    same field coincide structurally), then clears rational content.  The
-    leading nonzero entry ends up a positive rational.
-    """
-    scalars = [as_scalar(v) for v in values]
-    lead = next((s for s in scalars if not s.is_zero()), None)
+
+def zsub(x: Pair, y: Pair) -> Pair:
+    return x[0] - y[0], x[1] - y[1]
+
+
+def zscale(k: int, x: Pair) -> Pair:
+    return k * x[0], k * x[1]
+
+
+def zsum(v: Iterable[Pair]) -> Pair:
+    a = b = 0
+    for x, y in v:
+        a += x
+        b += y
+    return a, b
+
+
+def divide_exactly(v: Sequence[Pair], y: Pair, d: int) -> list[Pair]:
+    """v / y entrywise in Z[sqrt(d)], for a nonzero y that divides every
+    entry; raises InexactDivision when one leaves a remainder."""
+    c, e = y
+    if e:  # times the conjugate c - e*sqrt(d): the divisor becomes its norm
+        v = [(a * c - b * e * d, b * c - a * e) for a, b in v]
+        c = c * c - e * e * d
+    out = []
+    for a, b in v:
+        qa, ra = divmod(a, c)
+        qb, rb = divmod(b, c)
+        if ra or rb:
+            raise InexactDivision(f"an entry is not a multiple of {y} in Z[sqrt({d})]")
+        out.append((qa, qb))
+    return out
+
+
+def to_scalar(x: Pair, d: int) -> Scalar:
+    return Scalar._make(Fraction(x[0]), Fraction(x[1]), d)
+
+
+def _ratio(x: Pair, y: Pair, d: int) -> Scalar:
+    """x / y as a Scalar, for a nonzero y."""
+    (a, b), (c, e) = x, y
+    if e:
+        a, b, c = a * c - b * e * d, b * c - a * e, c * c - e * e * d
+    return Scalar._make(Fraction(a, c), Fraction(b, c), d)
+
+
+def scalar_row(d: int, v: Sequence[Pair]) -> tuple[ScalarLike, ...]:
+    """The entries of v as `null_space` input: plain ints over Q."""
+    if d == 1:
+        return tuple([a for a, _ in v])
+    return tuple([to_scalar(x, d) for x in v])
+
+
+def combine(s: Pair, u: Sequence[Pair], t: Pair, v: Sequence[Pair], d: int) -> Vector:
+    """s*u + t*v, entrywise."""
+    (sa, sb), (ta, tb) = s, t
+    return tuple([
+        (sa * a + sb * b * d + ta * c + tb * e * d, sa * b + sb * a + ta * e + tb * c)
+        for (a, b), (c, e) in zip(u, v)
+    ])
+
+
+# ---------------------------------------------------------------------------
+# canonicalization and small exact linear algebra over Z[sqrt(d)]
+
+
+def _integer_vector(values: Sequence[ScalarLike]) -> tuple[int, list[Pair]]:
+    """(d, v): v is the values times the lcm of their denominators, as
+    pairs over the one field Q(sqrt(d)) they share."""
+    parts = []
+    d = 1
+    for x in values:
+        if isinstance(x, Scalar):
+            if x.b:
+                d = join_d(d, x.d)
+            parts.append((x.a, x.b))
+        elif isinstance(x, (int, Fraction)):
+            parts.append((x, 0))
+        else:
+            as_scalar(x)  # raises the TypeError of a value that is no Scalar
+    den = lcm(*[r.denominator for pair in parts for r in pair])
+    return d, [
+        (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+        for a, b in parts
+    ]
+
+
+def _canonical(d: int, v: Sequence[Pair]) -> tuple[int, Vector]:
+    """The canonical representative of the nonzero multiples of v over
+    Q(sqrt(d)): an irrational lead is made rational by multiplying with its
+    conjugate, the gcd of all the ints is divided out, and the sign is fixed
+    so that the lead is positive.  This is v divided by its lead, with the
+    rational content then cleared.  d folds to 1 when every b is 0."""
+    lead = next((x for x in v if x != _ZERO), None)
     if lead is None:
         raise ValueError("zero tuple has no projective meaning")
-    scalars = [s / lead for s in scalars]
-    nums: list[int] = []
-    dens: list[int] = []
-    for s in scalars:
-        for part in (s.a, s.b):
-            if part != 0:
-                nums.append(abs(part.numerator))
-                dens.append(part.denominator)
-    from math import gcd, lcm
-
-    scale = Fraction(lcm(*dens), gcd(*nums)) if nums else Fraction(1)
-    return tuple(s * scale for s in scalars)
-
-
-def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    total = ZERO
-    for a, b in zip(u, v):
-        total = total + a * b
-    return total
+    a, b = lead
+    if b:
+        v = [(x * a - y * b * d, y * a - x * b) for x, y in v]
+        a = a * a - b * b * d
+    g = gcd(*[n for pair in v for n in pair])
+    if a < 0:
+        g = -g
+    v = tuple([(x // g, y // g) for x, y in v]) if g != 1 else tuple(v)
+    if d != 1 and not any(y for _, y in v):
+        d = 1
+    return d, v
 
 
-def cross(u: Sequence[Scalar], v: Sequence[Scalar]) -> Triple:
+def _hash_key(d: int, v: Sequence[Pair]) -> tuple:
+    """The entries as the Scalars of v hash: a rational as its int."""
+    return tuple([(a, b, d) if b else a for a, b in v])
+
+
+def dot(u: Sequence[Pair], v: Sequence[Pair], d: int) -> Pair:
+    a = b = 0
+    for (x, y), (z, w) in zip(u, v):
+        a += x * z + y * w * d
+        b += x * w + y * z
+    return a, b
+
+
+def cross(u: Sequence[Pair], v: Sequence[Pair], d: int) -> Vector:
+    (a0, b0), (a1, b1), (a2, b2) = u
+    (c0, e0), (c1, e1), (c2, e2) = v
     return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
+        (a1 * c2 - a2 * c1 + (b1 * e2 - b2 * e1) * d, a1 * e2 + b1 * c2 - a2 * e1 - b2 * c1),
+        (a2 * c0 - a0 * c2 + (b2 * e0 - b0 * e2) * d, a2 * e0 + b2 * c0 - a0 * e2 - b0 * c2),
+        (a0 * c1 - a1 * c0 + (b0 * e1 - b1 * e0) * d, a0 * e1 + b0 * c1 - a1 * e0 - b1 * c0),
     )
 
 
-def det3(m: Sequence[Sequence[Scalar]]) -> Scalar:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+def transpose(m: Sequence[Sequence[Pair]]) -> Rows:
+    return tuple([*zip(*m)])  # type: ignore[return-value]
 
 
-def adjugate3(m: Sequence[Sequence[Scalar]]) -> Mat3:
-    c = [[ZERO] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            r1, r2 = [k for k in range(3) if k != i]
-            c1, c2 = [k for k in range(3) if k != j]
-            minor = m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1]
-            sign = -ONE if (i + j) % 2 else ONE
-            c[j][i] = sign * minor  # transposed cofactor
-    return tuple(tuple(row) for row in c)  # type: ignore[return-value]
+def mat_vec(m: Sequence[Sequence[Pair]], v: Sequence[Pair], d: int) -> Vector:
+    return tuple([dot(row, v, d) for row in m])
 
 
-def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> Mat3:
-    return tuple(
-        tuple(dot(a[i], [b[k][j] for k in range(3)]) for j in range(3))
-        for i in range(3)
-    )  # type: ignore[return-value]
+def mat_mul(a: Sequence[Sequence[Pair]], b: Sequence[Sequence[Pair]], d: int) -> Rows:
+    cols = [*zip(*b)]
+    return tuple([tuple([dot(row, col, d) for col in cols]) for row in a])  # type: ignore[return-value]
 
 
-def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Triple:
-    return tuple(dot(row, v) for row in m)  # type: ignore[return-value]
+def adjugate3(m: Sequence[Sequence[Pair]], d: int) -> Rows:
+    """The rows of adj(m) are the cross products of pairs of its columns."""
+    c0, c1, c2 = zip(*m)
+    return (cross(c1, c2, d), cross(c2, c0, d), cross(c0, c1, d))
 
 
-def transpose(m: Sequence[Sequence[Scalar]]) -> Mat3:
-    return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))  # type: ignore[return-value]
+def det3(m: Sequence[Sequence[Pair]], d: int) -> Pair:
+    return dot(m[0], cross(m[1], m[2], d), d)
 
 
 def null_space(rows: Iterable[Sequence[ScalarLike]], ncols: int) -> list[tuple[Scalar, ...]]:
-    """Exact kernel basis of a linear system given by its rows."""
-    mat = [[as_scalar(x) for x in row] for row in rows]
+    """Exact kernel basis of a linear system given by its rows: one vector
+    per free column, with a 1 at that column.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) over Z[sqrt(d)].  Each
+    row is scaled to ints, and a step with pivot pv replaces every other row
+    by (pv * row - f * pivot row) / previous pivot, a division that is exact
+    because the entries stay minors of the system (Sylvester's identity); it
+    is checked all the same.  After the last step every pivot entry equals
+    the last pivot, the common denominator of the basis.
+    """
+    d = 1
+    mat: list[list[Pair]] = []
+    for row in rows:
+        row_d, ints = _integer_vector(row)
+        d = join_d(d, row_d)
+        mat.append(ints)
     pivot_cols: list[int] = []
+    prev = _ONE
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if not mat[i][c].is_zero()), None)
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != _ZERO), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivot = mat[r]
+        pv = pivot[c]
+        for i, row in enumerate(mat):
+            if i != r:
+                mat[i] = divide_exactly(combine(pv, row, zscale(-1, row[c]), pivot, d), prev, d)
+        prev = pv
         pivot_cols.append(c)
         r += 1
         if r == len(mat):
@@ -161,7 +284,7 @@ def null_space(rows: Iterable[Sequence[ScalarLike]], ncols: int) -> list[tuple[S
         vec = [ZERO] * ncols
         vec[free] = ONE
         for row_idx, pc in enumerate(pivot_cols):
-            vec[pc] = -mat[row_idx][free]
+            vec[pc] = _ratio(zscale(-1, mat[row_idx][free]), prev, d)
         basis.append(tuple(vec))
     return basis
 
@@ -171,27 +294,46 @@ def null_space(rows: Iterable[Sequence[ScalarLike]], ncols: int) -> list[tuple[S
 
 
 class HomogeneousTriple:
-    """A point or line as its canonical coordinate triple, so that equality
-    up to nonzero scale is structural equality.  Subclasses differ only in
-    their brackets and their own predicates."""
+    """A point or line as the canonical integer vector of its coordinates
+    over Z[sqrt(d)], so that equality up to nonzero scale is structural
+    equality.  Subclasses differ only in their brackets and their own
+    predicates."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("d", "ints", "_coords")
     BRACKETS = "()"
 
     def __init__(self, x: ScalarLike, y: ScalarLike, z: ScalarLike):
-        self.coords: Triple = canonical_tuple((x, y, z))  # type: ignore[assignment]
+        self._set(*_integer_vector((x, y, z)))
+
+    def _set(self, d: int, v: Sequence[Pair]) -> None:
+        self.d, self.ints = _canonical(d, v)
+        self._coords: Optional[Triple] = None
+
+    @classmethod
+    def from_ints(cls, d: int, v: Sequence[Pair]):
+        """The object with coordinates v over Z[sqrt(d)], up to scale."""
+        obj = object.__new__(cls)
+        obj._set(d, v)
+        return obj
 
     @classmethod
     def from_triple(cls, triple: Sequence[ScalarLike]):
         return cls(triple[0], triple[1], triple[2])
 
+    @property
+    def coords(self) -> Triple:
+        """The canonical coordinates as Scalars."""
+        if self._coords is None:
+            self._coords = tuple([to_scalar(x, self.d) for x in self.ints])  # type: ignore[assignment]
+        return self._coords  # type: ignore[return-value]
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.coords == other.coords
+        return self.d == other.d and self.ints == other.ints
 
     def __hash__(self):
-        return hash((type(self).__name__, self.coords))
+        return hash((type(self).__name__, _hash_key(self.d, self.ints)))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
@@ -213,15 +355,21 @@ class Point(HomogeneousTriple):
 
     __slots__ = ()
 
+    def _weight(self) -> Pair:
+        """x + y + z of the canonical coordinates, which is zero exactly at
+        infinity; raises there."""
+        w = zsum(self.ints)
+        if w == _ZERO:
+            raise InfiniteInput(f"{self} is at infinity")
+        return w
+
     def is_infinite(self) -> bool:
-        return (self.coords[0] + self.coords[1] + self.coords[2]).is_zero()
+        return zsum(self.ints) == _ZERO
 
     def normalized(self) -> Triple:
         """Affinely normalized coordinates (summing to 1); ordinary points only."""
-        s = self.coords[0] + self.coords[1] + self.coords[2]
-        if s.is_zero():
-            raise InfiniteInput(f"{self} is at infinity")
-        return (self.coords[0] / s, self.coords[1] / s, self.coords[2] / s)
+        w = self._weight()
+        return tuple([_ratio(x, w, self.d) for x in self.ints])  # type: ignore[return-value]
 
 
 class Line(HomogeneousTriple):
@@ -251,25 +399,28 @@ SIDELINES = (SIDE_BC, SIDE_CA, SIDE_AB)
 
 
 def incident(p: Point, l: Line) -> bool:
-    return dot(p.coords, l.coords).is_zero()
+    return dot(p.ints, l.ints, join_d(p.d, l.d)) == _ZERO
 
 
 def join(p1: Point, p2: Point) -> Line:
-    c = cross(p1.coords, p2.coords)
-    if all(x.is_zero() for x in c):
+    d = join_d(p1.d, p2.d)
+    c = cross(p1.ints, p2.ints, d)
+    if all(x == _ZERO for x in c):
         raise CoincidentArguments(f"join of coincident points {p1}")
-    return Line.from_triple(c)
+    return Line.from_ints(d, c)
 
 
 def meet(l1: Line, l2: Line) -> Point:
-    c = cross(l1.coords, l2.coords)
-    if all(x.is_zero() for x in c):
+    d = join_d(l1.d, l2.d)
+    c = cross(l1.ints, l2.ints, d)
+    if all(x == _ZERO for x in c):
         raise CoincidentArguments(f"meet of coincident lines {l1}")
-    return Point.from_triple(c)
+    return Point.from_ints(d, c)
 
 
 def are_collinear(p1: Point, p2: Point, p3: Point) -> bool:
-    return det3((p1.coords, p2.coords, p3.coords)).is_zero()
+    d = join_d(join_d(p1.d, p2.d), p3.d)
+    return det3((p1.ints, p2.ints, p3.ints), d) == _ZERO
 
 
 def direction_of(l: Line) -> Point:
@@ -296,17 +447,20 @@ def parallel_through(p: Point, l: Line) -> Line:
 
 
 def midpoint(p1: Point, p2: Point) -> Point:
-    n1, n2 = p1.normalized(), p2.normalized()
-    return Point(n1[0] + n2[0], n1[1] + n2[1], n1[2] + n2[2])
+    """p1/w1 + p2/w2 for the coordinate sums w of the points, scaled by w1*w2."""
+    w1, w2 = p1._weight(), p2._weight()
+    d = join_d(p1.d, p2.d)
+    return Point.from_ints(d, combine(w2, p1.ints, w1, p2.ints, d))
 
 
 def reflect_through(center: Point, p: Point) -> Point:
     """Half-turn about an ordinary center; fixes every point at infinity."""
-    c = center.normalized()
+    wc = center._weight()
     if p.is_infinite():
         return p
-    n = p.normalized()
-    return Point(2 * c[0] - n[0], 2 * c[1] - n[1], 2 * c[2] - n[2])
+    d = join_d(center.d, p.d)
+    twice_wp = zscale(2, zsum(p.ints))
+    return Point.from_ints(d, combine(twice_wp, center.ints, zscale(-1, wc), p.ints, d))
 
 
 def collinear_ratio(x: Point, y: Point, z: Point) -> Scalar:
@@ -338,10 +492,11 @@ def centroid_of(*points: Point) -> Point:
 
 def isotomic(p: Point) -> Point:
     """Isotomic conjugate (x:y:z) -> (yz:zx:xy); involution off the sidelines."""
-    x, y, z = p.coords
-    if x.is_zero() or y.is_zero() or z.is_zero():
+    x, y, z = p.ints
+    if _ZERO in p.ints:
         raise OnSideline(f"{p} lies on a sideline; isotomic conjugate undefined")
-    return Point(y * z, z * x, x * y)
+    d = p.d
+    return Point.from_ints(d, (zmul(y, z, d), zmul(z, x, d), zmul(x, y, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,36 +534,60 @@ Classification = Union[Identity, Translation, Homothety, AffineReflection, Gener
 
 
 class HomogeneousMatrix:
-    """A 3x3 Scalar matrix up to nonzero scale, stored as its canonical
-    flattening so that projective equality is structural equality.
-    Subclasses add only their own validation of the rows."""
+    """A 3x3 matrix up to nonzero scale, stored as the canonical integer
+    vector of its flattening over Z[sqrt(d)], so that projective equality is
+    structural equality.  Subclasses add only their own validation of the
+    rows, which runs on the ints before the content is divided out."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("d", "ints", "_matrix")
 
     def __init__(self, matrix: Sequence[Sequence[ScalarLike]]):
-        rows = [tuple(as_scalar(x) for x in row) for row in matrix]
+        rows = [tuple(row) for row in matrix]
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("3x3 matrix required")
-        self._validate(rows)
-        flat = canonical_tuple([x for row in rows for x in row])
-        self.matrix: Mat3 = (flat[0:3], flat[3:6], flat[6:9])  # type: ignore[assignment]
+        d, flat = _integer_vector([x for row in rows for x in row])
+        self._set(d, (tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9])))
 
-    def _validate(self, rows: Sequence[Triple]) -> None:
+    def _set(self, d: int, rows: Sequence[Sequence[Pair]]) -> None:
+        self._validate(rows)
+        d, flat = _canonical(d, [x for row in rows for x in row])
+        self.d = d
+        self.ints: Rows = (flat[0:3], flat[3:6], flat[6:9])
+        self._matrix: Optional[tuple[Triple, Triple, Triple]] = None
+
+    @classmethod
+    def from_ints(cls, d: int, rows: Sequence[Sequence[Pair]]):
+        """The object with matrix rows over Z[sqrt(d)], up to scale."""
+        obj = object.__new__(cls)
+        obj._set(d, rows)
+        return obj
+
+    def _validate(self, rows: Sequence[Sequence[Pair]]) -> None:
         pass
 
+    @property
+    def matrix(self) -> tuple[Triple, Triple, Triple]:
+        """The canonical matrix as Scalars."""
+        if self._matrix is None:
+            d = self.d
+            self._matrix = tuple(  # type: ignore[assignment]
+                [tuple([to_scalar(x, d) for x in row]) for row in self.ints]
+            )
+        return self._matrix  # type: ignore[return-value]
+
     def determinant(self) -> Scalar:
-        return det3(self.matrix)
+        return to_scalar(det3(self.ints, self.d), self.d)
 
     def is_degenerate(self) -> bool:
-        return self.determinant().is_zero()
+        return det3(self.ints, self.d) == _ZERO
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.matrix == other.matrix
+        return self.d == other.d and self.ints == other.ints
 
     def __hash__(self):
-        return hash((type(self).__name__, self.matrix))
+        return hash((type(self).__name__, tuple([_hash_key(self.d, row) for row in self.ints])))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
@@ -432,8 +611,13 @@ class HomogeneousMatrix:
         return cls(entries)
 
 
+_ZERO_MATRIX: Rows = ((_ZERO,) * 3,) * 3  # type: ignore[assignment]
+_V1: Vector = ((1, 0), (-1, 0), (0, 0))
+_V2: Vector = ((0, 0), (1, 0), (-1, 0))
+
+
 class AffineMap(HomogeneousMatrix):
-    """3x3 Scalar matrix with equal column sums, up to scale.
+    """3x3 matrix with equal column sums, up to scale.
 
     Equal column sums mean the map carries the line at infinity to itself,
     which is exactly affineness in homogeneous barycentric coordinates.
@@ -441,11 +625,11 @@ class AffineMap(HomogeneousMatrix):
 
     __slots__ = ()
 
-    def _validate(self, rows: Sequence[Triple]) -> None:
-        sums = [rows[0][j] + rows[1][j] + rows[2][j] for j in range(3)]
+    def _validate(self, rows: Sequence[Sequence[Pair]]) -> None:
+        sums = [zsum(col) for col in zip(*rows)]
         if sums[0] != sums[1] or sums[1] != sums[2]:
             raise ValueError("column sums differ: not an affine map")
-        if sums[0].is_zero():
+        if sums[0] == _ZERO:
             raise ValueError("zero column sums: does not fix the affine plane")
 
     # -- constructors ---------------------------------------------------------
@@ -461,6 +645,11 @@ class AffineMap(HomogeneousMatrix):
         Sources must be affinely independent and ordinary; targets must be
         ordinary but may be dependent, in which case the map is degenerate
         (non-invertible) and downstream operations needing an inverse fail.
+
+        With sources S and targets T as columns, and s and t their
+        coordinate sums, the map is T diag(s_j * t_k * t_l) adj(S) for
+        {j, k, l} = {0, 1, 2}: a multiple of the map between the normalized
+        columns.
         """
         if len(pairs) != 3:
             raise ValueError("exactly three point pairs required")
@@ -469,13 +658,19 @@ class AffineMap(HomogeneousMatrix):
                 raise InfiniteInput(f"source {src} is at infinity")
             if tgt.is_infinite():
                 raise InfinitePoint(f"target {tgt} is at infinity")
-        src_cols = [p.normalized() for p, _ in pairs]
-        tgt_cols = [p.normalized() for _, p in pairs]
-        s_mat = transpose(src_cols)  # sources as columns
-        if det3(s_mat).is_zero():
+        d = 1
+        for src, tgt in pairs:
+            d = join_d(join_d(d, src.d), tgt.d)
+        s_mat = transpose([src.ints for src, _ in pairs])  # sources as columns
+        if det3(s_mat, d) == _ZERO:
             raise DependentSources("source points are affinely dependent")
-        t_mat = transpose(tgt_cols)
-        return cls(mat_mul(t_mat, adjugate3(s_mat)))
+        s = [zsum(src.ints) for src, _ in pairs]
+        t = [zsum(tgt.ints) for _, tgt in pairs]
+        weighted = [
+            [zmul(x, zmul(s[j], zmul(t[j - 1], t[j - 2], d), d), d) for x in tgt.ints]
+            for j, (_, tgt) in enumerate(pairs)
+        ]
+        return cls.from_ints(d, mat_mul(transpose(weighted), adjugate3(s_mat, d), d))
 
     # -- algebra ---------------------------------------------------------------
 
@@ -483,79 +678,75 @@ class AffineMap(HomogeneousMatrix):
         """Composition: (f @ g) applies g first, then f."""
         if not isinstance(other, AffineMap):
             return NotImplemented
-        return AffineMap(mat_mul(self.matrix, other.matrix))
+        d = join_d(self.d, other.d)
+        return AffineMap.from_ints(d, mat_mul(self.ints, other.ints, d))
 
     def inverse(self) -> AffineMap:
         if self.is_degenerate():
             raise DegenerateMap("map is not invertible")
-        return AffineMap(adjugate3(self.matrix))
+        return AffineMap.from_ints(self.d, adjugate3(self.ints, self.d))
 
     def __call__(self, p: Point) -> Point:
-        return Point.from_triple(mat_vec(self.matrix, p.coords))
+        d = join_d(self.d, p.d)
+        return Point.from_ints(d, mat_vec(self.ints, p.ints, d))
 
     def apply_to_line(self, l: Line) -> Line:
         """Image of a line: coefficients transform by the adjugate transpose."""
         if self.is_degenerate():
             raise DegenerateMap("cannot push a line through a degenerate map")
-        return Line.from_triple(mat_vec(transpose(adjugate3(self.matrix)), l.coords))
+        d = join_d(self.d, l.d)
+        return Line.from_ints(d, mat_vec(transpose(adjugate3(self.ints, self.d)), l.ints, d))
 
     # -- classification ----------------------------------------------------------
-
-    def _unit_column_matrix(self) -> Mat3:
-        s = self.matrix[0][0] + self.matrix[1][0] + self.matrix[2][0]
-        return tuple(tuple(x / s for x in row) for row in self.matrix)  # type: ignore[return-value]
 
     def classify(self) -> Classification:
         """Exact type of the map: identity, translation, homothety, affine
         reflection (involution with a pointwise-fixed ordinary axis), or
-        general.  Invariant under rescaling of the matrix."""
+        general.  Invariant under rescaling of the matrix.
+
+        The matrix is s times the one with unit column sums, s its column
+        sum, so an eigenvalue k of that one is k*s here."""
         if self.is_degenerate():
             raise DegenerateMap("cannot classify a degenerate map")
-        m = self._unit_column_matrix()
-        ident: Mat3 = ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
-        if m == ident:
+        m, d = self.ints, self.d
+        s = zsum(row[0] for row in m)
+        m_minus_s = _minus_diagonal(m, s)
+        if m_minus_s == _ZERO_MATRIX:
             return Identity()
         # action on the line at infinity, tested on a spanning pair
-        v1 = (ONE, -ONE, ZERO)
-        v2 = (ZERO, ONE, -ONE)
-        w1 = mat_vec(m, v1)
-        w2 = mat_vec(m, v2)
-        k1 = _proportionality(w1, v1)
-        k2 = _proportionality(w2, v2)
-        if k1 is not None and k2 is not None and k1 == k2:
-            if k1 == ONE:
-                shift = tuple(m[i][0] - ident[i][0] for i in range(3))
-                if all(x.is_zero() for x in shift):
-                    shift = tuple(m[i][1] - ident[i][1] for i in range(3))
-                return Translation(Point.from_triple(shift))
-            center = Point.from_triple(_eigenvectors(m, ONE)[0])
-            return Homothety(center, k1)
-        m2 = mat_mul(m, m)
-        if m2 == ident:
-            fixed = _eigenvectors(m, ONE)
+        w1, w2 = mat_vec(m, _V1, d), mat_vec(m, _V2, d)
+        k = w1[0]
+        if (
+            w2[1] == k
+            and all(x == _ZERO for x in cross(w1, _V1, d))
+            and all(x == _ZERO for x in cross(w2, _V2, d))
+        ):
+            if k == s:
+                shift, other = tuple(zip(*m_minus_s))[:2]
+                if all(x == _ZERO for x in shift):
+                    shift = other
+                return Translation(Point.from_ints(d, shift))
+            center = Point.from_triple(_kernel(m_minus_s, d)[0])
+            return Homothety(center, _ratio(k, s, d))
+        if _minus_diagonal(mat_mul(m, m, d), zmul(s, s, d)) == _ZERO_MATRIX:
+            fixed = _kernel(m_minus_s, d)
             if len(fixed) == 2:
                 axis = join(Point.from_triple(fixed[0]), Point.from_triple(fixed[1]))
                 if not axis.is_line_at_infinity():
-                    minus = _eigenvectors(m, -ONE)
+                    minus = _kernel(_minus_diagonal(m, zscale(-1, s)), d)
                     return AffineReflection(axis, Point.from_triple(minus[0]))
         return GeneralMap()
 
 
-def _eigenvectors(m: Mat3, k: Scalar) -> list[tuple[Scalar, ...]]:
-    """Kernel basis of m - k*I."""
-    return null_space(
-        [tuple(m[i][j] - (k if i == j else ZERO) for j in range(3)) for i in range(3)], 3
-    )
+def _minus_diagonal(m: Sequence[Sequence[Pair]], k: Pair) -> Rows:
+    """m - k*I."""
+    return tuple([
+        tuple([zsub(x, k) if i == j else x for j, x in enumerate(row)]) for i, row in enumerate(m)
+    ])  # type: ignore[return-value]
 
 
-def _proportionality(w: Sequence[Scalar], v: Sequence[Scalar]) -> Optional[Scalar]:
-    """k with w == k*v, or None (v must be nonzero)."""
-    if any(not x.is_zero() for x in cross(w, v)):
-        return None
-    for wi, vi in zip(w, v):
-        if not vi.is_zero():
-            return wi / vi
-    return None
+def _kernel(m: Rows, d: int) -> list[tuple[Scalar, ...]]:
+    return null_space([scalar_row(d, row) for row in m], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +785,15 @@ def point_reflection(center: Point) -> AffineMap:
 
 def cevian_traces(p: Point) -> tuple[Point, Point, Point]:
     """Traces of the cevians from A, B, C through p on the opposite sides."""
-    x, y, z = p.coords
-    if x.is_zero() or y.is_zero() or z.is_zero():
+    x, y, z = p.ints
+    if _ZERO in p.ints:
         raise OnSideline(f"{p} lies on a sideline; cevian triangle degenerates")
-    return Point(0, y, z), Point(x, 0, z), Point(x, y, 0)
+    d = p.d
+    return (
+        Point.from_ints(d, (_ZERO, y, z)),
+        Point.from_ints(d, (x, _ZERO, z)),
+        Point.from_ints(d, (x, y, _ZERO)),
+    )
 
 
 def cevian_map(p: Point) -> AffineMap:

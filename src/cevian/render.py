@@ -99,18 +99,41 @@ def bary_to_cartesian_exact(p: Point, tri: RenderTriangle) -> tuple[Scalar, Scal
     return xs, ys
 
 
-def bary_to_xy(p: Point, tri: RenderTriangle) -> tuple[float, float]:
+def _finite_float(s: Scalar) -> Optional[float]:
+    """The nearest double, or None for a value beyond the double range."""
+    try:
+        value = s.to_float()
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _log2_bound(s: Scalar) -> int:
+    """An upper bound on log2 |a + b*sqrt(d)|."""
+    parts = (abs(x.numerator).bit_length() - x.denominator.bit_length() for x in (s.a, s.b))
+    return max(parts) + s.d.bit_length() // 2 + 3
+
+
+def bary_to_xy(p: Point, tri: RenderTriangle) -> tuple[Optional[float], Optional[float]]:
+    """Cartesian position of an ordinary point; a coordinate beyond the
+    double range is None."""
     xs, ys = bary_to_cartesian_exact(p, tri)
-    return xs.to_float(), ys.to_float()
+    return _finite_float(xs), _finite_float(ys)
 
 
-def direction_to_xy(p: Point, tri: RenderTriangle) -> tuple[float, float]:
+def direction_to_xy(p: Point, tri: RenderTriangle) -> tuple[Optional[float], Optional[float]]:
     """Cartesian direction vector of a point at infinity (translation
-    invariant because the coordinates sum to zero)."""
+    invariant because the coordinates sum to zero).  A direction is defined
+    up to positive scale, so when a component would overflow, both are
+    first scaled down by the same power of two."""
     x, y, z = p.coords
     dx = x * tri.a[0] + y * tri.b[0] + z * tri.c[0]
     dy = x * tri.a[1] + y * tri.b[1] + z * tri.c[1]
-    return dx.to_float(), dy.to_float()
+    xy = (_finite_float(dx), _finite_float(dy))
+    if None in xy:
+        scale = Fraction(1, 1 << (max(_log2_bound(dx), _log2_bound(dy)) - 1000))
+        xy = (_finite_float(dx * scale), _finite_float(dy * scale))
+    return xy
 
 
 def conic_cartesian_matrix(conic: Conic, tri: RenderTriangle) -> list[list[float]]:

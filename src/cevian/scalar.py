@@ -41,6 +41,10 @@ class IncompatibleExtensions(ScalarError):
     """Mixing sqrt(d) and sqrt(d') with d != d', or a tower would be needed."""
 
 
+class InexactDivision(ScalarError):
+    """A division in Z[sqrt(d)] that was required to be exact left a remainder."""
+
+
 class FactorizationBudgetExceeded(ScalarError):
     """A d whose square-free part cannot be found within the step budget."""
 
@@ -167,6 +171,16 @@ def rational_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
+def join_d(d1: int, d2: int) -> int:
+    """The one field Q(sqrt(d)) holding values of Q(sqrt(d1)) and
+    Q(sqrt(d2)), where d = 1 stands for Q."""
+    if d1 == d2 or d2 == 1:
+        return d1
+    if d1 == 1:
+        return d2
+    raise IncompatibleExtensions(f"cannot combine sqrt({d1}) with sqrt({d2})")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -227,17 +241,6 @@ class Scalar:
             return _make(Fraction(value), _FZERO, 1)
         raise TypeError(f"cannot interpret {value!r} as a Scalar")
 
-    def _join_d(self, other: Scalar) -> int:
-        if self.d == other.d:
-            return self.d
-        if self.d == 1:
-            return other.d
-        if other.d == 1:
-            return self.d
-        raise IncompatibleExtensions(
-            f"cannot combine sqrt({self.d}) with sqrt({other.d})"
-        )
-
     # -- predicates -------------------------------------------------------------
 
     @property
@@ -269,7 +272,7 @@ class Scalar:
             return NotImplemented
         if not self.b and not o.b:
             return _make(self.a + o.a, _FZERO, 1)
-        return _make(self.a + o.a, self.b + o.b, self._join_d(o))
+        return _make(self.a + o.a, self.b + o.b, join_d(self.d, o.d))
 
     __radd__ = __add__
 
@@ -280,7 +283,7 @@ class Scalar:
             return NotImplemented
         if not self.b and not o.b:
             return _make(self.a - o.a, _FZERO, 1)
-        return _make(self.a - o.a, self.b - o.b, self._join_d(o))
+        return _make(self.a - o.a, self.b - o.b, join_d(self.d, o.d))
 
     def __rsub__(self, other: ScalarLike) -> Scalar:
         return (-self) + other
@@ -295,7 +298,7 @@ class Scalar:
             return NotImplemented
         if not self.b and not o.b:
             return _make(self.a * o.a, _FZERO, 1)
-        d = self._join_d(o)
+        d = join_d(self.d, o.d)
         return _make(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
 
     __rmul__ = __mul__
@@ -311,7 +314,7 @@ class Scalar:
             if not self.b:
                 return _make(self.a / o.a, _FZERO, 1)
             return _make(self.a / o.a, self.b / o.a, self.d)
-        d = self._join_d(o)
+        d = join_d(self.d, o.d)
         # multiply by the conjugate a' - b'*sqrt(d); the norm is rational
         norm = o.a * o.a - o.b * o.b * d
         return _make(

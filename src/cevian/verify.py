@@ -98,7 +98,7 @@ class Config:
         return {
             "p": str(self.p),
             "sides": [str(s) for s in self.sides] if self.sides else None,
-            "field_d": max(c.d for c in self.p.coords),
+            "field_d": self.p.d,
             "label": self.label,
         }
 
@@ -293,7 +293,7 @@ def _check_lambda(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     cl.equal("transfer_p", cs.transfer_map(cs.p), cs.q_iso)
     cl.equal("transfer_h", cs.transfer_map(cs.orthocenter), cs.q)
-    cl.equal("transfer_inv_p_iso", cs.transfer_map.inverse()(cs.p_iso), cs.q)
+    cl.equal("transfer_inv_p_iso", cs.transfer_map_inverse(cs.p_iso), cs.q)
     cl.equal(
         "orthocenter_preimage_two_ways",
         cs.orthocenter_preimage,
@@ -504,7 +504,7 @@ def _check_feuerbach(ctx: CheckContext, cl: Claims) -> None:
     )
     # the companion statement for p_iso's nine-point conic and inconic
     ninepoint_p = nine_point_conic((*VERTICES, cs.p))
-    circ_iso = transform_conic(cs.cevian_map.inverse(), ninepoint_p)
+    circ_iso = transform_conic(cs.cevian_map_inverse, ninepoint_p)
     nh_iso = transform_conic(complement_map(), circ_iso)
     cl.equal(
         "phi_sends_iso_ninepoint_to_iso_inconic",
@@ -535,7 +535,7 @@ def _check_z_on_lines(ctx: CheckContext, cl: Claims) -> None:
             cl.equal("anticomplement_z", anticomplement(z), meet(axis, op))
     conic = cs.cevian_conic
     if conic is not None and not conic.is_degenerate():
-        pullback = transform_conic(cs.cevian_map.inverse(), conic)
+        pullback = transform_conic(cs.cevian_map_inverse, conic)
         cl.equal("anticevian_conic_center", pullback.center(), anticomplement(z))
 
 
@@ -647,7 +647,7 @@ def _check_persp_b(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_median()
     ctx.require_off_steiner()
     cs = ctx.cs
-    tinv = cs.cevian_map.inverse()
+    tinv = cs.cevian_map_inverse
     tinv_iso = cs.cevian_map_iso_inverse
     tri1 = tuple(tinv(v) for v in VERTICES)
     tri2 = tuple(tinv_iso(m) for m in MIDPOINTS)
@@ -663,7 +663,7 @@ def _check_persp_c(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_median()
     ctx.require_off_steiner()
     cs = ctx.cs
-    tinv = cs.transfer_map.inverse()
+    tinv = cs.transfer_map_inverse
     tri2 = tuple(tinv(m) for m in MIDPOINTS)
     cl.equal(
         "perspector_is_orthocenter",
@@ -692,7 +692,7 @@ def _check_persp_e(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_median()
     ctx.require_off_steiner()
     cs = ctx.cs
-    tinv = cs.transfer_map.inverse()
+    tinv = cs.transfer_map_inverse
     tri1 = tuple(tinv(v) for v in VERTICES)
     tri2 = tuple(cs.second_cevian_map(v) for v in VERTICES)
     cl.equal(

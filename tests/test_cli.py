@@ -5,8 +5,10 @@ import time
 import pytest
 
 from cevian.cli import main
+from cevian.constructions import construct
 from cevian.projective import AffineMap, Line, Point
 from cevian.conics import Conic
+from cevian.render import RenderTriangle, direction_to_xy, named_points
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -93,6 +95,29 @@ def test_construct_quadratic_point(tmp_path):
     assert report["input"]["extension_d"] == 2
     assert report["points"]["H"]["bary"] == "(1 : 0 : 0)"
     assert report["flags"]["h_is_vertex"] == "A"
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_construct_beyond_double_range(capsys):
+    x = 2**1100 - 1
+    assert run(["construct", f"--p={x}:2:3"]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    cs = construct(Point(x, 2, 3))
+    expected = {slug: str(p) for slug, _, p in named_points(cs) if p is not None}
+    assert {slug: e["bary"] for slug, e in report["points"].items()} == expected
+    assert report["render"]["points"]["H"]["xy"] == [None, None]
+    assert report["render"]["points"]["Q"]["xy"] == [0.2, 0.3]
+
+
+def test_direction_beyond_double_range_is_scaled():
+    tri = RenderTriangle.default()
+    assert direction_to_xy(Point(1, -3, 2), tri) == (-3.0, 2.0)
+    dx, dy = direction_to_xy(Point(2**1100, -3 * 2**1100 - 1, 2**1101 + 1), tri)
+    assert dx < 0 < dy
+    assert abs(dx / dy + 1.5) < 1e-12
 
 
 def test_construct_sideline_exit_code(capsys):

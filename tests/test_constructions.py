@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from cevian.scalar import Scalar
 from cevian.projective import (
+    HomogeneousMatrix,
+    HomogeneousTriple,
     CENTROID,
     DegenerateConfiguration,
     Line,
@@ -445,3 +448,53 @@ def test_sampler_avoids_every_flag():
 def test_sampler_validates_count():
     with pytest.raises(ValueError):
         sample_nondegenerate(1, 0)
+
+
+# -- coefficient growth -----------------------------------------------------------------
+
+# Bit length of each member over that of p, at random integer points: the
+# degree of the member as a form in p.  A lost gcd or canonicalization
+# shows up here as a higher degree.
+MEMBER_DEGREES = {
+    **dict.fromkeys(("p", "q_iso", "ninepoint_conic_iso"), 1),
+    **dict.fromkeys(("p_iso", "q", "inconic_iso"), 2),
+    **dict.fromkeys(
+        (
+            "cevian_map", "cevian_map_iso", "cevian_map_iso_inverse", "transfer_map",
+            "second_cevian_map", "second_cevian_map_iso", "circum_to_inconic",
+            "ninepoint_to_inconic", "cevian_map_inverse", "transfer_map_inverse",
+            "cevian_conic", "v", "insimilicenter", "feuerbach_point",
+        ),
+        3,
+    ),
+    **dict.fromkeys(
+        ("circumcenter_iso", "orthocenter_iso", "circumconic", "ninepoint_conic", "inconic"), 4
+    ),
+    **dict.fromkeys(("circumcenter", "orthocenter", "orthocenter_preimage", "ninepoint_center"), 5),
+    "iso_reflection": 6,
+    "fourth_intersection": 8,
+}
+
+
+def _max_bits(member) -> int:
+    rows = member.ints if isinstance(member, HomogeneousMatrix) else (member.ints,)
+    return max(abs(n).bit_length() for row in rows for pair in row for n in pair)
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_member_coefficient_degrees(bits):
+    rng = random.Random(f"degree:{bits}")
+    while True:
+        p = Point(
+            *(rng.choice((-1, 1)) * (rng.getrandbits(bits - 1) | 1 << (bits - 1)) for _ in range(3))
+        )
+        if not degeneracy_report(p).any():
+            break
+    cs = construct(p)
+    base = _max_bits(cs.p)
+    degrees = {
+        name: round(_max_bits(member) / base)
+        for name, member in vars(cs).items()
+        if isinstance(member, (HomogeneousTriple, HomogeneousMatrix))
+    }
+    assert degrees == MEMBER_DEGREES

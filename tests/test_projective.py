@@ -1,9 +1,13 @@
+from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cevian.scalar import Scalar
+from cevian.scalar import InexactDivision, Scalar, as_scalar
+from cevian.conics import nine_point_conic, transform_conic
+from cevian.constructions import construct
 from cevian.projective import (
     AffineMap,
     AffineReflection,
@@ -36,6 +40,8 @@ from cevian.projective import (
     cevian_map,
     cevian_traces,
     collinear_ratio,
+    divide_exactly,
+    HomogeneousMatrix,
     complement,
     complement_map,
     direction_of,
@@ -45,6 +51,7 @@ from cevian.projective import (
     join,
     meet,
     midpoint,
+    null_space,
     parallel,
     parallel_through,
     perspector,
@@ -315,3 +322,191 @@ def test_perspector_none_when_not_perspective():
     joins_coincide = ((VERTEX_A, VERTEX_B, MID_AB), (VERTEX_B, MID_AB, VERTEX_A))
     for tri1, tri2 in (not_perspective, joins_coincide):
         assert perspector(tri1, tri2) is None
+
+
+# -- the integer kernel ----------------------------------------------------------
+
+FIELDS = (1, 2, 6, 1610924047)
+
+
+def reference_canonical(values):
+    """Canonical form by Scalar arithmetic: divide by the leading entry, then
+    clear the rational content."""
+    scalars = [as_scalar(v) for v in values]
+    lead = next(s for s in scalars if not s.is_zero())
+    scalars = [s / lead for s in scalars]
+    parts = [part for s in scalars for part in (s.a, s.b) if part != 0]
+    scale = Fraction(
+        lcm(*(x.denominator for x in parts)), gcd(*(x.numerator for x in parts))
+    )
+    return tuple(s * scale for s in scalars)
+
+
+def reference_null_space(rows, ncols):
+    """Gauss-Jordan elimination over Scalars, dividing each pivot row by its
+    pivot."""
+    mat = [[as_scalar(x) for x in row] for row in rows]
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if not mat[i][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not mat[i][c].is_zero():
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivot_cols):
+        vec = [Scalar(0)] * ncols
+        vec[free] = Scalar(1)
+        for row_idx, pc in enumerate(pivot_cols):
+            vec[pc] = -mat[row_idx][free]
+        basis.append(tuple(vec))
+    return basis
+
+
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-40, 40).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=36),
+)
+
+
+def field_entries(d):
+    """Entries of Q(sqrt(d)): zeros, rationals and a + b*sqrt(d)."""
+    if d == 1:
+        return rationals
+    return st.one_of(rationals, st.builds(lambda a, b: Scalar(a, b, d), rationals, rationals))
+
+
+@st.composite
+def field_vectors(draw, length):
+    d = draw(st.sampled_from(FIELDS))
+    values = draw(st.lists(field_entries(d), min_size=length, max_size=length))
+    if all(as_scalar(v).is_zero() for v in values):
+        values[draw(st.integers(0, length - 1))] = draw(
+            st.sampled_from([Scalar(-3), Scalar(2, -1, d), Scalar(0, 5, d)])
+        )
+    return values
+
+
+@given(field_vectors(3))
+@settings(max_examples=400, deadline=None)
+def test_canonical_triple_matches_scalar_reference(values):
+    expected = reference_canonical(values)
+    for cls in (Point, Line):
+        obj = cls(*values)
+        assert obj.coords == expected
+        assert hash(obj) == hash((cls.__name__, expected))
+
+
+@given(field_vectors(9))
+@settings(max_examples=200, deadline=None)
+def test_canonical_matrix_matches_scalar_reference(values):
+    expected = reference_canonical(values)
+    m = HomogeneousMatrix([values[0:3], values[3:6], values[6:9]])
+    assert m.matrix == (expected[0:3], expected[3:6], expected[6:9])
+    assert hash(m) == hash(("HomogeneousMatrix", m.matrix))
+
+
+@st.composite
+def linear_systems(draw):
+    """Systems with fresh rows, zero rows, duplicated rows and combinations
+    of earlier rows, so that every rank from 0 to full occurs."""
+    nrows, ncols = draw(st.sampled_from([(3, 3), (5, 6), (6, 6), (9, 6)]))
+    d = draw(st.sampled_from(FIELDS))
+    small = st.integers(-4, 4).map(Fraction)
+    entry = small if d == 1 else st.one_of(small, st.builds(lambda a, b: Scalar(a, b, d), small, small))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy", "combination"]))
+        if kind == "fresh" or not rows:
+            row = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        elif kind == "zero":
+            row = [0] * ncols
+        elif kind == "copy":
+            row = list(draw(st.sampled_from(rows)))
+        else:
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = as_scalar(draw(entry)), as_scalar(draw(entry))
+            row = [s * x + t * y for x, y in zip(u, v)]
+        rows.append(row)
+    return rows, ncols
+
+
+@given(linear_systems())
+@settings(max_examples=300, deadline=None)
+def test_null_space_matches_gauss_jordan_reference(system):
+    rows, ncols = system
+    basis = null_space(rows, ncols)
+    assert basis == reference_null_space(rows, ncols)
+    for vec in basis:
+        for row in rows:
+            assert sum((as_scalar(x) * y for x, y in zip(row, vec)), Scalar(0)).is_zero()
+
+
+def test_exact_division_checks_the_remainder():
+    assert divide_exactly([(6, 4), (-2, 0)], (2, 0), 2) == [(3, 2), (-1, 0)]
+    # (1 + sqrt(2)) * (-1 + sqrt(2)) = 1
+    assert divide_exactly([(1, 0)], (1, 1), 2) == [(-1, 1)]
+    with pytest.raises(InexactDivision):
+        divide_exactly([(3, 0)], (2, 0), 1)
+    with pytest.raises(InexactDivision):
+        divide_exactly([(4, 0), (1, 0)], (2, 1), 2)
+
+
+@pytest.fixture
+def scalar_arithmetic(monkeypatch):
+    """Counts of Scalar +, -, * and / calls, by operation."""
+    counts = Counter()
+    for op in ("add", "sub", "mul", "truediv"):
+        for name in (f"__{op}__", f"__r{op}__"):
+            original = getattr(Scalar, name)
+
+            def counted(self, other, _op=op, _original=original):
+                counts[_op] += 1
+                return _original(self, other)
+
+            monkeypatch.setattr(Scalar, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "p, other",
+    [
+        (Point(3, -5, 7), Point(2, 9, -4)),
+        (
+            Point(1, Scalar(1, 1, 1610924047), Scalar(-2, 3, 1610924047)),
+            Point(Scalar(0, 2, 1610924047), 5, Scalar(4, -1, 1610924047)),
+        ),
+    ],
+)
+def test_kernel_makes_no_scalar_arithmetic(scalar_arithmetic, p, other):
+    cs = construct(p)
+    m, m2, conic = cs.cevian_map, cevian_map(other), cs.inconic
+    l = join(cs.q, other)
+    rows = [tuple(c * c for c in x.coords) + x.coords for x in (p, other, cs.q, cs.orthocenter)]
+    scalar_arithmetic.clear()
+    join(p, other)
+    meet(l, join(p, cs.q))
+    incident(p, l)
+    m @ m2
+    m.inverse()
+    m(other)
+    m.apply_to_line(l)
+    conic.contains(other)
+    conic.polar(other)
+    conic.pole(l)
+    transform_conic(m2, conic)
+    assert sum(scalar_arithmetic.values()) == 0
+    null_space(rows, 6)
+    nine_point_conic((*VERTICES, other))
+    assert scalar_arithmetic["add"] == scalar_arithmetic["sub"] == scalar_arithmetic["mul"] == 0

@@ -147,7 +147,11 @@ def cmd_construct(args) -> int:
     p = parse_point(args.p)
     tri = RenderTriangle.parse(args.triangle) if args.triangle else RenderTriangle.default()
     cs = construct(p)
-    report = construction_report(cs, tri)
+    try:
+        report = construction_report(cs, tri)
+    except ValueError as exc:  # an exact coordinate too long for str()
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"--p is too large: its report needs numbers of over {limit} digits") from exc
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK
 

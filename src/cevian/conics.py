@@ -11,6 +11,7 @@ every result contains its defining points with zero residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
@@ -33,6 +34,7 @@ from .projective import (
     Line,
     Pair,
     Point,
+    Vector,
     SIDELINES,
     VERTEX_A,
     VERTEX_B,
@@ -50,7 +52,6 @@ from .projective import (
     midpoint,
     null_space,
     perspector,
-    scalar_row,
     to_scalar,
     transpose,
     zmul,
@@ -157,30 +158,31 @@ class Conic(HomogeneousMatrix):
 # constructions
 
 
-def conic_row(p: Point) -> tuple[ScalarLike, ...]:
+def conic_row(p: Point) -> Vector:
     """The incidence condition of p on the conic with coefficient vector
     (a, b, c, d, e, f), matrix ((a, d, e), (d, b, f), (e, f, c))."""
     (x, y, z), d = p.ints, p.d
-    return scalar_row(d, (
+    return (
         zmul(x, x, d), zmul(y, y, d), zmul(z, z, d),
         zscale(2, zmul(x, y, d)), zscale(2, zmul(x, z, d)), zscale(2, zmul(y, z, d)),
-    ))
-
-
-def polar_rows(contact: Point) -> tuple[tuple[ScalarLike, ...], ...]:
-    """The three components of the polar of contact, C . contact, each as a
-    row over the coefficient vector of conic_row."""
-    (x, y, z), d = contact.ints, contact.d
-    return (
-        scalar_row(d, (x, _ZERO, _ZERO, y, z, _ZERO)),
-        scalar_row(d, (_ZERO, y, _ZERO, x, _ZERO, z)),
-        scalar_row(d, (_ZERO, _ZERO, z, _ZERO, x, y)),
     )
 
 
-def conic_from_vector(v: Sequence[Scalar]) -> Conic:
-    a, b, c, d, e, f = v
-    return Conic(((a, d, e), (d, b, f), (e, f, c)))
+def polar_rows(contact: Point) -> tuple[Vector, Vector, Vector]:
+    """The three components of the polar of contact, C . contact, each as a
+    row over the coefficient vector of conic_row."""
+    x, y, z = contact.ints
+    return (
+        (x, _ZERO, _ZERO, y, z, _ZERO),
+        (_ZERO, y, _ZERO, x, _ZERO, z),
+        (_ZERO, _ZERO, z, _ZERO, x, y),
+    )
+
+
+def conic_from_vector(d: int, v: Sequence[Pair]) -> Conic:
+    """The conic with coefficient vector v over Z[sqrt(d)], as in conic_row."""
+    xx, yy, zz, xy, xz, yz = v
+    return Conic.from_ints(d, ((xx, xy, xz), (xy, yy, yz), (xz, yz, zz)))
 
 
 def conic_through_five(points: Sequence[Point]) -> Conic:
@@ -192,10 +194,11 @@ def conic_through_five(points: Sequence[Point]) -> Conic:
     for p, q in combinations(points, 2):
         if p == q:
             raise RankDeficient(f"duplicate point {p}")
-    basis = null_space([conic_row(p) for p in points], 6)
+    d = reduce(join_d, [p.d for p in points], 1)
+    basis = null_space(d, [conic_row(p) for p in points])
     if len(basis) != 1:
         raise RankDeficient("five points do not determine a unique conic")
-    return conic_from_vector(basis[0])
+    return conic_from_vector(d, basis[0])
 
 
 def circumconic_with_center(o: Point) -> Conic:
@@ -212,28 +215,26 @@ def circumconic_with_center(o: Point) -> Conic:
         raise NoSuchConic("center must be ordinary")
     if o in VERTICES:
         raise NoSuchConic("no circumconic is centered at a vertex")
-    u, v, w = o.ints
+    (u, v, w), d = o.ints, o.d
     rows = [
-        scalar_row(o.d, pairs)
-        for pairs in (
-            (zsub(w, v), zscale(-1, u), u),
-            (v, zsub(u, w), zscale(-1, v)),
-            (zscale(-1, w), w, zsub(v, u)),
-        )
+        (zsub(w, v), zscale(-1, u), u),
+        (v, zsub(u, w), zscale(-1, v)),
+        (zscale(-1, w), w, zsub(v, u)),
     ]
-    basis = null_space(rows, 3)
+    basis = null_space(d, rows)
     if len(basis) == 2:
         # o is a side midpoint; impose the mirror symmetry of that side
         if u == _ZERO:
-            rows.append((0, 1, -1))
+            rows.append((_ZERO, (1, 0), (-1, 0)))
         elif v == _ZERO:
-            rows.append((1, 0, -1))
+            rows.append(((1, 0), _ZERO, (-1, 0)))
         else:
-            rows.append((1, -1, 0))
-        basis = null_space(rows, 3)
+            rows.append(((1, 0), (-1, 0), _ZERO))
+        basis = null_space(d, rows)
     if len(basis) != 1:
         raise NoSuchConic(f"no circumconic has center {o}")
-    conic = Conic.circumconic(*basis[0])
+    # the circumconic a*yz + b*zx + c*xy = 0 of the solution (a, b, c)
+    conic = isotomic_image_of_line(Line.from_ints(d, basis[0]))
     if conic.is_degenerate() or conic.center() != o:
         raise NoSuchConic(f"only a degenerate conic is centered at {o}")
     return conic
@@ -264,10 +265,10 @@ def inconic_with_contacts(d: Point, e: Point, f: Point) -> Conic:
         for i, row in enumerate(polar_rows(contact))
         if i != k
     ]
-    basis = null_space(rows, 6)
+    basis = null_space(p.d, rows)  # the contacts are p's traces, over p's field
     if len(basis) != 1:
         raise NotPerspective("contact conditions do not pin down one conic")
-    conic = conic_from_vector(basis[0])
+    conic = conic_from_vector(p.d, basis[0])
     for contact in contacts:
         if not conic.contains(contact):
             raise NotPerspective("solved conic misses a contact")  # pragma: no cover
@@ -302,11 +303,11 @@ def nine_point_conic(quadrangle: Sequence[Point]) -> Conic:
             nine.append(q)
         else:
             nine.append(midpoint(p, q))
-    basis = null_space([conic_row(p) for p in nine], 6)
+    d = reduce(join_d, [p.d for p in quadrangle], 1)
+    basis = null_space(d, [conic_row(p) for p in nine])
     if len(basis) != 1:
         raise DegenerateQuadrangle("nine-point system is rank-deficient")
-    conic = conic_from_vector(basis[0])
-    return conic
+    return conic_from_vector(d, basis[0])
 
 
 def second_intersection(l: Line, conic: Conic, known: Point) -> Point:
@@ -411,9 +412,7 @@ def line_conic_intersections(
 
 
 def _combine(x: Point, y: Point, t: Scalar) -> Point:
-    return Point.from_triple(
-        tuple(t * xi + yi for xi, yi in zip(x.coords, y.coords))
-    )
+    return Point(*[t * xi + yi for xi, yi in zip(x.coords, y.coords)])
 
 
 def tangent_conics_at(c1: Conic, c2: Conic, z: Point) -> bool:

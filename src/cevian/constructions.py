@@ -46,6 +46,7 @@ from .projective import (
     anticomplement_map,
     cevian_map,
     cevian_traces,
+    combine,
     common_point,
     complement,
     complement_map,
@@ -58,6 +59,7 @@ from .projective import (
     reflect_through,
     reflection_axis_point,
     zmul,
+    zscale,
     zsum,
 )
 from .conics import (
@@ -355,14 +357,14 @@ def locus_conic(vertex: str) -> Conic:
         raise ValueError(f"vertex must be A, B, or C, not {vertex!r}")
     rows = [conic_row(pt) for pt in points]
     polar = polar_rows(contact)
-    l, m, n = tangent.coords
+    (l, m, n), d = tangent.ints, tangent.d
     # cross(C.contact, tangent) = 0: three rows, two independent
     for i, j, ci, cj in ((1, 2, n, m), (2, 0, l, n), (0, 1, m, l)):
-        rows.append(tuple(ci * a - cj * b for a, b in zip(polar[i], polar[j])))
-    basis = null_space(rows, 6)
+        rows.append(combine(ci, polar[i], zscale(-1, cj), polar[j], d))
+    basis = null_space(d, rows)
     if len(basis) != 1:
         raise RankDeficient("locus system is not rank five")  # pragma: no cover
-    return conic_from_vector(basis[0])
+    return conic_from_vector(d, basis[0])
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ square-free d serves the whole vector (d = 1 when every b is 0).  The
 stored vector is the canonical representative of the projective class: its
 ints have gcd 1 and its leading nonzero entry is a positive integer, so
 equality up to nonzero scale is structural equality.  Joins, meets,
-incidence, map products and inverses and the fraction-free elimination of
-`null_space` all run on these ints.  The ``coords`` and ``matrix``
-attributes are read-only Scalar views, built on first access.
+incidence, map products and inverses run on these ints, and so does every
+linear solve: `null_space` takes pair rows and returns integer pair vectors.
+Scalars are built only at the edges, such as parsing, printing and the
+read-only ``coords`` and ``matrix`` views, built on first access.
 """
 
 from __future__ import annotations
@@ -135,13 +136,6 @@ def _ratio(x: Pair, y: Pair, d: int) -> Scalar:
     return Scalar._make(Fraction(a, c), Fraction(b, c), d)
 
 
-def scalar_row(d: int, v: Sequence[Pair]) -> tuple[ScalarLike, ...]:
-    """The entries of v as `null_space` input: plain ints over Q."""
-    if d == 1:
-        return tuple([a for a, _ in v])
-    return tuple([to_scalar(x, d) for x in v])
-
-
 def combine(s: Pair, u: Sequence[Pair], t: Pair, v: Sequence[Pair], d: int) -> Vector:
     """s*u + t*v, entrywise."""
     (sa, sb), (ta, tb) = s, t
@@ -244,23 +238,21 @@ def det3(m: Sequence[Sequence[Pair]], d: int) -> Pair:
     return dot(m[0], cross(m[1], m[2], d), d)
 
 
-def null_space(rows: Iterable[Sequence[ScalarLike]], ncols: int) -> list[tuple[Scalar, ...]]:
-    """Exact kernel basis of a linear system given by its rows: one vector
-    per free column, with a 1 at that column.
+def null_space(d: int, rows: Iterable[Sequence[Pair]]) -> list[Vector]:
+    """Exact kernel basis of a linear system over Z[sqrt(d)], given by its
+    rows of pairs: one integer pair vector per free column, each a multiple
+    of the basis vector with a 1 at that column.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss) over Z[sqrt(d)].  Each
-    row is scaled to ints, and a step with pivot pv replaces every other row
-    by (pv * row - f * pivot row) / previous pivot, a division that is exact
-    because the entries stay minors of the system (Sylvester's identity); it
-    is checked all the same.  After the last step every pivot entry equals
-    the last pivot, the common denominator of the basis.
+    Fraction-free Gauss-Jordan elimination (Bareiss).  A step with pivot pv
+    replaces every other row by (pv * row - f * pivot row) / previous pivot,
+    a division that is exact because the entries stay minors of the system
+    (Sylvester's identity); it is checked all the same.  After the last step
+    every pivot entry equals the last pivot, so the vector of a free column
+    holds that pivot there and, at each pivot column, minus the free
+    column's entry of that pivot's row; the callers canonicalize it.
     """
-    d = 1
-    mat: list[list[Pair]] = []
-    for row in rows:
-        row_d, ints = _integer_vector(row)
-        d = join_d(d, row_d)
-        mat.append(ints)
+    mat = list(rows)
+    ncols = len(mat[0])
     pivot_cols: list[int] = []
     prev = _ONE
     r = 0
@@ -281,10 +273,10 @@ def null_space(rows: Iterable[Sequence[ScalarLike]], ncols: int) -> list[tuple[S
             break
     basis = []
     for free in (c for c in range(ncols) if c not in pivot_cols):
-        vec = [ZERO] * ncols
-        vec[free] = ONE
+        vec = [_ZERO] * ncols
+        vec[free] = prev
         for row_idx, pc in enumerate(pivot_cols):
-            vec[pc] = _ratio(zscale(-1, mat[row_idx][free]), prev, d)
+            vec[pc] = zscale(-1, mat[row_idx][free])
         basis.append(tuple(vec))
     return basis
 
@@ -315,10 +307,6 @@ class HomogeneousTriple:
         obj = object.__new__(cls)
         obj._set(d, v)
         return obj
-
-    @classmethod
-    def from_triple(cls, triple: Sequence[ScalarLike]):
-        return cls(triple[0], triple[1], triple[2])
 
     @property
     def coords(self) -> Triple:
@@ -726,15 +714,15 @@ class AffineMap(HomogeneousMatrix):
                 if all(x == _ZERO for x in shift):
                     shift = other
                 return Translation(Point.from_ints(d, shift))
-            center = Point.from_triple(_kernel(m_minus_s, d)[0])
+            center = Point.from_ints(d, null_space(d, m_minus_s)[0])
             return Homothety(center, _ratio(k, s, d))
         if _minus_diagonal(mat_mul(m, m, d), zmul(s, s, d)) == _ZERO_MATRIX:
-            fixed = _kernel(m_minus_s, d)
+            fixed = null_space(d, m_minus_s)
             if len(fixed) == 2:
-                axis = join(Point.from_triple(fixed[0]), Point.from_triple(fixed[1]))
+                axis = join(Point.from_ints(d, fixed[0]), Point.from_ints(d, fixed[1]))
                 if not axis.is_line_at_infinity():
-                    minus = _kernel(_minus_diagonal(m, zscale(-1, s)), d)
-                    return AffineReflection(axis, Point.from_triple(minus[0]))
+                    minus = null_space(d, _minus_diagonal(m, zscale(-1, s)))
+                    return AffineReflection(axis, Point.from_ints(d, minus[0]))
         return GeneralMap()
 
 
@@ -743,10 +731,6 @@ def _minus_diagonal(m: Sequence[Sequence[Pair]], k: Pair) -> Rows:
     return tuple([
         tuple([zsub(x, k) if i == j else x for j, x in enumerate(row)]) for i, row in enumerate(m)
     ])  # type: ignore[return-value]
-
-
-def _kernel(m: Rows, d: int) -> list[tuple[Scalar, ...]]:
-    return null_space([scalar_row(d, row) for row in m], 3)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,16 @@ def _log2_bound(s: Scalar) -> int:
     return max(parts) + s.d.bit_length() // 2 + 3
 
 
+def _floats_up_to_scale(values: Sequence[Scalar]) -> list[Optional[float]]:
+    """A vector defined up to positive scale as doubles: when one value would
+    overflow, all are first scaled down by the same power of two."""
+    out = [_finite_float(x) for x in values]
+    if None in out:
+        scale = Fraction(1, 1 << (max(map(_log2_bound, values)) - 1000))
+        out = [_finite_float(x * scale) for x in values]
+    return out
+
+
 def bary_to_xy(p: Point, tri: RenderTriangle) -> tuple[Optional[float], Optional[float]]:
     """Cartesian position of an ordinary point; a coordinate beyond the
     double range is None."""
@@ -123,24 +133,26 @@ def bary_to_xy(p: Point, tri: RenderTriangle) -> tuple[Optional[float], Optional
 
 def direction_to_xy(p: Point, tri: RenderTriangle) -> tuple[Optional[float], Optional[float]]:
     """Cartesian direction vector of a point at infinity (translation
-    invariant because the coordinates sum to zero).  A direction is defined
-    up to positive scale, so when a component would overflow, both are
-    first scaled down by the same power of two."""
+    invariant because the coordinates sum to zero), scaled as in
+    `_floats_up_to_scale`."""
     x, y, z = p.coords
     dx = x * tri.a[0] + y * tri.b[0] + z * tri.c[0]
     dy = x * tri.a[1] + y * tri.b[1] + z * tri.c[1]
-    xy = (_finite_float(dx), _finite_float(dy))
-    if None in xy:
-        scale = Fraction(1, 1 << (max(_log2_bound(dx), _log2_bound(dy)) - 1000))
-        xy = (_finite_float(dx * scale), _finite_float(dy * scale))
-    return xy
+    return tuple(_floats_up_to_scale([dx, dy]))  # type: ignore[return-value]
+
+
+def _drawable_xy(p: Optional[Point], tri: RenderTriangle) -> Optional[tuple[float, float]]:
+    """The position of an ordinary point; None for no point, a point at
+    infinity or a coordinate beyond the double range."""
+    xy = None if p is None or p.is_infinite() else bary_to_xy(p, tri)
+    return None if xy is None or None in xy else xy  # type: ignore[return-value]
 
 
 def conic_cartesian_matrix(conic: Conic, tri: RenderTriangle) -> list[list[float]]:
-    """Float matrix of the conic in (x, y, 1) coordinates."""
+    """Float matrix of the conic in (x, y, 1) coordinates, up to scale."""
     n = [[float(v) for v in row] for row in tri.line_rows()]
-    c = [[x.to_float() for x in row] for row in conic.matrix]
-    nc = [[sum(n[k][i] * c[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    c = _floats_up_to_scale([x for row in conic.matrix for x in row])
+    nc = [[sum(n[k][i] * c[3 * k + j] for k in range(3)) for j in range(3)] for i in range(3)]
     return [
         [sum(nc[i][k] * n[k][j] for k in range(3)) for j in range(3)] for i in range(3)
     ]
@@ -183,7 +195,7 @@ def sample_conic(
             continue
         t = -2.0 * mixed / denom
         px, py = x0 + t * wx, y0 + t * wy
-        if abs(px) > clip or abs(py) > clip:
+        if not (abs(px) <= clip and abs(py) <= clip):  # off screen, or not finite
             pts.append(None)
         else:
             pts.append((px, py))
@@ -328,12 +340,8 @@ def render_svg(
     if "steiner" in chosen["conics"]:
         conic_rows.append(("steiner", "S_E", steiner_circumellipse(), Point(-2, -2, 1)))
 
-    finite_pts = []
-    for _, _, p in point_rows:
-        if p is not None and not p.is_infinite():
-            finite_pts.append(bary_to_xy(p, tri))
-    for v in tri.vertices():
-        finite_pts.append((float(v[0]), float(v[1])))
+    finite_pts = [xy for _, _, p in point_rows if (xy := _drawable_xy(p, tri)) is not None]
+    finite_pts += [(float(v[0]), float(v[1])) for v in tri.vertices()]
     xs = [p[0] for p in finite_pts]
     ys = [p[1] for p in finite_pts]
     pad = 0.35 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
@@ -354,7 +362,8 @@ def render_svg(
     out.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
 
     for slug, label, conic, seed in conic_rows:
-        if conic is None or conic.is_degenerate():
+        seed_xy = _drawable_xy(seed, tri)
+        if conic is None or conic.is_degenerate() or seed_xy is None:
             continue
         out.append(f'<g id="conic-{slug}" fill="none" stroke="{_CONIC_STYLE.get(slug, "#666666")}" stroke-width="1.2">')
         clip = 8.0 * max(span, 1.0)
@@ -369,7 +378,7 @@ def render_svg(
             anchor_pt = segments[0][len(segments[0]) // 3]
             label_anchor = to_px(*anchor_pt)
         else:  # degenerate sampling; fall back to the seed point
-            label_anchor = to_px(*bary_to_xy(seed, tri))
+            label_anchor = to_px(*seed_xy)
         out.append(
             f'<text x="{_FMT.format(label_anchor[0] + 8)}" y="{_FMT.format(label_anchor[1] - 8)}" '
             f'font-size="12" fill="{_CONIC_STYLE.get(slug, "#666666")}" stroke="none">{_escape(label)}</text>'
@@ -384,10 +393,8 @@ def render_svg(
 
     if z_locus:
         dots = []
-        for p in z_locus:
-            if p.is_infinite():
-                continue
-            px, py = to_px(*bary_to_xy(p, tri))
+        for xy in filter(None, [_drawable_xy(p, tri) for p in z_locus]):
+            px, py = to_px(*xy)
             if 0 <= px <= width and 0 <= py <= height:
                 dots.append(
                     f'<circle cx="{_FMT.format(px)}" cy="{_FMT.format(py)}" r="1.5"/>'
@@ -395,7 +402,8 @@ def render_svg(
         out.append('<g id="z-locus" fill="#2a9d8f" stroke="none">' + "".join(dots) + "</g>")
 
     for slug, label, p in point_rows:
-        if p is None:
+        xy = _drawable_xy(p, tri)
+        if p is None or (xy is None and not p.is_infinite()):  # absent, or beyond the double range
             continue
         if p.is_infinite():
             dx, dy = direction_to_xy(p, tri)
@@ -412,7 +420,7 @@ def render_svg(
                 f'<text x="{_FMT.format(ex + 4)}" y="{_FMT.format(ey - 4)}" font-size="12" fill="#993333">{_escape(label)}&#8734;</text></g>'
             )
             continue
-        px, py = to_px(*bary_to_xy(p, tri))
+        px, py = to_px(*xy)
         out.append(
             f'<g id="point-{slug}"><circle cx="{_FMT.format(px)}" cy="{_FMT.format(py)}" r="2.6" fill="#111111"/>'
             f'<text x="{_FMT.format(px + 5)}" y="{_FMT.format(py - 5)}" font-size="12" fill="#111111">{_escape(label)}</text></g>'

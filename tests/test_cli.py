@@ -1,6 +1,8 @@
 import json
 import pathlib
+import sys
 import time
+from xml.etree import ElementTree
 
 import pytest
 
@@ -110,6 +112,22 @@ def test_construct_beyond_double_range(capsys):
     assert {slug: e["bary"] for slug, e in report["points"].items()} == expected
     assert report["render"]["points"]["H"]["xy"] == [None, None]
     assert report["render"]["points"]["Q"]["xy"] == [0.2, 0.3]
+
+
+def test_svg_beyond_double_range(capsys):
+    x = 2**1100 - 1
+    assert run(["svg", f"--p={x}:2:3"]) == 0
+    svg = capsys.readouterr().out
+    ElementTree.fromstring(svg)
+    assert "nan" not in svg.lower() and "inf" not in svg.lower()
+
+
+def test_construct_report_too_long_names_the_flag(capsys):
+    assert run(["construct", f"--p={'7' * 3000}:2:3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --p is too large")
+    assert str(sys.get_int_max_str_digits()) in err
+    assert "Traceback" not in err
 
 
 def test_direction_beyond_double_range_is_scaled():

@@ -5,9 +5,16 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cevian import scalar as scalar_module
 from cevian.scalar import InexactDivision, Scalar, as_scalar
-from cevian.conics import nine_point_conic, transform_conic
-from cevian.constructions import construct
+from cevian.conics import (
+    circumconic_with_center,
+    conic_through_five,
+    inconic_with_contacts,
+    nine_point_conic,
+    transform_conic,
+)
+from cevian.constructions import construct, locus_conic
 from cevian.projective import (
     AffineMap,
     AffineReflection,
@@ -344,7 +351,8 @@ def reference_canonical(values):
 
 def reference_null_space(rows, ncols):
     """Gauss-Jordan elimination over Scalars, dividing each pivot row by its
-    pivot."""
+    pivot: the free columns and one basis vector per free column, with a 1
+    there."""
     mat = [[as_scalar(x) for x in row] for row in rows]
     pivot_cols = []
     r = 0
@@ -363,14 +371,15 @@ def reference_null_space(rows, ncols):
         r += 1
         if r == len(mat):
             break
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
-    for free in (c for c in range(ncols) if c not in pivot_cols):
+    for free in free_cols:
         vec = [Scalar(0)] * ncols
         vec[free] = Scalar(1)
         for row_idx, pc in enumerate(pivot_cols):
             vec[pc] = -mat[row_idx][free]
         basis.append(tuple(vec))
-    return basis
+    return free_cols, basis
 
 
 rationals = st.one_of(
@@ -417,40 +426,59 @@ def test_canonical_matrix_matches_scalar_reference(values):
     assert hash(m) == hash(("HomogeneousMatrix", m.matrix))
 
 
+def pair_mul(x, y, d):
+    """(a + b*sqrt(d)) * (c + e*sqrt(d)) as a pair."""
+    (a, b), (c, e) = x, y
+    return a * c + b * e * d, a * e + b * c
+
+
 @st.composite
 def linear_systems(draw):
-    """Systems with fresh rows, zero rows, duplicated rows and combinations
-    of earlier rows, so that every rank from 0 to full occurs."""
+    """Pair rows over Z[sqrt(d)] with fresh rows, zero rows, duplicated rows
+    and combinations of earlier rows, so that every rank from 0 to full
+    occurs."""
     nrows, ncols = draw(st.sampled_from([(3, 3), (5, 6), (6, 6), (9, 6)]))
     d = draw(st.sampled_from(FIELDS))
-    small = st.integers(-4, 4).map(Fraction)
-    entry = small if d == 1 else st.one_of(small, st.builds(lambda a, b: Scalar(a, b, d), small, small))
+    small = st.integers(-4, 4)
+    rational = small.map(lambda a: (a, 0))
+    entry = rational if d == 1 else st.one_of(rational, st.tuples(small, small))
     rows = []
     for _ in range(nrows):
         kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy", "combination"]))
         if kind == "fresh" or not rows:
             row = draw(st.lists(entry, min_size=ncols, max_size=ncols))
         elif kind == "zero":
-            row = [0] * ncols
+            row = [(0, 0)] * ncols
         elif kind == "copy":
             row = list(draw(st.sampled_from(rows)))
         else:
             u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            s, t = as_scalar(draw(entry)), as_scalar(draw(entry))
-            row = [s * x + t * y for x, y in zip(u, v)]
+            s, t = draw(entry), draw(entry)
+            row = [
+                tuple(a + b for a, b in zip(pair_mul(s, x, d), pair_mul(t, y, d)))
+                for x, y in zip(u, v)
+            ]
         rows.append(row)
-    return rows, ncols
+    return d, rows
 
 
 @given(linear_systems())
 @settings(max_examples=300, deadline=None)
 def test_null_space_matches_gauss_jordan_reference(system):
-    rows, ncols = system
-    basis = null_space(rows, ncols)
-    assert basis == reference_null_space(rows, ncols)
-    for vec in basis:
+    d, rows = system
+    ncols = len(rows[0])
+    basis = null_space(d, rows)
+    free_cols, expected = reference_null_space(
+        [[Scalar(a, b, d) for a, b in row] for row in rows], ncols
+    )
+    assert len(basis) == len(expected)
+    for vec, free, ref in zip(basis, free_cols, expected):
+        assert all(isinstance(n, int) for pair in vec for n in pair)
+        lead = Scalar(*vec[free], d)
+        assert tuple(Scalar(a, b, d) / lead for a, b in vec) == ref
         for row in rows:
-            assert sum((as_scalar(x) * y for x, y in zip(row, vec)), Scalar(0)).is_zero()
+            products = [pair_mul(x, y, d) for x, y in zip(row, vec)]
+            assert (sum(a for a, _ in products), sum(b for _, b in products)) == (0, 0)
 
 
 def test_exact_division_checks_the_remainder():
@@ -465,7 +493,9 @@ def test_exact_division_checks_the_remainder():
 
 @pytest.fixture
 def scalar_arithmetic(monkeypatch):
-    """Counts of Scalar +, -, * and / calls, by operation."""
+    """Counts of Scalar +, -, * and / calls, by operation, and of Scalars
+    built ("built"), by the constructor or by `Scalar._make`, which every
+    arithmetic result and every Scalar view goes through."""
     counts = Counter()
     for op in ("add", "sub", "mul", "truediv"):
         for name in (f"__{op}__", f"__r{op}__"):
@@ -476,24 +506,51 @@ def scalar_arithmetic(monkeypatch):
                 return _original(self, other)
 
             monkeypatch.setattr(Scalar, name, counted)
+    init, make = Scalar.__init__, Scalar._make
+
+    def counted_init(self, *args, **kwargs):
+        counts["built"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_make(a, b, d):
+        counts["built"] += 1
+        return make(a, b, d)
+
+    monkeypatch.setattr(Scalar, "__init__", counted_init)
+    monkeypatch.setattr(Scalar, "_make", staticmethod(counted_make))
+    monkeypatch.setattr(scalar_module, "_make", counted_make)
     return counts
 
 
-@pytest.mark.parametrize(
-    "p, other",
-    [
-        (Point(3, -5, 7), Point(2, 9, -4)),
-        (
-            Point(1, Scalar(1, 1, 1610924047), Scalar(-2, 3, 1610924047)),
-            Point(Scalar(0, 2, 1610924047), 5, Scalar(4, -1, 1610924047)),
-        ),
-    ],
-)
+def test_scalar_guard_counts_what_it_claims(scalar_arithmetic):
+    x = Scalar(1, 2, 3)
+    assert scalar_arithmetic["built"] == 1
+    Point(1, 2, 3).coords  # three views, built by Scalar._make
+    assert scalar_arithmetic["built"] == 4
+    x / x  # one quotient, built by the module's _make
+    assert scalar_arithmetic["truediv"] == 1
+    assert scalar_arithmetic["built"] == 5
+
+
+SQRT = 1610924047
+FIELD_POINTS = [
+    (Point(3, -5, 7), Point(2, 9, -4)),
+    (
+        Point(1, Scalar(1, 1, SQRT), Scalar(-2, 3, SQRT)),
+        Point(Scalar(0, 2, SQRT), 5, Scalar(4, -1, SQRT)),
+    ),
+]
+
+
+@pytest.mark.parametrize("p, other", FIELD_POINTS)
 def test_kernel_makes_no_scalar_arithmetic(scalar_arithmetic, p, other):
     cs = construct(p)
     m, m2, conic = cs.cevian_map, cevian_map(other), cs.inconic
     l = join(cs.q, other)
-    rows = [tuple(c * c for c in x.coords) + x.coords for x in (p, other, cs.q, cs.orthocenter)]
+    rows = [
+        tuple(pair_mul(c, c, p.d) for c in x.ints) + x.ints
+        for x in (p, other, cs.q, cs.orthocenter)
+    ]
     scalar_arithmetic.clear()
     join(p, other)
     meet(l, join(p, cs.q))
@@ -506,7 +563,30 @@ def test_kernel_makes_no_scalar_arithmetic(scalar_arithmetic, p, other):
     conic.polar(other)
     conic.pole(l)
     transform_conic(m2, conic)
-    assert sum(scalar_arithmetic.values()) == 0
-    null_space(rows, 6)
+    null_space(p.d, rows)
     nine_point_conic((*VERTICES, other))
-    assert scalar_arithmetic["add"] == scalar_arithmetic["sub"] == scalar_arithmetic["mul"] == 0
+    assert not +scalar_arithmetic
+
+
+@pytest.mark.parametrize("p, other", FIELD_POINTS)
+def test_solvers_build_no_scalar(scalar_arithmetic, p, other):
+    """Every linear solve takes and returns pair vectors: a solver that went
+    back through Scalars would build some."""
+    cs = construct(p)
+    five = (*VERTICES, p, cs.q)
+    quadrangle = (*VERTICES, other)
+    rows = [x.ints for x in (p, other)]
+    scalar_arithmetic.clear()
+    solved = [
+        null_space(p.d, rows),
+        conic_through_five(five),
+        inconic_with_contacts(*cs.traces),
+        nine_point_conic(quadrangle),
+        circumconic_with_center(cs.circumcenter),
+    ]
+    if p.d == 1:
+        solved += [circumconic_with_center(MID_BC), locus_conic("A")]
+    assert not +scalar_arithmetic
+    assert solved[1] == cs.cevian_conic
+    assert solved[2] == cs.inconic
+    assert solved[4] == cs.circumconic

@@ -48,6 +48,9 @@ class InputError(Exception):
 
 
 def parse_point(text: str) -> Point:
+    limit = sys.get_int_max_str_digits()
+    if limit and re.search(rf"\d{{{limit + 1}}}", text):
+        raise InputError(f"--p has a number of over {limit} digits (the str limit): {text[:20]}...")
     parts = text.strip().split(":")
     if len(parts) != 3:
         raise InputError(f"point needs three colon-separated coordinates: {text!r}")
@@ -92,7 +95,7 @@ def _render_block(cs: ConstructionSet, tri: RenderTriangle) -> dict:
             x, y = bary_to_xy(p, tri)
             pts[slug] = {"xy": [x, y]}
     return {
-        "triangle": [[float(v[0]), float(v[1])] for v in tri.vertices()],
+        "triangle": [list(v) for v in tri.float_vertices()],
         "points": pts,
     }
 

@@ -124,10 +124,6 @@ class Conic(HomogeneousMatrix):
     def _form(self, p: Point, d: int) -> Pair:
         return dot(p.ints, mat_vec(self.ints, p.ints, d), d)
 
-    def evaluate(self, p: Point) -> Scalar:
-        d = join_d(self.d, p.d)
-        return to_scalar(self._form(p, d), d)
-
     def contains(self, p: Point) -> bool:
         return self._form(p, join_d(self.d, p.d)) == _ZERO
 

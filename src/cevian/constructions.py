@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from .scalar import NeedsExtension, Scalar, TwoRoots, solve_quadratic
@@ -377,16 +376,16 @@ _Z_LOCUS_SAMPLES = 80  # sweep positions on each side of p
 def z_locus_sweep(p: Point, tri: RenderTriangle) -> list[Point]:
     """Centers of the cevian conics as the driving point slides along the
     line through p perpendicular to side BC in the render triangle.  Display
-    only: each sample is exact, the sweep itself is a finite sampling."""
-    direction = tri.perpendicular_to_bc()
-    base = p.normalized()
+    only: each sample is exact, the sweep itself is a finite sampling.
+    Sample k is p/w + k/(3*count) * direction, scaled by 3*count*w."""
+    direction = tri.perpendicular_to_bc().ints
+    w = p._weight()
     count = _Z_LOCUS_SAMPLES
     out: list[Point] = []
     for k in range(-count, count + 1):
         if k == 0:
             continue
-        t = Fraction(k, 3 * count)
-        moved = Point(*(base[i] + t * direction.coords[i] for i in range(3)))
+        moved = Point.from_ints(p.d, combine((3 * count, 0), p.ints, zscale(k, w), direction, p.d))
         rep = degeneracy_report(moved)
         if rep.hard() or rep.on_median:
             continue

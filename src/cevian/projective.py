@@ -14,27 +14,21 @@ ints have gcd 1 and its leading nonzero entry is a positive integer, so
 equality up to nonzero scale is structural equality.  Joins, meets,
 incidence, map products and inverses run on these ints, and so does every
 linear solve: `null_space` takes pair rows and returns integer pair vectors.
-Scalars are built only at the edges, such as parsing, printing and the
-read-only ``coords`` and ``matrix`` views, built on first access.
+Affine combinations, such as midpoints, centroids and half-turns, weight the
+vectors by coordinate sums instead of normalizing them.  Scalars are built
+only at the edges: parsing, printing, a ratio, and the read-only ``coords``
+and ``matrix`` views, built on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .scalar import (
-    InexactDivision,
-    ONE,
-    Scalar,
-    ScalarLike,
-    ZERO,
-    as_scalar,
-    join_d,
-)
+from .scalar import InexactDivision, Scalar, ScalarLike, as_scalar, join_d
 
 
 class GeometryError(Exception):
@@ -354,11 +348,6 @@ class Point(HomogeneousTriple):
     def is_infinite(self) -> bool:
         return zsum(self.ints) == _ZERO
 
-    def normalized(self) -> Triple:
-        """Affinely normalized coordinates (summing to 1); ordinary points only."""
-        w = self._weight()
-        return tuple([_ratio(x, w, self.d) for x in self.ints])  # type: ignore[return-value]
-
 
 class Line(HomogeneousTriple):
     """Homogeneous line coefficients; incidence is l.x + m.y + n.z = 0."""
@@ -455,27 +444,32 @@ def collinear_ratio(x: Point, y: Point, z: Point) -> Scalar:
     """Signed ratio d(x,y)/d(x,z) along the common line of three points.
 
     Affine-invariant, so it is computed from normalized coordinates without
-    any metric: y - x = t (z - x) componentwise.
+    any metric: y - x = t (z - x) componentwise.  For the coordinate sums w,
+    u = (y - x) wx wy and v = (z - x) wx wz, so t = u wz / (v wy).
     """
     if x == z:
         raise CoincidentArguments("ratio base points coincide")
     if not are_collinear(x, y, z):
         raise NotCollinear(f"{x}, {y}, {z} are not collinear")
-    nx, ny, nz = x.normalized(), y.normalized(), z.normalized()
-    for i in range(3):
-        denom = nz[i] - nx[i]
-        if not denom.is_zero():
-            return (ny[i] - nx[i]) / denom
+    wx, wy, wz = x._weight(), y._weight(), z._weight()
+    d = join_d(join_d(x.d, y.d), z.d)
+    u = combine(wx, y.ints, zscale(-1, wy), x.ints, d)
+    v = combine(wx, z.ints, zscale(-1, wz), x.ints, d)
+    for ui, vi in zip(u, v):
+        if vi != _ZERO:
+            return _ratio(zmul(ui, wz, d), zmul(vi, wy, d), d)
     raise CoincidentArguments("ratio base points coincide")  # pragma: no cover
 
 
 def centroid_of(*points: Point) -> Point:
-    """Affine barycenter of finitely many ordinary points."""
-    acc = [ZERO, ZERO, ZERO]
+    """Affine barycenter of finitely many ordinary points: the sum of
+    p/w over the points, scaled by the product of their coordinate sums w."""
+    d = reduce(join_d, [p.d for p in points], 1)
+    acc, w = (_ZERO,) * 3, _ONE
     for p in points:
-        n = p.normalized()
-        acc = [acc[i] + n[i] for i in range(3)]
-    return Point(*acc)
+        wp = p._weight()
+        acc, w = combine(wp, acc, w, p.ints, d), zmul(w, wp, d)
+    return Point.from_ints(d, acc)
 
 
 def isotomic(p: Point) -> Point:
@@ -759,12 +753,13 @@ def anticomplement(p: Point) -> Point:
 
 
 def point_reflection(center: Point) -> AffineMap:
-    """The half-turn about an ordinary point, as an affine map."""
-    c = center.normalized()
-    rows = []
-    for i in range(3):
-        rows.append(tuple(2 * c[i] - (ONE if i == j else ZERO) for j in range(3)))
-    return AffineMap(rows)
+    """The half-turn about an ordinary point, as an affine map: 2c/w - I for
+    the coordinate sum w of c, scaled by w."""
+    w = center._weight()
+    return AffineMap.from_ints(center.d, [
+        [zsub(zscale(2, c), w) if i == j else zscale(2, c) for j in range(3)]
+        for i, c in enumerate(center.ints)
+    ])
 
 
 def cevian_traces(p: Point) -> tuple[Point, Point, Point]:

@@ -1,29 +1,35 @@
 """SVG rendering of configurations.
 
-This module and the CLI are the only places floats exist.  Every decision is
-made upstream in exact arithmetic; here coordinates are converted once, at
-the edge, for drawing.  Output is deterministic: fixed sampling counts and
-fixed-precision formatting make repeated runs byte-identical.
+This is the only module of the package that makes floats.  Every decision is
+made upstream in exact arithmetic; here the integer pair vectors of points
+and conics are converted once, at the edge, for drawing.  Output is
+deterministic: fixed sampling counts and fixed-precision formatting make
+repeated runs byte-identical.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-from .scalar import Scalar
 from .projective import (
     CENTROID,
     MID_AB,
     MID_BC,
     MID_CA,
+    Pair,
     Point,
     VERTEX_A,
     VERTEX_B,
     VERTEX_C,
     complement,
+    zmul,
+    zscale,
+    zsum,
 )
 from .conics import Conic
 from .constructions import ConstructionSet
@@ -31,6 +37,9 @@ from .constructions import ConstructionSet
 _FMT = "{:.4f}"
 _SVG_WIDTH = 720  # pixels
 _CONIC_STEPS = 256  # sampled directions through a conic's seed point
+# A figure spans up to 3.4 times its largest coordinate, and its height is the
+# width times one span over another: points farther out are left out of it.
+_DRAW_LIMIT = sys.float_info.max / (4 * _SVG_WIDTH)
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,9 @@ class RenderTriangle:
     def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return (self.a, self.b, self.c)
 
+    def float_vertices(self) -> list[tuple[float, float]]:
+        return [(float(x), float(y)) for x, y in self.vertices()]
+
     def line_rows(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
         """The sidelines BC, CA, AB as Cartesian rows (u, v, w) of
         u*x + v*y + w = 0; applied to (x, y, 1), the rows give the
@@ -88,70 +100,71 @@ class RenderTriangle:
         side BC: the image of the normal (u, v) of the row of BC."""
         rows = self.line_rows()
         dx, dy, _ = rows[0]
-        return Point(*(Scalar(u * dx + v * dy) for u, v, _ in rows))
+        return Point(*(u * dx + v * dy for u, v, _ in rows))
 
 
-def bary_to_cartesian_exact(p: Point, tri: RenderTriangle) -> tuple[Scalar, Scalar]:
-    """Exact Cartesian image of an ordinary point (Scalars, possibly quadratic)."""
-    nx, ny, nz = p.normalized()
-    xs = nx * tri.a[0] + ny * tri.b[0] + nz * tri.c[0]
-    ys = nx * tri.a[1] + ny * tri.b[1] + nz * tri.c[1]
-    return xs, ys
-
-
-def _finite_float(s: Scalar) -> Optional[float]:
-    """The nearest double, or None for a value beyond the double range."""
+def _float(a: int, b: int, d: int, den: int) -> Optional[float]:
+    """The double nearest a / den + (b / den) * sqrt(d), for a positive den
+    (a negative one would turn 0 into -0.0); None beyond the double range."""
     try:
-        value = s.to_float()
-    except OverflowError:
+        x = a / den + (b / den) * math.sqrt(d)
+    except OverflowError:  # an int quotient beyond the double range
         return None
-    return value if math.isfinite(value) else None
+    return x if math.isfinite(x) else None
 
 
-def _log2_bound(s: Scalar) -> int:
-    """An upper bound on log2 |a + b*sqrt(d)|."""
-    parts = (abs(x.numerator).bit_length() - x.denominator.bit_length() for x in (s.a, s.b))
-    return max(parts) + s.d.bit_length() // 2 + 3
-
-
-def _floats_up_to_scale(values: Sequence[Scalar]) -> list[Optional[float]]:
+def _floats_up_to_scale(d: int, values: Sequence[Pair], den: int = 1) -> list[Optional[float]]:
     """A vector defined up to positive scale as doubles: when one value would
-    overflow, all are first scaled down by the same power of two."""
-    out = [_finite_float(x) for x in values]
+    overflow, den is first multiplied by a power of two that brings an upper
+    bound on log2 |a + b*sqrt(d)| / den down to 1000."""
+    out = [_float(a, b, d, den) for a, b in values]
     if None in out:
-        scale = Fraction(1, 1 << (max(map(_log2_bound, values)) - 1000))
-        out = [_finite_float(x * scale) for x in values]
+        bits = max(abs(n).bit_length() for pair in values for n in pair)
+        den <<= bits - den.bit_length() + d.bit_length() // 2 + 3 - 1000
+        out = [_float(a, b, d, den) for a, b in values]
     return out
 
 
+def _cartesian(p: Point, tri: RenderTriangle) -> tuple[int, list[Pair], int]:
+    """(d, [X, Y], den): den times the Cartesian image of the barycentric
+    coordinates of p, as pairs over Z[sqrt(d)]."""
+    den = lcm(*[c.denominator for v in tri.vertices() for c in v])
+    return p.d, [
+        zsum([zscale(c.numerator * (den // c.denominator), v) for c, v in zip(axis, p.ints)])
+        for axis in zip(*tri.vertices())
+    ], den
+
+
 def bary_to_xy(p: Point, tri: RenderTriangle) -> tuple[Optional[float], Optional[float]]:
-    """Cartesian position of an ordinary point; a coordinate beyond the
-    double range is None."""
-    xs, ys = bary_to_cartesian_exact(p, tri)
-    return _finite_float(xs), _finite_float(ys)
+    """Cartesian position of an ordinary point, (X, Y) / w for the
+    coordinate sum w of p; a coordinate beyond the double range is None."""
+    d, xy, den = _cartesian(p, tri)
+    a, b = p._weight()
+    norm = a * a - b * b * d  # w times its conjugate; times -1 if negative
+    conj = (a, -b) if norm > 0 else (-a, b)
+    return tuple([_float(*zmul(v, conj, d), d, den * abs(norm)) for v in xy])  # type: ignore[return-value]
 
 
 def direction_to_xy(p: Point, tri: RenderTriangle) -> tuple[Optional[float], Optional[float]]:
     """Cartesian direction vector of a point at infinity (translation
     invariant because the coordinates sum to zero), scaled as in
     `_floats_up_to_scale`."""
-    x, y, z = p.coords
-    dx = x * tri.a[0] + y * tri.b[0] + z * tri.c[0]
-    dy = x * tri.a[1] + y * tri.b[1] + z * tri.c[1]
-    return tuple(_floats_up_to_scale([dx, dy]))  # type: ignore[return-value]
+    return tuple(_floats_up_to_scale(*_cartesian(p, tri)))  # type: ignore[return-value]
 
 
 def _drawable_xy(p: Optional[Point], tri: RenderTriangle) -> Optional[tuple[float, float]]:
     """The position of an ordinary point; None for no point, a point at
-    infinity or a coordinate beyond the double range."""
+    infinity or a coordinate beyond _DRAW_LIMIT."""
     xy = None if p is None or p.is_infinite() else bary_to_xy(p, tri)
-    return None if xy is None or None in xy else xy  # type: ignore[return-value]
+    if xy is None or None in xy or max(map(abs, xy)) > _DRAW_LIMIT:  # type: ignore[arg-type]
+        return None
+    return xy  # type: ignore[return-value]
 
 
 def conic_cartesian_matrix(conic: Conic, tri: RenderTriangle) -> list[list[float]]:
     """Float matrix of the conic in (x, y, 1) coordinates, up to scale."""
     n = [[float(v) for v in row] for row in tri.line_rows()]
-    c = _floats_up_to_scale([x for row in conic.matrix for x in row])
+    c = _floats_up_to_scale(conic.d, [x for row in conic.ints for x in row])
     nc = [[sum(n[k][i] * c[3 * k + j] for k in range(3)) for j in range(3)] for i in range(3)]
     return [
         [sum(nc[i][k] * n[k][j] for k in range(3)) for j in range(3)] for i in range(3)
@@ -341,7 +354,7 @@ def render_svg(
         conic_rows.append(("steiner", "S_E", steiner_circumellipse(), Point(-2, -2, 1)))
 
     finite_pts = [xy for _, _, p in point_rows if (xy := _drawable_xy(p, tri)) is not None]
-    finite_pts += [(float(v[0]), float(v[1])) for v in tri.vertices()]
+    finite_pts += tri.float_vertices()
     xs = [p[0] for p in finite_pts]
     ys = [p[1] for p in finite_pts]
     pad = 0.35 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
@@ -385,7 +398,7 @@ def render_svg(
         )
         out.append("</g>")
 
-    tri_px = [to_px(float(v[0]), float(v[1])) for v in tri.vertices()]
+    tri_px = [to_px(*v) for v in tri.float_vertices()]
     tri_path = " ".join(_FMT.format(x) + "," + _FMT.format(y) for x, y in tri_px)
     out.append(
         f'<g id="triangle"><polygon points="{tri_path}" fill="none" stroke="#222222" stroke-width="1.6"/></g>'

@@ -1,11 +1,15 @@
-"""Exact arithmetic over Q and real quadratic extensions Q(sqrt(d)).
+"""Exact numbers of Q and real quadratic extensions Q(sqrt(d)).
 
-Every quantity in the geometry kernel is a ``Scalar``: a value a + b*sqrt(d)
-with rational a, b and a square-free positive integer d.  Plain rationals are
-the degenerate case b = 0, d = 1.  Values are immutable, always in canonical
-form, and compared structurally, so ``==`` is semantic equality.  Only one
-extension at a time is supported: combining scalars whose d fields differ
-(both with irrational part) is an error, never a coercion.
+A ``Scalar`` is a value a + b*sqrt(d) with rational a, b and a square-free
+positive integer d.  Plain rationals are the degenerate case b = 0, d = 1.
+Values are immutable, always in canonical form, and compared structurally,
+so ``==`` is semantic equality.  Only one extension at a time is supported:
+combining scalars whose d fields differ (both with irrational part) is an
+error, never a coercion.  The geometry kernel computes on integer pairs over
+Z[sqrt(d)] instead; it uses Scalars to parse and print coordinates, to
+state a ratio, and to find the roots of a quadratic, the one place a new
+square root appears.
+There is no conversion to float here: that happens only in rendering.
 
 Canonical form is established where a value enters: the public constructor
 ``Scalar(a, b, d)`` (and ``parse`` and ``sqrt_of``, which call it) factors d
@@ -270,8 +274,6 @@ class Scalar:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        if not self.b and not o.b:
-            return _make(self.a + o.a, _FZERO, 1)
         return _make(self.a + o.a, self.b + o.b, join_d(self.d, o.d))
 
     __radd__ = __add__
@@ -281,8 +283,6 @@ class Scalar:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        if not self.b and not o.b:
-            return _make(self.a - o.a, _FZERO, 1)
         return _make(self.a - o.a, self.b - o.b, join_d(self.d, o.d))
 
     def __rsub__(self, other: ScalarLike) -> Scalar:
@@ -296,8 +296,6 @@ class Scalar:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        if not self.b and not o.b:
-            return _make(self.a * o.a, _FZERO, 1)
         d = join_d(self.d, o.d)
         return _make(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
 
@@ -311,8 +309,6 @@ class Scalar:
         if not o.b:
             if not o.a:
                 raise DivisionByZero("scalar division by zero")
-            if not self.b:
-                return _make(self.a / o.a, _FZERO, 1)
             return _make(self.a / o.a, self.b / o.a, self.d)
         d = join_d(self.d, o.d)
         # multiply by the conjugate a' - b'*sqrt(d); the norm is rational
@@ -351,10 +347,6 @@ class Scalar:
 
     # -- conversion ---------------------------------------------------------------
 
-    def to_float(self) -> float:
-        """Nearest double. Lossy; for rendering only, never for decisions."""
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
     def __repr__(self) -> str:
         return f"Scalar({str(self)!r})"
 
@@ -387,9 +379,6 @@ class Scalar:
 
 _FZERO = Fraction(0)
 _make = Scalar._make
-
-ZERO = Scalar(0)
-ONE = Scalar(1)
 
 
 def as_scalar(value: ScalarLike) -> Scalar:
@@ -441,7 +430,7 @@ def sqrt_in_field(x: Scalar, ambient_d: Optional[int] = None) -> Optional[Scalar
     if x.d != 1 and ambient != x.d:
         raise IncompatibleExtensions(f"{x} does not live in Q(sqrt({ambient}))")
     if x.is_zero():
-        return ZERO
+        return x
     if x.sign() < 0:
         return None
     if x.b == 0:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .scalar import Scalar
 from .projective import (
     AffineReflection,
     CENTROID,
@@ -372,7 +371,7 @@ def _check_nh_complement(ctx: CheckContext, cl: Claims) -> None:
     cl.true("halfturn_composite_is_homothety", isinstance(kind, Homothety), kind)
     if isinstance(kind, Homothety):
         cl.equal("halfturn_center", kind.center, cs.orthocenter)
-        cl.equal("halfturn_ratio", kind.ratio, Scalar(Fraction(1, 2)))
+        cl.equal("halfturn_ratio", kind.ratio, Fraction(1, 2))
     cl.equal(
         "nh_is_halfturn_image",
         cs.ninepoint_conic,
@@ -577,15 +576,11 @@ def _check_lemma_ha(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     if cs.flags.h_is_vertex != "A":
         raise _Skip("orthocenter-like point is not the first vertex")
-    a = VERTEX_A.normalized()
-    q = cs.q.normalized()
-    d, e, f = (t.normalized() for t in cs.traces)
-    vec_fa = tuple(f[i] - a[i] for i in range(3))
-    vec_qe = tuple(q[i] - e[i] for i in range(3))
-    cl.true("qe_equals_af", vec_fa == vec_qe, cs.q)
-    vec_ea = tuple(e[i] - a[i] for i in range(3))
-    vec_qf = tuple(q[i] - f[i] for i in range(3))
-    cl.true("qf_equals_ae", vec_ea == vec_qf)
+    # F - A = Q - E and E - A = Q - F both say: AQ and EF bisect each other
+    _, e, f = cs.traces
+    parallelogram = midpoint(VERTEX_A, cs.q) == midpoint(e, f)
+    cl.true("qe_equals_af", parallelogram, cs.q)
+    cl.true("qf_equals_ae", parallelogram)
     d3, e3, f3 = cs.traces_iso
     line_c = join(cs.q, MID_CA)
     cl.true(
@@ -822,10 +817,10 @@ def _check_special(ctx: CheckContext, cl: Claims) -> None:
         and are_collinear(cs.circumcenter, cs.p, cs.p_iso),
     )
     ratio = collinear_ratio(cs.circumcenter, cs.p_iso, cs.p)
-    cl.true("distance_ratio_three", ratio * ratio == Scalar(9), ratio)
+    cl.true("distance_ratio_three", ratio * ratio == 9, ratio)
     d = cs.traces[0]
     side_ratio = collinear_ratio(cs.circumcenter, d, VERTEX_C)
-    cl.true("squared_side_ratio_two", side_ratio * side_ratio == Scalar(2), side_ratio)
+    cl.true("squared_side_ratio_two", side_ratio * side_ratio == 2, side_ratio)
     a3 = cs.cevian_map(cs.traces_iso[0])
     cl.equal("a3_is_midpoint", a3, midpoint(cs.circumcenter, d))
     cl.equal("p_is_centroid", cs.p, centroid_of(cs.circumcenter, d, cs.q))

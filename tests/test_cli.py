@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import pathlib
 import sys
@@ -5,6 +7,7 @@ import time
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cevian.cli import main
 from cevian.constructions import construct
@@ -115,11 +118,34 @@ def test_construct_beyond_double_range(capsys):
 
 
 def test_svg_beyond_double_range(capsys):
-    x = 2**1100 - 1
-    assert run(["svg", f"--p={x}:2:3"]) == 0
-    svg = capsys.readouterr().out
-    ElementTree.fromstring(svg)
-    assert "nan" not in svg.lower() and "inf" not in svg.lower()
+    # 2^1017 and 2^1023 put H and O near the double maximum: finite, but the
+    # figure's extent times its width is not
+    for x in (2**1100 - 1, 2**1017, 2**1023):
+        assert run(["svg", f"--p={x}:2:3"]) == 0
+        svg = capsys.readouterr().out
+        ElementTree.fromstring(svg)
+        assert "nan" not in svg.lower() and "inf" not in svg.lower()
+
+
+@given(
+    st.integers(0, 1100) | st.integers(1000, 1040),  # the double maximum is near 2^1024
+    st.sampled_from([1, -1]),
+    st.integers(-3, 3),
+    st.integers(-5, 5),
+    st.integers(-5, 5),
+)
+@settings(max_examples=100, deadline=None)
+def test_cli_near_and_beyond_double_range(k, sign, c, y, z):
+    """Every point of size up to 2^1100 constructs and draws, or is
+    rejected with exit 2; none raises."""
+    p = f"--p={sign * 2**k + c}:{y}:{z}"
+    for command in ("construct", "svg"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, p])
+        assert code in (0, 2), err.getvalue()
+        if code == 0 and command == "svg":
+            ElementTree.fromstring(out.getvalue())
 
 
 def test_construct_report_too_long_names_the_flag(capsys):
@@ -128,6 +154,14 @@ def test_construct_report_too_long_names_the_flag(capsys):
     assert err.startswith("error: --p is too large")
     assert str(sys.get_int_max_str_digits()) in err
     assert "Traceback" not in err
+
+
+def test_point_with_too_many_digits_names_the_flag(capsys):
+    assert run(["construct", f"--p={'7' * 5000}:2:3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --p ")
+    assert str(sys.get_int_max_str_digits()) in err
+    assert len(err) < 200
 
 
 def test_direction_beyond_double_range_is_scaled():

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cevian import scalar as scalar_module
 from cevian.scalar import InexactDivision, Scalar, as_scalar
@@ -14,7 +14,9 @@ from cevian.conics import (
     nine_point_conic,
     transform_conic,
 )
-from cevian.constructions import construct, locus_conic
+from cevian.cli import main as cli_main
+from cevian.constructions import construct, locus_conic, z_locus_sweep
+from cevian.render import RenderTriangle
 from cevian.projective import (
     AffineMap,
     AffineReflection,
@@ -44,6 +46,7 @@ from cevian.projective import (
     VERTICES,
     anticomplement,
     anticomplement_map,
+    centroid_of,
     cevian_map,
     cevian_traces,
     collinear_ratio,
@@ -493,9 +496,10 @@ def test_exact_division_checks_the_remainder():
 
 @pytest.fixture
 def scalar_arithmetic(monkeypatch):
-    """Counts of Scalar +, -, * and / calls, by operation, and of Scalars
-    built ("built"), by the constructor or by `Scalar._make`, which every
-    arithmetic result and every Scalar view goes through."""
+    """Counts of Scalar +, -, * and / calls and of unary - calls ("neg"), by
+    operation, and of Scalars built ("built"), by the constructor or by
+    `Scalar._make`, which every arithmetic result and every Scalar view goes
+    through."""
     counts = Counter()
     for op in ("add", "sub", "mul", "truediv"):
         for name in (f"__{op}__", f"__r{op}__"):
@@ -506,6 +510,13 @@ def scalar_arithmetic(monkeypatch):
                 return _original(self, other)
 
             monkeypatch.setattr(Scalar, name, counted)
+    neg = Scalar.__neg__
+
+    def counted_neg(self):
+        counts["neg"] += 1
+        return neg(self)
+
+    monkeypatch.setattr(Scalar, "__neg__", counted_neg)
     init, make = Scalar.__init__, Scalar._make
 
     def counted_init(self, *args, **kwargs):
@@ -530,6 +541,8 @@ def test_scalar_guard_counts_what_it_claims(scalar_arithmetic):
     x / x  # one quotient, built by the module's _make
     assert scalar_arithmetic["truediv"] == 1
     assert scalar_arithmetic["built"] == 5
+    -x
+    assert scalar_arithmetic["neg"] == 1
 
 
 SQRT = 1610924047
@@ -590,3 +603,58 @@ def test_solvers_build_no_scalar(scalar_arithmetic, p, other):
     assert solved[1] == cs.cevian_conic
     assert solved[2] == cs.inconic
     assert solved[4] == cs.circumconic
+
+
+def arithmetic(counts):
+    """The Scalar +, -, * and / and unary - calls of the counts."""
+    return sum(counts[op] for op in ("add", "sub", "mul", "truediv", "neg"))
+
+
+@pytest.mark.parametrize(
+    "text", ["3:-5:7", f"1:1+1*sqrt({SQRT}):-2+3*sqrt({SQRT})"]
+)
+def test_cli_construct_makes_no_scalar_arithmetic(scalar_arithmetic, capsys, text):
+    """The whole command, render block included: floats come from pair
+    vectors, not from Scalar sums."""
+    assert cli_main(["construct", f"--p={text}", "--triangle=-1/3,2;7,1/9;3,-5"]) == 0
+    assert arithmetic(scalar_arithmetic) == 0
+    assert capsys.readouterr().out.count('"xy"') > 20
+
+
+@pytest.mark.parametrize("p, other", FIELD_POINTS)
+def test_affine_helpers_make_no_scalar_arithmetic(scalar_arithmetic, p, other):
+    cs = construct(p)
+    scalar_arithmetic.clear()
+    point_reflection(cs.circumcenter)
+    collinear_ratio(cs.p, midpoint(cs.p, other), other)
+    centroid_of(p, other, cs.q)
+    z_locus_sweep(p, RenderTriangle.parse("0,0;1,0;7/20,4/5"))
+    assert arithmetic(scalar_arithmetic) == 0
+
+
+def normalized(p):
+    """The test's oracle for affine coordinates: p / (x + y + z), in Scalars."""
+    w = sum(p.coords, Scalar(0))
+    return [x / w for x in p.coords]
+
+
+@given(points_off_sidelines(), points_off_sidelines(), st.fractions(max_denominator=9))
+@settings(max_examples=100, deadline=None)
+def test_collinear_ratio_matches_affine_coordinates(x, z, t):
+    assume(x != z and not x.is_infinite() and not z.is_infinite())
+    nx, nz = normalized(x), normalized(z)
+    y = Point(*(a + t * (b - a) for a, b in zip(nx, nz)))
+    assert collinear_ratio(x, y, z) == t
+
+
+@pytest.mark.parametrize("p, other", FIELD_POINTS)
+def test_affine_helpers_match_affine_coordinates(p, other):
+    cs = construct(p)
+    t = Scalar(2, -1, p.d) if p.d != 1 else Scalar(Fraction(-3, 4))
+    nx, nz = normalized(cs.q), normalized(other)
+    y = Point(*(a + t * (b - a) for a, b in zip(nx, nz)))
+    assert collinear_ratio(cs.q, y, other) == t
+    sums = [sum(c, Scalar(0)) for c in zip(*map(normalized, (p, other, cs.q)))]
+    assert centroid_of(p, other, cs.q) == Point(*sums)
+    for x in (p, other, cs.q, VERTEX_A):
+        assert point_reflection(cs.circumcenter)(x) == reflect_through(cs.circumcenter, x)

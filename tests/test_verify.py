@@ -201,8 +201,9 @@ def test_witnesses_round_trip_through_serialization():
 
 
 def test_verify_layer_never_touches_floats():
-    # exactness by layering: no decision path may reach the float conversion
-    for module in ("verify.py", "constructions.py", "conics.py", "projective.py"):
+    # exactness by layering: no decision path may reach a float conversion,
+    # and the number type itself has none
+    for module in ("verify.py", "constructions.py", "conics.py", "projective.py", "scalar.py"):
         source = (SRC / module).read_text()
         assert "to_float" not in source, f"{module} mentions to_float"
         assert "math.sqrt" not in source, f"{module} uses float sqrt"

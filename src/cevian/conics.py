@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .scalar import (
@@ -20,9 +21,7 @@ from .scalar import (
     NeedsExtension,
     NoRealRoots,
     Scalar,
-    ScalarLike,
     TwoRoots,
-    as_scalar,
     join_d,
     solve_quadratic,
 )
@@ -100,26 +99,6 @@ class Conic(HomogeneousMatrix):
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("conic matrix must be symmetric")
-
-    @classmethod
-    def from_coefficients(
-        cls,
-        xx: ScalarLike,
-        yy: ScalarLike,
-        zz: ScalarLike,
-        xy: ScalarLike,
-        xz: ScalarLike,
-        yz: ScalarLike,
-    ) -> Conic:
-        """Conic of the form xx*x^2 + ... + xy*x*y + xz*x*z + yz*y*z = 0."""
-        a, b, c = as_scalar(xx), as_scalar(yy), as_scalar(zz)
-        d, e, f = as_scalar(xy) / 2, as_scalar(xz) / 2, as_scalar(yz) / 2
-        return cls(((a, d, e), (d, b, f), (e, f, c)))
-
-    @classmethod
-    def circumconic(cls, a: ScalarLike, b: ScalarLike, c: ScalarLike) -> Conic:
-        """The circumconic a*yz + b*zx + c*xy = 0."""
-        return cls.from_coefficients(0, 0, 0, c, b, a)
 
     def _form(self, p: Point, d: int) -> Pair:
         return dot(p.ints, mat_vec(self.ints, p.ints, d), d)
@@ -408,7 +387,12 @@ def line_conic_intersections(
 
 
 def _combine(x: Point, y: Point, t: Scalar) -> Point:
-    return Point(*[t * xi + yi for xi, yi in zip(x.coords, y.coords)])
+    """t*x + y for a root t, as den*t*x + den*y over Z[sqrt(d)] with den the
+    common denominator of t's parts."""
+    den = lcm(t.a.denominator, t.b.denominator)
+    s = (t.a.numerator * (den // t.a.denominator), t.b.numerator * (den // t.b.denominator))
+    d = join_d(join_d(x.d, y.d), t.d)
+    return Point.from_ints(d, combine(s, x.ints, (den, 0), y.ints, d))
 
 
 def tangent_conics_at(c1: Conic, c2: Conic, z: Point) -> bool:

@@ -15,9 +15,10 @@ equality up to nonzero scale is structural equality.  Joins, meets,
 incidence, map products and inverses run on these ints, and so does every
 linear solve: `null_space` takes pair rows and returns integer pair vectors.
 Affine combinations, such as midpoints, centroids and half-turns, weight the
-vectors by coordinate sums instead of normalizing them.  Scalars are built
-only at the edges: parsing, printing, a ratio, and the read-only ``coords``
-and ``matrix`` views, built on first access.
+vectors by coordinate sums instead of normalizing them.  Objects print
+through ``format_number`` and hash from their type name, d and ints.
+Scalars are built only at the edges: parsing, a ratio, and the read-only
+``coords`` and ``matrix`` views, built anew on each access.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache, reduce
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .scalar import InexactDivision, Scalar, ScalarLike, as_scalar, join_d
+from .scalar import InexactDivision, Scalar, ScalarLike, as_scalar, format_number, join_d
 
 
 class GeometryError(Exception):
@@ -186,11 +187,6 @@ def _canonical(d: int, v: Sequence[Pair]) -> tuple[int, Vector]:
     return d, v
 
 
-def _hash_key(d: int, v: Sequence[Pair]) -> tuple:
-    """The entries as the Scalars of v hash: a rational as its int."""
-    return tuple([(a, b, d) if b else a for a, b in v])
-
-
 def dot(u: Sequence[Pair], v: Sequence[Pair], d: int) -> Pair:
     a = b = 0
     for (x, y), (z, w) in zip(u, v):
@@ -285,7 +281,7 @@ class HomogeneousTriple:
     equality.  Subclasses differ only in their brackets and their own
     predicates."""
 
-    __slots__ = ("d", "ints", "_coords")
+    __slots__ = ("d", "ints")
     BRACKETS = "()"
 
     def __init__(self, x: ScalarLike, y: ScalarLike, z: ScalarLike):
@@ -293,7 +289,6 @@ class HomogeneousTriple:
 
     def _set(self, d: int, v: Sequence[Pair]) -> None:
         self.d, self.ints = _canonical(d, v)
-        self._coords: Optional[Triple] = None
 
     @classmethod
     def from_ints(cls, d: int, v: Sequence[Pair]):
@@ -304,10 +299,8 @@ class HomogeneousTriple:
 
     @property
     def coords(self) -> Triple:
-        """The canonical coordinates as Scalars."""
-        if self._coords is None:
-            self._coords = tuple([to_scalar(x, self.d) for x in self.ints])  # type: ignore[assignment]
-        return self._coords  # type: ignore[return-value]
+        """The canonical coordinates as Scalars, built on each access."""
+        return tuple([to_scalar(x, self.d) for x in self.ints])  # type: ignore[return-value]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
@@ -315,13 +308,14 @@ class HomogeneousTriple:
         return self.d == other.d and self.ints == other.ints
 
     def __hash__(self):
-        return hash((type(self).__name__, _hash_key(self.d, self.ints)))
+        return hash((type(self).__name__, self.d, self.ints))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
 
     def __str__(self) -> str:
-        return self.BRACKETS[0] + " : ".join(str(c) for c in self.coords) + self.BRACKETS[1]
+        inner = " : ".join(format_number(a, b, self.d) for a, b in self.ints)
+        return self.BRACKETS[0] + inner + self.BRACKETS[1]
 
     @classmethod
     def parse(cls, text: str):
@@ -423,23 +417,6 @@ def parallel_through(p: Point, l: Line) -> Line:
     return join(p, d)
 
 
-def midpoint(p1: Point, p2: Point) -> Point:
-    """p1/w1 + p2/w2 for the coordinate sums w of the points, scaled by w1*w2."""
-    w1, w2 = p1._weight(), p2._weight()
-    d = join_d(p1.d, p2.d)
-    return Point.from_ints(d, combine(w2, p1.ints, w1, p2.ints, d))
-
-
-def reflect_through(center: Point, p: Point) -> Point:
-    """Half-turn about an ordinary center; fixes every point at infinity."""
-    wc = center._weight()
-    if p.is_infinite():
-        return p
-    d = join_d(center.d, p.d)
-    twice_wp = zscale(2, zsum(p.ints))
-    return Point.from_ints(d, combine(twice_wp, center.ints, zscale(-1, wc), p.ints, d))
-
-
 def collinear_ratio(x: Point, y: Point, z: Point) -> Scalar:
     """Signed ratio d(x,y)/d(x,z) along the common line of three points.
 
@@ -470,6 +447,11 @@ def centroid_of(*points: Point) -> Point:
         wp = p._weight()
         acc, w = combine(wp, acc, w, p.ints, d), zmul(w, wp, d)
     return Point.from_ints(d, acc)
+
+
+def midpoint(p1: Point, p2: Point) -> Point:
+    """The midpoint of two ordinary points."""
+    return centroid_of(p1, p2)
 
 
 def isotomic(p: Point) -> Point:
@@ -521,7 +503,7 @@ class HomogeneousMatrix:
     structural equality.  Subclasses add only their own validation of the
     rows, which runs on the ints before the content is divided out."""
 
-    __slots__ = ("d", "ints", "_matrix")
+    __slots__ = ("d", "ints")
 
     def __init__(self, matrix: Sequence[Sequence[ScalarLike]]):
         rows = [tuple(row) for row in matrix]
@@ -535,7 +517,6 @@ class HomogeneousMatrix:
         d, flat = _canonical(d, [x for row in rows for x in row])
         self.d = d
         self.ints: Rows = (flat[0:3], flat[3:6], flat[6:9])
-        self._matrix: Optional[tuple[Triple, Triple, Triple]] = None
 
     @classmethod
     def from_ints(cls, d: int, rows: Sequence[Sequence[Pair]]):
@@ -549,16 +530,9 @@ class HomogeneousMatrix:
 
     @property
     def matrix(self) -> tuple[Triple, Triple, Triple]:
-        """The canonical matrix as Scalars."""
-        if self._matrix is None:
-            d = self.d
-            self._matrix = tuple(  # type: ignore[assignment]
-                [tuple([to_scalar(x, d) for x in row]) for row in self.ints]
-            )
-        return self._matrix  # type: ignore[return-value]
-
-    def determinant(self) -> Scalar:
-        return to_scalar(det3(self.ints, self.d), self.d)
+        """The canonical matrix as Scalars, built on each access."""
+        d = self.d
+        return tuple([tuple([to_scalar(x, d) for x in row]) for row in self.ints])  # type: ignore[return-value]
 
     def is_degenerate(self) -> bool:
         return det3(self.ints, self.d) == _ZERO
@@ -569,14 +543,15 @@ class HomogeneousMatrix:
         return self.d == other.d and self.ints == other.ints
 
     def __hash__(self):
-        return hash((type(self).__name__, tuple([_hash_key(self.d, row) for row in self.ints])))
+        return hash((type(self).__name__, self.d, self.ints))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
 
     def __str__(self) -> str:
+        d = self.d
         rows = ", ".join(
-            "[" + ", ".join(str(x) for x in row) + "]" for row in self.matrix
+            "[" + ", ".join(format_number(a, b, d) for a, b in row) + "]" for row in self.ints
         )
         return f"[{rows}]"
 
@@ -760,6 +735,11 @@ def point_reflection(center: Point) -> AffineMap:
         [zsub(zscale(2, c), w) if i == j else zscale(2, c) for j in range(3)]
         for i, c in enumerate(center.ints)
     ])
+
+
+def reflect_through(center: Point, p: Point) -> Point:
+    """Half-turn about an ordinary center; fixes every point at infinity."""
+    return point_reflection(center)(p)
 
 
 def cevian_traces(p: Point) -> tuple[Point, Point, Point]:

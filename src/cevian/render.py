@@ -27,6 +27,8 @@ from .projective import (
     VERTEX_B,
     VERTEX_C,
     complement,
+    mat_mul,
+    transpose,
     zmul,
     zscale,
     zsum,
@@ -61,7 +63,7 @@ class RenderTriangle:
         if len(parts) != 3:
             raise ValueError("triangle needs three semicolon-separated vertices")
         coords = []
-        for part in parts:
+        for k, part in enumerate(parts, 1):
             xy = part.split(",")
             if len(xy) != 2:
                 raise ValueError(f"malformed vertex {part!r}")
@@ -69,6 +71,8 @@ class RenderTriangle:
                 coords.append((Fraction(xy[0]), Fraction(xy[1])))
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in vertex {part!r}") from None
+            if max(map(abs, coords[-1])) > _DRAW_LIMIT:
+                raise ValueError(f"vertex {k} has a coordinate beyond {_DRAW_LIMIT:.3g}")
         tri = cls(*coords)
         if tri.doubled_area() == 0:
             raise ValueError("triangle vertices are collinear")
@@ -162,20 +166,21 @@ def _drawable_xy(p: Optional[Point], tri: RenderTriangle) -> Optional[tuple[floa
 
 
 def conic_cartesian_matrix(conic: Conic, tri: RenderTriangle) -> list[list[float]]:
-    """Float matrix of the conic in (x, y, 1) coordinates, up to scale."""
-    n = [[float(v) for v in row] for row in tri.line_rows()]
-    c = _floats_up_to_scale(conic.d, [x for row in conic.ints for x in row])
-    nc = [[sum(n[k][i] * c[3 * k + j] for k in range(3)) for j in range(3)] for i in range(3)]
-    return [
-        [sum(nc[i][k] * n[k][j] for k in range(3)) for j in range(3)] for i in range(3)
-    ]
+    """Float matrix of the conic in (x, y, 1) coordinates, up to scale: N^T C N
+    for the sideline rows N of the triangle, computed exactly over Z[sqrt(d)]
+    with N times the common denominator den, and scaled back by den^2 as in
+    `_floats_up_to_scale`."""
+    rows = tri.line_rows()
+    den = lcm(*[v.denominator for row in rows for v in row])
+    n = [[(v.numerator * (den // v.denominator), 0) for v in row] for row in rows]
+    d = conic.d
+    m = mat_mul(transpose(n), mat_mul(conic.ints, n, d), d)
+    c = _floats_up_to_scale(d, [x for row in m for x in row], den * den)
+    return [c[0:3], c[3:6], c[6:9]]
 
 
 def sample_conic(
-    conic: Conic,
-    seed_point: Point,
-    tri: RenderTriangle,
-    clip: float = 64.0,
+    conic: Conic, seed_point: Point, tri: RenderTriangle, clip: float
 ) -> list[list[tuple[float, float]]]:
     """Polyline segments tracing a conic through one known exact point.
 

@@ -5,10 +5,12 @@ positive integer d.  Plain rationals are the degenerate case b = 0, d = 1.
 Values are immutable, always in canonical form, and compared structurally,
 so ``==`` is semantic equality.  Only one extension at a time is supported:
 combining scalars whose d fields differ (both with irrational part) is an
-error, never a coercion.  The geometry kernel computes on integer pairs over
-Z[sqrt(d)] instead; it uses Scalars to parse and print coordinates, to
-state a ratio, and to find the roots of a quadratic, the one place a new
-square root appears.
+error, never a coercion.  The geometry kernel computes, prints and hashes
+on integer pairs over Z[sqrt(d)] instead; it builds Scalars only to parse
+coordinates, to state a ratio, to find the roots of a quadratic (the one
+place a new square root appears), and for an explicit ``coords`` or
+``matrix`` view.  ``format_number`` is the one printer of a + b*sqrt(d),
+for Scalars and for the kernel's pairs alike.
 There is no conversion to float here: that happens only in rendering.
 
 Canonical form is established where a value enters: the public constructor
@@ -351,10 +353,7 @@ class Scalar:
         return f"Scalar({str(self)!r})"
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        sign = "+" if self.b >= 0 else "-"
-        return f"{self.a}{sign}{abs(self.b)}*sqrt({self.d})"
+        return format_number(self.a, self.b, self.d)
 
     # a denominator must have a nonzero digit, so "1/0" is malformed text
     _PATTERN = re.compile(
@@ -379,6 +378,14 @@ class Scalar:
 
 _FZERO = Fraction(0)
 _make = Scalar._make
+
+
+def format_number(a: RationalLike, b: RationalLike, d: int) -> str:
+    """The text of a + b*sqrt(d): "a", "a+b*sqrt(d)" or "a-|b|*sqrt(d)".
+    Scalars print through it, and so do the integer pairs of the kernel."""
+    if not b:
+        return str(a)
+    return f"{a}{'+' if b > 0 else '-'}{abs(b)}*sqrt({d})"
 
 
 def as_scalar(value: ScalarLike) -> Scalar:

@@ -714,7 +714,7 @@ def _check_gergonne(ctx: CheckContext, cl: Claims) -> None:
 
 
 _PSI_DIRECTIONS = tuple(
-    Point(1, k, -1 - k) for k in (2, 3, 5, 7, 11, 13, 17, 19)
+    (k, Point(1, k, -1 - k)) for k in (2, 3, 5, 7, 11, 13, 17, 19)
 )
 
 
@@ -729,17 +729,17 @@ def _check_psi(ctx: CheckContext, cl: Claims) -> None:
         InfinityInvolution(cs.ninepoint_conic),
     )
     tested = 0
-    for x in _PSI_DIRECTIONS:
+    for k, x in _PSI_DIRECTIONS:
         try:
             images = [inv(x) for inv in invs]
         except SelfConjugate:
             continue
         cl.true(
-            f"agree_at_{x.coords[1]}",
+            f"agree_at_{k}",
             images[0] == images[1] == images[2],
             images[0],
         )
-        cl.true(f"involutive_at_{x.coords[1]}", invs[0](images[0]) == x)
+        cl.true(f"involutive_at_{k}", invs[0](images[0]) == x)
         tested += 1
         if tested == 5:
             break

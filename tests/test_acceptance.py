@@ -184,7 +184,7 @@ def test_criterion_6_vertex_locus():
     assert construct(Point(6, 3, 2)).orthocenter == VERTEX_A
     assert construct(Point(-1, 3, 2)).orthocenter == VERTEX_A
     conic = locus_conic("A")
-    assert conic == Conic.from_coefficients(-1, 0, 0, 1, 1, 1)
+    assert conic == Conic(((-2, 1, 1), (1, 0, 1), (1, 1, 0)))  # -x^2 + xy + xz + yz = 0
     center = conic.center()
     assert center == Point(1, 3, 3)
     assert collinear_ratio(VERTEX_A, center, MID_BC) == Scalar(Fraction(6, 7))

@@ -213,6 +213,40 @@ def test_construct_degenerate_triangle():
     assert run(["construct", "--p", "2:3:6", "--triangle", "0,0;1,1;2,2"]) == 2
 
 
+@pytest.mark.parametrize("command", ["construct", "svg"])
+@pytest.mark.parametrize("triangle", ["0,0;1e400,0;0,1", "0,0;1e308,0;0,1", "0,0;1/3,0;0,10e305"])
+def test_triangle_beyond_draw_limit(capsys, command, triangle):
+    """A vertex beyond the figure's drawable range is rejected, whether or
+    not it is beyond the double range."""
+    assert run([command, "--p=2:3:6", f"--triangle={triangle}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+_VERTEX_COORDINATE = st.builds(
+    lambda sign, k: sign * 2**k,
+    st.sampled_from([1, -1]),
+    st.integers(0, 1100) | st.integers(1005, 1015),  # the draw limit is near 2^1011
+)
+
+
+@given(st.lists(_VERTEX_COORDINATE, min_size=6, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_triangle_near_and_beyond_double_range(coords):
+    """Every triangle with vertices of size up to 2^1100 draws, or is
+    rejected with exit 2; none raises."""
+    tri = "--triangle=" + ";".join(f"{x},{y}" for x, y in zip(coords[::2], coords[1::2]))
+    for command in ("construct", "svg"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, "--p=2:3:6", tri])
+        assert code in (0, 2), err.getvalue()
+        if code == 0 and command == "svg":
+            svg = out.getvalue()
+            ElementTree.fromstring(svg)
+            assert "nan" not in svg.lower() and "inf" not in svg.lower()
+
+
 def test_construct_zero_denominator_is_input_error():
     assert run(["construct", "--p", "1/0:1:1"]) == 2
     assert run(["construct", "--p", "2:3:6", "--triangle", "1/0,0;1,0;0,1"]) == 2

@@ -284,9 +284,9 @@ def test_locus_points_have_vertex_orthocenter(coords):
 
 def test_locus_conic_closed_form():
     conic = locus_conic("A")
-    assert conic == Conic.from_coefficients(-1, 0, 0, 1, 1, 1)
-    assert locus_conic("B") == Conic.from_coefficients(0, -1, 0, 1, 1, 1)
-    assert locus_conic("C") == Conic.from_coefficients(0, 0, -1, 1, 1, 1)
+    assert conic == Conic(((-2, 1, 1), (1, 0, 1), (1, 1, 0)))  # -x^2 + xy + xz + yz = 0
+    assert locus_conic("B") == Conic(((0, 1, 1), (1, -2, 1), (1, 1, 0)))
+    assert locus_conic("C") == Conic(((0, 1, 1), (1, 0, 1), (1, 1, -2)))
     with pytest.raises(ValueError):
         locus_conic("D")
 

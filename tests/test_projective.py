@@ -52,6 +52,7 @@ from cevian.projective import (
     collinear_ratio,
     divide_exactly,
     HomogeneousMatrix,
+    HomogeneousTriple,
     complement,
     complement_map,
     direction_of,
@@ -417,7 +418,8 @@ def test_canonical_triple_matches_scalar_reference(values):
     for cls in (Point, Line):
         obj = cls(*values)
         assert obj.coords == expected
-        assert hash(obj) == hash((cls.__name__, expected))
+        rescaled = cls(*(Fraction(-7, 3) * v for v in values))
+        assert rescaled == obj and hash(rescaled) == hash(obj)
 
 
 @given(field_vectors(9))
@@ -426,7 +428,9 @@ def test_canonical_matrix_matches_scalar_reference(values):
     expected = reference_canonical(values)
     m = HomogeneousMatrix([values[0:3], values[3:6], values[6:9]])
     assert m.matrix == (expected[0:3], expected[3:6], expected[6:9])
-    assert hash(m) == hash(("HomogeneousMatrix", m.matrix))
+    scaled = [Fraction(-7, 3) * v for v in values]
+    rescaled = HomogeneousMatrix([scaled[0:3], scaled[3:6], scaled[6:9]])
+    assert rescaled == m and hash(rescaled) == hash(m)
 
 
 def pair_mul(x, y, d):
@@ -605,6 +609,35 @@ def test_solvers_build_no_scalar(scalar_arithmetic, p, other):
     assert solved[4] == cs.circumconic
 
 
+def kernel_members(cs):
+    """The points, lines, maps and conics of a construction, tuples unpacked."""
+    for value in vars(cs).values():
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, (HomogeneousTriple, HomogeneousMatrix)):
+                yield x
+
+
+@pytest.mark.parametrize("p", [p for p, _ in FIELD_POINTS])
+def test_printing_and_hashing_build_no_scalar(scalar_arithmetic, p):
+    """Kernel objects print and hash from their integer pairs."""
+    cs = construct(p)
+    members = list(kernel_members(cs))
+    assert len(members) > 30
+    scalar_arithmetic.clear()
+    for value in vars(cs).values():
+        str(value)
+    for x in members:
+        hash(x)
+    assert scalar_arithmetic["built"] == 0
+
+
+def test_cli_construct_builds_only_the_parsed_scalars(scalar_arithmetic, capsys):
+    """The three Scalars of the parsed coordinates are all the command builds."""
+    assert cli_main(["construct", "--p=2:3:6"]) == 0
+    assert scalar_arithmetic["built"] == 3
+    assert '"bary": "(2 : 3 : 6)"' in capsys.readouterr().out
+
+
 def arithmetic(counts):
     """The Scalar +, -, * and / and unary - calls of the counts."""
     return sum(counts[op] for op in ("add", "sub", "mul", "truediv", "neg"))
@@ -656,5 +689,9 @@ def test_affine_helpers_match_affine_coordinates(p, other):
     assert collinear_ratio(cs.q, y, other) == t
     sums = [sum(c, Scalar(0)) for c in zip(*map(normalized, (p, other, cs.q)))]
     assert centroid_of(p, other, cs.q) == Point(*sums)
+    center = normalized(cs.circumcenter)
     for x in (p, other, cs.q, VERTEX_A):
-        assert point_reflection(cs.circumcenter)(x) == reflect_through(cs.circumcenter, x)
+        if not x.is_infinite():
+            image = Point(*(2 * c - a for c, a in zip(center, normalized(x))))
+            assert point_reflection(cs.circumcenter)(x) == image
+            assert reflect_through(cs.circumcenter, x) == image

@@ -13,17 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from math import lcm
 from typing import Optional, Sequence, Union
 
 from .scalar import (
-    DoubleRoot,
     NeedsExtension,
     NoRealRoots,
-    Scalar,
-    TwoRoots,
+    Pair,
+    combine,
     join_d,
-    solve_quadratic,
+    quadratic_roots,
+    zmul,
+    zscale,
+    zsign,
+    zsub,
 )
 from .projective import (
     AffineMap,
@@ -31,7 +33,6 @@ from .projective import (
     HomogeneousMatrix,
     LINE_AT_INFINITY,
     Line,
-    Pair,
     Point,
     Vector,
     SIDELINES,
@@ -41,7 +42,6 @@ from .projective import (
     VERTICES,
     adjugate3,
     are_collinear,
-    combine,
     dot,
     incident,
     join,
@@ -51,11 +51,7 @@ from .projective import (
     midpoint,
     null_space,
     perspector,
-    to_scalar,
     transpose,
-    zmul,
-    zscale,
-    zsub,
 )
 
 _ZERO: Pair = (0, 0)
@@ -342,24 +338,28 @@ class NoRealIntersection:
 LineConicResult = Union[TwoPoints, TangentAt, NoRealIntersection, NeedsExtension]
 
 
+def _restriction(l: Line, conic: Conic) -> tuple[Point, Point, int, Pair, Pair, Pair]:
+    """(x, y, d, a, b, c): two points of l, and the conic's form on t*x + y
+    as a*t^2 + 2*b*t + c over Z[sqrt(d)]."""
+    if conic.is_degenerate():
+        raise DegenerateConic("intersection needs a nondegenerate conic")
+    x, y = _points_on_line(l)[:2]
+    d = join_d(conic.d, l.d)
+    b = dot(x.ints, mat_vec(conic.ints, y.ints, d), d)
+    return x, y, d, conic._form(x, d), b, conic._form(y, d)
+
+
 def line_conic_intersections(
     l: Line, conic: Conic, field_d: Optional[int] = None
 ) -> LineConicResult:
     """All intersections of a line with a nondegenerate conic.
 
-    Reduces to one exact quadratic; a positive non-square discriminant
-    surfaces as NeedsExtension(d) so the caller can lift the coordinates to
-    Q(sqrt(d)) and pass field_d=d to retry.
+    Reduces to one exact quadratic in t on t*x + y; a root n / den is the
+    point n*x + den*y.  A positive non-square discriminant surfaces as
+    NeedsExtension(d) so the caller can lift the coordinates to Q(sqrt(d))
+    and pass field_d=d to retry.
     """
-    if conic.is_degenerate():
-        raise DegenerateConic("intersection needs a nondegenerate conic")
-    pts = _points_on_line(l)
-    x, y = pts[0], pts[1]
-    d = join_d(conic.d, l.d)
-    cy = mat_vec(conic.ints, y.ints, d)
-    a2 = conic._form(x, d)
-    b2 = dot(x.ints, cy, d)
-    c2 = conic._form(y, d)
+    x, y, d, a2, b2, c2 = _restriction(l, conic)
     if a2 == _ZERO and c2 == _ZERO:
         return TwoPoints(x, y)
     if a2 == _ZERO:
@@ -370,29 +370,14 @@ def line_conic_intersections(
         if b2 == _ZERO:
             return TangentAt(y)
         return TwoPoints(y, _residual(y, x, a2, b2, d))
-    outcome = solve_quadratic(
-        to_scalar(a2, d), to_scalar(zscale(2, b2), d), to_scalar(c2, d), field_d=field_d
-    )
-    if isinstance(outcome, TwoRoots):
-        return TwoPoints(
-            _combine(x, y, outcome.r1),
-            _combine(x, y, outcome.r2),
-        )
-    if isinstance(outcome, DoubleRoot):
-        return TangentAt(_combine(x, y, outcome.r))
-    if isinstance(outcome, NoRealRoots):
+    roots = quadratic_roots(a2, zscale(2, b2), c2, d, field_d)
+    if isinstance(roots, NoRealRoots):
         return NoRealIntersection()
-    assert isinstance(outcome, NeedsExtension)
-    return outcome
-
-
-def _combine(x: Point, y: Point, t: Scalar) -> Point:
-    """t*x + y for a root t, as den*t*x + den*y over Z[sqrt(d)] with den the
-    common denominator of t's parts."""
-    den = lcm(t.a.denominator, t.b.denominator)
-    s = (t.a.numerator * (den // t.a.denominator), t.b.numerator * (den // t.b.denominator))
-    d = join_d(join_d(x.d, y.d), t.d)
-    return Point.from_ints(d, combine(s, x.ints, (den, 0), y.ints, d))
+    if isinstance(roots, NeedsExtension):
+        return roots
+    e = join_d(join_d(x.d, y.d), roots.d)
+    points = [Point.from_ints(e, combine(n, x.ints, roots.den, y.ints, e)) for n in roots.nums]
+    return TwoPoints(*points) if len(points) == 2 else TangentAt(*points)
 
 
 def tangent_conics_at(c1: Conic, c2: Conic, z: Point) -> bool:
@@ -448,10 +433,7 @@ def steiner_circumellipse() -> Conic:
 
 def infinity_intersection_count(conic: Conic) -> int:
     """0, 1, or 2 meets with the line at infinity (ellipse/parabola/hyperbola
-    in the rendering triangle); no theorem check depends on this label."""
-    outcome = line_conic_intersections(LINE_AT_INFINITY, conic)
-    if isinstance(outcome, TwoPoints) or isinstance(outcome, NeedsExtension):
-        return 2
-    if isinstance(outcome, TangentAt):
-        return 1
-    return 0
+    in the rendering triangle), from the sign of the discriminant; no theorem
+    check depends on this label."""
+    _, _, d, a, b, c = _restriction(LINE_AT_INFINITY, conic)
+    return 1 + zsign(zsub(zmul(b, b, d), zmul(a, c, d)), d)

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .scalar import NeedsExtension, Scalar, TwoRoots, solve_quadratic
+from .scalar import NeedsExtension, Roots, quadratic_roots
 from .projective import (
     AffineMap,
     CENTROID,
@@ -405,13 +405,15 @@ def special_configuration_point() -> Point:
     p_iso trace on BC bisects the segment from A to p_iso.
 
     Those two conditions reduce to y + z = 2x and yz = -x^2; with x = 1 the
-    coordinates solve t^2 - 2t - 1 = 0, which forces the field extension.
+    coordinates solve t^2 - 2t - 1 = 0, which forces the field extension;
+    the roots n1 / den and n2 / den give the point (den : n1 : n2).
     """
-    first = solve_quadratic(1, -2, -1)
+    coeffs = (1, 0), (-2, 0), (-1, 0)
+    first = quadratic_roots(*coeffs, 1)
     assert isinstance(first, NeedsExtension)
-    lifted = solve_quadratic(1, -2, -1, field_d=first.d)
-    assert isinstance(lifted, TwoRoots)
-    return Point(Scalar(1), lifted.r1, lifted.r2)
+    lifted = quadratic_roots(*coeffs, 1, field_d=first.d)
+    assert isinstance(lifted, Roots)
+    return Point.from_ints(lifted.d, (lifted.den, *lifted.nums))
 
 
 def special_configuration() -> ConstructionSet:

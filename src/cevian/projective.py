@@ -7,8 +7,8 @@ maps are 3x3 matrices with equal column sums acting on columns of
 homogeneous coordinates; they preserve the line at infinity by construction.
 
 Points, lines, maps and conics are held as integer vectors over Z[sqrt(d)].
-An entry is a pair of ints (a, b) standing for a + b*sqrt(d), and one
-square-free d serves the whole vector (d = 1 when every b is 0).  The
+An entry is a pair of ints (a, b) standing for a + b*sqrt(d) (see scalar.py),
+and one square-free d serves the whole vector (d = 1 when every b is 0).  The
 stored vector is the canonical representative of the projective class: its
 ints have gcd 1 and its leading nonzero entry is a positive integer, so
 equality up to nonzero scale is structural equality.  Joins, meets,
@@ -17,19 +17,32 @@ linear solve: `null_space` takes pair rows and returns integer pair vectors.
 Affine combinations, such as midpoints, centroids and half-turns, weight the
 vectors by coordinate sums instead of normalizing them.  Objects print
 through ``format_number`` and hash from their type name, d and ints.
-Scalars are built only at the edges: parsing, a ratio, and the read-only
-``coords`` and ``matrix`` views, built anew on each access.
+There is no Scalar arithmetic here: Scalars are built only by parsing, and
+by ``ratio`` for a ratio and the ``coords`` and ``matrix`` views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
-from .scalar import InexactDivision, Scalar, ScalarLike, as_scalar, format_number, join_d
+from .scalar import (
+    Pair,
+    Scalar,
+    ScalarLike,
+    combine,
+    divide_exactly,
+    format_number,
+    integer_vector,
+    join_d,
+    ratio,
+    zmul,
+    zscale,
+    zsub,
+    zsum,
+)
 
 
 class GeometryError(Exception):
@@ -69,7 +82,6 @@ class OnSideline(GeometryError):
 
 
 Triple = tuple[Scalar, Scalar, Scalar]
-Pair = tuple[int, int]  # (a, b) stands for a + b*sqrt(d)
 Vector = tuple[Pair, ...]
 Rows = tuple[Vector, Vector, Vector]
 
@@ -78,91 +90,7 @@ _ONE: Pair = (1, 0)
 
 
 # ---------------------------------------------------------------------------
-# arithmetic in Z[sqrt(d)]
-
-
-def zmul(x: Pair, y: Pair, d: int) -> Pair:
-    (a, b), (c, e) = x, y
-    return a * c + b * e * d, a * e + b * c
-
-
-def zsub(x: Pair, y: Pair) -> Pair:
-    return x[0] - y[0], x[1] - y[1]
-
-
-def zscale(k: int, x: Pair) -> Pair:
-    return k * x[0], k * x[1]
-
-
-def zsum(v: Iterable[Pair]) -> Pair:
-    a = b = 0
-    for x, y in v:
-        a += x
-        b += y
-    return a, b
-
-
-def divide_exactly(v: Sequence[Pair], y: Pair, d: int) -> list[Pair]:
-    """v / y entrywise in Z[sqrt(d)], for a nonzero y that divides every
-    entry; raises InexactDivision when one leaves a remainder."""
-    c, e = y
-    if e:  # times the conjugate c - e*sqrt(d): the divisor becomes its norm
-        v = [(a * c - b * e * d, b * c - a * e) for a, b in v]
-        c = c * c - e * e * d
-    out = []
-    for a, b in v:
-        qa, ra = divmod(a, c)
-        qb, rb = divmod(b, c)
-        if ra or rb:
-            raise InexactDivision(f"an entry is not a multiple of {y} in Z[sqrt({d})]")
-        out.append((qa, qb))
-    return out
-
-
-def to_scalar(x: Pair, d: int) -> Scalar:
-    return Scalar._make(Fraction(x[0]), Fraction(x[1]), d)
-
-
-def _ratio(x: Pair, y: Pair, d: int) -> Scalar:
-    """x / y as a Scalar, for a nonzero y."""
-    (a, b), (c, e) = x, y
-    if e:
-        a, b, c = a * c - b * e * d, b * c - a * e, c * c - e * e * d
-    return Scalar._make(Fraction(a, c), Fraction(b, c), d)
-
-
-def combine(s: Pair, u: Sequence[Pair], t: Pair, v: Sequence[Pair], d: int) -> Vector:
-    """s*u + t*v, entrywise."""
-    (sa, sb), (ta, tb) = s, t
-    return tuple([
-        (sa * a + sb * b * d + ta * c + tb * e * d, sa * b + sb * a + ta * e + tb * c)
-        for (a, b), (c, e) in zip(u, v)
-    ])
-
-
-# ---------------------------------------------------------------------------
 # canonicalization and small exact linear algebra over Z[sqrt(d)]
-
-
-def _integer_vector(values: Sequence[ScalarLike]) -> tuple[int, list[Pair]]:
-    """(d, v): v is the values times the lcm of their denominators, as
-    pairs over the one field Q(sqrt(d)) they share."""
-    parts = []
-    d = 1
-    for x in values:
-        if isinstance(x, Scalar):
-            if x.b:
-                d = join_d(d, x.d)
-            parts.append((x.a, x.b))
-        elif isinstance(x, (int, Fraction)):
-            parts.append((x, 0))
-        else:
-            as_scalar(x)  # raises the TypeError of a value that is no Scalar
-    den = lcm(*[r.denominator for pair in parts for r in pair])
-    return d, [
-        (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
-        for a, b in parts
-    ]
 
 
 def _canonical(d: int, v: Sequence[Pair]) -> tuple[int, Vector]:
@@ -285,7 +213,8 @@ class HomogeneousTriple:
     BRACKETS = "()"
 
     def __init__(self, x: ScalarLike, y: ScalarLike, z: ScalarLike):
-        self._set(*_integer_vector((x, y, z)))
+        d, _, v = integer_vector((x, y, z))
+        self._set(d, v)
 
     def _set(self, d: int, v: Sequence[Pair]) -> None:
         self.d, self.ints = _canonical(d, v)
@@ -300,7 +229,7 @@ class HomogeneousTriple:
     @property
     def coords(self) -> Triple:
         """The canonical coordinates as Scalars, built on each access."""
-        return tuple([to_scalar(x, self.d) for x in self.ints])  # type: ignore[return-value]
+        return tuple([ratio(x, _ONE, self.d) for x in self.ints])  # type: ignore[return-value]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
@@ -434,7 +363,7 @@ def collinear_ratio(x: Point, y: Point, z: Point) -> Scalar:
     v = combine(wx, z.ints, zscale(-1, wz), x.ints, d)
     for ui, vi in zip(u, v):
         if vi != _ZERO:
-            return _ratio(zmul(ui, wz, d), zmul(vi, wy, d), d)
+            return ratio(zmul(ui, wz, d), zmul(vi, wy, d), d)
     raise CoincidentArguments("ratio base points coincide")  # pragma: no cover
 
 
@@ -509,7 +438,7 @@ class HomogeneousMatrix:
         rows = [tuple(row) for row in matrix]
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("3x3 matrix required")
-        d, flat = _integer_vector([x for row in rows for x in row])
+        d, _, flat = integer_vector([x for row in rows for x in row])
         self._set(d, (tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9])))
 
     def _set(self, d: int, rows: Sequence[Sequence[Pair]]) -> None:
@@ -532,7 +461,7 @@ class HomogeneousMatrix:
     def matrix(self) -> tuple[Triple, Triple, Triple]:
         """The canonical matrix as Scalars, built on each access."""
         d = self.d
-        return tuple([tuple([to_scalar(x, d) for x in row]) for row in self.ints])  # type: ignore[return-value]
+        return tuple([tuple([ratio(x, _ONE, d) for x in row]) for row in self.ints])  # type: ignore[return-value]
 
     def is_degenerate(self) -> bool:
         return det3(self.ints, self.d) == _ZERO
@@ -684,7 +613,7 @@ class AffineMap(HomogeneousMatrix):
                     shift = other
                 return Translation(Point.from_ints(d, shift))
             center = Point.from_ints(d, null_space(d, m_minus_s)[0])
-            return Homothety(center, _ratio(k, s, d))
+            return Homothety(center, ratio(k, s, d))
         if _minus_diagonal(mat_mul(m, m, d), zmul(s, s, d)) == _ZERO_MATRIX:
             fixed = null_space(d, m_minus_s)
             if len(fixed) == 2:

@@ -21,7 +21,6 @@ from .projective import (
     MID_AB,
     MID_BC,
     MID_CA,
-    Pair,
     Point,
     VERTEX_A,
     VERTEX_B,
@@ -29,10 +28,8 @@ from .projective import (
     complement,
     mat_mul,
     transpose,
-    zmul,
-    zscale,
-    zsum,
 )
+from .scalar import Pair, zmul, zscale, zsum
 from .conics import Conic
 from .constructions import ConstructionSet
 
@@ -191,28 +188,20 @@ def sample_conic(
     m = conic_cartesian_matrix(conic, tri)
     x0, y0 = bary_to_xy(seed_point, tri)
 
-    def quad(px, py, qx, qy):
-        return sum(
-            m[i][j] * (px, py, 1.0)[i] * (qx, qy, 1.0)[j]
-            for i in range(3)
-            for j in range(3)
-        )
+    def form(u, v):
+        return sum(m[i][j] * u[i] * v[j] for i in range(3) for j in range(3))
 
     pts: list[Optional[tuple[float, float]]] = []
     for k in range(_CONIC_STEPS + 1):
         theta = math.pi * k / _CONIC_STEPS
-        wx, wy = math.cos(theta), math.sin(theta)
-        denom = sum(
-            m[i][j] * (wx, wy, 0.0)[i] * (wx, wy, 0.0)[j]
-            for i in range(3)
-            for j in range(3)
-        )
-        mixed = quad(x0, y0, wx, wy)
+        w = (math.cos(theta), math.sin(theta), 0.0)  # a direction
+        denom = form(w, w)
+        mixed = form((x0, y0, 1.0), w)
         if abs(denom) < 1e-14:
             pts.append(None)
             continue
         t = -2.0 * mixed / denom
-        px, py = x0 + t * wx, y0 + t * wy
+        px, py = x0 + t * w[0], y0 + t * w[1]
         if not (abs(px) <= clip and abs(py) <= clip):  # off screen, or not finite
             pts.append(None)
         else:

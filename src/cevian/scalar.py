@@ -1,25 +1,28 @@
 """Exact numbers of Q and real quadratic extensions Q(sqrt(d)).
 
+The kernel computes on integer pairs (a, b) standing for a + b*sqrt(d) in
+Z[sqrt(d)]: their arithmetic, exact sign (``zsign``) and square root
+(``zsqrt``) live here, and so does ``quadratic_roots``, the one quadratic
+solver, whose roots stay numerators over one denominator.  A line meeting a
+conic is the only place a new square root appears.
+
 A ``Scalar`` is a value a + b*sqrt(d) with rational a, b and a square-free
-positive integer d.  Plain rationals are the degenerate case b = 0, d = 1.
-Values are immutable, always in canonical form, and compared structurally,
-so ``==`` is semantic equality.  Only one extension at a time is supported:
-combining scalars whose d fields differ (both with irrational part) is an
-error, never a coercion.  The geometry kernel computes, prints and hashes
-on integer pairs over Z[sqrt(d)] instead; it builds Scalars only to parse
-coordinates, to state a ratio, to find the roots of a quadratic (the one
-place a new square root appears), and for an explicit ``coords`` or
-``matrix`` view.  ``format_number`` is the one printer of a + b*sqrt(d),
-for Scalars and for the kernel's pairs alike.
-There is no conversion to float here: that happens only in rendering.
+positive integer d; plain rationals are the case b = 0, d = 1.  Values are
+immutable, canonical and compared structurally, so ``==`` is semantic
+equality.  Combining scalars of two different fields is an error, never a
+coercion.  Scalars are built only at the edges: by parsing, and by
+``ratio``, the one way a pair becomes a Scalar.  ``Scalar.sign``,
+``sqrt_in_field`` and ``solve_quadratic`` clear denominators and call the
+pair routines.  ``format_number`` prints Scalars and pairs alike; floats are
+made only in rendering.
 
 Canonical form is established where a value enters: the public constructor
 ``Scalar(a, b, d)`` (and ``parse`` and ``sqrt_of``, which call it) factors d
-to its square-free part.  Arithmetic on canonical operands keeps the d of an
-operand, which is square-free already, so it never factors d again; it builds
-its results with ``Scalar._make``, which only folds d to 1 when b is 0.
-Factoring a user-supplied d has a fixed step budget: a d whose prime factors
-are too large to find within it raises ``FactorizationBudgetExceeded``.
+to its square-free part.  Arithmetic keeps the square-free d of an operand
+and builds its results with ``Scalar._make``, which never factors.  Besides
+the constructor, only a discriminant that asks for a new field is factored.
+Factoring has a fixed step budget: a d whose prime factors are too large to
+find within it raises ``FactorizationBudgetExceeded``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["Scalar", int, Fraction]
@@ -164,16 +167,96 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return f, s
 
 
-def rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
+# ---------------------------------------------------------------------------
+# arithmetic in Z[sqrt(d)]
+
+Pair = tuple[int, int]  # (a, b) stands for a + b*sqrt(d)
+_ZERO: Pair = (0, 0)
+
+
+def zmul(x: Pair, y: Pair, d: int) -> Pair:
+    (a, b), (c, e) = x, y
+    return a * c + b * e * d, a * e + b * c
+
+
+def zsub(x: Pair, y: Pair) -> Pair:
+    return x[0] - y[0], x[1] - y[1]
+
+
+def zscale(k: int, x: Pair) -> Pair:
+    return k * x[0], k * x[1]
+
+
+def zsum(v: Iterable[Pair]) -> Pair:
+    a = b = 0
+    for x, y in v:
+        a += x
+        b += y
+    return a, b
+
+
+def combine(s: Pair, u: Sequence[Pair], t: Pair, v: Sequence[Pair], d: int) -> tuple[Pair, ...]:
+    """s*u + t*v, entrywise."""
+    (sa, sb), (ta, tb) = s, t
+    return tuple([
+        (sa * a + sb * b * d + ta * c + tb * e * d, sa * b + sb * a + ta * e + tb * c)
+        for (a, b), (c, e) in zip(u, v)
+    ])
+
+
+def divide_exactly(v: Sequence[Pair], y: Pair, d: int) -> list[Pair]:
+    """v / y entrywise in Z[sqrt(d)], for a nonzero y that divides every
+    entry; raises InexactDivision when one leaves a remainder."""
+    c, e = y
+    if e:  # times the conjugate c - e*sqrt(d): the divisor becomes its norm
+        v = [(a * c - b * e * d, b * c - a * e) for a, b in v]
+        c = c * c - e * e * d
+    out = []
+    for a, b in v:
+        qa, ra = divmod(a, c)
+        qb, rb = divmod(b, c)
+        if ra or rb:
+            raise InexactDivision(f"an entry is not a multiple of {y} in Z[sqrt({d})]")
+        out.append((qa, qb))
+    return out
+
+
+def zsign(x: Pair, d: int) -> int:
+    """The exact sign in {-1, 0, 1} of a + b*sqrt(d); decidable because d
+    is square-free."""
+    a, b = x
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    # a and b*sqrt(d) compete; |a| vs |b|sqrt(d) decided on squares
+    return sa if a * a > b * b * d else sb
+
+
+def zsqrt(x: Pair, d: int) -> Optional[Pair]:
+    """The nonnegative square root of a + b*sqrt(d) in Q(sqrt(d)), or None
+    if there is none; a root that exists lies in Z[sqrt(d)].  Over a d > 1 a
+    rational a may have the root s*sqrt(d)."""
+    a, b = x
+    if not b:
+        s = math.isqrt(a) if a >= 0 else -1
+        if s * s == a:
+            return s, 0
+        s = math.isqrt(a // d) if a > 0 else 0
+        return (0, s) if d != 1 and s * s * d == a else None
+    # (u + v*sqrt(d))^2 = a + b*sqrt(d): u^2 + v^2 d = a and 2uv = b, so the
+    # norm a^2 - b^2 d is the square of u^2 - v^2 d, and 2u^2 = a +- its root
+    norm = a * a - b * b * d
+    n = math.isqrt(norm) if norm >= 0 else -1
+    if n * n != norm:
         return None
-    if q == 0:
-        return Fraction(0)
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
+    for twice_u2 in (a + n, a - n):
+        u = math.isqrt(twice_u2 // 2) if twice_u2 > 0 else 0
+        if u and 2 * u * u == twice_u2 and b % (2 * u) == 0:
+            root = (u, b // (2 * u))
+            return root if zsign(root, d) > 0 else zscale(-1, root)
     return None
 
 
@@ -257,17 +340,9 @@ class Scalar:
         return self.a == 0 and self.b == 0
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}; decidable because d is square-free."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        sa = 1 if self.a > 0 else -1
-        sb = 1 if self.b > 0 else -1
-        if sa == sb:
-            return sa
-        # a and b*sqrt(d) compete; |a| vs |b|sqrt(d) decided on squares
-        return sa if self.a * self.a > self.b * self.b * self.d else sb
+        """Exact sign in {-1, 0, 1}: zsign of the pair times both denominators."""
+        a, b = self.a, self.b
+        return zsign((a.numerator * b.denominator, b.numerator * a.denominator), self.d)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -392,6 +467,36 @@ def as_scalar(value: ScalarLike) -> Scalar:
     return Scalar._coerce(value)
 
 
+def ratio(x: Pair, y: Pair, d: int) -> Scalar:
+    """x / y as a Scalar, for a nonzero y over Z[sqrt(d)]: the one way a
+    pair becomes a Scalar."""
+    (a, b), (c, e) = x, y
+    if e:
+        a, b, c = a * c - b * e * d, b * c - a * e, c * c - e * e * d
+    return _make(Fraction(a, c), Fraction(b, c), d)
+
+
+def integer_vector(values: Sequence[ScalarLike]) -> tuple[int, int, list[Pair]]:
+    """(d, den, v): v is the values times den, the lcm of their
+    denominators, as pairs over the one field Q(sqrt(d)) they share."""
+    parts = []
+    d = 1
+    for x in values:
+        if isinstance(x, Scalar):
+            if x.b:
+                d = join_d(d, x.d)
+            parts.append((x.a, x.b))
+        elif isinstance(x, (int, Fraction)):
+            parts.append((x, 0))
+        else:
+            as_scalar(x)  # raises the TypeError of a value that is no Scalar
+    den = math.lcm(*[r.denominator for pair in parts for r in pair])
+    return d, den, [
+        (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+        for a, b in parts
+    ]
+
+
 # ---------------------------------------------------------------------------
 # quadratic solving
 
@@ -424,86 +529,100 @@ class NoRealRoots:
     """Negative discriminant: no roots in any real quadratic extension."""
 
 
+@dataclass(frozen=True)
+class Roots:
+    """Roots over Z[sqrt(d)] as numerators over one denominator: n / den
+    for each n in nums.  d is 1 when den and every numerator are rational."""
+
+    d: int
+    den: Pair
+    nums: tuple[Pair, ...]
+
+
 QuadraticResult = Union[TwoRoots, DoubleRoot, Linear, NeedsExtension, NoRealRoots]
+
+
+def _coefficient_field(ds: Iterable[int], field_d: Optional[int]) -> int:
+    """The one field Q(sqrt(d)) of field_d and of the irrational coefficients' ds."""
+    ambient = field_d if field_d is not None else 1
+    for d in ds:
+        if ambient not in (1, d):
+            raise IncompatibleExtensions(f"coefficients mix sqrt({ambient}) and sqrt({d})")
+        ambient = d
+    return ambient
+
+
+def _roots(d: int, den: Pair, *nums: Pair) -> Roots:
+    rational = not den[1] and not any(b for _, b in nums)
+    return Roots(1 if rational else d, den, nums)
+
+
+def quadratic_roots(
+    a: Pair, b: Pair, c: Pair, d: int, field_d: Optional[int] = None, den: int = 1
+) -> Union[Roots, NeedsExtension, NoRealRoots]:
+    """Exact roots of a*x^2 + b*x + c for a, b, c over Z[sqrt(d)], in their
+    field, which a square-free field_d widens when they are rational.
+
+    The roots are -b + r and -b - r over 2a, r the positive square root of
+    the discriminant; a double root is -b over 2a, and the root of a linear
+    equation -c over b.  A positive non-square rational discriminant over Q
+    returns NeedsExtension(f), f its square-free part, to re-solve with
+    field_d=f; a second, distinct extension raises IncompatibleExtensions.
+    For coefficients den times the equation's, f and messages speak of the
+    equation's discriminant.
+    """
+    ambient = _coefficient_field([d for x in (a, b, c) if x[1]], field_d)
+    if a == _ZERO:
+        if b == _ZERO:
+            if c == _ZERO:
+                raise AllZeroEquation("0 = 0 holds identically")
+            raise DegenerateEquation("constant nonzero equation has no roots")
+        return _roots(ambient, b, zscale(-1, c))
+    disc = zsub(zmul(b, b, ambient), zscale(4, zmul(a, c, ambient)))
+    if disc == _ZERO:
+        return _roots(ambient, zscale(2, a), zscale(-1, b))
+    if zsign(disc, ambient) < 0:
+        return NoRealRoots()
+    r = zsqrt(disc, ambient)
+    if r is not None:
+        return _roots(ambient, zscale(2, a), zsub(r, b), zsub(zscale(-1, r), b))
+    q = Fraction(disc[0], den * den), Fraction(disc[1], den * den)
+    if not disc[1]:
+        f, _ = squarefree_decompose(q[0].numerator * q[0].denominator)
+        if ambient != 1:
+            raise IncompatibleExtensions(f"root needs sqrt({f}) on top of sqrt({ambient})")
+        return NeedsExtension(f)
+    raise IncompatibleExtensions(
+        f"discriminant {format_number(*q, ambient)} has no square root in Q(sqrt({ambient}))"
+    )
 
 
 def sqrt_in_field(x: Scalar, ambient_d: Optional[int] = None) -> Optional[Scalar]:
     """Square root of x within Q(sqrt(ambient_d)), or None if there is none.
 
-    ambient_d defaults to the extension x itself lives in; passing a wider
-    field lets a rational x have the root s*sqrt(d) (when x/d is a square).
+    ambient_d (square-free) defaults to the extension x itself lives in; a
+    wider field lets a rational x have the root s*sqrt(d).  The root is that
+    of x*den^2 over den, for the denominator den of x.
     """
     ambient = ambient_d if ambient_d is not None else x.d
     if x.d != 1 and ambient != x.d:
         raise IncompatibleExtensions(f"{x} does not live in Q(sqrt({ambient}))")
-    if x.is_zero():
-        return x
-    if x.sign() < 0:
-        return None
-    if x.b == 0:
-        r = rational_sqrt(x.a)
-        if r is not None:
-            return Scalar(r)
-        if ambient != 1:
-            r = rational_sqrt(x.a / ambient)
-            if r is not None:
-                return Scalar(0, r, ambient)
-        return None
-    # solve (u + v*sqrt(d))^2 = a + b*sqrt(d): u^2 + v^2 d = a, 2uv = b
-    n = rational_sqrt(x.a * x.a - x.b * x.b * x.d)
-    if n is None:
-        return None
-    for candidate in ((x.a + n) / 2, (x.a - n) / 2):
-        u = rational_sqrt(candidate)
-        if u is not None and u != 0:
-            v = x.b / (2 * u)
-            root = _make(u, v, x.d)
-            if root * root == x:
-                return root if root.sign() > 0 else -root
-    return None
+    _, den, [(a, b)] = integer_vector([x])
+    r = zsqrt((a * den, b * den), ambient)
+    return None if r is None else ratio(r, (den, 0), ambient)
 
 
 def solve_quadratic(
     a: ScalarLike, b: ScalarLike, c: ScalarLike, field_d: Optional[int] = None
 ) -> QuadraticResult:
-    """Exact roots of a*x^2 + b*x + c over the coefficients' field.
-
-    A square discriminant yields the roots directly.  A positive non-square
-    rational discriminant (with rational coefficients) returns
-    NeedsExtension(f) where f is its square-free part; re-solving with
-    field_d=f then succeeds in Q(sqrt(f)).  A root that would need a second,
-    distinct extension raises IncompatibleExtensions.
-    """
-    a, b, c = as_scalar(a), as_scalar(b), as_scalar(c)
-    ambient = field_d if field_d is not None else 1
-    for coeff in (a, b, c):
-        if coeff.d != 1:
-            if ambient not in (1, coeff.d):
-                raise IncompatibleExtensions(
-                    f"coefficients mix sqrt({ambient}) and sqrt({coeff.d})"
-                )
-            ambient = coeff.d
-    if a.is_zero() and b.is_zero():
-        if c.is_zero():
-            raise AllZeroEquation("0 = 0 holds identically")
-        raise DegenerateEquation("constant nonzero equation has no roots")
-    if a.is_zero():
-        return Linear(-c / b)
-    disc = b * b - 4 * a * c
-    if disc.is_zero():
-        return DoubleRoot(-b / (2 * a))
-    if disc.sign() < 0:
-        return NoRealRoots()
-    root = sqrt_in_field(disc, ambient)
-    if root is not None:
-        return TwoRoots((-b + root) / (2 * a), (-b - root) / (2 * a))
-    if disc.b == 0:
-        f, _ = squarefree_decompose(disc.a.numerator * disc.a.denominator)
-        if ambient != 1:
-            raise IncompatibleExtensions(
-                f"root needs sqrt({f}) on top of sqrt({ambient})"
-            )
-        return NeedsExtension(f)
-    raise IncompatibleExtensions(
-        f"discriminant {disc} has no square root in Q(sqrt({disc.d}))"
-    )
+    """Exact roots of a*x^2 + b*x + c over the coefficients' field, as
+    Scalars: `quadratic_roots` on the coefficients times the lcm of their
+    denominators.  NeedsExtension(f) asks to re-solve with field_d=f."""
+    coeffs = [as_scalar(x) for x in (a, b, c)]
+    _coefficient_field([x.d for x in coeffs if x.b], field_d)  # mixed fields raise first
+    d, den, (a2, b2, c2) = integer_vector(coeffs)
+    out = quadratic_roots(a2, b2, c2, d, field_d, den)
+    if not isinstance(out, Roots):
+        return out
+    kind = TwoRoots if len(out.nums) == 2 else Linear if a2 == _ZERO else DoubleRoot
+    return kind(*[ratio(n, out.den, out.d) for n in out.nums])

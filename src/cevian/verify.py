@@ -189,42 +189,15 @@ class CheckContext:
 
 CheckFn = Callable[[CheckContext, Claims], None]
 REGISTRY: dict[str, CheckFn] = {}
-
-# One entry per implemented claim; the registry meta-test asserts this list
-# and the registered ids coincide.
-DOCUMENTED_CHECKS: tuple[tuple[str, str], ...] = (
-    ("thm_HO_formula", "affine formulas for the two generalized centers match their parallel-line definitions"),
-    ("lambda_maps", "the cevian-transfer map sends p to q_iso and the orthocenter-like point to q"),
-    ("eta_reflection", "the iso-reflection swaps the primed and unprimed centers and keeps joins parallel"),
-    ("H_on_cevian_conic", "both orthocenter-like points lie on the cevian conic"),
-    ("ninepoint_center_complement", "the nine-point conic of a,b,c,p_iso is centered at the complement of q"),
-    ("NH_complement_of_circumconic", "the orthocenter nine-point conic is the complement and half-turn image of the circumconic"),
-    ("M_to_inconic", "the circum-to-inconic map is a homothety or translation fixing the insimilicenter"),
-    ("Z_fixed_point", "the cevian-conic center is fixed by the composite map and lies on the nine-point conic"),
-    ("phi_map_algebra", "the ninepoint-to-inconic map algebra: images of n, k(s), k(q_iso), and p/p_iso symmetry"),
-    ("gen_feuerbach_tangency", "the nine-point conic and the inconic are tangent at the cevian-conic center"),
-    ("Z_on_lines", "the cevian-conic center is the meet of the axis with the q-to-n line"),
-    ("Ztilde_fourth_intersection", "the reflected center is the fourth common point of cevian conic and circumconic"),
-    ("S1T1_parallel", "the two cevian chords of the circumconic from a vertex subtend a side-parallel"),
-    ("lemma_equivalences_HA", "vertex-orthocenter points satisfy the parallelogram and collinearity equivalences"),
-    ("four_points_same_HO", "the anticevian sibling points share both generalized centers and their conics meet in a,b,c,h"),
-    ("perspectivity_medial_transfer", "q is the perspector of the medial triangle and the transfer image of abc"),
-    ("perspectivity_anticevian_medial", "the orthocenter preimage is the perspector of the two anticevian-derived triangles"),
-    ("perspectivity_ABC_medial", "the orthocenter-like point is the perspector of abc and a transfer-medial triangle"),
-    ("perspectivity_ceva_conjugate", "the orthocenter preimage is the perspector of the anticevian and iso-cevian triangles"),
-    ("perspectivity_second_cevian", "the orthocenter-like point is the perspector of the inverse-transfer and second-cevian triangles"),
-    ("gergonne_feuerbach_hyperbola", "for the gergonne point the cevian conic carries the classical centers"),
-    ("psi_involutions_agree", "the three central conics induce one conjugate-direction involution at infinity"),
-    ("Htilde_midpoint_reflection", "the orthocenter preimage is a p_iso midpoint and the reflection of q in the circumcenter"),
-    ("HA_fallback_tangency", "when the orthocenter-like point is a vertex, the complement conic is tangent to the circumconic there"),
-    ("steiner_collapse", "on the outer centroid ellipse the three centers collapse to one infinite point"),
-    ("special_sqrt2_configuration", "the sqrt(2) configuration: translation map, collinear centers, and exact ratios"),
-)
+_DESCRIPTIONS: dict[str, str] = {}
 
 
-def _register(check_id: str):
+def _register(check_id: str, description: str):
+    """Register a check under its id, with the claim it decides."""
+
     def deco(fn: CheckFn) -> CheckFn:
         REGISTRY[check_id] = fn
+        _DESCRIPTIONS[check_id] = description
         return fn
 
     return deco
@@ -268,7 +241,7 @@ def classical_centers(sides: Sequence[Fraction]) -> dict[str, Point]:
 # the checks
 
 
-@_register("thm_HO_formula")
+@_register("thm_HO_formula", "affine formulas for the two generalized centers match their parallel-line definitions")
 def _check_ho_formula(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     o_formula = cs.cevian_map_iso.inverse()(complement(cs.q))
@@ -285,7 +258,7 @@ def _check_ho_formula(ctx: CheckContext, cl: Claims) -> None:
     cl.note("o", cs.circumcenter)
 
 
-@_register("lambda_maps")
+@_register("lambda_maps", "the cevian-transfer map sends p to q_iso and the orthocenter-like point to q")
 def _check_lambda(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_median()
     ctx.require_off_steiner()
@@ -300,7 +273,7 @@ def _check_lambda(ctx: CheckContext, cl: Claims) -> None:
     )
 
 
-@_register("eta_reflection")
+@_register("eta_reflection", "the iso-reflection swaps the primed and unprimed centers and keeps joins parallel")
 def _check_eta(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_median()
     ctx.require_off_steiner()
@@ -320,7 +293,7 @@ def _check_eta(ctx: CheckContext, cl: Claims) -> None:
         cl.true("hh_parallel_pp", parallel(join(cs.orthocenter, cs.orthocenter_iso), pp))
 
 
-@_register("H_on_cevian_conic")
+@_register("H_on_cevian_conic", "both orthocenter-like points lie on the cevian conic")
 def _check_h_on_cp(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_median()
     ctx.require_off_steiner()
@@ -330,7 +303,7 @@ def _check_h_on_cp(ctx: CheckContext, cl: Claims) -> None:
     cl.true("h_iso_on_conic", conic.contains(cs.orthocenter_iso), cs.orthocenter_iso)
 
 
-@_register("ninepoint_center_complement")
+@_register("ninepoint_center_complement", "the nine-point conic of a,b,c,p_iso is centered at the complement of q")
 def _check_ninepoint_center(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     cl.equal("center_is_k_of_q", cs.ninepoint_conic_iso.center(), complement(cs.q))
@@ -350,7 +323,7 @@ def _check_ninepoint_center(ctx: CheckContext, cl: Claims) -> None:
         )
 
 
-@_register("NH_complement_of_circumconic")
+@_register("NH_complement_of_circumconic", "the orthocenter nine-point conic is the complement and half-turn image of the circumconic")
 def _check_nh_complement(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     if cs.flags.h_is_vertex:
@@ -384,7 +357,7 @@ def _check_nh_complement(ctx: CheckContext, cl: Claims) -> None:
     )
 
 
-@_register("M_to_inconic")
+@_register("M_to_inconic", "the circum-to-inconic map is a homothety or translation fixing the insimilicenter")
 def _check_m_to_inconic(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     kind = cs.circum_to_inconic.classify()
@@ -424,7 +397,7 @@ def _check_m_to_inconic(ctx: CheckContext, cl: Claims) -> None:
             cl.equal("s_from_iso_line", s, meet(oq, oq_iso))
 
 
-@_register("Z_fixed_point")
+@_register("Z_fixed_point", "the cevian-conic center is fixed by the composite map and lies on the nine-point conic")
 def _check_z_fixed(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     z = ctx.require_center(cs.feuerbach_point, "feuerbach_point")
@@ -438,7 +411,7 @@ def _check_z_fixed(ctx: CheckContext, cl: Claims) -> None:
     )
 
 
-@_register("phi_map_algebra")
+@_register("phi_map_algebra", "the ninepoint-to-inconic map algebra: images of n, k(s), k(q_iso), and p/p_iso symmetry")
 def _check_phi(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     phi = cs.ninepoint_to_inconic
@@ -485,7 +458,7 @@ def _check_phi(ctx: CheckContext, cl: Claims) -> None:
             )
 
 
-@_register("gen_feuerbach_tangency")
+@_register("gen_feuerbach_tangency", "the nine-point conic and the inconic are tangent at the cevian-conic center")
 def _check_feuerbach(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     z = ctx.require_center(cs.feuerbach_point, "feuerbach_point")
@@ -514,7 +487,7 @@ def _check_feuerbach(ctx: CheckContext, cl: Claims) -> None:
         cl.true(f"iso_inconic_contact_{i}", cs.inconic_iso.contains(t))
 
 
-@_register("Z_on_lines")
+@_register("Z_on_lines", "the cevian-conic center is the meet of the axis with the q-to-n line")
 def _check_z_on_lines(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_median()
     cs = ctx.cs
@@ -538,7 +511,7 @@ def _check_z_on_lines(ctx: CheckContext, cl: Claims) -> None:
         cl.equal("anticevian_conic_center", pullback.center(), anticomplement(z))
 
 
-@_register("Ztilde_fourth_intersection")
+@_register("Ztilde_fourth_intersection", "the reflected center is the fourth common point of cevian conic and circumconic")
 def _check_ztilde(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     zt = ctx.require_center(cs.fourth_intersection, "fourth_intersection")
@@ -547,7 +520,7 @@ def _check_ztilde(ctx: CheckContext, cl: Claims) -> None:
     cl.true("ztilde_on_circumconic", cs.circumconic.contains(zt), zt)
 
 
-@_register("S1T1_parallel")
+@_register("S1T1_parallel", "the two cevian chords of the circumconic from a vertex subtend a side-parallel")
 def _check_s1t1(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     if cs.orthocenter.is_infinite():
@@ -571,7 +544,7 @@ def _check_s1t1(ctx: CheckContext, cl: Claims) -> None:
     cl.true("s1t1_parallel_side", parallel(join(s1, t1), SIDE_BC))
 
 
-@_register("lemma_equivalences_HA")
+@_register("lemma_equivalences_HA", "vertex-orthocenter points satisfy the parallelogram and collinearity equivalences")
 def _check_lemma_ha(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     if cs.flags.h_is_vertex != "A":
@@ -596,7 +569,7 @@ def _check_lemma_ha(ctx: CheckContext, cl: Claims) -> None:
     )
 
 
-@_register("four_points_same_HO")
+@_register("four_points_same_HO", "the anticevian sibling points share both generalized centers and their conics meet in a,b,c,h")
 def _check_four_points(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_median()
     ctx.require_off_steiner()
@@ -628,7 +601,7 @@ def _check_four_points(ctx: CheckContext, cl: Claims) -> None:
             cl.true(f"conic_{i}_contains_{tag}", conic.contains(pt))
 
 
-@_register("perspectivity_medial_transfer")
+@_register("perspectivity_medial_transfer", "q is the perspector of the medial triangle and the transfer image of abc")
 def _check_persp_a(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_median()
     ctx.require_off_steiner()
@@ -637,7 +610,7 @@ def _check_persp_a(ctx: CheckContext, cl: Claims) -> None:
     cl.equal("perspector_is_q", perspector(MIDPOINTS, tri2), cs.q)
 
 
-@_register("perspectivity_anticevian_medial")
+@_register("perspectivity_anticevian_medial", "the orthocenter preimage is the perspector of the two anticevian-derived triangles")
 def _check_persp_b(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_median()
     ctx.require_off_steiner()
@@ -653,7 +626,7 @@ def _check_persp_b(ctx: CheckContext, cl: Claims) -> None:
     )
 
 
-@_register("perspectivity_ABC_medial")
+@_register("perspectivity_ABC_medial", "the orthocenter-like point is the perspector of abc and a transfer-medial triangle")
 def _check_persp_c(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_median()
     ctx.require_off_steiner()
@@ -668,7 +641,7 @@ def _check_persp_c(ctx: CheckContext, cl: Claims) -> None:
     cl.true("a_h_collinear", are_collinear(VERTEX_A, cs.orthocenter, tri2[0]))
 
 
-@_register("perspectivity_ceva_conjugate")
+@_register("perspectivity_ceva_conjugate", "the orthocenter preimage is the perspector of the anticevian and iso-cevian triangles")
 def _check_persp_d(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_median()
     ctx.require_off_steiner()
@@ -682,7 +655,7 @@ def _check_persp_d(ctx: CheckContext, cl: Claims) -> None:
     )
 
 
-@_register("perspectivity_second_cevian")
+@_register("perspectivity_second_cevian", "the orthocenter-like point is the perspector of the inverse-transfer and second-cevian triangles")
 def _check_persp_e(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_median()
     ctx.require_off_steiner()
@@ -695,7 +668,7 @@ def _check_persp_e(ctx: CheckContext, cl: Claims) -> None:
     )
 
 
-@_register("gergonne_feuerbach_hyperbola")
+@_register("gergonne_feuerbach_hyperbola", "for the gergonne point the cevian conic carries the classical centers")
 def _check_gergonne(ctx: CheckContext, cl: Claims) -> None:
     sides = ctx.config.sides
     if sides is None:
@@ -718,7 +691,7 @@ _PSI_DIRECTIONS = tuple(
 )
 
 
-@_register("psi_involutions_agree")
+@_register("psi_involutions_agree", "the three central conics induce one conjugate-direction involution at infinity")
 def _check_psi(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     if cs.q.is_infinite() or cs.circumcenter.is_infinite():
@@ -747,7 +720,7 @@ def _check_psi(ctx: CheckContext, cl: Claims) -> None:
         raise _Skip("all probe directions were self-conjugate")
 
 
-@_register("Htilde_midpoint_reflection")
+@_register("Htilde_midpoint_reflection", "the orthocenter preimage is a p_iso midpoint and the reflection of q in the circumcenter")
 def _check_htilde(ctx: CheckContext, cl: Claims) -> None:
     ctx.require_off_steiner()
     cs = ctx.cs
@@ -760,7 +733,7 @@ def _check_htilde(ctx: CheckContext, cl: Claims) -> None:
     cl.equal("preimage_is_reflection", ht, reflect_through(cs.circumcenter, cs.q))
 
 
-@_register("HA_fallback_tangency")
+@_register("HA_fallback_tangency", "when the orthocenter-like point is a vertex, the complement conic is tangent to the circumconic there")
 def _check_ha_fallback(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     which = cs.flags.h_is_vertex
@@ -784,7 +757,7 @@ def _check_ha_fallback(ctx: CheckContext, cl: Claims) -> None:
         cl.true(f"nh_contains_{name}", cs.ninepoint_conic.contains(pt))
 
 
-@_register("steiner_collapse")
+@_register("steiner_collapse", "on the outer centroid ellipse the three centers collapse to one infinite point")
 def _check_steiner(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     if not cs.flags.on_steiner_circumellipse:
@@ -798,7 +771,7 @@ def _check_steiner(ctx: CheckContext, cl: Claims) -> None:
     cl.equal("inconic_center", cs.inconic.center(), cs.q)
 
 
-@_register("special_sqrt2_configuration")
+@_register("special_sqrt2_configuration", "the sqrt(2) configuration: translation map, collinear centers, and exact ratios")
 def _check_special(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     if cs.flags.h_is_vertex != "A" or cs.circumcenter != MID_BC:
@@ -842,6 +815,10 @@ def _check_special(ctx: CheckContext, cl: Claims) -> None:
                 f"tangent_{i}_through_vertex",
                 incident(VERTEX_A, locus.tangent_at(pt)),
             )
+
+
+# One entry per implemented claim, in registration order.
+DOCUMENTED_CHECKS: tuple[tuple[str, str], ...] = tuple(_DESCRIPTIONS.items())
 
 
 # ---------------------------------------------------------------------------

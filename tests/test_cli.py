@@ -13,7 +13,15 @@ from cevian.cli import main
 from cevian.constructions import construct
 from cevian.projective import AffineMap, Line, Point
 from cevian.conics import Conic
-from cevian.render import RenderTriangle, direction_to_xy, named_points
+from cevian.conics import steiner_circumellipse
+from cevian.render import (
+    RenderTriangle,
+    conic_cartesian_matrix,
+    direction_to_xy,
+    named_conics,
+    named_points,
+    sample_conic,
+)
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -343,6 +351,27 @@ def test_svg_element_inventory(tmp_path):
         assert ident in svg
     assert "nan" not in svg.lower()
     assert "inf" not in svg.lower().replace("infinity", "")
+
+
+@pytest.mark.parametrize("tri", ["0,0;1,0;7/20,4/5", "-1/3,2;7,1/9;3,-5"])
+@pytest.mark.parametrize("p", [Point(2, 3, 6), Point(7, 3, 2), Point(5, -3, 9)])
+def test_sampled_conics_lie_on_their_conics(p, tri):
+    """Every drawn point of every named conic satisfies the conic's float
+    matrix up to rounding: |X^T M X| is below 1e-12 of the sum of the
+    absolute values of its terms."""
+    tri = RenderTriangle.parse(tri)
+    steiner = ("steiner", "S_E", steiner_circumellipse(), Point(-2, -2, 1))
+    rows = named_conics(construct(p)) + [steiner]
+    for slug, _, conic, seed in rows:
+        m = conic_cartesian_matrix(conic, tri)
+        sampled = 0
+        for segment in sample_conic(conic, seed, tri, clip=1e3):
+            for x, y in segment:
+                v = (x, y, 1.0)
+                terms = [m[i][j] * v[i] * v[j] for i in range(3) for j in range(3)]
+                assert abs(sum(terms)) < 1e-12 * sum(map(abs, terms)), (slug, x, y)
+                sampled += 1
+        assert sampled > 100, slug
 
 
 def test_svg_deterministic(tmp_path):

@@ -6,17 +6,24 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cevian import scalar as scalar_module
-from cevian.scalar import InexactDivision, Scalar, as_scalar
+from cevian.scalar import InexactDivision, NeedsExtension, Scalar, as_scalar, divide_exactly
 from cevian.conics import (
+    Conic,
+    NoRealIntersection,
+    TangentAt,
+    TwoPoints,
     circumconic_with_center,
     conic_through_five,
     inconic_with_contacts,
+    infinity_intersection_count,
+    line_conic_intersections,
     nine_point_conic,
     transform_conic,
 )
 from cevian.cli import main as cli_main
-from cevian.constructions import construct, locus_conic, z_locus_sweep
+from cevian.constructions import construct, locus_conic, special_configuration_point, z_locus_sweep
 from cevian.render import RenderTriangle
+from cevian.verify import run_suite
 from cevian.projective import (
     AffineMap,
     AffineReflection,
@@ -50,7 +57,6 @@ from cevian.projective import (
     cevian_map,
     cevian_traces,
     collinear_ratio,
-    divide_exactly,
     HomogeneousMatrix,
     HomogeneousTriple,
     complement,
@@ -607,6 +613,48 @@ def test_solvers_build_no_scalar(scalar_arithmetic, p, other):
     assert solved[1] == cs.cevian_conic
     assert solved[2] == cs.inconic
     assert solved[4] == cs.circumconic
+
+
+@pytest.mark.parametrize("p, other", FIELD_POINTS)
+def test_quadratic_roots_build_no_scalar(scalar_arithmetic, p, other):
+    """A line meets a conic on pair vectors in each of the four outcomes, the
+    lifted one included: the roots stay numerators over one denominator.
+    So does the sqrt(2) point, and the count of meets at infinity reads the
+    sign of the discriminant."""
+    cs = construct(p)
+    conic = cs.cevian_conic
+    secant, tangent = join(cs.p, cs.q), conic.tangent_at(cs.p)
+    inellipse = inconic_with_contacts(MID_BC, MID_CA, MID_AB)
+    locus = Conic(((-2, 1, 1), (1, 0, 1), (1, 1, 0)))
+    l_g = Line(-2, 1, 1)
+    parabola = construct(Point(3, 6, -2)).inconic
+    hyperbola = circumconic_with_center(Point(1, 2, -4))
+    scalar_arithmetic.clear()
+    outcomes = [
+        line_conic_intersections(secant, conic),
+        line_conic_intersections(tangent, conic),
+        line_conic_intersections(LINE_AT_INFINITY, inellipse),
+        line_conic_intersections(l_g, locus),
+        line_conic_intersections(l_g, locus, field_d=2),
+    ]
+    special = special_configuration_point()
+    counts = [infinity_intersection_count(c) for c in (inellipse, parabola, hyperbola)]
+    assert scalar_arithmetic["built"] == 0
+    assert outcomes[0] in (TwoPoints(cs.p, cs.q), TwoPoints(cs.q, cs.p))
+    assert outcomes[1] == TangentAt(cs.p)
+    assert outcomes[2:4] == [NoRealIntersection(), NeedsExtension(2)]
+    assert isinstance(outcomes[4], TwoPoints) and locus.contains(outcomes[4].p1)
+    assert str(special) == "(1 : 1+1*sqrt(2) : 1-1*sqrt(2))"
+    assert counts == [0, 1, 2]
+
+
+def test_suite_scalar_totals(scalar_arithmetic):
+    """The Scalars of run_suite(42, 25): the ratios of the homotheties the
+    checks classify, and the two collinear ratios of the sqrt(2)
+    configuration, whose squares are the suite's only Scalar arithmetic."""
+    run_suite(42, 25)
+    assert scalar_arithmetic["built"] == 95
+    assert arithmetic(scalar_arithmetic) == scalar_arithmetic["mul"] == 2
 
 
 def kernel_members(cs):

@@ -19,7 +19,6 @@ from cevian.scalar import (
     NoRealRoots,
     Scalar,
     TwoRoots,
-    rational_sqrt,
     solve_quadratic,
     sqrt_in_field,
     squarefree_decompose,
@@ -183,10 +182,10 @@ def test_squarefree_budget_exceeded_names_n():
 
 
 def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(Fraction(-1)) is None
-    assert rational_sqrt(Fraction(0)) == 0
+    assert sqrt_in_field(Scalar(Fraction(9, 4))) == Fraction(3, 2)
+    assert sqrt_in_field(Scalar(2)) is None
+    assert sqrt_in_field(Scalar(-1)) is None
+    assert sqrt_in_field(Scalar(0)) == 0
 
 
 def test_solve_quadratic_factorable():

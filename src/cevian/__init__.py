@@ -6,16 +6,7 @@ extensions Q(sqrt(d)), the conic constructions attached to a driving point
 and a zero-tolerance verifier for the theorems relating them.
 """
 
-from .scalar import (
-    Scalar,
-    solve_quadratic,
-    sqrt_in_field,
-    TwoRoots,
-    DoubleRoot,
-    Linear,
-    NeedsExtension,
-    NoRealRoots,
-)
+from .scalar import Scalar, NeedsExtension, NoRealRoots
 from .projective import (
     AffineMap,
     Line,
@@ -57,14 +48,11 @@ __all__ = [
     "Conic",
     "ConstructionSet",
     "DOCUMENTED_CHECKS",
-    "DoubleRoot",
     "Line",
-    "Linear",
     "NeedsExtension",
     "NoRealRoots",
     "Point",
     "Scalar",
-    "TwoRoots",
     "anticevian_family",
     "anticomplement",
     "circumconic_with_center",
@@ -83,9 +71,7 @@ __all__ = [
     "run_check",
     "run_suite",
     "sample_nondegenerate",
-    "solve_quadratic",
     "special_configuration",
     "special_configuration_point",
-    "sqrt_in_field",
     "steiner_circumellipse",
 ]

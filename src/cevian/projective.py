@@ -200,36 +200,24 @@ def null_space(d: int, rows: Iterable[Sequence[Pair]]) -> list[Vector]:
 
 
 # ---------------------------------------------------------------------------
-# points and lines
+# canonical objects: points, lines, maps and conics
 
 
-class HomogeneousTriple:
-    """A point or line as the canonical integer vector of its coordinates
-    over Z[sqrt(d)], so that equality up to nonzero scale is structural
-    equality.  Subclasses differ only in their brackets and their own
-    predicates."""
+class CanonicalObject:
+    """An object held as one canonical integer vector over Z[sqrt(d)] (its
+    coordinates, or its matrix rows), so that equality up to nonzero scale
+    is structural equality of the type, d and ints.  Subclasses build the
+    vector in `_set` and print it in `__str__`."""
 
     __slots__ = ("d", "ints")
-    BRACKETS = "()"
-
-    def __init__(self, x: ScalarLike, y: ScalarLike, z: ScalarLike):
-        d, _, v = integer_vector((x, y, z))
-        self._set(d, v)
-
-    def _set(self, d: int, v: Sequence[Pair]) -> None:
-        self.d, self.ints = _canonical(d, v)
 
     @classmethod
-    def from_ints(cls, d: int, v: Sequence[Pair]):
-        """The object with coordinates v over Z[sqrt(d)], up to scale."""
+    def from_ints(cls, d: int, v):
+        """The object with coordinates (or matrix rows) v over Z[sqrt(d)],
+        up to scale."""
         obj = object.__new__(cls)
         obj._set(d, v)
         return obj
-
-    @property
-    def coords(self) -> Triple:
-        """The canonical coordinates as Scalars, built on each access."""
-        return tuple([ratio(x, _ONE, self.d) for x in self.ints])  # type: ignore[return-value]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
@@ -241,6 +229,26 @@ class HomogeneousTriple:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
+
+
+class HomogeneousTriple(CanonicalObject):
+    """A point or line by the canonical vector of its coordinates.
+    Subclasses differ only in their brackets and their own predicates."""
+
+    __slots__ = ()
+    BRACKETS = "()"
+
+    def __init__(self, x: ScalarLike, y: ScalarLike, z: ScalarLike):
+        d, v = integer_vector((x, y, z))
+        self._set(d, v)
+
+    def _set(self, d: int, v: Sequence[Pair]) -> None:
+        self.d, self.ints = _canonical(d, v)
+
+    @property
+    def coords(self) -> Triple:
+        """The canonical coordinates as Scalars, built on each access."""
+        return tuple([ratio(x, _ONE, self.d) for x in self.ints])  # type: ignore[return-value]
 
     def __str__(self) -> str:
         inner = " : ".join(format_number(a, b, self.d) for a, b in self.ints)
@@ -426,19 +434,18 @@ class GeneralMap:
 Classification = Union[Identity, Translation, Homothety, AffineReflection, GeneralMap]
 
 
-class HomogeneousMatrix:
-    """A 3x3 matrix up to nonzero scale, stored as the canonical integer
-    vector of its flattening over Z[sqrt(d)], so that projective equality is
-    structural equality.  Subclasses add only their own validation of the
-    rows, which runs on the ints before the content is divided out."""
+class HomogeneousMatrix(CanonicalObject):
+    """A 3x3 matrix up to nonzero scale, by the canonical vector of its
+    flattening, held as rows.  Subclasses add only their own validation of
+    the rows, which runs on the ints before the content is divided out."""
 
-    __slots__ = ("d", "ints")
+    __slots__ = ()
 
     def __init__(self, matrix: Sequence[Sequence[ScalarLike]]):
         rows = [tuple(row) for row in matrix]
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("3x3 matrix required")
-        d, _, flat = integer_vector([x for row in rows for x in row])
+        d, flat = integer_vector([x for row in rows for x in row])
         self._set(d, (tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9])))
 
     def _set(self, d: int, rows: Sequence[Sequence[Pair]]) -> None:
@@ -446,13 +453,6 @@ class HomogeneousMatrix:
         d, flat = _canonical(d, [x for row in rows for x in row])
         self.d = d
         self.ints: Rows = (flat[0:3], flat[3:6], flat[6:9])
-
-    @classmethod
-    def from_ints(cls, d: int, rows: Sequence[Sequence[Pair]]):
-        """The object with matrix rows over Z[sqrt(d)], up to scale."""
-        obj = object.__new__(cls)
-        obj._set(d, rows)
-        return obj
 
     def _validate(self, rows: Sequence[Sequence[Pair]]) -> None:
         pass
@@ -465,17 +465,6 @@ class HomogeneousMatrix:
 
     def is_degenerate(self) -> bool:
         return det3(self.ints, self.d) == _ZERO
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.d == other.d and self.ints == other.ints
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.d, self.ints))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({str(self)!r})"
 
     def __str__(self) -> str:
         d = self.d

@@ -55,7 +55,10 @@ class RenderTriangle:
 
     @classmethod
     def parse(cls, text: str) -> "RenderTriangle":
-        """Parse "x1,y1;x2,y2;x3,y3" with exact rational entries."""
+        """Parse "x1,y1;x2,y2;x3,y3" with exact rational entries, written
+        in ASCII."""
+        if not text.isascii():
+            raise ValueError(f"triangle {text!r} has a character that is not ASCII")
         parts = text.strip().split(";")
         if len(parts) != 3:
             raise ValueError("triangle needs three semicolon-separated vertices")
@@ -374,13 +377,17 @@ def render_svg(
             continue
         out.append(f'<g id="conic-{slug}" fill="none" stroke="{_CONIC_STYLE.get(slug, "#666666")}" stroke-width="1.2">')
         clip = 8.0 * max(span, 1.0)
-        segments = sample_conic(conic, seed, tri, clip=clip)
-        for segment in segments:
-            coords = " ".join(
+        segments = []
+        for segment in sample_conic(conic, seed, tri, clip=clip):
+            drawn = [
                 _FMT.format(px) + "," + _FMT.format(py)
                 for px, py in (to_px(x, y) for x, y in segment)
-            )
-            out.append(f'<polyline points="{coords}"/>')
+            ]
+            # copies of one drawn point, as on a needle-thin conic that no
+            # sampled direction reaches across, are no polyline
+            if len(set(drawn)) > 1:
+                segments.append(segment)
+                out.append(f'<polyline points="{" ".join(drawn)}"/>')
         if segments:
             anchor_pt = segments[0][len(segments[0]) // 3]
             label_anchor = to_px(*anchor_pt)

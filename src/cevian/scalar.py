@@ -7,20 +7,20 @@ solver, whose roots stay numerators over one denominator.  A line meeting a
 conic is the only place a new square root appears.
 
 A ``Scalar`` is a value a + b*sqrt(d) with rational a, b and a square-free
-positive integer d; plain rationals are the case b = 0, d = 1.  Values are
-immutable, canonical and compared structurally, so ``==`` is semantic
-equality.  Combining scalars of two different fields is an error, never a
-coercion.  Scalars are built only at the edges: by parsing, and by
-``ratio``, the one way a pair becomes a Scalar.  ``Scalar.sign``,
-``sqrt_in_field`` and ``solve_quadratic`` clear denominators and call the
-pair routines.  ``format_number`` prints Scalars and pairs alike; floats are
-made only in rendering.
+positive integer d; plain rationals are the case b = 0, d = 1.  It is an
+edge value: parsed, printed, compared and hashed, but never computed with
+inside the package.  Values are immutable, canonical and compared
+structurally, so ``==`` is semantic equality.  Scalars enter by parsing and
+by ``ratio``, the one way a pair becomes a Scalar; ``integer_vector`` turns
+them into pairs.  ``format_number`` prints Scalars and pairs alike; floats
+are made only in rendering.  The remaining ``+ - * /`` (one field at a
+time; mixing two fields raises) serve callers outside the package.
 
 Canonical form is established where a value enters: the public constructor
-``Scalar(a, b, d)`` (and ``parse`` and ``sqrt_of``, which call it) factors d
-to its square-free part.  Arithmetic keeps the square-free d of an operand
-and builds its results with ``Scalar._make``, which never factors.  Besides
-the constructor, only a discriminant that asks for a new field is factored.
+``Scalar(a, b, d)`` (and ``parse``, which calls it) factors d to its
+square-free part.  Arithmetic keeps the square-free d of an operand and
+builds its results with ``Scalar._make``, which never factors.  Besides the
+constructor, only a discriminant that asks for a new field is factored.
 Factoring has a fixed step budget: a d whose prime factors are too large to
 find within it raises ``FactorizationBudgetExceeded``.
 """
@@ -31,7 +31,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -273,7 +272,6 @@ def join_d(d1: int, d2: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@total_ordering
 class Scalar:
     """a + b*sqrt(d): exact element of Q or Q(sqrt(d)).
 
@@ -303,13 +301,6 @@ class Scalar:
         self.b = b
         self.d = d
 
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def sqrt_of(cls, n: int) -> Scalar:
-        """sqrt(n) for a positive integer n (e.g. sqrt_of(8) == 2*sqrt(2))."""
-        return cls(0, 1, n)
-
     @classmethod
     def _make(cls, a: Fraction, b: Fraction, d: int) -> Scalar:
         """The value a + b*sqrt(d) from fields already known to be canonical:
@@ -330,19 +321,8 @@ class Scalar:
             return _make(Fraction(value), _FZERO, 1)
         raise TypeError(f"cannot interpret {value!r} as a Scalar")
 
-    # -- predicates -------------------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}: zsign of the pair times both denominators."""
-        a, b = self.a, self.b
-        return zsign((a.numerator * b.denominator, b.numerator * a.denominator), self.d)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -361,9 +341,6 @@ class Scalar:
         except TypeError:
             return NotImplemented
         return _make(self.a - o.a, self.b - o.b, join_d(self.d, o.d))
-
-    def __rsub__(self, other: ScalarLike) -> Scalar:
-        return (-self) + other
 
     def __neg__(self) -> Scalar:
         return _make(-self.a, -self.b, self.d)
@@ -396,12 +373,6 @@ class Scalar:
             d,
         )
 
-    def __rtruediv__(self, other: ScalarLike) -> Scalar:
-        return self._coerce(other) / self
-
-    def conjugate(self) -> Scalar:
-        return _make(self.a, -self.b, self.d)
-
     # -- comparison / hashing ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -410,9 +381,6 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
-
-    def __lt__(self, other: ScalarLike) -> bool:
-        return (self - self._coerce(other)).sign() < 0
 
     def __hash__(self):
         if self.b == 0:
@@ -431,9 +399,11 @@ class Scalar:
         return format_number(self.a, self.b, self.d)
 
     # a denominator must have a nonzero digit, so "1/0" is malformed text
+    # and a digit is an ASCII digit
     _PATTERN = re.compile(
         r"^(?P<a>-?\d+(?:/0*[1-9]\d*)?)"
-        r"(?:(?P<sign>[+-])(?P<b>\d+(?:/0*[1-9]\d*)?)\*sqrt\((?P<d>\d+)\))?$"
+        r"(?:(?P<sign>[+-])(?P<b>\d+(?:/0*[1-9]\d*)?)\*sqrt\((?P<d>\d+)\))?$",
+        re.ASCII,
     )
 
     @classmethod
@@ -463,10 +433,6 @@ def format_number(a: RationalLike, b: RationalLike, d: int) -> str:
     return f"{a}{'+' if b > 0 else '-'}{abs(b)}*sqrt({d})"
 
 
-def as_scalar(value: ScalarLike) -> Scalar:
-    return Scalar._coerce(value)
-
-
 def ratio(x: Pair, y: Pair, d: int) -> Scalar:
     """x / y as a Scalar, for a nonzero y over Z[sqrt(d)]: the one way a
     pair becomes a Scalar."""
@@ -476,9 +442,9 @@ def ratio(x: Pair, y: Pair, d: int) -> Scalar:
     return _make(Fraction(a, c), Fraction(b, c), d)
 
 
-def integer_vector(values: Sequence[ScalarLike]) -> tuple[int, int, list[Pair]]:
-    """(d, den, v): v is the values times den, the lcm of their
-    denominators, as pairs over the one field Q(sqrt(d)) they share."""
+def integer_vector(values: Sequence[ScalarLike]) -> tuple[int, list[Pair]]:
+    """(d, v): v is the values times the lcm of their denominators, as pairs
+    over the one field Q(sqrt(d)) they share."""
     parts = []
     d = 1
     for x in values:
@@ -489,9 +455,9 @@ def integer_vector(values: Sequence[ScalarLike]) -> tuple[int, int, list[Pair]]:
         elif isinstance(x, (int, Fraction)):
             parts.append((x, 0))
         else:
-            as_scalar(x)  # raises the TypeError of a value that is no Scalar
+            raise TypeError(f"cannot interpret {x!r} as a Scalar")
     den = math.lcm(*[r.denominator for pair in parts for r in pair])
-    return d, den, [
+    return d, [
         (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
         for a, b in parts
     ]
@@ -499,22 +465,6 @@ def integer_vector(values: Sequence[ScalarLike]) -> tuple[int, int, list[Pair]]:
 
 # ---------------------------------------------------------------------------
 # quadratic solving
-
-
-@dataclass(frozen=True)
-class TwoRoots:
-    r1: Scalar
-    r2: Scalar
-
-
-@dataclass(frozen=True)
-class DoubleRoot:
-    r: Scalar
-
-
-@dataclass(frozen=True)
-class Linear:
-    r: Scalar
 
 
 @dataclass(frozen=True)
@@ -539,26 +489,13 @@ class Roots:
     nums: tuple[Pair, ...]
 
 
-QuadraticResult = Union[TwoRoots, DoubleRoot, Linear, NeedsExtension, NoRealRoots]
-
-
-def _coefficient_field(ds: Iterable[int], field_d: Optional[int]) -> int:
-    """The one field Q(sqrt(d)) of field_d and of the irrational coefficients' ds."""
-    ambient = field_d if field_d is not None else 1
-    for d in ds:
-        if ambient not in (1, d):
-            raise IncompatibleExtensions(f"coefficients mix sqrt({ambient}) and sqrt({d})")
-        ambient = d
-    return ambient
-
-
 def _roots(d: int, den: Pair, *nums: Pair) -> Roots:
     rational = not den[1] and not any(b for _, b in nums)
     return Roots(1 if rational else d, den, nums)
 
 
 def quadratic_roots(
-    a: Pair, b: Pair, c: Pair, d: int, field_d: Optional[int] = None, den: int = 1
+    a: Pair, b: Pair, c: Pair, d: int, field_d: Optional[int] = None
 ) -> Union[Roots, NeedsExtension, NoRealRoots]:
     """Exact roots of a*x^2 + b*x + c for a, b, c over Z[sqrt(d)], in their
     field, which a square-free field_d widens when they are rational.
@@ -568,10 +505,12 @@ def quadratic_roots(
     equation -c over b.  A positive non-square rational discriminant over Q
     returns NeedsExtension(f), f its square-free part, to re-solve with
     field_d=f; a second, distinct extension raises IncompatibleExtensions.
-    For coefficients den times the equation's, f and messages speak of the
-    equation's discriminant.
     """
-    ambient = _coefficient_field([d for x in (a, b, c) if x[1]], field_d)
+    ambient = field_d if field_d is not None else 1
+    if a[1] or b[1] or c[1]:
+        if ambient not in (1, d):
+            raise IncompatibleExtensions(f"coefficients mix sqrt({ambient}) and sqrt({d})")
+        ambient = d
     if a == _ZERO:
         if b == _ZERO:
             if c == _ZERO:
@@ -586,43 +525,12 @@ def quadratic_roots(
     r = zsqrt(disc, ambient)
     if r is not None:
         return _roots(ambient, zscale(2, a), zsub(r, b), zsub(zscale(-1, r), b))
-    q = Fraction(disc[0], den * den), Fraction(disc[1], den * den)
     if not disc[1]:
-        f, _ = squarefree_decompose(q[0].numerator * q[0].denominator)
+        f, _ = squarefree_decompose(disc[0])
         if ambient != 1:
             raise IncompatibleExtensions(f"root needs sqrt({f}) on top of sqrt({ambient})")
         return NeedsExtension(f)
     raise IncompatibleExtensions(
-        f"discriminant {format_number(*q, ambient)} has no square root in Q(sqrt({ambient}))"
+        f"discriminant {format_number(*disc, ambient)} has no square root in Q(sqrt({ambient}))"
     )
 
-
-def sqrt_in_field(x: Scalar, ambient_d: Optional[int] = None) -> Optional[Scalar]:
-    """Square root of x within Q(sqrt(ambient_d)), or None if there is none.
-
-    ambient_d (square-free) defaults to the extension x itself lives in; a
-    wider field lets a rational x have the root s*sqrt(d).  The root is that
-    of x*den^2 over den, for the denominator den of x.
-    """
-    ambient = ambient_d if ambient_d is not None else x.d
-    if x.d != 1 and ambient != x.d:
-        raise IncompatibleExtensions(f"{x} does not live in Q(sqrt({ambient}))")
-    _, den, [(a, b)] = integer_vector([x])
-    r = zsqrt((a * den, b * den), ambient)
-    return None if r is None else ratio(r, (den, 0), ambient)
-
-
-def solve_quadratic(
-    a: ScalarLike, b: ScalarLike, c: ScalarLike, field_d: Optional[int] = None
-) -> QuadraticResult:
-    """Exact roots of a*x^2 + b*x + c over the coefficients' field, as
-    Scalars: `quadratic_roots` on the coefficients times the lcm of their
-    denominators.  NeedsExtension(f) asks to re-solve with field_d=f."""
-    coeffs = [as_scalar(x) for x in (a, b, c)]
-    _coefficient_field([x.d for x in coeffs if x.b], field_d)  # mixed fields raise first
-    d, den, (a2, b2, c2) = integer_vector(coeffs)
-    out = quadratic_roots(a2, b2, c2, d, field_d, den)
-    if not isinstance(out, Roots):
-        return out
-    kind = TwoRoots if len(out.nums) == 2 else Linear if a2 == _ZERO else DoubleRoot
-    return kind(*[ratio(n, out.den, out.d) for n in out.nums])

@@ -790,10 +790,14 @@ def _check_special(ctx: CheckContext, cl: Claims) -> None:
         and are_collinear(cs.circumcenter, cs.p, cs.p_iso),
     )
     ratio = collinear_ratio(cs.circumcenter, cs.p_iso, cs.p)
-    cl.true("distance_ratio_three", ratio * ratio == 9, ratio)
+    cl.true("distance_ratio_three", ratio in (3, -3), ratio)
     d = cs.traces[0]
     side_ratio = collinear_ratio(cs.circumcenter, d, VERTEX_C)
-    cl.true("squared_side_ratio_two", side_ratio * side_ratio == 2, side_ratio)
+    cl.true(
+        "squared_side_ratio_two",
+        side_ratio.a == 0 and side_ratio.b in (1, -1) and side_ratio.d == 2,
+        side_ratio,
+    )
     a3 = cs.cevian_map(cs.traces_iso[0])
     cl.equal("a3_is_midpoint", a3, midpoint(cs.circumcenter, d))
     cl.equal("p_is_centroid", cs.p, centroid_of(cs.circumcenter, d, cs.q))

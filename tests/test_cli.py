@@ -24,6 +24,7 @@ from cevian.render import (
 )
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def run(args):
@@ -91,6 +92,9 @@ def test_construct_exact_strings_parse_back(tmp_path):
         (Conic, "[[1, 2, 0], [0, 1, 0], [0, 0, 1]]"),
         (Conic, "[[1, 0, 0], [0, 1, 0], [0, 0, 1]"),
         (Conic, "[[1, 0, 0], [0, 1+1/0*sqrt(2), 0], [0, 0, 1]]"),
+        (Point, "(\u0663 : 2 : 5)"),  # an Arabic-Indic 3
+        (Line, "[1 : 1+\uff12*sqrt(2) : 1]"),  # a full-width 2
+        (Conic, "[[1, 0, 0], [0, 1+1*sqrt(\u0662), 0], [0, 0, 1]]"),
     ],
 )
 def test_parse_rejects_malformed_text(cls, text):
@@ -127,12 +131,16 @@ def test_construct_beyond_double_range(capsys):
 
 def test_svg_beyond_double_range(capsys):
     # 2^1017 and 2^1023 put H and O near the double maximum: finite, but the
-    # figure's extent times its width is not
+    # figure's extent times its width is not.  At 2^1100 - 1 the inconics
+    # are needles that every sampled direction meets at one drawn point:
+    # a polyline of copies of that point would show nothing.
     for x in (2**1100 - 1, 2**1017, 2**1023):
-        assert run(["svg", f"--p={x}:2:3"]) == 0
-        svg = capsys.readouterr().out
-        ElementTree.fromstring(svg)
-        assert "nan" not in svg.lower() and "inf" not in svg.lower()
+        for preset in ("fig2", "all"):
+            assert run(["svg", f"--p={x}:2:3", f"--preset={preset}"]) == 0
+            svg = capsys.readouterr().out
+            assert "nan" not in svg.lower() and "inf" not in svg.lower()
+            for polyline in ElementTree.fromstring(svg).iter(f"{SVG_NS}polyline"):
+                assert len(set(polyline.get("points").split())) > 1
 
 
 @given(
@@ -215,6 +223,26 @@ def test_construct_steiner_infinite_marker(tmp_path):
 def test_construct_bad_point():
     assert run(["construct", "--p", "1:2"]) == 2
     assert run(["construct", "--p", "1:banana:2"]) == 2
+
+
+@pytest.mark.parametrize("command", ["construct", "svg"])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        "--p=\u0663:2:5",
+        "--p=1:1+\uff12*sqrt(\u0662):2",
+        "--p=2:3:6\u0665",
+        "--triangle=0,0;\u0661,0;0,1",
+        "--triangle=0,0;1,0;0,\uff11/\uff13",
+    ],
+)
+def test_non_ascii_digits_are_input_errors(capsys, command, flag):
+    """Numbers are written in ASCII digits: Python's int() and Fraction()
+    read other Unicode digits too, which the parsers must not pass on."""
+    args = [command, flag] if flag.startswith("--p") else [command, "--p=2:3:6", flag]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_construct_degenerate_triangle():

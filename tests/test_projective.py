@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cevian import scalar as scalar_module
-from cevian.scalar import InexactDivision, NeedsExtension, Scalar, as_scalar, divide_exactly
+from cevian.scalar import InexactDivision, NeedsExtension, Scalar, divide_exactly
 from cevian.conics import (
     Conic,
     NoRealIntersection,
@@ -346,6 +346,10 @@ def test_perspector_none_when_not_perspective():
 FIELDS = (1, 2, 6, 1610924047)
 
 
+def as_scalar(value):
+    return value if isinstance(value, Scalar) else Scalar(value)
+
+
 def reference_canonical(values):
     """Canonical form by Scalar arithmetic: divide by the leading entry, then
     clear the rational content."""
@@ -513,7 +517,9 @@ def scalar_arithmetic(monkeypatch):
     counts = Counter()
     for op in ("add", "sub", "mul", "truediv"):
         for name in (f"__{op}__", f"__r{op}__"):
-            original = getattr(Scalar, name)
+            original = getattr(Scalar, name, None)
+            if original is None:  # Scalar has no reflected - or /
+                continue
 
             def counted(self, other, _op=op, _original=original):
                 counts[_op] += 1
@@ -651,10 +657,11 @@ def test_quadratic_roots_build_no_scalar(scalar_arithmetic, p, other):
 def test_suite_scalar_totals(scalar_arithmetic):
     """The Scalars of run_suite(42, 25): the ratios of the homotheties the
     checks classify, and the two collinear ratios of the sqrt(2)
-    configuration, whose squares are the suite's only Scalar arithmetic."""
+    configuration, which are compared, not squared.  The suite does no
+    Scalar arithmetic."""
     run_suite(42, 25)
-    assert scalar_arithmetic["built"] == 95
-    assert arithmetic(scalar_arithmetic) == scalar_arithmetic["mul"] == 2
+    assert scalar_arithmetic["built"] == 93
+    assert arithmetic(scalar_arithmetic) == 0
 
 
 def kernel_members(cs):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,17 +12,18 @@ from cevian.scalar import (
     AllZeroEquation,
     DegenerateEquation,
     DivisionByZero,
-    DoubleRoot,
     FactorizationBudgetExceeded,
     IncompatibleExtensions,
-    Linear,
     NeedsExtension,
     NoRealRoots,
+    Roots,
     Scalar,
-    TwoRoots,
-    solve_quadratic,
-    sqrt_in_field,
+    integer_vector,
+    quadratic_roots,
+    ratio,
     squarefree_decompose,
+    zsign,
+    zsqrt,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -39,7 +41,7 @@ def test_rational_addition():
 
 def test_reciprocal_of_one_plus_root_two():
     x = Scalar(1, 1, 2)
-    inv = 1 / x
+    inv = Scalar(1) / x
     assert inv == Scalar(-1, 1, 2)
     assert inv * x == 1
 
@@ -59,8 +61,8 @@ def test_incompatible_extensions():
 def test_canonical_form():
     assert Scalar(1, 2, 8) == Scalar(1, 4, 2)  # sqrt(8) = 2 sqrt(2)
     assert Scalar(3, 0, 7) == Scalar(3)  # zero irrational part drops d
-    assert Scalar(0, 1, 4).is_rational and Scalar(0, 1, 4) == 2
-    assert Scalar.sqrt_of(18) == Scalar(0, 3, 2)
+    assert Scalar(0, 1, 4).b == 0 and Scalar(0, 1, 4) == 2
+    assert Scalar(0, 1, 18) == Scalar(0, 3, 2)
 
 
 @st.composite
@@ -77,9 +79,9 @@ def same_field_operands(draw):
 @settings(max_examples=300, deadline=None)
 def test_arithmetic_results_are_canonical(operands):
     x, y, k = operands
-    results = [x + y, x - y, x * y, -x, x.conjugate(), x + k, k - x, k * x]
+    results = [x + y, x - y, x * y, -x, x + k, k + x, x - k, k * x]
     if y:
-        results += [x / y, k / y]
+        results += [x / y, Scalar(k) / y]
     if k:
         results.append(x / k)
     for r in results:
@@ -102,12 +104,22 @@ def test_construct_over_quadratic_field_never_refactors_d(monkeypatch):
     assert {c.d for c in cs.orthocenter.coords} <= {1, d}
 
 
+def sign(x):
+    """The exact sign of a Scalar: zsign of its pair times the positive lcm
+    of its denominators."""
+    d, [pair] = integer_vector([x])
+    return zsign(pair, d)
+
+
 def test_sign_is_exact():
-    assert Scalar(0, 1, 2).sign() == 1
-    assert Scalar(-3, 2, 2).sign() == -1  # 2 sqrt(2) < 3
-    assert Scalar(-1, 1, 2).sign() == 1  # sqrt(2) > 1
-    assert Scalar(0).sign() == 0
-    assert Scalar(1, 1, 2) > 2  # 1 + sqrt(2) > 2
+    assert zsign((0, 1), 2) == 1
+    assert zsign((-3, 2), 2) == -1  # 2 sqrt(2) < 3
+    assert zsign((3, -2), 2) == 1
+    assert zsign((-1, 1), 2) == 1  # sqrt(2) > 1
+    assert zsign((0, 0), 1) == 0
+    assert zsign((-7, 5), 2) == 1  # 5 sqrt(2) > 7, since 50 > 49
+    assert sign(Scalar(1, 1, 2) - 2) == 1  # 1 + sqrt(2) > 2
+    assert sign(Scalar(Fraction(-1, 3), Fraction(1, 4), 2)) == 1  # 3 sqrt(2) > 4
 
 
 @given(any_scalars, any_scalars, any_scalars)
@@ -119,7 +131,7 @@ def test_field_axioms(a, b, c):
     assert a + b == b + a
     assert a - a == 0
     if not a.is_zero():
-        assert a * (1 / a) == 1
+        assert a * (Scalar(1) / a) == 1
 
 
 @given(any_scalars)
@@ -148,7 +160,7 @@ def approx_float(x):
 def test_sign_agrees_with_float(x):
     f = approx_float(x)
     if abs(f) > 1e-6:
-        assert x.sign() == (1 if f > 0 else -1)
+        assert sign(x) == (1 if f > 0 else -1)
 
 
 @pytest.mark.parametrize("n", list(range(1, 400)) + [360, 1024, 99991, 2**20 * 7])
@@ -178,62 +190,70 @@ def test_squarefree_budget_exceeded_names_n():
     with pytest.raises(FactorizationBudgetExceeded, match=str(n)):
         squarefree_decompose(n)
     with pytest.raises(FactorizationBudgetExceeded):
-        Scalar.sqrt_of(n)
+        Scalar(0, 1, n)
 
 
 def test_rational_sqrt():
-    assert sqrt_in_field(Scalar(Fraction(9, 4))) == Fraction(3, 2)
-    assert sqrt_in_field(Scalar(2)) is None
-    assert sqrt_in_field(Scalar(-1)) is None
-    assert sqrt_in_field(Scalar(0)) == 0
+    # the root of 9/4 is that of 9 * 4 over 4
+    assert ratio(zsqrt((36, 0), 1), (4, 0), 1) == Fraction(3, 2)
+    assert zsqrt((2, 0), 1) is None
+    assert zsqrt((-1, 0), 1) is None
+    assert zsqrt((0, 0), 1) == (0, 0)
+
+
+def solved(a, b, c, d=1, field_d=None):
+    """The roots of a*x^2 + b*x + c, for pairs a, b, c over Z[sqrt(d)] or
+    ints, as Scalars, or the outcome that has no roots."""
+    a, b, c = [x if isinstance(x, tuple) else (x, 0) for x in (a, b, c)]
+    out = quadratic_roots(a, b, c, d, field_d)
+    if not isinstance(out, Roots):
+        return out
+    return [ratio(n, out.den, out.d) for n in out.nums]
 
 
 def test_solve_quadratic_factorable():
-    out = solve_quadratic(1, -5, 6)
-    assert isinstance(out, TwoRoots)
-    assert {out.r1, out.r2} == {Scalar(2), Scalar(3)}
+    assert set(solved(1, -5, 6)) == {Scalar(2), Scalar(3)}
 
 
 def test_solve_quadratic_needs_extension_then_lift():
-    out = solve_quadratic(1, -2, -1)
-    assert out == NeedsExtension(2)
-    lifted = solve_quadratic(1, -2, -1, field_d=2)
-    assert isinstance(lifted, TwoRoots)
-    for r in (lifted.r1, lifted.r2):
+    assert solved(1, -2, -1) == NeedsExtension(2)
+    lifted = solved(1, -2, -1, field_d=2)
+    assert len(lifted) == 2
+    for r in lifted:
         assert r * r - 2 * r - 1 == 0
-    assert lifted.r1 == Scalar(1, 1, 2)
+    assert lifted[0] == Scalar(1, 1, 2)
 
 
 def test_solve_quadratic_linear():
-    assert solve_quadratic(0, 2, -4) == Linear(Scalar(2))
+    assert solved(0, 2, -4) == [Scalar(2)]
 
 
 def test_solve_quadratic_double_root():
-    assert solve_quadratic(1, -2, 1) == DoubleRoot(Scalar(1))
+    assert solved(1, -2, 1) == [Scalar(1)]
 
 
 def test_solve_quadratic_no_real_roots():
-    assert solve_quadratic(1, 0, 1) == NoRealRoots()
+    assert solved(1, 0, 1) == NoRealRoots()
 
 
 def test_solve_quadratic_degenerate():
     with pytest.raises(DegenerateEquation):
-        solve_quadratic(0, 0, 5)
+        solved(0, 0, 5)
     with pytest.raises(AllZeroEquation):
-        solve_quadratic(0, 0, 0)
+        solved(0, 0, 0)
 
 
 def test_solve_quadratic_over_extension():
     # x^2 - 2 sqrt(2) x + 1 = 0 has roots sqrt(2) +- 1
-    out = solve_quadratic(Scalar(1), Scalar(0, -2, 2), Scalar(1))
-    assert isinstance(out, TwoRoots)
-    assert {out.r1, out.r2} == {Scalar(1, 1, 2), Scalar(-1, 1, 2)}
+    assert set(solved(1, (0, -2), 1, d=2)) == {Scalar(1, 1, 2), Scalar(-1, 1, 2)}
 
 
 def test_solve_quadratic_tower_rejected():
     # discriminant 12 needs sqrt(3) but coefficients pin the field to sqrt(2)
-    with pytest.raises(IncompatibleExtensions):
-        solve_quadratic(Scalar(1), Scalar(0, 2, 2), Scalar(Fraction(-1)))
+    with pytest.raises(IncompatibleExtensions, match="sqrt.3. on top of sqrt.2."):
+        solved(1, (0, 2), -1, d=2)
+    with pytest.raises(IncompatibleExtensions, match="mix sqrt.3. and sqrt.2."):
+        solved(1, (0, 2), -1, d=2, field_d=3)
 
 
 @given(
@@ -245,30 +265,31 @@ def test_solve_quadratic_tower_rejected():
 def test_needs_extension_is_squarefree_and_roots_substitute(a, b, c):
     if a == 0 and b == 0:
         return
-    out = solve_quadratic(a, b, c)
+    out = solved(a, b, c)
     if isinstance(out, NeedsExtension):
         _, square = squarefree_decompose(out.d)
         assert square == 1
-        lifted = solve_quadratic(a, b, c, field_d=out.d)
-        assert isinstance(lifted, TwoRoots)
-        for r in (lifted.r1, lifted.r2):
-            assert Scalar(a) * r * r + Scalar(b) * r + Scalar(c) == 0
-    elif isinstance(out, TwoRoots):
-        for r in (out.r1, out.r2):
+        out = solved(a, b, c, field_d=out.d)
+        assert len(out) == 2
+    if isinstance(out, list):
+        for r in out:
             assert Scalar(a) * r * r + Scalar(b) * r + Scalar(c) == 0
 
 
 def test_sqrt_in_field():
-    assert sqrt_in_field(Scalar(3, 2, 2)) == Scalar(1, 1, 2)  # (1+sqrt2)^2
-    assert sqrt_in_field(Scalar(Fraction(9, 16))) == Fraction(3, 4)
-    assert sqrt_in_field(Scalar(2), ambient_d=2) == Scalar(0, 1, 2)
-    assert sqrt_in_field(Scalar(2)) is None
-    assert sqrt_in_field(Scalar(-1)) is None
-    assert sqrt_in_field(Scalar(0)) == 0
+    assert zsqrt((3, 2), 2) == (1, 1)  # (1+sqrt2)^2
+    assert zsqrt((3, -2), 2) == (-1, 1)  # the positive root sqrt2 - 1
+    assert zsqrt((-3, 2), 2) is None  # negative
+    assert ratio(zsqrt((9 * 16, 0), 1), (16, 0), 1) == Fraction(3, 4)
+    assert zsqrt((2, 0), 2) == (0, 1)
+    assert zsqrt((2, 0), 1) is None
+    assert zsqrt((-1, 0), 1) is None
+    assert zsqrt((0, 0), 2) == (0, 0)
 
 
 def test_total_order_matches_floats():
+    """zsign orders the field as the reals do."""
     values = [Scalar(1, 1, 2), Scalar(-1), Scalar(0), Scalar(2), Scalar(0, 1, 2)]
-    by_exact = sorted(values)
+    by_exact = sorted(values, key=cmp_to_key(lambda x, y: sign(x - y)))
     by_float = sorted(values, key=approx_float)
     assert by_exact == by_float

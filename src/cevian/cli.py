@@ -79,44 +79,25 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _point_entry(p: Point) -> dict:
-    return {"bary": str(p), "infinite": p.is_infinite()}
-
-
-def _render_block(cs: ConstructionSet, tri: RenderTriangle) -> dict:
-    pts: dict[str, dict] = {}
-    for slug, _, p in named_points(cs):
+def construction_report(cs: ConstructionSet, tri: RenderTriangle) -> dict:
+    points, render_points = {}, {}
+    for slug, label, p in named_points(cs):
         if p is None:
             continue
-        if p.is_infinite():
-            dx, dy = direction_to_xy(p, tri)
-            pts[slug] = {"direction": [dx, dy]}
+        infinite = p.is_infinite()
+        points[slug] = {"label": label, "bary": str(p), "infinite": infinite}
+        if infinite:
+            render_points[slug] = {"direction": list(direction_to_xy(p, tri))}
         else:
-            x, y = bary_to_xy(p, tri)
-            pts[slug] = {"xy": [x, y]}
-    return {
-        "triangle": [list(v) for v in tri.float_vertices()],
-        "points": pts,
-    }
-
-
-def construction_report(cs: ConstructionSet, tri: RenderTriangle) -> dict:
-    points = {}
-    for slug, label, p in named_points(cs):
-        if p is not None:
-            points[slug] = {"label": label, **_point_entry(p)}
+            render_points[slug] = {"xy": list(bary_to_xy(p, tri))}
     conics = {}
     for slug, label, conic, _seed in named_conics(cs):
         if conic is None:
             continue
-        entry = {
-            "label": label,
-            "matrix": str(conic),
-            "degenerate": conic.is_degenerate(),
-        }
-        if not conic.is_degenerate():
-            entry["center"] = str(conic.center())
-        conics[slug] = entry
+        degenerate = conic.is_degenerate()
+        conics[slug] = {"label": label, "matrix": str(conic), "degenerate": degenerate}
+        if not degenerate:
+            conics[slug]["center"] = str(conic.center())
     maps = {name: str(m) for name, m in named_maps(cs) if m is not None}
     return {
         "schema_version": SCHEMA_VERSION,
@@ -131,7 +112,10 @@ def construction_report(cs: ConstructionSet, tri: RenderTriangle) -> dict:
         "points": points,
         "conics": conics,
         "maps": maps,
-        "render": _render_block(cs, tri),
+        "render": {
+            "triangle": [list(v) for v in tri.float_vertices()],
+            "points": render_points,
+        },
     }
 
 
@@ -150,11 +134,19 @@ def cmd_construct(args) -> int:
     p = parse_point(args.p)
     tri = RenderTriangle.parse(args.triangle) if args.triangle else RenderTriangle.default()
     cs = construct(p)
+    # a report number has at most about 16 times the digits of its longest
+    # coordinate and of d, so at most 16 times all the digits of --p; the
+    # str limit guards against untrusted input, which parse_point has checked
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        sys.set_int_max_str_digits(max(limit, 16 * sum(map(str.isdigit, args.p))))
     try:
         report = construction_report(cs, tri)
-    except ValueError as exc:  # an exact coordinate too long for str()
-        limit = sys.get_int_max_str_digits()
-        raise InputError(f"--p is too large: its report needs numbers of over {limit} digits") from exc
+    except ValueError as exc:  # an exact coordinate too long even so
+        cap = sys.get_int_max_str_digits()
+        raise InputError(f"--p is too large: its report needs numbers of over {cap} digits") from exc
+    finally:
+        sys.set_int_max_str_digits(limit)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK
 

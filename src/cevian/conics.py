@@ -3,9 +3,10 @@
 A conic is a symmetric 3x3 matrix up to scale, held like a map as a
 canonical integer vector over Z[sqrt(d)]; a point X lies on it iff
 X^T C X = 0.  Degenerate conics (line pairs) are representable and
-flagged, but polarity-based operations reject them explicitly.  All
-constructions here are solved as exact null spaces of incidence systems, and
-every result contains its defining points with zero residual.
+flagged, but polarity-based operations reject them explicitly.  The
+constructions are solved as exact null spaces of incidence systems, or read
+off a closed form, and every result contains its defining points with zero
+residual.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .scalar import (
     zscale,
     zsign,
     zsub,
+    zsum,
 )
 from .projective import (
     AffineMap,
@@ -175,37 +177,24 @@ def conic_through_five(points: Sequence[Point]) -> Conic:
 def circumconic_with_center(o: Point) -> Conic:
     """The circumconic of ABC with the given ordinary center.
 
-    Solved from the linear conditions making o the pole of the line at
-    infinity.  For generic o the conic is unique; when o is the midpoint of a
-    side the conditions drop rank and the mirror-symmetric member of the
-    resulting pencil is returned (the one that is the isotomic image of a
-    line parallel to that side).  For other points of a sideline only a
-    degenerate line pair qualifies, which is an error.
+    The circumconic centered at o = (u : v : w) is the isotomic image of the
+    line (u(v+w-u) : v(w+u-v) : w(u+v-w)), read off in closed form.  That
+    line vanishes only when o is the midpoint of a side, where a whole pencil
+    of circumconics shares the center; the mirror-symmetric member is
+    returned, the isotomic image of the line (2 : 1 : 1), with the 2 at the
+    zero coordinate, which is parallel to that side.  For other points of a
+    sideline or a medial sideline only a degenerate line pair qualifies,
+    which is an error.
     """
     if o.is_infinite():
         raise NoSuchConic("center must be ordinary")
     if o in VERTICES:
         raise NoSuchConic("no circumconic is centered at a vertex")
-    (u, v, w), d = o.ints, o.d
-    rows = [
-        (zsub(w, v), zscale(-1, u), u),
-        (v, zsub(u, w), zscale(-1, v)),
-        (zscale(-1, w), w, zsub(v, u)),
-    ]
-    basis = null_space(d, rows)
-    if len(basis) == 2:
-        # o is a side midpoint; impose the mirror symmetry of that side
-        if u == _ZERO:
-            rows.append((_ZERO, (1, 0), (-1, 0)))
-        elif v == _ZERO:
-            rows.append(((1, 0), _ZERO, (-1, 0)))
-        else:
-            rows.append(((1, 0), (-1, 0), _ZERO))
-        basis = null_space(d, rows)
-    if len(basis) != 1:
-        raise NoSuchConic(f"no circumconic has center {o}")
-    # the circumconic a*yz + b*zx + c*xy = 0 of the solution (a, b, c)
-    conic = isotomic_image_of_line(Line.from_ints(d, basis[0]))
+    total = zsum(o.ints)
+    line = [zmul(x, zsub(total, zscale(2, x)), o.d) for x in o.ints]
+    if all(x == _ZERO for x in line):
+        line = [(2, 0) if x == _ZERO else (1, 0) for x in o.ints]
+    conic = isotomic_image_of_line(Line.from_ints(o.d, line))
     if conic.is_degenerate() or conic.center() != o:
         raise NoSuchConic(f"only a degenerate conic is centered at {o}")
     return conic

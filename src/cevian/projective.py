@@ -339,11 +339,10 @@ def direction_of(l: Line) -> Point:
 
 
 def parallel(l1: Line, l2: Line) -> bool:
+    """Whether the lines meet at infinity: their cross product sums to 0."""
     if l1.is_line_at_infinity() or l2.is_line_at_infinity():
         raise InfiniteInput("parallelism needs ordinary lines")
-    if l1 == l2:
-        return True
-    return meet(l1, l2).is_infinite()
+    return zsum(cross(l1.ints, l2.ints, join_d(l1.d, l2.d))) == _ZERO
 
 
 def parallel_through(p: Point, l: Line) -> Line:
@@ -486,9 +485,8 @@ class HomogeneousMatrix(CanonicalObject):
         return cls(entries)
 
 
-_ZERO_MATRIX: Rows = ((_ZERO,) * 3,) * 3  # type: ignore[assignment]
-_V1: Vector = ((1, 0), (-1, 0), (0, 0))
-_V2: Vector = ((0, 0), (1, 0), (-1, 0))
+_ZERO_ROW: Vector = (_ZERO,) * 3
+_ZERO_MATRIX: Rows = (_ZERO_ROW,) * 3  # type: ignore[assignment]
 
 
 class AffineMap(HomogeneousMatrix):
@@ -580,7 +578,12 @@ class AffineMap(HomogeneousMatrix):
         general.  Invariant under rescaling of the matrix.
 
         The matrix is s times the one with unit column sums, s its column
-        sum, so an eigenvalue k of that one is k*s here."""
+        sum, so an eigenvalue k of that one is k*s here.  Each answer is read
+        off a rank-one matrix.  M acts on directions as k*I exactly when
+        M - k*I = c 1^T, c the center (k != s) or the translation direction
+        (k = s).  An affine reflection is M = s*I + c r^T with trace s, which
+        makes M^2 = s^2 I: r is its axis and c the direction it reverses (r
+        is never the line at infinity, which would make M a translation)."""
         if self.is_degenerate():
             raise DegenerateMap("cannot classify a degenerate map")
         m, d = self.ints, self.d
@@ -588,28 +591,15 @@ class AffineMap(HomogeneousMatrix):
         m_minus_s = _minus_diagonal(m, s)
         if m_minus_s == _ZERO_MATRIX:
             return Identity()
-        # action on the line at infinity, tested on a spanning pair
-        w1, w2 = mat_vec(m, _V1, d), mat_vec(m, _V2, d)
-        k = w1[0]
-        if (
-            w2[1] == k
-            and all(x == _ZERO for x in cross(w1, _V1, d))
-            and all(x == _ZERO for x in cross(w2, _V2, d))
-        ):
-            if k == s:
-                shift, other = tuple(zip(*m_minus_s))[:2]
-                if all(x == _ZERO for x in shift):
-                    shift = other
-                return Translation(Point.from_ints(d, shift))
-            center = Point.from_ints(d, null_space(d, m_minus_s)[0])
-            return Homothety(center, ratio(k, s, d))
-        if _minus_diagonal(mat_mul(m, m, d), zmul(s, s, d)) == _ZERO_MATRIX:
-            fixed = null_space(d, m_minus_s)
-            if len(fixed) == 2:
-                axis = join(Point.from_ints(d, fixed[0]), Point.from_ints(d, fixed[1]))
-                if not axis.is_line_at_infinity():
-                    minus = null_space(d, _minus_diagonal(m, zscale(-1, s)))
-                    return AffineReflection(axis, Point.from_ints(d, minus[0]))
+        k = zsub(m[0][0], m[0][1])  # the eigenvalue of the direction (1 : -1 : 0)
+        m_minus_k = _minus_diagonal(m, k)
+        if all(row[0] == row[1] == row[2] for row in m_minus_k):
+            c = Point.from_ints(d, [row[0] for row in m_minus_k])
+            return Translation(c) if k == s else Homothety(c, ratio(k, s, d))
+        if adjugate3(m_minus_s, d) == _ZERO_MATRIX and zsum(r[i] for i, r in enumerate(m)) == s:
+            axis = next(row for row in m_minus_s if row != _ZERO_ROW)
+            direction = next(col for col in zip(*m_minus_s) if col != _ZERO_ROW)
+            return AffineReflection(Line.from_ints(d, axis), Point.from_ints(d, direction))
         return GeneralMap()
 
 

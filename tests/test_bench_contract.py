@@ -5,11 +5,13 @@ workload, `Point(*t)` on its coordinate triples and `inverse()` on its maps,
 and its coefficient-bit row reads the `.a` and `.b` of every Scalar of the
 `coords` and `matrix` views of a construction.  Here each workload's
 `operands()` is built from small inputs and the same calls are made, so that
-trimming any of them fails these tests rather than a benchmark run.
+trimming any of them fails these tests rather than a benchmark run.  The
+names of its `LAYER_SPANS` are resolved here the same way.
 """
 
 import operator
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -60,3 +62,14 @@ def test_traced_calls_still_work(name):
         assert m @ m.inverse() == AffineMap.identity()
     cs = construct(Point(*operands.triples[0]))
     assert bench.coeff_bits(cs) > 0
+
+
+@pytest.mark.parametrize("module_name, attr, span", bench.LAYER_SPANS)
+def test_layer_spans_resolve(module_name, attr, span):
+    """Every name the traced run wraps resolves as it does there, to a
+    callable: a rename or a move fails here, not in `--trace 1`."""
+    owner = import_module(module_name)
+    *path, name = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert callable(getattr(owner, name))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import pathlib
+import re
 import sys
 import time
 from xml.etree import ElementTree
@@ -164,12 +165,31 @@ def test_cli_near_and_beyond_double_range(k, sign, c, y, z):
             ElementTree.fromstring(out.getvalue())
 
 
-def test_construct_report_too_long_names_the_flag(capsys):
-    assert run(["construct", f"--p={'7' * 3000}:2:3"]) == 2
+def test_construct_report_of_a_long_point_is_written(tmp_path):
+    """The report of a point within parse_point's digit limit is written
+    under a str limit lifted for the report alone, then restored."""
+    limit = sys.get_int_max_str_digits()
+    out = tmp_path / "report.json"
+    assert run(["construct", f"--p={'7' * 3000}:2:3", "--out", str(out)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    text = out.read_text()
+    assert max(map(len, re.findall(r"\d+", text))) > limit  # the lift was needed
+    report = json.loads(text)
+    assert Point.parse(report["points"]["P"]["bary"]) == Point(int("7" * 3000), 2, 3)
+
+
+def test_construct_report_beyond_the_lifted_limit_names_the_flag(capsys, monkeypatch):
+    def too_long(cs, tri):
+        raise ValueError("Exceeds the limit for integer string conversion")
+
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setattr("cevian.cli.construction_report", too_long)
+    assert run(["construct", f"--p={'7' * 1000}:2:3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --p is too large")
-    assert str(sys.get_int_max_str_digits()) in err
+    assert str(16 * 1002) in err  # 16 times the digits of --p
     assert "Traceback" not in err
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_point_with_too_many_digits_names_the_flag(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,12 @@ def test_registry_matches_documented_list():
     documented = [cid for cid, _ in DOCUMENTED_CHECKS]
     assert sorted(documented) == sorted(REGISTRY)
     assert len(documented) == len(set(documented)) == 26
+
+
+def test_readme_check_table_lists_the_registry_in_order():
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = re.findall(r"^\| `(\w+)` \|", readme, flags=re.M)
+    assert documented == list(REGISTRY)
 
 
 def test_run_check_formula_pass():

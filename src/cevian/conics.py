@@ -4,9 +4,11 @@ A conic is a symmetric 3x3 matrix up to scale, held like a map as a
 canonical integer vector over Z[sqrt(d)]; a point X lies on it iff
 X^T C X = 0.  Degenerate conics (line pairs) are representable and
 flagged, but polarity-based operations reject them explicitly.  The
-constructions are solved as exact null spaces of incidence systems, or read
-off a closed form, and every result contains its defining points with zero
-residual.
+conics of a driving point p = (u : v : w) are read off their classical
+barycentric equations: the nine-point conic of A, B, C, p, the inconic with
+perspector p, and the circumconic with a given center.  The conic through
+five points and the nine-point conic of any quadrangle are solved as exact
+null spaces of incidence systems, and stay as the checks' second path.
 """
 
 from __future__ import annotations
@@ -141,17 +143,6 @@ def conic_row(p: Point) -> Vector:
     )
 
 
-def polar_rows(contact: Point) -> tuple[Vector, Vector, Vector]:
-    """The three components of the polar of contact, C . contact, each as a
-    row over the coefficient vector of conic_row."""
-    x, y, z = contact.ints
-    return (
-        (x, _ZERO, _ZERO, y, z, _ZERO),
-        (_ZERO, y, _ZERO, x, _ZERO, z),
-        (_ZERO, _ZERO, z, _ZERO, x, y),
-    )
-
-
 def conic_from_vector(d: int, v: Sequence[Pair]) -> Conic:
     """The conic with coefficient vector v over Z[sqrt(d)], as in conic_row."""
     xx, yy, zz, xy, xz, yz = v
@@ -206,8 +197,9 @@ _OPPOSITE_VERTICES = ((VERTEX_B, VERTEX_C), (VERTEX_C, VERTEX_A), (VERTEX_A, VER
 def inconic_with_contacts(d: Point, e: Point, f: Point) -> Conic:
     """The conic tangent to the sidelines at three cevian traces.
 
-    The contacts must be the traces of a single point (checked first); the
-    six polar conditions are then consistent and determine the conic.
+    The contacts must be the traces of a single point p = (u : v : w)
+    (checked first); the conic is then the inconic with perspector p,
+    sum(v^2 w^2 x^2 - 2 u^2 v w yz) = 0.
     """
     contacts = (d, e, f)
     for contact, side, (v1, v2) in zip(contacts, SIDELINES, _OPPOSITE_VERTICES):
@@ -218,21 +210,26 @@ def inconic_with_contacts(d: Point, e: Point, f: Point) -> Conic:
     p = perspector(VERTICES, contacts)
     if p is None:
         raise NotPerspective("contacts are not the cevian traces of one point")
-    # tangent to sideline k at the contact: the polar has only component k
-    rows = [
-        row
-        for k, contact in enumerate(contacts)
-        for i, row in enumerate(polar_rows(contact))
-        if i != k
-    ]
-    basis = null_space(p.d, rows)  # the contacts are p's traces, over p's field
-    if len(basis) != 1:
-        raise NotPerspective("contact conditions do not pin down one conic")
-    conic = conic_from_vector(p.d, basis[0])
-    for contact in contacts:
-        if not conic.contains(contact):
-            raise NotPerspective("solved conic misses a contact")  # pragma: no cover
-    return conic
+    (u, v, w), d = p.ints, p.d
+    vw, wu, uv = zmul(v, w, d), zmul(w, u, d), zmul(u, v, d)
+    return conic_from_vector(d, (
+        zmul(vw, vw, d), zmul(wu, wu, d), zmul(uv, uv, d),
+        zscale(-1, zmul(vw, wu, d)), zscale(-1, zmul(vw, uv, d)), zscale(-1, zmul(uv, wu, d)),
+    ))
+
+
+def vertex_nine_point_conic(p: Point) -> Conic:
+    """The nine-point conic of the quadrangle A, B, C, p for p = (u : v : w)
+    off the sidelines, read off in closed form: the bicevian conic of the
+    centroid and p, sum(-vw x^2 + u(v + w) yz) = 0."""
+    if _ZERO in p.ints:
+        raise DegenerateQuadrangle(f"{p} lies on a sideline")
+    (u, v, w), d = p.ints, p.d
+    vw, wu, uv = zmul(v, w, d), zmul(w, u, d), zmul(u, v, d)
+    return conic_from_vector(d, (
+        zscale(-2, vw), zscale(-2, wu), zscale(-2, uv),
+        zsum((vw, wu)), zsum((vw, uv)), zsum((uv, wu)),
+    ))
 
 
 def nine_point_conic(quadrangle: Sequence[Point]) -> Conic:

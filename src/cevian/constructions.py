@@ -30,16 +30,9 @@ from .projective import (
     DegenerateConfiguration,
     GeometryError,
     InfiniteInput,
-    Line,
-    MID_AB,
-    MID_BC,
-    MID_CA,
     MIDPOINTS,
     OnSideline,
     Point,
-    VERTEX_A,
-    VERTEX_B,
-    VERTEX_C,
     VERTICES,
     anticomplement,
     anticomplement_map,
@@ -53,7 +46,6 @@ from .projective import (
     isotomic,
     join,
     meet,
-    null_space,
     parallel_through,
     reflect_through,
     reflection_axis_point,
@@ -63,14 +55,10 @@ from .projective import (
 )
 from .conics import (
     Conic,
-    RankDeficient,
-    conic_from_vector,
-    conic_row,
-    conic_through_five,
     inconic_with_contacts,
-    nine_point_conic,
-    polar_rows,
+    isotomic_image_of_line,
     transform_conic,
+    vertex_nine_point_conic,
 )
 
 if TYPE_CHECKING:
@@ -130,11 +118,12 @@ def degeneracy_report(p: Point) -> DegeneracyReport:
 
 
 def cevian_conic(p: Point, q: Point) -> Optional[Conic]:
-    """The conic through A, B, C, p and q, or None when the five points
-    leave a whole pencil (p on a median)."""
+    """The conic through A, B, C, p and q: the isotomic image of the line
+    through their isotomic conjugates.  None when p = q (p the centroid),
+    where a whole pencil passes through the five points."""
     try:
-        return conic_through_five((*VERTICES, p, q))
-    except RankDeficient:
+        return isotomic_image_of_line(join(isotomic(p), isotomic(q)))
+    except CoincidentArguments:
         return None
 
 
@@ -231,7 +220,7 @@ class ConstructionSet(Centers):
         self.circum_to_inconic = t_p @ kinv @ t_p_iso
         self.ninepoint_to_inconic = self.circum_to_inconic @ kinv
 
-        self.ninepoint_conic_iso = nine_point_conic((*VERTICES, p_iso))
+        self.ninepoint_conic_iso = vertex_nine_point_conic(p_iso)
         self.circumconic = transform_conic(
             self.cevian_map_iso_inverse, self.ninepoint_conic_iso
         )
@@ -337,33 +326,16 @@ def anticevian_family(cs: Centers) -> AnticevianFamily:
 # the locus of points whose orthocenter-like point is a vertex
 
 
-_LOCUS_DATA = {
-    # vertex -> (four conic points, tangency contact, tangent line)
-    "A": ((VERTEX_B, VERTEX_C, MID_CA, MID_AB), VERTEX_B, Line(1, 0, 1)),
-    "B": ((VERTEX_C, VERTEX_A, MID_AB, MID_BC), VERTEX_C, Line(1, 1, 0)),
-    "C": ((VERTEX_A, VERTEX_B, MID_BC, MID_CA), VERTEX_A, Line(0, 1, 1)),
-}
-
-
 def locus_conic(vertex: str) -> Conic:
     """Conic carrying every p whose orthocenter-like point is the given
-    vertex (minus its four base points).  Built from the four base points
-    plus one tangency; the symmetric tangency at the other vertex and the
-    closed-form equation are asserted by tests, not assumed."""
-    try:
-        points, contact, tangent = _LOCUS_DATA[vertex]
-    except KeyError:
+    vertex (minus its four base points): x_v^2 = xy + yz + zx for the
+    vertex coordinate x_v, the identity `degeneracy_report` tests.  Tests
+    check its base points (the other two vertices and the midpoints of the
+    sides through the vertex) and its tangents there."""
+    k = {"A": 0, "B": 1, "C": 2}.get(vertex)
+    if k is None:
         raise ValueError(f"vertex must be A, B, or C, not {vertex!r}")
-    rows = [conic_row(pt) for pt in points]
-    polar = polar_rows(contact)
-    (l, m, n), d = tangent.ints, tangent.d
-    # cross(C.contact, tangent) = 0: three rows, two independent
-    for i, j, ci, cj in ((1, 2, n, m), (2, 0, l, n), (0, 1, m, l)):
-        rows.append(combine(ci, polar[i], zscale(-1, cj), polar[j], d))
-    basis = null_space(d, rows)
-    if len(basis) != 1:
-        raise RankDeficient("locus system is not rank five")  # pragma: no cover
-    return conic_from_vector(d, basis[0])
+    return Conic([[-2 if i == j == k else int(i != j) for j in range(3)] for i in range(3)])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ repeated runs byte-identical.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +40,7 @@ _CONIC_STEPS = 256  # sampled directions through a conic's seed point
 # A figure spans up to 3.4 times its largest coordinate, and its height is the
 # width times one span over another: points farther out are left out of it.
 _DRAW_LIMIT = sys.float_info.max / (4 * _SVG_WIDTH)
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 
 @dataclass(frozen=True)
@@ -56,14 +58,20 @@ class RenderTriangle:
     @classmethod
     def parse(cls, text: str) -> "RenderTriangle":
         """Parse "x1,y1;x2,y2;x3,y3" with exact rational entries, written
-        in ASCII."""
+        in ASCII.  An exponent beyond the str limit is refused before
+        Fraction expands it, which takes time that grows with it."""
         if not text.isascii():
             raise ValueError(f"triangle {text!r} has a character that is not ASCII")
         parts = text.strip().split(";")
         if len(parts) != 3:
             raise ValueError("triangle needs three semicolon-separated vertices")
         coords = []
+        limit = sys.get_int_max_str_digits()
         for k, part in enumerate(parts, 1):
+            for exponent in _EXPONENT.findall(part):
+                digits = exponent.replace("_", "").lstrip("0")
+                if limit and (len(digits) > len(str(limit)) or int(digits or "0") > limit):
+                    raise ValueError(f"vertex {k} has an exponent beyond {limit} (the str limit)")
             xy = part.split(",")
             if len(xy) != 2:
                 raise ValueError(f"malformed vertex {part!r}")

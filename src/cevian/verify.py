@@ -244,7 +244,7 @@ def classical_centers(sides: Sequence[Fraction]) -> dict[str, Point]:
 @_register("thm_HO_formula", "affine formulas for the two generalized centers match their parallel-line definitions")
 def _check_ho_formula(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
-    o_formula = cs.cevian_map_iso.inverse()(complement(cs.q))
+    o_formula = cs.cevian_map_iso_inverse(complement(cs.q))
     h_formula = anticomplement(o_formula)
     cl.equal("o_formula", o_formula, cs.circumcenter)
     cl.equal("h_formula", h_formula, cs.orthocenter)

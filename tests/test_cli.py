@@ -5,6 +5,7 @@ import pathlib
 import re
 import sys
 import time
+from fractions import Fraction
 from xml.etree import ElementTree
 
 import pytest
@@ -277,6 +278,31 @@ def test_triangle_beyond_draw_limit(capsys, command, triangle):
     assert run([command, "--p=2:3:6", f"--triangle={triangle}"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("exponent", ["e-20000000", "e2000000", "E+0_0_99999"])
+@pytest.mark.parametrize("command", ["construct", "svg", "config"])
+def test_triangle_exponent_beyond_the_str_limit(tmp_path, capsys, command, exponent):
+    """Fraction expands an exponent in time that grows with it: a vertex
+    whose exponent has more digits than the str limit is refused on the
+    text, by name, before that."""
+    triangle = f"0,0;1{exponent},0;0,1"
+    if command == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"p = 2:3:6\ntriangle = {triangle}\n")
+        args = ["--config", str(cfg), "svg"]
+    else:
+        args = [command, "--p=2:3:6", f"--triangle={triangle}"]
+    start = time.perf_counter()
+    assert run(args) == 2
+    assert time.perf_counter() - start < 3
+    err = capsys.readouterr().err
+    assert err == "error: vertex 2 has an exponent beyond 4300 (the str limit)\n"
+
+
+def test_triangle_exponents_within_the_limit_parse():
+    tri = RenderTriangle.parse("0,0;1e-5,0;0,2.5e3")
+    assert tri.vertices()[1:] == ((Fraction(1, 100000), 0), (0, 2500))
 
 
 _VERTEX_COORDINATE = st.builds(

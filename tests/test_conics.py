@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
-from cevian.scalar import NeedsExtension, Scalar
+from cevian.scalar import NeedsExtension, Scalar, combine, zmul, zscale, zsum
 from cevian.projective import (
     CENTROID,
     LINE_AT_INFINITY,
@@ -23,6 +23,8 @@ from cevian.projective import (
     isotomic,
     join,
     midpoint,
+    null_space,
+    perspector,
 )
 from cevian.conics import (
     Conic,
@@ -38,6 +40,8 @@ from cevian.conics import (
     TangentAt,
     TwoPoints,
     circumconic_with_center,
+    conic_from_vector,
+    conic_row,
     conic_through_five,
     infinity_intersection_count,
     inconic_with_contacts,
@@ -48,7 +52,9 @@ from cevian.conics import (
     steiner_circumellipse,
     tangent_conics_at,
     transform_conic,
+    vertex_nine_point_conic,
 )
+from cevian.constructions import cevian_conic, degeneracy_report, locus_conic
 
 VERTICES = (VERTEX_A, VERTEX_B, VERTEX_C)
 
@@ -399,3 +405,126 @@ def test_isotomic_image_of_line():
 def test_conic_parse_round_trip():
     conic = circumconic_with_center(Point(1, 2, 4))
     assert Conic.parse(str(conic)) == conic
+
+
+# -- the closed forms against the solvers they replaced ---------------------------------
+#
+# The cevian conic, the nine-point conic of A, B, C, x, the inconic and the
+# vertex-locus conic are read off closed forms.  Each must equal, as a
+# canonical conic, what the solve it replaced returns: `conic_through_five`,
+# `nine_point_conic`, and a copy of the polar-row solve kept here.
+
+FIELDS = (1, 2, 6, 1610924047)
+_Z = (0, 0)
+
+
+def polar_rows(contact):
+    """The three components of C . contact, each a row over the coefficient
+    vector of conic_row."""
+    x, y, z = contact.ints
+    return (
+        (x, _Z, _Z, y, z, _Z),
+        (_Z, y, _Z, x, _Z, z),
+        (_Z, _Z, z, _Z, x, y),
+    )
+
+
+def solved_inconic(contacts):
+    """The conic tangent to sideline k at contact k: the polar of contact k
+    has only component k, six rows in all."""
+    rows = [row for k, c in enumerate(contacts) for i, row in enumerate(polar_rows(c)) if i != k]
+    d = perspector(VERTICES, contacts).d
+    (vector,) = null_space(d, rows)
+    return conic_from_vector(d, vector)
+
+
+_LOCUS_DATA = {
+    "A": ((VERTEX_B, VERTEX_C, MID_CA, MID_AB), VERTEX_B, Line(1, 0, 1)),
+    "B": ((VERTEX_C, VERTEX_A, MID_AB, MID_BC), VERTEX_C, Line(1, 1, 0)),
+    "C": ((VERTEX_A, VERTEX_B, MID_BC, MID_CA), VERTEX_A, Line(0, 1, 1)),
+}
+
+
+def solved_locus(vertex):
+    """The conic through four base points, tangent to one line at one of
+    them: cross(C . contact, tangent) = 0 gives two more rows."""
+    points, contact, tangent = _LOCUS_DATA[vertex]
+    rows = [conic_row(pt) for pt in points]
+    polar = polar_rows(contact)
+    l, m, n = tangent.ints
+    for i, j, ci, cj in ((1, 2, n, m), (2, 0, l, n), (0, 1, m, l)):
+        rows.append(combine(ci, polar[i], zscale(-1, cj), polar[j], 1))
+    (vector,) = null_space(1, rows)
+    return conic_from_vector(1, vector)
+
+
+def solved_cevian_conic(p, q):
+    try:
+        return conic_through_five((*VERTICES, p, q))
+    except RankDeficient:
+        return None
+
+
+@pytest.mark.parametrize("vertex", "ABC")
+def test_locus_conic_equals_the_solved_conic(vertex):
+    assert locus_conic(vertex) == solved_locus(vertex)
+
+
+@st.composite
+def special_points(draw):
+    """A point over Q or Q(sqrt(d)) of one of the shapes the closed forms
+    meet: generic, the centroid, a median, the outer centroid ellipse
+    xy + yz + zx = 0 (where the inconic is a parabola), or the vertex locus
+    x^2 = xy + yz + zx of one vertex, with its coordinates rotated."""
+    d = draw(st.sampled_from(FIELDS))
+    rational = st.integers(-30, 30)
+    pair = st.tuples(rational, st.integers(-5, 5) if d > 1 else st.just(0))
+    x, y, z = draw(st.tuples(pair, pair, pair))
+    shape = draw(st.sampled_from(("generic", "median", "steiner", "locus", "centroid")))
+    if shape == "centroid":
+        y = z = x
+    elif shape == "median":
+        y = x
+    elif shape == "steiner":
+        s = zsum((x, y))
+        x, y, z = zmul(x, s, d), zmul(y, s, d), zscale(-1, zmul(x, y, d))
+    elif shape == "locus":
+        # the line z = t x through B, t = y / x, meets the conic again here
+        s, t = zsum((x, y)), zsum((x, zscale(-1, y)))
+        x, y, z = zmul(x, s, d), zmul(x, t, d), zmul(y, s, d)
+    shift = draw(st.integers(0, 2))
+    coords = (x, y, z)[shift:] + (x, y, z)[:shift]
+    assume(any(c != _Z for c in coords))
+    return shape, shift, Point.from_ints(d, coords)
+
+
+@given(special_points())
+@settings(max_examples=300, deadline=None)
+def test_closed_forms_equal_the_solved_conics(case):
+    shape, shift, p = case
+    flags = degeneracy_report(p)
+    assume(not flags.hard())
+    event(f"{shape} over d = {p.d}")
+    if shape == "locus":
+        assert flags.h_is_vertex is not None and locus_conic("ACB"[shift]).contains(p)
+    if shape == "steiner":
+        assert flags.on_steiner_circumellipse
+    p_iso = isotomic(p)
+    q = complement(p_iso)
+    closed = cevian_conic(p, q)
+    assert closed == solved_cevian_conic(p, q)
+    assert (closed is None) == (p == CENTROID)
+    if flags.on_median:
+        assert closed is None or closed.is_degenerate()
+    for x in (p, p_iso):
+        assert vertex_nine_point_conic(x) == nine_point_conic((*VERTICES, x))
+    traces = cevian_traces(p)
+    inconic = inconic_with_contacts(*traces)
+    assert inconic == solved_inconic(traces)
+    if shape == "steiner":
+        assert infinity_intersection_count(inconic) == 1
+
+
+def test_vertex_nine_point_conic_rejects_a_sideline_point():
+    with pytest.raises(DegenerateQuadrangle):
+        vertex_nine_point_conic(Point(0, 1, 2))

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,7 @@ from cevian.constructions import (
     z_locus_sweep,
 )
 from cevian.render import RenderTriangle
+from cevian.verify import run_check
 
 
 # -- degeneracy flags -----------------------------------------------------------
@@ -430,6 +432,51 @@ def test_z_locus_sweep_is_pinned(p, tri, digest):
     points = z_locus_sweep(p, tri)
     assert len(points) == 160
     assert hashlib.sha256("\n".join(map(str, points)).encode()).hexdigest() == digest
+
+
+# -- the solves left ----------------------------------------------------------------------
+
+
+def count_calls(monkeypatch, home, name):
+    """Wrap the function `name` of module `home` in every cevian module that
+    binds it; the returned list gets one entry per call."""
+    fn = getattr(sys.modules[home], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("cevian") and getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_construction_reads_its_conics_off_closed_forms(monkeypatch):
+    """construct, over Q and over Q(sqrt(d)), the vertex-locus conics and
+    the cevian-conic sweep solve no linear system."""
+    solves = count_calls(monkeypatch, "cevian.projective", "null_space")
+    construct(Point(2, 3, 6))
+    construct(Point(1, Scalar(1, 1, 1610924047), Scalar(-2, 3, 1610924047)))
+    construct(special_configuration_point())
+    for vertex in "ABC":
+        locus_conic(vertex)
+    z_locus_sweep(Point(2, 3, 6), RenderTriangle.default())
+    assert solves == []
+
+
+def test_checks_solve_the_nine_point_conic_as_their_second_path(monkeypatch):
+    """The three checks that compare a nine-point conic with the
+    construction's solve it from the quadrangle's nine points."""
+    solved = count_calls(monkeypatch, "cevian.conics", "nine_point_conic")
+    for check_id in (
+        "NH_complement_of_circumconic",
+        "gen_feuerbach_tangency",
+        "four_points_same_HO",
+    ):
+        assert run_check(check_id, Point(3, 5, 7)).status == "pass"
+    assert len(solved) == 3
 
 
 # -- sampling -----------------------------------------------------------------------------

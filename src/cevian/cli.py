@@ -144,7 +144,12 @@ def cmd_construct(args) -> int:
         report = construction_report(cs, tri)
     except ValueError as exc:  # an exact coordinate too long even so
         cap = sys.get_int_max_str_digits()
-        raise InputError(f"--p is too large: its report needs numbers of over {cap} digits") from exc
+        flag = "--p"
+        try:  # the report also writes back the triangle's own numbers
+            [str(x) for v in tri.vertices() for x in v]
+        except ValueError:
+            flag = "--triangle"
+        raise InputError(f"{flag} is too large: its report needs numbers of over {cap} digits") from exc
     finally:
         sys.set_int_max_str_digits(limit)
     _emit(json.dumps(report, indent=2) + "\n", args.out)

@@ -19,6 +19,14 @@ vectors by coordinate sums instead of normalizing them.  Objects print
 through ``format_number`` and hash from their type name, d and ints.
 There is no Scalar arithmetic here: Scalars are built only by parsing, and
 by ``ratio`` for a ratio and the ``coords`` and ``matrix`` views.
+
+`_canonical`, `dot`, `cross`, `mat_vec` and `mat_mul` branch on d.  At d = 1
+they read only the rational half of each pair and write 0 for the other,
+which is exact because at d = 1 every b is 0: `_canonical`, which builds
+every object, refuses a vector that breaks this.  Objects over Q take that
+branch, and objects over Q(sqrt(d)), with everything built from them, take
+the general one.  The d = 1 branches of `dot`, `mat_vec` and `mat_mul`
+take triples and 3x3 matrices, the only shapes the kernel has.
 """
 
 from __future__ import annotations
@@ -98,7 +106,24 @@ def _canonical(d: int, v: Sequence[Pair]) -> tuple[int, Vector]:
     Q(sqrt(d)): an irrational lead is made rational by multiplying with its
     conjugate, the gcd of all the ints is divided out, and the sign is fixed
     so that the lead is positive.  This is v divided by its lead, with the
-    rational content then cleared.  d folds to 1 when every b is 0."""
+    rational content then cleared.  d folds to 1 when every b is 0.
+
+    At d = 1 every b must be 0, the invariant the d = 1 branches of the
+    kernel rely on; an entry with an irrational part raises ValueError."""
+    if d == 1:
+        xs = [x for x, y in v if not y]
+        if len(xs) != len(v):
+            i, entry = next((i, e) for i, e in enumerate(v) if e[1])
+            raise ValueError(f"entry {i} = {entry} has an irrational part at d = 1")
+        g = gcd(*xs)
+        if not g:
+            raise ValueError("zero tuple has no projective meaning")
+        for x in xs:
+            if x:
+                break
+        if x < 0:
+            g = -g
+        return 1, tuple([(x // g, 0) for x in xs]) if g != 1 else tuple(v)
     lead = next((x for x in v if x != _ZERO), None)
     if lead is None:
         raise ValueError("zero tuple has no projective meaning")
@@ -110,12 +135,16 @@ def _canonical(d: int, v: Sequence[Pair]) -> tuple[int, Vector]:
     if a < 0:
         g = -g
     v = tuple([(x // g, y // g) for x, y in v]) if g != 1 else tuple(v)
-    if d != 1 and not any(y for _, y in v):
+    if not any(y for _, y in v):
         d = 1
     return d, v
 
 
 def dot(u: Sequence[Pair], v: Sequence[Pair], d: int) -> Pair:
+    if d == 1:
+        (x0, _), (x1, _), (x2, _) = u
+        (z0, _), (z1, _), (z2, _) = v
+        return x0 * z0 + x1 * z1 + x2 * z2, 0
     a = b = 0
     for (x, y), (z, w) in zip(u, v):
         a += x * z + y * w * d
@@ -126,6 +155,8 @@ def dot(u: Sequence[Pair], v: Sequence[Pair], d: int) -> Pair:
 def cross(u: Sequence[Pair], v: Sequence[Pair], d: int) -> Vector:
     (a0, b0), (a1, b1), (a2, b2) = u
     (c0, e0), (c1, e1), (c2, e2) = v
+    if d == 1:
+        return ((a1 * c2 - a2 * c1, 0), (a2 * c0 - a0 * c2, 0), (a0 * c1 - a1 * c0, 0))
     return (
         (a1 * c2 - a2 * c1 + (b1 * e2 - b2 * e1) * d, a1 * e2 + b1 * c2 - a2 * e1 - b2 * c1),
         (a2 * c0 - a0 * c2 + (b2 * e0 - b0 * e2) * d, a2 * e0 + b2 * c0 - a0 * e2 - b0 * c2),
@@ -138,10 +169,19 @@ def transpose(m: Sequence[Sequence[Pair]]) -> Rows:
 
 
 def mat_vec(m: Sequence[Sequence[Pair]], v: Sequence[Pair], d: int) -> Vector:
+    if d == 1:
+        (x, _), (y, _), (z, _) = v
+        return tuple([(a * x + b * y + c * z, 0) for (a, _), (b, _), (c, _) in m])
     return tuple([dot(row, v, d) for row in m])
 
 
 def mat_mul(a: Sequence[Sequence[Pair]], b: Sequence[Sequence[Pair]], d: int) -> Rows:
+    if d == 1:
+        cols = [[x for x, _ in col] for col in zip(*b)]
+        return tuple([
+            tuple([(x * c0 + y * c1 + z * c2, 0) for c0, c1, c2 in cols])
+            for (x, _), (y, _), (z, _) in a
+        ])  # type: ignore[return-value]
     cols = [*zip(*b)]
     return tuple([tuple([dot(row, col, d) for col in cols]) for row in a])  # type: ignore[return-value]
 

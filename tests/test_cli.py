@@ -193,6 +193,16 @@ def test_construct_report_beyond_the_lifted_limit_names_the_flag(capsys, monkeyp
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_construct_report_of_a_long_triangle_number_names_the_flag(capsys):
+    """1e-4300 parses (its exponent is within the str limit), but the report
+    writes it back with a denominator of 4301 digits: --triangle is blamed."""
+    limit = sys.get_int_max_str_digits()
+    assert run(["construct", "--p=1:2:3", "--triangle=0,0;1e-4300,0;0,1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --triangle is too large: its report needs numbers of over 4300 digits\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_point_with_too_many_digits_names_the_flag(capsys):
     assert run(["construct", f"--p={'7' * 5000}:2:3"]) == 2
     err = capsys.readouterr().err

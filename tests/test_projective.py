@@ -6,7 +6,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cevian import scalar as scalar_module
-from cevian.scalar import InexactDivision, NeedsExtension, Scalar, divide_exactly
+from cevian.scalar import (
+    InexactDivision,
+    NeedsExtension,
+    Scalar,
+    ScalarError,
+    combine,
+    divide_exactly,
+    zmul,
+)
 from cevian.conics import (
     Conic,
     NoRealIntersection,
@@ -57,8 +65,11 @@ from cevian.projective import (
     cevian_map,
     cevian_traces,
     collinear_ratio,
+    cross,
+    dot,
     HomogeneousMatrix,
     HomogeneousTriple,
+    _canonical,
     complement,
     complement_map,
     direction_of,
@@ -66,6 +77,8 @@ from cevian.projective import (
     iso_reflection_map,
     isotomic,
     join,
+    mat_mul,
+    mat_vec,
     meet,
     midpoint,
     null_space,
@@ -506,6 +519,142 @@ def test_exact_division_checks_the_remainder():
         divide_exactly([(3, 0)], (2, 0), 1)
     with pytest.raises(InexactDivision):
         divide_exactly([(4, 0), (1, 0)], (2, 1), 2)
+
+
+def test_canonical_refuses_an_irrational_part_at_d_1():
+    """Every d = 1 branch of the kernel reads only the rational half, so an
+    irrational part at d = 1 is refused where every object is built."""
+    with pytest.raises(ValueError, match=r"entry 0 = \(2, 3\) has an irrational part at d = 1"):
+        Point.from_ints(1, [(2, 3), (4, 0), (0, 0)])
+    rows = (((1, 0), (0, 0), (0, 0)), ((0, 0), (1, 0), (0, 0)), ((0, 0), (0, -1), (1, 0)))
+    with pytest.raises(ValueError, match=r"entry 7 = \(0, -1\) has an irrational part at d = 1"):
+        HomogeneousMatrix.from_ints(1, rows)
+
+
+# The kernel routines as they were before their d = 1 branch: the general
+# Z[sqrt(d)] bodies, which the branch must agree with on rational entries.
+
+
+def general_combine(s, u, t, v, d):
+    (sa, sb), (ta, tb) = s, t
+    return tuple([
+        (sa * a + sb * b * d + ta * c + tb * e * d, sa * b + sb * a + ta * e + tb * c)
+        for (a, b), (c, e) in zip(u, v)
+    ])
+
+
+def general_divide_exactly(v, y, d):
+    c, e = y
+    if e:
+        v = [(a * c - b * e * d, b * c - a * e) for a, b in v]
+        c = c * c - e * e * d
+    out = []
+    for a, b in v:
+        qa, ra = divmod(a, c)
+        qb, rb = divmod(b, c)
+        if ra or rb:
+            raise InexactDivision(f"an entry is not a multiple of {y} in Z[sqrt({d})]")
+        out.append((qa, qb))
+    return out
+
+
+def general_dot(u, v, d):
+    a = b = 0
+    for (x, y), (z, w) in zip(u, v):
+        a += x * z + y * w * d
+        b += x * w + y * z
+    return a, b
+
+
+def general_cross(u, v, d):
+    (a0, b0), (a1, b1), (a2, b2) = u
+    (c0, e0), (c1, e1), (c2, e2) = v
+    return (
+        (a1 * c2 - a2 * c1 + (b1 * e2 - b2 * e1) * d, a1 * e2 + b1 * c2 - a2 * e1 - b2 * c1),
+        (a2 * c0 - a0 * c2 + (b2 * e0 - b0 * e2) * d, a2 * e0 + b2 * c0 - a0 * e2 - b0 * c2),
+        (a0 * c1 - a1 * c0 + (b0 * e1 - b1 * e0) * d, a0 * e1 + b0 * c1 - a1 * e0 - b1 * c0),
+    )
+
+
+def general_mat_vec(m, v, d):
+    return tuple([general_dot(row, v, d) for row in m])
+
+
+def general_mat_mul(a, b, d):
+    cols = [*zip(*b)]
+    return tuple([tuple([general_dot(row, col, d) for col in cols]) for row in a])
+
+
+def general_canonical(d, v):
+    lead = next((x for x in v if x != (0, 0)), None)
+    if lead is None:
+        raise ValueError("zero tuple has no projective meaning")
+    a, b = lead
+    if b:
+        v = [(x * a - y * b * d, y * a - x * b) for x, y in v]
+        a = a * a - b * b * d
+    g = gcd(*[n for pair in v for n in pair])
+    if a < 0:
+        g = -g
+    v = tuple([(x // g, y // g) for x, y in v]) if g != 1 else tuple(v)
+    if d != 1 and not any(y for _, y in v):
+        d = 1
+    return d, v
+
+
+def outcome(f, *args):
+    """The result of f, or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except (ValueError, ScalarError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+_RATIONAL = st.one_of(
+    st.sampled_from([0, 0, 1, -1]),
+    st.builds(lambda sign, k: sign * 2**k, st.sampled_from([1, -1]), st.integers(0, 1100)),
+).map(lambda a: (a, 0))
+
+
+@st.composite
+def rational_vectors(draw, length=3):
+    """Rational pair vectors, a quarter of them zero and a quarter with a
+    zero lead."""
+    v = draw(st.lists(_RATIONAL, min_size=length, max_size=length))
+    kind = draw(st.sampled_from(["any", "any", "zero", "zero lead"]))
+    if kind == "zero":
+        v = [(0, 0)] * length
+    elif kind == "zero lead":
+        k = draw(st.integers(1, length - 1))
+        v = [(0, 0)] * k + v[k:]
+    return tuple(v)
+
+
+@given(
+    st.lists(rational_vectors(), min_size=3, max_size=3),
+    rational_vectors(),
+    _RATIONAL,
+    _RATIONAL,
+    rational_vectors(9),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_rational_branch_matches_the_general_kernel(m, v, s, t, flat, exact):
+    """At d = 1 each kernel routine gives what its general Z[sqrt(d)] body
+    gives, errors and their messages included."""
+    u = m[0]
+    assert zmul(s, t, 1) == pair_mul(s, t, 1)
+    assert combine(s, u, t, v, 1) == general_combine(s, u, t, v, 1)
+    assert dot(u, v, 1) == general_dot(u, v, 1)
+    assert cross(u, v, 1) == general_cross(u, v, 1)
+    assert mat_vec(m, v, 1) == general_mat_vec(m, v, 1)
+    assert mat_mul(m, m[::-1], 1) == general_mat_mul(m, m[::-1], 1)
+    for w in (u, v, flat):
+        assert outcome(_canonical, 1, w) == outcome(general_canonical, 1, w)
+    # a divisor y divides y * w exactly, and w itself only now and then
+    y = s if s != (0, 0) else (-3, 0)
+    w = tuple([pair_mul(y, x, 1) for x in v]) if exact else v
+    assert outcome(divide_exactly, w, y, 1) == outcome(general_divide_exactly, w, y, 1)
 
 
 @pytest.fixture

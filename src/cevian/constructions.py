@@ -2,11 +2,12 @@
 point, affine map, and conic of the generalized-center configuration.
 
 `Centers(p)` holds the defining objects: q = K(isotomic(p)), the
-orthocenter-like point H, computed both from the affine formula and as the
-common point of the parallels through the vertices, O = K(H), and the
-cevian conic through A, B, C, p, q, whose center is Z.  `ConstructionSet`
-extends it with every other member; `construct(p)` builds one.  The
-anticevian siblings of p, which share H and O, need only `Centers`.
+orthocenter-like point H read off the vertex-locus forms of p, O = K(H),
+both checked against the common points of the parallels through the
+vertices and the midpoints, and the cevian conic through A, B, C, p, q,
+whose center is Z.  The affine formula O = T_p_iso^-1(K(q)) runs only in
+the check `thm_HO_formula`.  `ConstructionSet` adds every other member,
+`construct(p)` builds one, and the anticevian siblings need only `Centers`.
 
 Degeneracy is graded.  A point on a sideline of the reference triangle or of
 its anticomplementary triangle is a hard error (nothing is constructible).
@@ -22,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .scalar import NeedsExtension, Roots, quadratic_roots
+from .scalar import NeedsExtension, Pair, Roots, quadratic_roots
 from .projective import (
     AffineMap,
     CENTROID,
@@ -30,6 +31,7 @@ from .projective import (
     DegenerateConfiguration,
     GeometryError,
     InfiniteInput,
+    Line,
     MIDPOINTS,
     OnSideline,
     Point,
@@ -51,6 +53,7 @@ from .projective import (
     reflection_axis_point,
     zmul,
     zscale,
+    zsub,
     zsum,
 )
 from .conics import (
@@ -99,22 +102,32 @@ class DegeneracyReport:
         )
 
 
-def degeneracy_report(p: Point) -> DegeneracyReport:
+def _locus_forms(p: Point) -> tuple[Pair, tuple[Pair, ...]]:
+    """s = xy + yz + zx and e = (s - x^2, s - y^2, s - z^2) at p = (x : y : z).
+    s vanishes on the outer centroid ellipse, and e_k off the sidelines on
+    the locus of points whose orthocenter-like point is vertex k."""
     (x, y, z), d = p.ints, p.d
+    s = zsum((zmul(x, y, d), zmul(y, z, d), zmul(z, x, d)))
+    return s, tuple(zsub(s, zmul(c, c, d)) for c in p.ints)
+
+
+def degeneracy_report(p: Point) -> DegeneracyReport:
+    x, y, z = p.ints
     on_side = (0, 0) in p.ints
     on_anti = any(zsum(pair) == (0, 0) for pair in ((y, z), (z, x), (x, y)))
     on_median = x == y or y == z or z == x
-    s = zsum((zmul(x, y, d), zmul(y, z, d), zmul(z, x, d)))
-    on_steiner = s == (0, 0)
-    h_vertex = None
-    if not on_side:
-        if s == zmul(x, x, d):
-            h_vertex = "A"
-        elif s == zmul(y, y, d):
-            h_vertex = "B"
-        elif s == zmul(z, z, d):
-            h_vertex = "C"
-    return DegeneracyReport(on_side, on_anti, on_median, on_steiner, h_vertex)
+    s, e = _locus_forms(p)
+    h_vertex = None if on_side else next((k for k, e_k in zip("ABC", e) if e_k == (0, 0)), None)
+    return DegeneracyReport(on_side, on_anti, on_median, s == (0, 0), h_vertex)
+
+
+def generalized_orthocenter(p: Point) -> Point:
+    """The orthocenter-like point H of p = (u : v : w) off the sidelines of
+    both triangles: (u e_v e_w : v e_w e_u : w e_u e_v) for the locus forms
+    e of p, so H is vertex k exactly where e_k vanishes."""
+    d, (_, e) = p.d, _locus_forms(p)
+    others = (zmul(e[1], e[2], d), zmul(e[2], e[0], d), zmul(e[0], e[1], d))
+    return Point.from_ints(d, [zmul(c, e_c, d) for c, e_c in zip(p.ints, others)])
 
 
 def cevian_conic(p: Point, q: Point) -> Optional[Conic]:
@@ -148,12 +161,12 @@ class Centers:
     """The defining objects of one driving point p.
 
     q is the complement of the isotomic conjugate p_iso of p (the inconic
-    center).  The circumcenter-like point O = T_p_iso^-1(K(q)) and the
-    orthocenter-like point H = K^-1(O) come from the affine formula and are
-    checked against the common points of the parallels to the q-trace lines
-    through the vertices (H) and the midpoints (O).  The cevian conic through
-    A, B, C, p, q is None when p lies on a median, with the reason recorded
-    in `absent`.
+    center).  The orthocenter-like point H is `generalized_orthocenter(p)`,
+    read off the vertex-locus forms, and the circumcenter-like point is
+    O = K(H).  Both are checked against the common points of the parallels
+    to the q-trace lines through the vertices (H) and the midpoints (O).
+    The cevian conic through A, B, C, p, q is None when p lies on a median,
+    with the reason recorded in `absent`.
     """
 
     def __init__(self, p: Point):
@@ -170,11 +183,9 @@ class Centers:
         self.p_iso = isotomic(p)
         self.q = q = complement(self.p_iso)
         self.traces = cevian_traces(p)
-        self.cevian_map_iso = cevian_map(self.p_iso)
-        self.cevian_map_iso_inverse = self.cevian_map_iso.inverse()
 
-        self.circumcenter = self.cevian_map_iso_inverse(complement(q))
-        self.orthocenter = anticomplement(self.circumcenter)
+        self.orthocenter = generalized_orthocenter(p)
+        self.circumcenter = complement(self.orthocenter)
         h_direct = _concurrent_parallels(VERTICES, q, self.traces)
         o_direct = _concurrent_parallels(MIDPOINTS, q, self.traces)
         if h_direct != self.orthocenter or o_direct != self.circumcenter:
@@ -205,12 +216,13 @@ class ConstructionSet(Centers):
         self.q_iso = q_iso = complement(p)
         self.traces_iso = cevian_traces(p_iso)
         self.cevian_map = t_p = cevian_map(p)
-        t_p_iso = self.cevian_map_iso
         self.cevian_map_inverse = t_p_inv = t_p.inverse()
+        self.cevian_map_iso = t_p_iso = cevian_map(p_iso)
+        self.cevian_map_iso_inverse = t_p_iso.inverse()
         kinv = anticomplement_map()
 
-        self.circumcenter_iso = t_p_inv(complement(q_iso))
-        self.orthocenter_iso = anticomplement(self.circumcenter_iso)
+        self.orthocenter_iso = generalized_orthocenter(p_iso)
+        self.circumcenter_iso = complement(self.orthocenter_iso)
         self.orthocenter_preimage = t_p_inv(self.orthocenter)
 
         self.transfer_map = t_p_iso @ t_p_inv
@@ -221,9 +233,8 @@ class ConstructionSet(Centers):
         self.ninepoint_to_inconic = self.circum_to_inconic @ kinv
 
         self.ninepoint_conic_iso = vertex_nine_point_conic(p_iso)
-        self.circumconic = transform_conic(
-            self.cevian_map_iso_inverse, self.ninepoint_conic_iso
-        )
+        squares = [zmul(c, c, p.d) for c in q.ints]  # sum u^2(v+w)^2 yz = 0
+        self.circumconic = isotomic_image_of_line(Line.from_ints(p.d, squares))
         self.ninepoint_conic = transform_conic(complement_map(), self.circumconic)
         self.ninepoint_center = self.ninepoint_conic.center()
         self.inconic = inconic_with_contacts(*self.traces)
@@ -313,7 +324,7 @@ class AnticevianFamily:
         return (self.p_a, self.p_b, self.p_c)
 
 
-def anticevian_family(cs: Centers) -> AnticevianFamily:
+def anticevian_family(cs: ConstructionSet) -> AnticevianFamily:
     if cs.flags.on_median:
         raise DegenerateConfiguration("anticevian family needs p off the medians")
     tinv = cs.cevian_map_iso_inverse
@@ -350,6 +361,8 @@ def z_locus_sweep(p: Point, tri: RenderTriangle) -> list[Point]:
     line through p perpendicular to side BC in the render triangle.  Display
     only: each sample is exact, the sweep itself is a finite sampling.
     Sample k is p/w + k/(3*count) * direction, scaled by 3*count*w."""
+    if p.is_infinite():
+        raise InfiniteInput(f"--z-locus sweeps from a finite p, and {p} is at infinity")
     direction = tri.perpendicular_to_bc().ints
     w = p._weight()
     count = _Z_LOCUS_SAMPLES
@@ -360,11 +373,8 @@ def z_locus_sweep(p: Point, tri: RenderTriangle) -> list[Point]:
         moved = Point.from_ints(p.d, combine((3 * count, 0), p.ints, zscale(k, w), direction, p.d))
         rep = degeneracy_report(moved)
         if rep.hard() or rep.on_median:
-            continue
-        conic = cevian_conic(moved, complement(isotomic(moved)))
-        if conic is None or conic.is_degenerate():
-            continue
-        out.append(conic.center())
+            continue  # off the medians the cevian conic is a proper conic
+        out.append(cevian_conic(moved, complement(isotomic(moved))).center())
     return out
 
 
@@ -397,6 +407,7 @@ def special_configuration() -> ConstructionSet:
 
 
 _SAMPLE_BOUND = 50  # largest absolute coordinate of a sampled point
+_SAMPLE_LIMIT = 10_000  # most points one call returns, and most draws it rejects
 
 
 def sample_nondegenerate(seed: int, count: int) -> list[Point]:
@@ -407,18 +418,17 @@ def sample_nondegenerate(seed: int, count: int) -> list[Point]:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if count > _SAMPLE_LIMIT:
+        raise ValueError(f"count must be at most {_SAMPLE_LIMIT}")
     rng = random.Random(seed)
     points: list[Point] = []
-    attempts = 0
+    rejections = 0
     while len(points) < count:
-        attempts += 1
-        if attempts > 10_000:
-            raise ExhaustedRejections(f"10^4 rejections at seed {seed}")
         coords = tuple(rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND) for _ in range(3))
-        if any(c == 0 for c in coords):
+        if 0 in coords or degeneracy_report(Point(*coords)).any():
+            rejections += 1
+            if rejections > _SAMPLE_LIMIT:
+                raise ExhaustedRejections(f"10^4 rejections at seed {seed}")
             continue
-        candidate = Point(*coords)
-        if degeneracy_report(candidate).any():
-            continue
-        points.append(candidate)
+        points.append(Point(*coords))
     return points

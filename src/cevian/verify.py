@@ -157,28 +157,18 @@ class CheckContext:
         self.config = config
         self.cs: ConstructionSet = construct(config.p)
         self._family = None
-        self._siblings = None
-
-    @property
-    def flags(self):
-        return self.cs.flags
 
     def family(self):
         if self._family is None:
             self._family = anticevian_family(self.cs)
         return self._family
 
-    def sibling_centers(self) -> tuple[Centers, Centers, Centers]:
-        if self._siblings is None:
-            self._siblings = tuple(Centers(p) for p in self.family().siblings())
-        return self._siblings
-
     def require_off_median(self):
-        if self.flags.on_median:
+        if self.cs.flags.on_median:
             raise _Skip("p lies on a median")
 
     def require_off_steiner(self):
-        if self.flags.on_steiner_circumellipse:
+        if self.cs.flags.on_steiner_circumellipse:
             raise _Skip("p lies on the outer centroid ellipse")
 
     def require_center(self, member, name: str):
@@ -584,7 +574,7 @@ def _check_four_points(ctx: CheckContext, cl: Claims) -> None:
         cs.circumconic,
     )
     conics = [cs.cevian_conic]
-    for name, sib in zip(("p_a", "p_b", "p_c"), ctx.sibling_centers()):
+    for name, sib in zip(("p_a", "p_b", "p_c"), map(Centers, fam.siblings())):
         cl.equal(f"{name}_same_o", sib.circumcenter, cs.circumcenter)
         cl.equal(f"{name}_same_h", sib.orthocenter, cs.orthocenter)
         conics.append(sib.cevian_conic)

@@ -405,6 +405,14 @@ def test_verify_check_filter(tmp_path):
     assert {r["check_id"] for r in report["results"]} == {"gen_feuerbach_tangency"}
 
 
+@pytest.mark.parametrize("count", ["10001", str(10**12)])
+def test_verify_count_beyond_the_sample_limit_exits_at_once(capsys, count):
+    start = time.perf_counter()
+    assert run(["verify", "--count", count]) == 2
+    assert time.perf_counter() - start < 3
+    assert capsys.readouterr().err == "error: count must be at most 10000\n"
+
+
 def test_verify_unknown_check():
     assert run(["verify", "--count", "1", "--check", "bogus"]) == 2
 
@@ -480,6 +488,15 @@ def test_svg_z_locus_layer(tmp_path):
         == 0
     )
     assert 'id="z-locus"' in out.read_text()
+
+
+def test_z_locus_refuses_an_infinite_point_by_name(capsys):
+    """The sweep moves p/w, so it needs a finite p; the svg itself draws an
+    infinite p as an arrow."""
+    assert run(["svg", "--p", "1:2:-3", "--z-locus"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --z-locus sweeps from a finite p, and (1 : 2 : -3) is at infinity\n"
+    assert run(["svg", "--p", "1:2:-3"]) == 0
 
 
 def test_svg_bad_preset():

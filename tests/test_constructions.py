@@ -4,10 +4,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from cevian.scalar import Scalar
 from cevian.projective import (
+    AffineMap,
     HomogeneousMatrix,
     HomogeneousTriple,
     CENTROID,
@@ -22,16 +23,26 @@ from cevian.projective import (
     VERTEX_A,
     VERTEX_B,
     VERTEX_C,
+    VERTICES,
+    MIDPOINTS,
+    anticomplement,
     anticomplement_map,
     are_collinear,
+    cevian_map,
+    cevian_traces,
     centroid_of,
     collinear_ratio,
     complement,
     incident,
+    isotomic,
     join,
     midpoint,
     parallel_through,
     Translation,
+    zmul,
+    zscale,
+    zsub,
+    zsum,
 )
 from cevian.conics import (
     Conic,
@@ -39,14 +50,21 @@ from cevian.conics import (
     isotomic_image_of_line,
     second_intersection,
     tangent_conics_at,
+    transform_conic,
+    vertex_nine_point_conic,
 )
+from cevian import constructions
 from cevian.constructions import (
+    Centers,
     ConstructionInconsistency,
+    DegeneracyReport,
+    ExhaustedRejections,
     OnAnticomplementarySideline,
     _concurrent_parallels,
     anticevian_family,
     construct,
     degeneracy_report,
+    generalized_orthocenter,
     locus_conic,
     sample_nondegenerate,
     special_configuration,
@@ -384,6 +402,91 @@ def test_infinite_center_configuration():
     assert cs.inconic.polar(z) == shared_asymptote
 
 
+# -- the generalized centers and the circumconic read off p -------------------------------
+#
+# H, O, their primed twins and the circumconic are read off closed forms in p.
+# Each must equal what the affine formula O = T_p_iso^-1(K(q)), H = K^-1(O)
+# gives (a copy of the code it replaced, kept here), and H and O must also be
+# the common points of the parallels that define them.
+
+FIELDS = (1, 2, 6, 1610924047)
+_Z = (0, 0)
+
+
+def affine_centers(p):
+    """H and O of p from the affine formula, q = K(p_iso)."""
+    p_iso = isotomic(p)
+    o = cevian_map(p_iso).inverse()(complement(complement(p_iso)))
+    return anticomplement(o), o
+
+
+def parallel_centers(p):
+    """H and O of p as the common points of the parallels to the q-trace
+    lines through the vertices and through the midpoints."""
+    q, traces = complement(isotomic(p)), cevian_traces(p)
+    return _concurrent_parallels(VERTICES, q, traces), _concurrent_parallels(MIDPOINTS, q, traces)
+
+
+@st.composite
+def center_points(draw):
+    """A point over Q or Q(sqrt(d)): generic, on a median, on the vertex
+    locus x^2 = xy + yz + zx, on the outer centroid ellipse
+    xy + yz + zx = 0, at infinity, or one of the suite's fixed points, with
+    its coordinates rotated."""
+    d = draw(st.sampled_from(FIELDS))
+    pair = st.tuples(st.integers(-30, 30), st.integers(-5, 5) if d > 1 else st.just(0))
+    x, y, z = draw(st.tuples(pair, pair, pair))
+    shape = draw(st.sampled_from(("generic", "median", "locus", "steiner", "infinite", "fixed")))
+    if shape == "median":
+        y = x
+    elif shape == "locus":
+        # the line z = t x through B, t = y / x, meets the locus again here
+        s, t = zsum((x, y)), zsub(x, y)
+        x, y, z = zmul(x, s, d), zmul(x, t, d), zmul(y, s, d)
+    elif shape == "steiner":
+        s = zsum((x, y))
+        x, y, z = zmul(x, s, d), zmul(y, s, d), zscale(-1, zmul(x, y, d))
+    elif shape == "infinite":
+        z = zscale(-1, zsum((x, y)))
+    elif shape == "fixed":
+        fixed = draw(st.sampled_from(((6, 3, 2), (3, 6, -2), (1, -6, 15))))
+        d, (x, y, z) = 1, ((n, 0) for n in fixed)
+    shift = draw(st.integers(0, 2))
+    coords = (x, y, z)[shift:] + (x, y, z)[:shift]
+    assume(any(c != _Z for c in coords))
+    return shape, shift, Point.from_ints(d, coords)
+
+
+@given(center_points())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_centers_equal_the_paths_they_replace(case):
+    shape, shift, p = case
+    flags = degeneracy_report(p)
+    assume(not flags.hard())
+    event(f"{shape} over d = {p.d}")
+    cs = construct(p)
+    assert generalized_orthocenter(p) == cs.orthocenter
+    assert (cs.orthocenter, cs.circumcenter) == affine_centers(p) == parallel_centers(p)
+    assert (cs.orthocenter_iso, cs.circumcenter_iso) == affine_centers(cs.p_iso)
+    assert (cs.orthocenter_iso, cs.circumcenter_iso) == parallel_centers(cs.p_iso)
+    pullback = transform_conic(cevian_map(cs.p_iso).inverse(), vertex_nine_point_conic(cs.p_iso))
+    assert cs.circumconic == pullback
+    # h_is_vertex names the vertex k whose locus form s - x_k^2 vanishes,
+    # and H is that vertex
+    (x, y, z), d = p.ints, p.d
+    s = zsum((zmul(x, y, d), zmul(y, z, d), zmul(z, x, d)))
+    vanishing = [k for k, c in zip("ABC", p.ints) if zmul(c, c, d) == s]
+    assert flags.h_is_vertex == (vanishing[0] if vanishing else None)
+    assert len(vanishing) <= 1
+    assert (cs.orthocenter in VERTICES) == bool(vanishing)
+    if vanishing:
+        assert cs.orthocenter == VERTICES["ABC".index(vanishing[0])]
+    if shape == "locus":
+        assert flags.h_is_vertex == "ACB"[shift]
+    if shape == "steiner":
+        assert flags.on_steiner_circumellipse and s == _Z
+
+
 # -- totality ------------------------------------------------------------------------------
 
 
@@ -466,6 +569,41 @@ def test_construction_reads_its_conics_off_closed_forms(monkeypatch):
     assert solves == []
 
 
+def count_map_builds(monkeypatch):
+    """Count the calls of AffineMap.from_pairs and AffineMap.inverse."""
+    calls = []
+    from_pairs, inverse = AffineMap.from_pairs.__func__, AffineMap.inverse
+
+    def counted_from_pairs(cls, pairs):
+        calls.append("from_pairs")
+        return from_pairs(cls, pairs)
+
+    def counted_inverse(self):
+        calls.append("inverse")
+        return inverse(self)
+
+    monkeypatch.setattr(AffineMap, "from_pairs", classmethod(counted_from_pairs))
+    monkeypatch.setattr(AffineMap, "inverse", counted_inverse)
+    return calls
+
+
+def test_centers_build_no_affine_map(monkeypatch):
+    """H and O are read off p: Centers builds and inverts no affine map,
+    over Q and over Q(sqrt(d))."""
+    calls = count_map_builds(monkeypatch)
+    Centers(Point(3, 5, 7))
+    Centers(Point(1, Scalar(1, 1, 1610924047), Scalar(-2, 3, 1610924047)))
+    assert calls == []
+
+
+def test_construct_transforms_one_conic(monkeypatch):
+    """The circumconic is read off p; only the nine-point conic of A, B, C, H
+    is mapped, as the complement of the circumconic."""
+    transforms = count_calls(monkeypatch, "cevian.conics", "transform_conic")
+    construct(Point(3, 5, 7))
+    assert len(transforms) == 1
+
+
 def test_checks_solve_the_nine_point_conic_as_their_second_path(monkeypatch):
     """The three checks that compare a nine-point conic with the
     construction's solve it from the quadrangle's nine points."""
@@ -493,8 +631,26 @@ def test_sampler_avoids_every_flag():
 
 
 def test_sampler_validates_count():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^count must be at least 1$"):
         sample_nondegenerate(1, 0)
+    with pytest.raises(ValueError, match="^count must be at most 10000$"):
+        sample_nondegenerate(1, 10_001)
+
+
+def test_sampler_caps_rejections_not_draws():
+    """10^4 points sample, about 900 draws rejected on the way, and the
+    first 9000 are those a cap on all draws gave."""
+    points = sample_nondegenerate(1, 10_000)
+    assert len(points) == 10_000
+    digest = hashlib.sha256("\n".join(map(str, points[:9000])).encode()).hexdigest()
+    assert digest == "50ea17a00e1595a21663de199d744eb7341aad4f14563fb80911e529331df55e"
+
+
+def test_sampler_gives_up_after_10_4_rejections(monkeypatch):
+    flagged = DegeneracyReport(False, False, True, False, None)
+    monkeypatch.setattr(constructions, "degeneracy_report", lambda p: flagged)
+    with pytest.raises(ExhaustedRejections, match="10\\^4 rejections at seed 1"):
+        sample_nondegenerate(1, 1)
 
 
 # -- coefficient growth -----------------------------------------------------------------

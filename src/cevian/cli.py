@@ -17,7 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from .scalar import Scalar, ScalarError
-from .projective import VERTICES, GeometryError, OnSideline, Point
+from .projective import VERTICES, GeometryError, OnSideline, Point, complement
 from .constructions import (
     ConstructionSet,
     OnAnticomplementarySideline,
@@ -35,7 +35,7 @@ from .render import (
     named_points,
     render_svg,
 )
-from .verify import UnknownCheck, run_suite
+from .verify import UnknownCheck, run_point, run_suite, tally
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -90,6 +90,15 @@ def construction_report(cs: ConstructionSet, tri: RenderTriangle) -> dict:
             render_points[slug] = {"direction": list(direction_to_xy(p, tri))}
         else:
             render_points[slug] = {"xy": list(bary_to_xy(p, tri))}
+    # every proper conic's center is a member: Z, O, q, q_iso, N and K(q)
+    centers = {
+        "cevian-conic": cs.feuerbach_point,
+        "circumconic": cs.circumcenter,
+        "inconic": cs.q,
+        "inconic-iso": cs.q_iso,
+        "ninepoint-conic": cs.ninepoint_center,
+        "ninepoint-conic-iso": complement(cs.q),
+    }
     conics = {}
     for slug, label, conic, _seed in named_conics(cs):
         if conic is None:
@@ -97,7 +106,7 @@ def construction_report(cs: ConstructionSet, tri: RenderTriangle) -> dict:
         degenerate = conic.is_degenerate()
         conics[slug] = {"label": label, "matrix": str(conic), "degenerate": degenerate}
         if not degenerate:
-            conics[slug]["center"] = str(conic.center())
+            conics[slug]["center"] = str(centers[slug])
     maps = {name: str(m) for name, m in named_maps(cs) if m is not None}
     return {
         "schema_version": SCHEMA_VERSION,
@@ -160,19 +169,31 @@ def cmd_verify(args) -> int:
     checks = None
     if args.check:
         checks = list(dict.fromkeys(args.check))
-    report = run_suite(
-        args.seed, args.count, field_policy=args.field_policy, check_ids=checks
-    )
     payload = {"schema_version": SCHEMA_VERSION, "command": "verify"}
-    payload.update(report.to_dict())
+    if args.p is not None:
+        # a witness prints its point as (x : y : z), which pastes as it is
+        text = args.p.strip()
+        p = parse_point(text[1:-1] if text[:1] + text[-1:] == "()" else text)
+        results = run_point(p, check_ids=checks)
+        payload.update({
+            "p": str(p),
+            "tallies": tally(results),
+            "results": [r.to_dict() for r in results],
+        })
+    else:
+        report = run_suite(
+            args.seed, args.count, field_policy=args.field_policy, check_ids=checks
+        )
+        results = report.results
+        payload.update(report.to_dict())
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     summary = ", ".join(
         f"{cid}: {t['pass']}/{t['pass'] + t['fail']}"
-        for cid, t in sorted(report.tallies().items())
+        for cid, t in sorted(payload["tallies"].items())
         if t["pass"] + t["fail"]
     )
     print(f"checks passed: {summary}", file=sys.stderr)
-    return EXIT_OK if report.ok() else EXIT_CHECK_FAILURE
+    return EXIT_CHECK_FAILURE if any(r.status == "fail" for r in results) else EXIT_OK
 
 
 def cmd_locus(args) -> int:
@@ -233,6 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--field-policy", choices=("auto", "rational"), default=None,
         help="auto includes the quadratic-extension fixture",
+    )
+    p_verify.add_argument(
+        "--p",
+        help="run at this driving point alone, in place of the seeded sample and the fixed "
+        "points; takes a witness's config.p, (x : y : z), as it is",
     )
     p_verify.add_argument("--out", help="output path (default stdout)")
     p_verify.set_defaults(fn=cmd_verify)
@@ -314,7 +340,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         _apply_config(args)
-        if getattr(args, "p", "skip") is None:
+        if args.command in ("construct", "svg") and args.p is None:
             raise InputError("a driving point is required (--p or config file)")
         return args.fn(args)
     except (OnSideline, OnAnticomplementarySideline) as exc:

@@ -211,11 +211,17 @@ def inconic_with_contacts(d: Point, e: Point, f: Point) -> Conic:
     if p is None:
         raise NotPerspective("contacts are not the cevian traces of one point")
     (u, v, w), d = p.ints, p.d
-    vw, wu, uv = zmul(v, w, d), zmul(w, u, d), zmul(u, v, d)
-    return conic_from_vector(d, (
-        zmul(vw, vw, d), zmul(wu, wu, d), zmul(uv, uv, d),
-        zscale(-1, zmul(vw, wu, d)), zscale(-1, zmul(vw, uv, d)), zscale(-1, zmul(uv, wu, d)),
-    ))
+    return inconic_from_isotomic((zmul(v, w, d), zmul(w, u, d), zmul(u, v, d)), d)
+
+
+def inconic_from_isotomic(a: Sequence[Pair], d: int) -> Conic:
+    """The inconic whose perspector is the isotomic conjugate of
+    (a_0 : a_1 : a_2) off the sidelines, read off in closed form: the matrix
+    with entries a_k a_j on the diagonal and -a_k a_j off it."""
+    return Conic.from_ints(d, [
+        [zmul(x, y, d) if i == j else zscale(-1, zmul(x, y, d)) for j, y in enumerate(a)]
+        for i, x in enumerate(a)
+    ])
 
 
 def vertex_nine_point_conic(p: Point) -> Conic:

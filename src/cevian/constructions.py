@@ -3,11 +3,18 @@ point, affine map, and conic of the generalized-center configuration.
 
 `Centers(p)` holds the defining objects: q = K(isotomic(p)), the
 orthocenter-like point H read off the vertex-locus forms of p, O = K(H),
-both checked against the common points of the parallels through the
-vertices and the midpoints, and the cevian conic through A, B, C, p, q,
-whose center is Z.  The affine formula O = T_p_iso^-1(K(q)) runs only in
-the check `thm_HO_formula`.  `ConstructionSet` adds every other member,
-`construct(p)` builds one, and the anticevian siblings need only `Centers`.
+both checked to lie on the parallels through the vertices and the midpoints
+that define them, and the cevian conic through A, B, C, p, q, whose center
+is Z.  `ConstructionSet` adds every other member, `construct(p)` builds
+one, and the anticevian siblings need only `Centers`.
+
+Every member is read off a closed form in the pairs of p = (u : v : w), at
+the degree it keeps once canonical, so no canonicalization divides out a
+polynomial content.  The maps T_p, T_p', their inverses and their
+composites, the primed centers, the conics and the axis point are such
+forms, not products, inverses or conic centers; those paths, the affine
+formula O = T_p_iso^-1(K(q)) among them, run only in the checks and the
+tests that compare them with the forms.
 
 Degeneracy is graded.  A point on a sideline of the reference triangle or of
 its anticomplementary triangle is a hard error (nothing is constructible).
@@ -26,8 +33,6 @@ from typing import TYPE_CHECKING, Optional
 from .scalar import NeedsExtension, Pair, Roots, quadratic_roots
 from .projective import (
     AffineMap,
-    CENTROID,
-    CoincidentArguments,
     DegenerateConfiguration,
     GeometryError,
     InfiniteInput,
@@ -37,20 +42,16 @@ from .projective import (
     Point,
     VERTICES,
     anticomplement,
-    anticomplement_map,
-    cevian_map,
+    are_collinear,
     cevian_traces,
     combine,
-    common_point,
     complement,
     complement_map,
-    iso_reflection_map,
+    direction_of,
     isotomic,
     join,
-    meet,
-    parallel_through,
     reflect_through,
-    reflection_axis_point,
+    require_iso_reflection,
     zmul,
     zscale,
     zsub,
@@ -58,14 +59,16 @@ from .projective import (
 )
 from .conics import (
     Conic,
-    inconic_with_contacts,
+    inconic_from_isotomic,
     isotomic_image_of_line,
     transform_conic,
-    vertex_nine_point_conic,
 )
 
 if TYPE_CHECKING:
     from .render import RenderTriangle
+
+
+_ZERO: Pair = (0, 0)
 
 
 class OnAnticomplementarySideline(GeometryError):
@@ -130,31 +133,37 @@ def generalized_orthocenter(p: Point) -> Point:
     return Point.from_ints(d, [zmul(c, e_c, d) for c, e_c in zip(p.ints, others)])
 
 
-def cevian_conic(p: Point, q: Point) -> Optional[Conic]:
-    """The conic through A, B, C, p and q: the isotomic image of the line
-    through their isotomic conjugates.  None when p = q (p the centroid),
-    where a whole pencil passes through the five points."""
-    try:
-        return isotomic_image_of_line(join(isotomic(p), isotomic(q)))
-    except CoincidentArguments:
+def cevian_conic(p: Point) -> Optional[Conic]:
+    """The conic through A, B, C, p and q = K(isotomic(p)) for p = (u : v : w)
+    off the sidelines of both triangles: the isotomic image of the line
+    (u(v^2 - w^2) : v(w^2 - u^2) : w(u^2 - v^2)) through the isotomic
+    conjugates of p and q.  None when that line vanishes, which happens at
+    the centroid alone, where p = q and a whole pencil passes through the five
+    points."""
+    d = p.d
+    squares = [zmul(c, c, d) for c in p.ints]
+    line = [zmul(c, zsub(squares[k - 2], squares[k - 1]), d) for k, c in enumerate(p.ints)]
+    if all(c == _ZERO for c in line):
         return None
+    return isotomic_image_of_line(Line.from_ints(d, line))
 
 
-def _concurrent_parallels(
-    bases: tuple[Point, Point, Point],
-    q: Point,
-    traces: tuple[Point, Point, Point],
-) -> Point:
-    """Common point of the lines through the bases parallel to the q-trace
-    lines; raises if the three parallels fail to concur."""
-    lines = [parallel_through(b, join(q, t)) for b, t in zip(bases, traces)]
-    try:
-        common = common_point(lines)
-    except CoincidentArguments as exc:
-        raise DegenerateConfiguration("parallels all coincide") from exc
-    if common is None:
-        raise ConstructionInconsistency("parallels are not concurrent")
-    return common
+def feuerbach_point(p: Point) -> Point:
+    """The center Z = (u(v - w)^2 : v(w - u)^2 : w(u - v)^2) of the cevian
+    conic of p = (u : v : w) off the medians and the hard loci."""
+    d = p.d
+    return Point.from_ints(d, [
+        zmul(c, zmul(dc, dc, d), d)
+        for c, dc in zip(p.ints, (zsub(p.ints[k - 2], p.ints[k - 1]) for k in range(3)))
+    ])
+
+
+def _on_parallels(x: Point, bases: tuple[Point, Point, Point], directions: list[Point]) -> bool:
+    """Whether x lies on the line through each base in the matching
+    direction, tested as a vanishing determinant of x, the base and the
+    direction.  The bases are not collinear, so the three lines are never
+    one line and share one point at most: x is that point."""
+    return all(are_collinear(x, b, t) for b, t in zip(bases, directions))
 
 
 class Centers:
@@ -163,9 +172,9 @@ class Centers:
     q is the complement of the isotomic conjugate p_iso of p (the inconic
     center).  The orthocenter-like point H is `generalized_orthocenter(p)`,
     read off the vertex-locus forms, and the circumcenter-like point is
-    O = K(H).  Both are checked against the common points of the parallels
-    to the q-trace lines through the vertices (H) and the midpoints (O).
-    The cevian conic through A, B, C, p, q is None when p lies on a median,
+    O = K(H).  Both are checked to lie on the parallels to the q-trace lines
+    through the vertices (H) and the midpoints (O), which define them.
+    The cevian conic through A, B, C, p, q is None when p is the centroid,
     with the reason recorded in `absent`.
     """
 
@@ -186,14 +195,16 @@ class Centers:
 
         self.orthocenter = generalized_orthocenter(p)
         self.circumcenter = complement(self.orthocenter)
-        h_direct = _concurrent_parallels(VERTICES, q, self.traces)
-        o_direct = _concurrent_parallels(MIDPOINTS, q, self.traces)
-        if h_direct != self.orthocenter or o_direct != self.circumcenter:
+        directions = [direction_of(join(q, t)) for t in self.traces]
+        if not (
+            _on_parallels(self.orthocenter, VERTICES, directions)
+            and _on_parallels(self.circumcenter, MIDPOINTS, directions)
+        ):
             raise ConstructionInconsistency(
                 f"formula and parallel definitions disagree at p={p}"
             )
 
-        self.cevian_conic = cevian_conic(p, q)
+        self.cevian_conic = cevian_conic(p)
         if self.cevian_conic is None:
             self.absent["cevian_conic"] = "on_median"
 
@@ -203,71 +214,162 @@ class Centers:
 
 
 class ConstructionSet(Centers):
-    """Everything derived from one driving point.
+    """Everything derived from one driving point p = (u : v : w).
 
     q_iso is the construction of q applied to p_iso, i.e. the complement of
     p itself.  Members that a degenerate p cannot support are None, with the
     reason recorded in `absent`.
+
+    Each member is a closed form in the pairs of p = (x_0 : x_1 : x_2),
+    written with the sums s = (v+w, w+u, u+v), the products
+    P = (vw, wu, uv), the differences D = (v-w, w-u, u-v), the forms
+    a = (u^2 - vw, v^2 - wu, w^2 - uv) and the products t_j of the two sums
+    other than s_j.  A map or conic is given by its entry at row k, column
+    j, diagonal / off it, with l the index other than k and j:
+
+    - T_p: 0 / x_k t_j, and T_p': 0 / x_l t_j;
+    - T_p^-1: -s_k P_k / s_k P_j, and T_p'^-1: -s_k x_k^2 / s_k x_k x_j;
+    - the transfer map T_p' T_p^-1: P_k s_k / P_j (x_j - x_l), and its
+      inverse x_k^2 s_k / x_k x_j (x_l - x_j);
+    - T_p T_p': x_k (x_k s_k + 2 P_k) / x_k^2 s_k, and T_p' T_p:
+      P_k (s_k + 2 x_k) / P_k s_k;
+    - T_p K^-1 T_p': x_k D_k^2 / x_k s_k^2, and that map followed by K^-1:
+      x_k (D_k^2 + 8 P_k) / x_k D_k^2;
+    - the iso-reflection: -D_k x_k a_l a_m ({l, m} the indices other than
+      k) / D_j s_k a_k a_j;
+    - the inconics with perspectors p and p_iso: P_k^2 / -P_k P_j and
+      x_k^2 / -x_k x_j; the nine-point conic of A, B, C, p_iso: -2 x_k /
+      x_k + x_j.
+
+    The points are H' = isotomic(c) for c = (u + v + w) p - P, the
+    preimage T_p^-1(H) = x_k s_k (x_k (x_l^2 + x_m^2) - s_k a_k) ({l, m}
+    the indices other than k), the axis point v = x_k (s_k^2 - P_k), the
+    insimilicenter x_k s_k^2 (q * q_iso coordinatewise), Z
+    (`feuerbach_point`) and the nine-point center K(O).  None divides out a polynomial content: each is
+    built at the degree it keeps once canonical.
     """
 
     def __init__(self, p: Point):
         super().__init__(p)
         p_iso, q = self.p_iso, self.q
         self.q_iso = q_iso = complement(p)
-        self.traces_iso = cevian_traces(p_iso)
-        self.cevian_map = t_p = cevian_map(p)
-        self.cevian_map_inverse = t_p_inv = t_p.inverse()
-        self.cevian_map_iso = t_p_iso = cevian_map(p_iso)
-        self.cevian_map_iso_inverse = t_p_iso.inverse()
-        kinv = anticomplement_map()
+        d, x = p.d, p.ints
 
-        self.orthocenter_iso = generalized_orthocenter(p_iso)
+        def mul(*factors: Pair) -> Pair:
+            out = factors[0]
+            for f in factors[1:]:
+                out = zmul(out, f, d)
+            return out
+
+        def matrix(entry) -> list[list[Pair]]:
+            return [[entry(k, j) for j in range(3)] for k in range(3)]
+
+        def neg_diagonal(k: int, j: int, value: Pair) -> Pair:
+            return zscale(-1, value) if k == j else value
+
+        s = [zsum((x[k - 2], x[k - 1])) for k in range(3)]
+        prods = [mul(x[k - 2], x[k - 1]) for k in range(3)]
+        diffs = [zsub(x[k - 2], x[k - 1]) for k in range(3)]
+        squares = [mul(c, c) for c in x]
+        t = [mul(s[j - 2], s[j - 1]) for j in range(3)]
+
+        self.traces_iso = tuple(
+            Point.from_ints(d, [_ZERO if k == j else x[3 - j - k] for k in range(3)])
+            for j in range(3)
+        )
+        self.cevian_map = AffineMap.from_ints(d, matrix(
+            lambda k, j: _ZERO if k == j else mul(x[k], t[j])
+        ))
+        self.cevian_map_inverse = AffineMap.from_ints(d, matrix(
+            lambda k, j: neg_diagonal(k, j, mul(s[k], prods[j]))
+        ))
+        self.cevian_map_iso = AffineMap.from_ints(d, matrix(
+            lambda k, j: _ZERO if k == j else mul(x[3 - k - j], t[j])
+        ))
+        self.cevian_map_iso_inverse = AffineMap.from_ints(d, matrix(
+            lambda k, j: neg_diagonal(k, j, mul(s[k], x[k], x[j]))
+        ))
+
+        c = [zsub(mul(zsum(x), xk), pk) for xk, pk in zip(x, prods)]
+        self.orthocenter_iso = Point.from_ints(d, [mul(c[k - 2], c[k - 1]) for k in range(3)])
         self.circumcenter_iso = complement(self.orthocenter_iso)
-        self.orthocenter_preimage = t_p_inv(self.orthocenter)
+        self.orthocenter_preimage = Point.from_ints(d, [
+            mul(x[k], s[k], zsub(
+                mul(x[k], zsum((squares[k - 2], squares[k - 1]))),
+                mul(s[k], zsub(squares[k], prods[k])),
+            ))
+            for k in range(3)
+        ])
 
-        self.transfer_map = t_p_iso @ t_p_inv
-        self.transfer_map_inverse = self.transfer_map.inverse()
-        self.second_cevian_map = t_p @ t_p_iso
-        self.second_cevian_map_iso = t_p_iso @ t_p
-        self.circum_to_inconic = t_p @ kinv @ t_p_iso
-        self.ninepoint_to_inconic = self.circum_to_inconic @ kinv
+        self.transfer_map = AffineMap.from_ints(d, matrix(
+            lambda k, j: mul(prods[j], s[k] if k == j else zsub(x[j], x[3 - k - j]))
+        ))
+        self.transfer_map_inverse = AffineMap.from_ints(d, matrix(
+            lambda k, j: mul(x[k], x[j], s[k] if k == j else zsub(x[3 - k - j], x[j]))
+        ))
+        self.second_cevian_map = AffineMap.from_ints(d, matrix(
+            lambda k, j: mul(x[k], zsum((mul(x[k], s[k]), zscale(2 * (k == j), prods[k]))))
+        ))
+        self.second_cevian_map_iso = AffineMap.from_ints(d, matrix(
+            lambda k, j: mul(prods[k], zsum((s[k], zscale(2 * (k == j), x[k]))))
+        ))
+        diff_squares = [mul(dk, dk) for dk in diffs]
+        self.circum_to_inconic = AffineMap.from_ints(d, matrix(
+            lambda k, j: mul(x[k], diff_squares[k] if k == j else mul(s[k], s[k]))
+        ))
+        self.ninepoint_to_inconic = AffineMap.from_ints(d, matrix(
+            lambda k, j: mul(x[k], zsum((diff_squares[k], zscale(8 * (k == j), prods[k]))))
+        ))
 
-        self.ninepoint_conic_iso = vertex_nine_point_conic(p_iso)
-        squares = [zmul(c, c, p.d) for c in q.ints]  # sum u^2(v+w)^2 yz = 0
-        self.circumconic = isotomic_image_of_line(Line.from_ints(p.d, squares))
+        self.ninepoint_conic_iso = Conic.from_ints(d, matrix(
+            lambda k, j: zscale(-2, x[k]) if k == j else zsum((x[k], x[j]))
+        ))
+        self.circumconic = isotomic_image_of_line(  # sum u^2(v+w)^2 yz = 0
+            Line.from_ints(d, [mul(qk, qk) for qk in q.ints])
+        )
         self.ninepoint_conic = transform_conic(complement_map(), self.circumconic)
-        self.ninepoint_center = self.ninepoint_conic.center()
-        self.inconic = inconic_with_contacts(*self.traces)
-        self.inconic_iso = inconic_with_contacts(*self.traces_iso)
+        self.ninepoint_center = complement(self.circumcenter)
+        self.inconic = inconic_from_isotomic(p_iso.ints, d)
+        self.inconic_iso = inconic_from_isotomic(x, d)
 
         self.v: Optional[Point] = None
         self.iso_reflection: Optional[AffineMap] = None
         self.insimilicenter: Optional[Point] = None
-        if self.flags.on_median:
-            for name in ("v", "iso_reflection", "insimilicenter"):
-                self.absent[name] = "on_median"
-        else:
-            try:
-                self.v = reflection_axis_point(p, p_iso, q, q_iso)
-            except DegenerateConfiguration as exc:
-                self.absent["v"] = "axis point undetermined"
-                self.absent["iso_reflection"] = str(exc)
-            else:
-                try:
-                    self.iso_reflection = iso_reflection_map(p, p_iso, q, q_iso, self.v)
-                except DegenerateConfiguration as exc:
-                    self.absent["iso_reflection"] = str(exc)
-            self.insimilicenter = _insimilicenter(self)
-            if self.insimilicenter is None:
-                self.absent["insimilicenter"] = "center lines coincide"
-
         self.feuerbach_point: Optional[Point] = None
         self.fourth_intersection: Optional[Point] = None
-        if self.cevian_conic is None or self.cevian_conic.is_degenerate():
-            self.absent["feuerbach_point"] = "on_median"
-            self.absent["fourth_intersection"] = "on_median"
+        if self.flags.on_median:
+            for name in ("v", "iso_reflection", "insimilicenter", "feuerbach_point", "fourth_intersection"):
+                self.absent[name] = "on_median"
         else:
-            self.feuerbach_point = self.cevian_conic.center()
+            # v is pq . p_iso q_iso, a meet of two lines that differ off the
+            # medians; it is infinite exactly when p is at infinity or on the
+            # outer ellipse, and it is the centroid only on a median
+            self.v = Point.from_ints(d, [
+                mul(x[k], zsub(mul(s[k], s[k]), prods[k])) for k in range(3)
+            ])
+            if self.v.is_infinite():
+                self.absent["iso_reflection"] = f"axis point {self.v} unusable"
+            else:
+                a = [zsub(sq, pk) for sq, pk in zip(squares, prods)]
+                eta = AffineMap.from_ints(d, matrix(lambda k, j: mul(
+                    diffs[j],
+                    zscale(-1, mul(x[k], a[k - 2], a[k - 1])) if k == j else mul(s[k], a[k], a[j]),
+                )))
+                try:
+                    self.iso_reflection = require_iso_reflection(eta, q, q_iso)
+                except DegenerateConfiguration as exc:
+                    self.absent["iso_reflection"] = str(exc)
+            # the fixed point of circum_to_inconic, where the lines oq, o'q'
+            # and the axis gv meet.  Off the medians two of them differ: v is
+            # not G, G lies on oq only where O = q (on the outer ellipse) and
+            # on o'q' only where O' = q' (at infinity), and no real p is
+            # both.  Every such meet is q * q_iso coordinatewise,
+            # (u(v+w)^2 : v(w+u)^2 : w(u+v)^2)
+            self.insimilicenter = Point.from_ints(d, [
+                mul(a, b) for a, b in zip(q.ints, q_iso.ints)
+            ])
+            # off the medians the cevian conic is proper, with center Z
+            self.feuerbach_point = feuerbach_point(p)
             try:
                 self.fourth_intersection = reflect_through(
                     self.circumcenter, anticomplement(self.feuerbach_point)
@@ -279,29 +381,6 @@ class ConstructionSet(Centers):
 def construct(p: Point) -> ConstructionSet:
     """Derive the complete configuration of p, every member computed."""
     return ConstructionSet(p)
-
-
-def _insimilicenter(cs: ConstructionSet) -> Optional[Point]:
-    """Fixed locus of the circumconic-to-inconic map: oq . gv (= oq . o'q');
-    the meet is a direction when that map is a translation."""
-    candidates = []
-    if cs.circumcenter != cs.q:
-        candidates.append((cs.circumcenter, cs.q))
-    if cs.circumcenter_iso != cs.q_iso:
-        candidates.append((cs.circumcenter_iso, cs.q_iso))
-    axis = None
-    if cs.v is not None and cs.v != CENTROID:
-        axis = join(CENTROID, cs.v)
-    for a, b in candidates:
-        line = join(a, b)
-        if axis is not None and line != axis:
-            return meet(line, axis)
-    if len(candidates) == 2:
-        l1 = join(*candidates[0])
-        l2 = join(*candidates[1])
-        if l1 != l2:
-            return meet(l1, l2)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +453,7 @@ def z_locus_sweep(p: Point, tri: RenderTriangle) -> list[Point]:
         rep = degeneracy_report(moved)
         if rep.hard() or rep.on_median:
             continue  # off the medians the cevian conic is a proper conic
-        out.append(cevian_conic(moved, complement(isotomic(moved))).center())
+        out.append(feuerbach_point(moved))
     return out
 
 

@@ -722,7 +722,7 @@ def iso_reflection_map(
 ) -> AffineMap:
     """The affine reflection fixing the centroid and v = pq . p_iso q_iso
     (from `reflection_axis_point`) pointwise and swapping p with p_iso
-    (hence q with q_iso).
+    (hence q with q_iso), built from those three point pairs.
 
     Verified involutive on construction; configurations where v is
     infinite or centroidal are rejected rather than guessed at.
@@ -733,9 +733,20 @@ def iso_reflection_map(
         eta = AffineMap.from_pairs(((CENTROID, CENTROID), (v, v), (p, p_iso)))
     except DependentSources as exc:
         raise DegenerateConfiguration("p lies on the would-be axis") from exc
-    if eta @ eta != AffineMap.identity():
+    return require_iso_reflection(eta, q, q_iso)
+
+
+def require_iso_reflection(eta: AffineMap, q: Point, q_iso: Point) -> AffineMap:
+    """eta, once checked to be an involution swapping q with q_iso.  Neither
+    product is canonicalized: eta^2 must be a nonzero scalar matrix, and the
+    cross product of eta(q) with q_iso must vanish."""
+    sq = mat_mul(eta.ints, eta.ints, eta.d)
+    if sq[0][0] == _ZERO or any(
+        x != (sq[0][0] if i == j else _ZERO) for i, row in enumerate(sq) for j, x in enumerate(row)
+    ):
         raise DegenerateConfiguration("constructed reflection is not involutive")
-    if eta(q) != q_iso:
+    d = join_d(join_d(eta.d, q.d), q_iso.d)
+    if any(x != _ZERO for x in cross(mat_vec(eta.ints, q.ints, d), q_iso.ints, d)):
         raise DegenerateConfiguration("reflection does not swap the companion pair")
     return eta
 

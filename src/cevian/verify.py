@@ -36,6 +36,7 @@ from .projective import (
     anticomplement,
     anticomplement_map,
     are_collinear,
+    cevian_map,
     complement,
     complement_map,
     incident,
@@ -234,7 +235,9 @@ def classical_centers(sides: Sequence[Fraction]) -> dict[str, Point]:
 @_register("thm_HO_formula", "affine formulas for the two generalized centers match their parallel-line definitions")
 def _check_ho_formula(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
-    o_formula = cs.cevian_map_iso_inverse(complement(cs.q))
+    # the affine formula O = T_p'^-1(K(q)), with T_p' built from its
+    # definition, the map taking ABC to the cevian triangle of p_iso
+    o_formula = cevian_map(cs.p_iso).inverse()(complement(cs.q))
     h_formula = anticomplement(o_formula)
     cl.equal("o_formula", o_formula, cs.circumcenter)
     cl.equal("h_formula", h_formula, cs.orthocenter)
@@ -853,11 +856,49 @@ def run_check(
     if check_id not in reg:
         raise UnknownCheck(f"no check registered under {check_id!r}")
     config = Config(p, tuple(Fraction(s) for s in sides) if sides else None, label)
+    return _check_config(config, [check_id], reg)[0]
+
+
+def run_point(
+    p: Point,
+    check_ids: Optional[Iterable[str]] = None,
+    registry: Optional[dict[str, CheckFn]] = None,
+) -> list[CheckResult]:
+    """Every wanted check (all by default) at one driving point, on one
+    construction: the replay of a witness's `config.p`."""
+    reg = REGISTRY if registry is None else registry
+    return _check_config(Config(p), _wanted(reg, check_ids), reg)
+
+
+def _wanted(reg: dict[str, CheckFn], check_ids: Optional[Iterable[str]]) -> list[str]:
+    wanted = list(reg) if check_ids is None else list(check_ids)
+    for cid in wanted:
+        if cid not in reg:
+            raise UnknownCheck(f"no check registered under {cid!r}")
+    return wanted
+
+
+def _error_witness(exc: Exception) -> dict:
+    """The type and message of an error, and the module it was raised in."""
+    tb = exc.__traceback__
+    while tb is not None and tb.tb_next is not None:
+        tb = tb.tb_next
+    module = tb.tb_frame.f_globals.get("__name__", "?") if tb is not None else "?"
+    return {"error": f"{type(exc).__name__}: {exc}", "raised_in": module}
+
+
+def _check_config(config: Config, wanted: list[str], reg: dict[str, CheckFn]) -> list[CheckResult]:
+    """The wanted checks against one configuration.  A hard degeneracy skips
+    them all; any other error of the construction fails them all, with the
+    error as the witness."""
     try:
         ctx = CheckContext(config)
     except (OnSideline, OnAnticomplementarySideline) as exc:
-        return CheckResult(check_id, "skip", config.describe(), reason=str(exc))
-    return _evaluate(reg[check_id], check_id, ctx)
+        return [CheckResult(cid, "skip", config.describe(), reason=str(exc)) for cid in wanted]
+    except Exception as exc:
+        witness = _error_witness(exc)
+        return [CheckResult(cid, "fail", config.describe(), witness=dict(witness)) for cid in wanted]
+    return [_evaluate(reg[cid], cid, ctx) for cid in wanted]
 
 
 def _evaluate(fn: CheckFn, check_id: str, ctx: CheckContext) -> CheckResult:
@@ -871,6 +912,9 @@ def _evaluate(fn: CheckFn, check_id: str, ctx: CheckContext) -> CheckResult:
         return CheckResult(
             check_id, "fail", ctx.config.describe(), witness=cl.witness
         )
+    except Exception as exc:
+        cl.witness.update(_error_witness(exc))
+        return CheckResult(check_id, "fail", ctx.config.describe(), witness=cl.witness)
     if cl.failed:
         cl.witness["failed_claims"] = ", ".join(cl.failed)
         return CheckResult(check_id, "fail", ctx.config.describe(), witness=cl.witness)
@@ -879,6 +923,15 @@ def _evaluate(fn: CheckFn, check_id: str, ctx: CheckContext) -> CheckResult:
             check_id, "skip", ctx.config.describe(), reason="no applicable claims"
         )
     return CheckResult(check_id, "pass", ctx.config.describe(), witness=cl.witness)
+
+
+def tally(results: Iterable[CheckResult]) -> dict[str, dict[str, int]]:
+    """Pass, fail and skip counts for each check id."""
+    out: dict[str, dict[str, int]] = {}
+    for r in results:
+        slot = out.setdefault(r.check_id, {"pass": 0, "fail": 0, "skip": 0})
+        slot[r.status] += 1
+    return out
 
 
 @dataclass
@@ -890,11 +943,7 @@ class SuiteReport:
     elapsed: float
 
     def tallies(self) -> dict[str, dict[str, int]]:
-        out: dict[str, dict[str, int]] = {}
-        for r in self.results:
-            slot = out.setdefault(r.check_id, {"pass": 0, "fail": 0, "skip": 0})
-            slot[r.status] += 1
-        return out
+        return tally(self.results)
 
     def failures(self) -> list[CheckResult]:
         return [r for r in self.results if r.status == "fail"]
@@ -926,12 +975,12 @@ def run_suite(
     registry: Optional[dict[str, CheckFn]] = None,
 ) -> SuiteReport:
     """Run every registered check over `count` seeded random nondegenerate
-    points plus the fixed configurations; deterministic for a fixed seed."""
+    points plus the fixed configurations; deterministic for a fixed seed.
+    An error in a construction or a check does not end the run: it fails
+    the checks of that configuration, or that check, with the error as the
+    witness."""
     reg = REGISTRY if registry is None else registry
-    wanted = list(reg) if check_ids is None else list(check_ids)
-    for cid in wanted:
-        if cid not in reg:
-            raise UnknownCheck(f"no check registered under {cid!r}")
+    wanted = _wanted(reg, check_ids)
     start = time.monotonic()
     configs = fixed_configurations(field_policy)
     configs.extend(
@@ -940,14 +989,5 @@ def run_suite(
     )
     results: list[CheckResult] = []
     for config in configs:
-        try:
-            ctx = CheckContext(config)
-        except (OnSideline, OnAnticomplementarySideline) as exc:
-            results.extend(
-                CheckResult(cid, "skip", config.describe(), reason=str(exc))
-                for cid in wanted
-            )
-            continue
-        for cid in wanted:
-            results.append(_evaluate(reg[cid], cid, ctx))
+        results.extend(_check_config(config, wanted, reg))
     return SuiteReport(seed, count, field_policy, results, time.monotonic() - start)

@@ -11,7 +11,7 @@ from xml.etree import ElementTree
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cevian.cli import main
+from cevian.cli import construction_report, main, parse_point
 from cevian.constructions import construct
 from cevian.projective import AffineMap, Line, Point
 from cevian.conics import Conic
@@ -530,3 +530,74 @@ def test_config_file_missing_point(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("preset = fig1\n")
     assert run(["--config", str(cfg), "svg"]) == 2
+
+
+# -- verify at one point, and errors inside the suite --------------------------------
+
+
+def test_verify_at_a_point(tmp_path):
+    out = tmp_path / "verify.json"
+    code = run(["verify", "--p", "2:3:6", "--check", "thm_HO_formula", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["p"] == "(2 : 3 : 6)"
+    assert report["tallies"] == {"thm_HO_formula": {"pass": 1, "fail": 0, "skip": 0}}
+    assert [r["check_id"] for r in report["results"]] == ["thm_HO_formula"]
+
+
+def test_verify_replays_a_witness_from_its_config(tmp_path):
+    """A suite result at a sampled point comes back as it was from
+    verify --p with that point and that check."""
+    suite_out, replay_out = tmp_path / "suite.json", tmp_path / "replay.json"
+    assert run(["verify", "--seed", "5", "--count", "1", "--out", str(suite_out)]) == 0
+    sampled = [r for r in json.loads(suite_out.read_text())["results"] if r["config"]["label"] == "sample-0"]
+    assert len(sampled) == 26
+    for result in sampled[:4]:
+        args = ["verify", "--p", result["config"]["p"], "--check", result["check_id"]]
+        assert run([*args, "--out", str(replay_out)]) == 0
+        (replayed,) = json.loads(replay_out.read_text())["results"]
+        assert replayed == {**result, "config": {**result["config"], "label": ""}}
+
+
+def test_verify_at_a_point_parses_it_as_construct_does(capsys):
+    assert run(["verify", "--p", "1:2"]) == 2
+    assert capsys.readouterr().err == "error: point needs three colon-separated coordinates: '1:2'\n"
+    assert run(["verify", "--p", "-5:3:7", "--check", "lambda_maps"]) == 0
+    # a hard degeneracy is a skip, as in the suite
+    assert run(["verify", "--p", "0:1:2", "--check", "lambda_maps"]) == 0
+    # the printed form of a point, over Q(sqrt(d)) too, pastes as it is
+    printed = str(parse_point("1:1+1*sqrt(6):-2+3*sqrt(6)"))
+    assert printed.startswith("(") and "sqrt(6)" in printed
+    assert run(["verify", "--p", printed, "--check", "eta_reflection"]) == 0
+
+
+def test_verify_reports_an_internal_error_and_exits_1(tmp_path, monkeypatch):
+    from cevian import constructions
+
+    right = constructions.generalized_orthocenter
+    monkeypatch.setattr(
+        constructions,
+        "generalized_orthocenter",
+        lambda p: Point(1, 2, 3) if p == Point(21, 24, 28) else right(p),
+    )
+    for args in (["--seed", "42", "--count", "2"], ["--p", "21:24:28"]):
+        out = tmp_path / "verify.json"
+        assert run(["verify", *args, "--out", str(out)]) == 1
+        failed = [r for r in json.loads(out.read_text())["results"] if r["status"] == "fail"]
+        assert len(failed) == 26
+        assert {r["witness"]["raised_in"] for r in failed} == {"cevian.constructions"}
+
+
+@pytest.mark.parametrize(
+    "p", ["2:3:6", "5:-2:9", "1:1:2", "1:1:1", "3:6:-2", "1:2:-3", "6:3:2", "1:1+1*sqrt(6):-2+3*sqrt(6)"]
+)
+def test_report_reads_each_center_off_a_member(p):
+    """Every center the construct report prints is the conic's own center."""
+    cs = construct(parse_point(p))
+    report = construction_report(cs, RenderTriangle.default())
+    conics = {slug: conic for slug, _, conic, _ in named_conics(cs)}
+    centered = {slug for slug, entry in report["conics"].items() if "center" in entry}
+    for slug in centered:
+        assert report["conics"][slug]["center"] == str(conics[slug].center()), slug
+    if not cs.flags.on_median:
+        assert centered == set(conics)

@@ -511,7 +511,7 @@ def test_closed_forms_equal_the_solved_conics(case):
         assert flags.on_steiner_circumellipse
     p_iso = isotomic(p)
     q = complement(p_iso)
-    closed = cevian_conic(p, q)
+    closed = cevian_conic(p)
     assert closed == solved_cevian_conic(p, q)
     assert (closed is None) == (p == CENTROID)
     if flags.on_median:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from cevian.scalar import Scalar
+from cevian import projective
 from cevian.projective import (
     AffineMap,
+    CoincidentArguments,
     HomogeneousMatrix,
     HomogeneousTriple,
     CENTROID,
@@ -32,12 +34,18 @@ from cevian.projective import (
     cevian_traces,
     centroid_of,
     collinear_ratio,
+    common_point,
     complement,
+    complement_map,
     incident,
+    iso_reflection_map,
     isotomic,
     join,
+    meet,
     midpoint,
     parallel_through,
+    reflection_axis_point,
+    require_iso_reflection,
     Translation,
     zmul,
     zscale,
@@ -46,6 +54,7 @@ from cevian.projective import (
 )
 from cevian.conics import (
     Conic,
+    inconic_with_contacts,
     infinity_intersection_count,
     isotomic_image_of_line,
     second_intersection,
@@ -60,7 +69,6 @@ from cevian.constructions import (
     DegeneracyReport,
     ExhaustedRejections,
     OnAnticomplementarySideline,
-    _concurrent_parallels,
     anticevian_family,
     construct,
     degeneracy_report,
@@ -243,15 +251,15 @@ def test_extension_marker():
     assert special_configuration().extension_d == 2
 
 
-def test_concurrent_parallels_keeps_its_two_errors():
-    # every q-trace join is parallel to AB, so all three parallels are AB
-    traces = (Point(2, 0, 1), Point(0, 2, 1), Point(3, -1, 1))
-    with pytest.raises(DegenerateConfiguration):
-        _concurrent_parallels((VERTEX_A, VERTEX_B, MID_AB), CENTROID, traces)
-    # two medians meet at the centroid; the third parallel misses it
-    traces = (MID_BC, MID_CA, Point(1, 2, 0))
-    with pytest.raises(ConstructionInconsistency):
-        _concurrent_parallels((VERTEX_A, VERTEX_B, VERTEX_C), CENTROID, traces)
+def test_dual_path_rejects_a_center_off_the_parallels(monkeypatch):
+    """Centers checks H and O against the parallels that define them, so a
+    wrong H raises by name rather than entering the construction."""
+    monkeypatch.setattr(constructions, "generalized_orthocenter", lambda p: Point(1, 2, 3))
+    with pytest.raises(
+        ConstructionInconsistency,
+        match=r"^formula and parallel definitions disagree at p=\(21 : 24 : 28\)$",
+    ):
+        construct(Point(21, 24, 28))
 
 
 # -- anticevian family -------------------------------------------------------------
@@ -420,11 +428,19 @@ def affine_centers(p):
     return anticomplement(o), o
 
 
+def concurrent_parallels(bases, q, traces):
+    """The common point of the lines through the bases parallel to the
+    q-trace lines."""
+    common = common_point([parallel_through(b, join(q, t)) for b, t in zip(bases, traces)])
+    assert common is not None
+    return common
+
+
 def parallel_centers(p):
     """H and O of p as the common points of the parallels to the q-trace
     lines through the vertices and through the midpoints."""
     q, traces = complement(isotomic(p)), cevian_traces(p)
-    return _concurrent_parallels(VERTICES, q, traces), _concurrent_parallels(MIDPOINTS, q, traces)
+    return concurrent_parallels(VERTICES, q, traces), concurrent_parallels(MIDPOINTS, q, traces)
 
 
 @st.composite
@@ -485,6 +501,133 @@ def test_closed_form_centers_equal_the_paths_they_replace(case):
         assert flags.h_is_vertex == "ACB"[shift]
     if shape == "steiner":
         assert flags.on_steiner_circumellipse and s == _Z
+
+
+# -- every other member read off p ----------------------------------------------------
+#
+# The maps, the primed centers, the conics and the axis point are read off
+# closed forms in p as well.  Each must equal the product, inverse, center or
+# meet it replaced, built here from the projective and conic kernels.
+
+
+def joined_cevian_conic(p, q):
+    """The cevian conic as the isotomic image of the join of the isotomic
+    conjugates of p and q; None when they coincide."""
+    try:
+        return isotomic_image_of_line(join(isotomic(p), isotomic(q)))
+    except CoincidentArguments:
+        return None
+
+
+def met_insimilicenter(cs):
+    """The insimilicenter as a meet of the lines oq, o'q' and gv: the axis
+    with the first center line that differs from it, else the two center
+    lines if they differ, else None."""
+    lines = [join(a, b) for a, b in ((cs.circumcenter, cs.q), (cs.circumcenter_iso, cs.q_iso)) if a != b]
+    axis = join(CENTROID, cs.v) if cs.v != CENTROID else None
+    for line in lines:
+        if axis is not None and line != axis:
+            return meet(line, axis)
+    if len(lines) == 2 and lines[0] != lines[1]:
+        return meet(*lines)
+    return None
+
+
+def composed_members(cs):
+    """Every map and point of cs that a closed form replaced, by the paths
+    the construction used before."""
+    t_p, t_iso = cevian_map(cs.p), cevian_map(cs.p_iso)
+    t_inv, kinv = t_p.inverse(), anticomplement_map()
+    transfer = t_iso @ t_inv
+    circum_to_inconic = t_p @ kinv @ t_iso
+    return {
+        "traces_iso": cevian_traces(cs.p_iso),
+        "cevian_map": t_p,
+        "cevian_map_inverse": t_inv,
+        "cevian_map_iso": t_iso,
+        "cevian_map_iso_inverse": t_iso.inverse(),
+        "transfer_map": transfer,
+        "transfer_map_inverse": transfer.inverse(),
+        "second_cevian_map": t_p @ t_iso,
+        "second_cevian_map_iso": t_iso @ t_p,
+        "circum_to_inconic": circum_to_inconic,
+        "ninepoint_to_inconic": circum_to_inconic @ kinv,
+        "orthocenter_iso": generalized_orthocenter(cs.p_iso),
+        "orthocenter_preimage": t_inv(cs.orthocenter),
+        "ninepoint_conic_iso": vertex_nine_point_conic(cs.p_iso),
+        "inconic": inconic_with_contacts(*cs.traces),
+        "inconic_iso": inconic_with_contacts(*cevian_traces(cs.p_iso)),
+        "ninepoint_center": cs.ninepoint_conic.center(),
+        "cevian_conic": joined_cevian_conic(cs.p, cs.q),
+    }
+
+
+@given(center_points())
+@settings(max_examples=200, deadline=None)
+def test_closed_form_members_equal_the_paths_they_replace(case):
+    shape, _, p = case
+    assume(not degeneracy_report(p).hard())
+    event(f"{shape} over d = {p.d}")
+    cs = construct(p)
+    for name, member in composed_members(cs).items():
+        assert getattr(cs, name) == member, name
+    assert cs.circumcenter_iso == complement(cs.orthocenter_iso)
+    conic = cs.cevian_conic
+    if conic is None or conic.is_degenerate():
+        assert cs.flags.on_median and cs.feuerbach_point is None
+        return
+    assert cs.feuerbach_point == conic.center()
+    assert not cs.flags.on_median
+    # off the medians the two joins that meet in v always differ
+    assert cs.v == reflection_axis_point(cs.p, cs.p_iso, cs.q, cs.q_iso)
+    try:
+        eta = iso_reflection_map(cs.p, cs.p_iso, cs.q, cs.q_iso, cs.v)
+    except DegenerateConfiguration as exc:
+        assert cs.iso_reflection is None and cs.absent["iso_reflection"] == str(exc)
+    else:
+        assert cs.iso_reflection == eta and "iso_reflection" not in cs.absent
+        assert eta @ eta == AffineMap.identity() and eta(cs.q) == cs.q_iso
+    assert cs.insimilicenter == met_insimilicenter(cs)
+    assert (cs.insimilicenter is None) == ("insimilicenter" in cs.absent)
+
+
+def test_iso_reflection_checks_refuse_what_they_should():
+    """The two checks of the iso-reflection, made on uncanonicalized
+    products, refuse a map that is not involutive and one that does not
+    swap the pair."""
+    cs = construct(Point(2, 3, 6))
+    eta, q, q_iso = cs.iso_reflection, cs.q, cs.q_iso
+    assert require_iso_reflection(eta, q, q_iso) is eta
+    with pytest.raises(DegenerateConfiguration, match="^constructed reflection is not involutive$"):
+        require_iso_reflection(cs.transfer_map, q, q_iso)
+    with pytest.raises(DegenerateConfiguration, match="^reflection does not swap the companion pair$"):
+        require_iso_reflection(eta, q, cs.p)
+    with pytest.raises(DegenerateConfiguration, match="^constructed reflection is not involutive$"):
+        require_iso_reflection(AffineMap(((1, 1, 1), (0, 0, 0), (0, 0, 0))), q, q_iso)
+
+
+def test_construct_divides_out_only_integer_constants(monkeypatch):
+    """At a generic 4096-bit point, no canonicalization in construct divides
+    out a content of more than a few bits: every member is built at the
+    degree it keeps, and a polynomial content would cost some 4096 bits."""
+    rng = random.Random("content:4096")
+    while True:
+        p = Point(*(rng.getrandbits(4096) | 1 << 4095 for _ in range(3)))
+        if not degeneracy_report(p).any():
+            break
+    canonical, removed = projective._canonical, []
+
+    def recorded(d, v):
+        out = canonical(d, v)
+        before = max(abs(n).bit_length() for pair in v for n in pair)
+        after = max(abs(n).bit_length() for pair in out[1] for n in pair)
+        removed.append(before - after)
+        return out
+
+    monkeypatch.setattr(projective, "_canonical", recorded)
+    construct(p)
+    assert len(removed) > 40
+    assert max(removed) <= 8, sorted(removed)[-5:]
 
 
 # -- totality ------------------------------------------------------------------------------
@@ -570,9 +713,10 @@ def test_construction_reads_its_conics_off_closed_forms(monkeypatch):
 
 
 def count_map_builds(monkeypatch):
-    """Count the calls of AffineMap.from_pairs and AffineMap.inverse."""
+    """Count the calls of AffineMap.from_pairs, AffineMap.inverse and
+    AffineMap.__matmul__."""
     calls = []
-    from_pairs, inverse = AffineMap.from_pairs.__func__, AffineMap.inverse
+    from_pairs, inverse, matmul = AffineMap.from_pairs.__func__, AffineMap.inverse, AffineMap.__matmul__
 
     def counted_from_pairs(cls, pairs):
         calls.append("from_pairs")
@@ -582,8 +726,13 @@ def count_map_builds(monkeypatch):
         calls.append("inverse")
         return inverse(self)
 
+    def counted_matmul(self, other):
+        calls.append("matmul")
+        return matmul(self, other)
+
     monkeypatch.setattr(AffineMap, "from_pairs", classmethod(counted_from_pairs))
     monkeypatch.setattr(AffineMap, "inverse", counted_inverse)
+    monkeypatch.setattr(AffineMap, "__matmul__", counted_matmul)
     return calls
 
 
@@ -593,6 +742,17 @@ def test_centers_build_no_affine_map(monkeypatch):
     calls = count_map_builds(monkeypatch)
     Centers(Point(3, 5, 7))
     Centers(Point(1, Scalar(1, 1, 1610924047), Scalar(-2, 3, 1610924047)))
+    assert calls == []
+
+
+def test_construct_builds_inverts_and_composes_no_map(monkeypatch):
+    """Every map of the construction is read off p: construct builds no map
+    from point pairs, inverts none and composes none."""
+    complement_map(), anticomplement_map()  # cached constants, built once
+    calls = count_map_builds(monkeypatch)
+    construct(Point(3, 5, 7))
+    construct(Point(1, Scalar(1, 1, 1610924047), Scalar(-2, 3, 1610924047)))
+    construct(special_configuration_point())
     assert calls == []
 
 

@@ -282,7 +282,7 @@ def test_siblings_keep_the_dual_path_check(monkeypatch):
     from cevian.verify import _evaluate
 
     ctx = CheckContext(Config(Point(2, 3, 6)))
-    monkeypatch.setattr(constructions, "_concurrent_parallels", lambda *args: CENTROID)
+    monkeypatch.setattr(constructions, "_on_parallels", lambda *args: False)
     result = _evaluate(REGISTRY["four_points_same_HO"], "four_points_same_HO", ctx)
     assert result.status == "fail"
     assert result.witness["error"].startswith("ConstructionInconsistency: ")
@@ -296,3 +296,63 @@ def test_siblings_keep_the_hard_degeneracy_gate():
         Centers(Point(0, 1, 2))
     with pytest.raises(OnAnticomplementarySideline):
         Centers(Point(1, 2, -2))
+
+
+
+# -- errors inside the suite ----------------------------------------------------------
+
+GERGONNE_13_14_15 = Point(21, 24, 28)
+DISAGREE = "ConstructionInconsistency: formula and parallel definitions disagree at p=(21 : 24 : 28)"
+
+
+def make_orthocenter_wrong(monkeypatch):
+    """Make generalized_orthocenter wrong at (21 : 24 : 28) alone."""
+    from cevian import constructions
+
+    right = constructions.generalized_orthocenter
+    monkeypatch.setattr(
+        constructions,
+        "generalized_orthocenter",
+        lambda p: Point(1, 2, 3) if p == GERGONNE_13_14_15 else right(p),
+    )
+
+
+def test_a_construction_error_fails_its_configuration_alone(monkeypatch):
+    clean = run_suite(42, 2)
+    make_orthocenter_wrong(monkeypatch)
+    patched = run_suite(42, 2)
+    at_p = [r for r in patched.results if r.config["p"] == str(GERGONNE_13_14_15)]
+    assert [r.check_id for r in at_p] == list(REGISTRY)
+    for r in at_p:
+        assert r.status == "fail"
+        assert r.witness == {"error": DISAGREE, "raised_in": "cevian.constructions"}
+    assert not patched.ok()
+    # every other configuration reports what it did without the error
+    assert [r.to_dict() for r in patched.results if r not in at_p] == [
+        r.to_dict() for r in clean.results if r.config["p"] != str(GERGONNE_13_14_15)
+    ]
+
+
+def test_a_check_that_raises_fails_with_its_error():
+    def divides_by_zero(ctx, cl):
+        cl.note("reached", ctx.config.p)
+        raise ZeroDivisionError("division by zero")
+
+    report = run_suite(42, 2, registry={"divides_by_zero": divides_by_zero})
+    assert len(report.results) == 10
+    for r in report.results:
+        assert r.status == "fail"
+        assert r.witness == {
+            "reached": r.config["p"],
+            "error": "ZeroDivisionError: division by zero",
+            "raised_in": __name__,
+        }
+
+
+def test_run_check_fails_on_a_construction_error(monkeypatch):
+    make_orthocenter_wrong(monkeypatch)
+    result = run_check("lambda_maps", GERGONNE_13_14_15)
+    assert result.status == "fail"
+    assert result.witness == {"error": DISAGREE, "raised_in": "cevian.constructions"}
+    # the hard degeneracies still skip
+    assert run_check("lambda_maps", Point(0, 1, 2)).status == "skip"

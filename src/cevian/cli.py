@@ -4,20 +4,23 @@ suite, inspect the vertex-orthocenter locus, and emit SVG figures.
 Reports are UTF-8 JSON.  Every geometric value appears as an exact
 coordinate string that parses back bit-identically; floats occur only inside
 the dedicated "render" sub-object.  Exit codes: 0 success, 1 verification
-failure, 2 malformed input or hard degeneracy.
+failure, 2 malformed input, hard degeneracy or an output that cannot be
+written (a closed pipe included).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import re
 import sys
 from typing import Optional, Sequence
 
 from .scalar import Scalar, ScalarError
-from .projective import VERTICES, GeometryError, OnSideline, Point, complement
+from .projective import VERTICES, GeometryError, OnSideline, Point
 from .constructions import (
     ConstructionSet,
     OnAnticomplementarySideline,
@@ -79,6 +82,18 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
+# the center of each proper named conic is a named point (Z, O, Q, Q', N
+# and K(Q)), so the report writes it as that point's bary string
+_CENTER_SLUGS = {
+    "cevian-conic": "Z",
+    "circumconic": "O",
+    "inconic": "Q",
+    "inconic-iso": "Q-prime",
+    "ninepoint-conic": "N",
+    "ninepoint-conic-iso": "KQ",
+}
+
+
 def construction_report(cs: ConstructionSet, tri: RenderTriangle) -> dict:
     points, render_points = {}, {}
     for slug, label, p in named_points(cs):
@@ -90,15 +105,6 @@ def construction_report(cs: ConstructionSet, tri: RenderTriangle) -> dict:
             render_points[slug] = {"direction": list(direction_to_xy(p, tri))}
         else:
             render_points[slug] = {"xy": list(bary_to_xy(p, tri))}
-    # every proper conic's center is a member: Z, O, q, q_iso, N and K(q)
-    centers = {
-        "cevian-conic": cs.feuerbach_point,
-        "circumconic": cs.circumcenter,
-        "inconic": cs.q,
-        "inconic-iso": cs.q_iso,
-        "ninepoint-conic": cs.ninepoint_center,
-        "ninepoint-conic-iso": complement(cs.q),
-    }
     conics = {}
     for slug, label, conic, _seed in named_conics(cs):
         if conic is None:
@@ -106,13 +112,13 @@ def construction_report(cs: ConstructionSet, tri: RenderTriangle) -> dict:
         degenerate = conic.is_degenerate()
         conics[slug] = {"label": label, "matrix": str(conic), "degenerate": degenerate}
         if not degenerate:
-            conics[slug]["center"] = str(centers[slug])
+            conics[slug]["center"] = points[_CENTER_SLUGS[slug]]["bary"]
     maps = {name: str(m) for name, m in named_maps(cs) if m is not None}
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "construct",
         "input": {
-            "p": str(cs.p),
+            "p": points["P"]["bary"],
             "triangle": [[str(v[0]), str(v[1])] for v in tri.vertices()],
             "extension_d": cs.extension_d,
         },
@@ -136,31 +142,49 @@ def _emit(payload: str, out: Optional[str]) -> None:
         except OSError as exc:
             raise InputError(f"cannot write {out}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(payload)
+        try:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe or a full device
+            # the unwritten rest stays buffered, and the flush at exit would
+            # fail on it again with a second report: send it to the null device
+            if sys.stdout is sys.__stdout__:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            raise InputError(f"cannot write standard output: {exc.strerror}") from exc
+
+
+@contextlib.contextmanager
+def _str_limit_for(text: str):
+    """The str limit lifted for the numbers grown from the point `text`: a
+    report number has at most about 16 times the digits of its longest
+    coordinate and of d, so at most 16 times all the digits of text.  The
+    limit guards against untrusted input, which parse_point has checked."""
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        sys.set_int_max_str_digits(max(limit, 16 * sum(map(str.isdigit, text))))
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def cmd_construct(args) -> int:
     p = parse_point(args.p)
     tri = RenderTriangle.parse(args.triangle) if args.triangle else RenderTriangle.default()
     cs = construct(p)
-    # a report number has at most about 16 times the digits of its longest
-    # coordinate and of d, so at most 16 times all the digits of --p; the
-    # str limit guards against untrusted input, which parse_point has checked
-    limit = sys.get_int_max_str_digits()
-    if limit:
-        sys.set_int_max_str_digits(max(limit, 16 * sum(map(str.isdigit, args.p))))
-    try:
-        report = construction_report(cs, tri)
-    except ValueError as exc:  # an exact coordinate too long even so
-        cap = sys.get_int_max_str_digits()
-        flag = "--p"
-        try:  # the report also writes back the triangle's own numbers
-            [str(x) for v in tri.vertices() for x in v]
-        except ValueError:
-            flag = "--triangle"
-        raise InputError(f"{flag} is too large: its report needs numbers of over {cap} digits") from exc
-    finally:
-        sys.set_int_max_str_digits(limit)
+    with _str_limit_for(args.p):
+        try:
+            report = construction_report(cs, tri)
+        except ValueError as exc:  # an exact coordinate too long even so
+            cap = sys.get_int_max_str_digits()
+            flag = "--p"
+            try:  # the report also writes back the triangle's own numbers
+                [str(x) for v in tri.vertices() for x in v]
+            except ValueError:
+                flag = "--triangle"
+            raise InputError(f"{flag} is too large: its report needs numbers of over {cap} digits") from exc
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -174,12 +198,13 @@ def cmd_verify(args) -> int:
         # a witness prints its point as (x : y : z), which pastes as it is
         text = args.p.strip()
         p = parse_point(text[1:-1] if text[:1] + text[-1:] == "()" else text)
-        results = run_point(p, check_ids=checks)
-        payload.update({
-            "p": str(p),
-            "tallies": tally(results),
-            "results": [r.to_dict() for r in results],
-        })
+        with _str_limit_for(text):  # the witnesses' strings
+            results = run_point(p, check_ids=checks)
+            payload.update({
+                "p": str(p),
+                "tallies": tally(results),
+                "results": [r.to_dict() for r in results],
+            })
     else:
         report = run_suite(
             args.seed, args.count, field_policy=args.field_policy, check_ids=checks

@@ -14,6 +14,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence
 
@@ -93,6 +94,16 @@ class RenderTriangle:
     def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return (self.a, self.b, self.c)
 
+    @cached_property
+    def frame(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, (xs, ys)): the lcm den of the six vertex denominators, and
+        den times the x and the y coordinates of A, B, C, as ints."""
+        den = lcm(*[c.denominator for v in self.vertices() for c in v])
+        return den, tuple(
+            tuple(c.numerator * (den // c.denominator) for c in axis)
+            for axis in zip(*self.vertices())
+        )
+
     def float_vertices(self) -> list[tuple[float, float]]:
         return [(float(x), float(y)) for x, y in self.vertices()]
 
@@ -140,11 +151,8 @@ def _floats_up_to_scale(d: int, values: Sequence[Pair], den: int = 1) -> list[Op
 def _cartesian(p: Point, tri: RenderTriangle) -> tuple[int, list[Pair], int]:
     """(d, [X, Y], den): den times the Cartesian image of the barycentric
     coordinates of p, as pairs over Z[sqrt(d)]."""
-    den = lcm(*[c.denominator for v in tri.vertices() for c in v])
-    return p.d, [
-        zsum([zscale(c.numerator * (den // c.denominator), v) for c, v in zip(axis, p.ints)])
-        for axis in zip(*tri.vertices())
-    ], den
+    den, axes = tri.frame
+    return p.d, [zsum([zscale(c, v) for c, v in zip(axis, p.ints)]) for axis in axes], den
 
 
 def bary_to_xy(p: Point, tri: RenderTriangle) -> tuple[Optional[float], Optional[float]]:
@@ -152,6 +160,9 @@ def bary_to_xy(p: Point, tri: RenderTriangle) -> tuple[Optional[float], Optional
     coordinate sum w of p; a coordinate beyond the double range is None."""
     d, xy, den = _cartesian(p, tri)
     a, b = p._weight()
+    if d == 1:  # w = a, and den * |a| keeps _float's denominator positive
+        den *= abs(a)
+        return tuple([_float(x if a > 0 else -x, 0, 1, den) for x, _ in xy])  # type: ignore[return-value]
     norm = a * a - b * b * d  # w times its conjugate; times -1 if negative
     conj = (a, -b) if norm > 0 else (-a, b)
     return tuple([_float(*zmul(v, conj, d), d, den * abs(norm)) for v in xy])  # type: ignore[return-value]

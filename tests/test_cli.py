@@ -1,29 +1,41 @@
 import contextlib
+import dataclasses
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
+from math import lcm
 from xml.etree import ElementTree
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from cevian.cli import construction_report, main, parse_point
+from cevian import cli
+from cevian.cli import SCHEMA_VERSION, construction_report, main, parse_point
 from cevian.constructions import construct
-from cevian.projective import AffineMap, Line, Point
+from cevian.projective import AffineMap, GeometryError, Line, Point, complement
 from cevian.conics import Conic
 from cevian.conics import steiner_circumellipse
 from cevian.render import (
+    PRESETS,
     RenderTriangle,
+    _float,
+    _floats_up_to_scale,
     conic_cartesian_matrix,
     direction_to_xy,
     named_conics,
+    named_maps,
     named_points,
     sample_conic,
 )
+from cevian.scalar import format_number, zmul, zscale, zsum
+from cevian.verify import REGISTRY
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -571,6 +583,13 @@ def test_verify_at_a_point_parses_it_as_construct_does(capsys):
     assert run(["verify", "--p", printed, "--check", "eta_reflection"]) == 0
 
 
+def test_verify_at_a_large_point_prints_its_witnesses():
+    """verify --p lifts the str limit for its witnesses as construct does
+    for its report: a 4096-bit point passes, with no internal error."""
+    top = 3**2584
+    assert run(["verify", f"--p={top}:{top + 2}:-{top // 7}", "--check", "lambda_maps"]) == 0
+
+
 def test_verify_reports_an_internal_error_and_exits_1(tmp_path, monkeypatch):
     from cevian import constructions
 
@@ -601,3 +620,271 @@ def test_report_reads_each_center_off_a_member(p):
         assert report["conics"][slug]["center"] == str(conics[slug].center()), slug
     if not cs.flags.on_median:
         assert centered == set(conics)
+
+
+# -- the construct report against its reference path ---------------------------------
+
+
+def _reference_render(p, tri):
+    """The render entry of a point through the triangle's vertices read
+    afresh and, for an ordinary point, the conjugate product of its
+    coordinate sum w, at every d."""
+    den = lcm(*[c.denominator for v in tri.vertices() for c in v])
+    xy = [
+        zsum([zscale(c.numerator * (den // c.denominator), v) for c, v in zip(axis, p.ints)])
+        for axis in zip(*tri.vertices())
+    ]
+    if p.is_infinite():
+        return {"direction": _floats_up_to_scale(p.d, xy, den)}
+    d, (a, b) = p.d, p._weight()
+    norm = a * a - b * b * d
+    conj = (a, -b) if norm > 0 else (-a, b)
+    return {"xy": [_float(*zmul(v, conj, d), d, den * abs(norm)) for v in xy]}
+
+
+def _reference_report(cs, tri):
+    """construction_report with every string formatted from its own member,
+    the conic centers and input.p included, and every position through
+    _reference_render."""
+    points = {}
+    for slug, label, p in named_points(cs):
+        if p is not None:
+            points[slug] = {"label": label, "bary": str(p), "infinite": p.is_infinite()}
+    centers = {
+        "cevian-conic": cs.feuerbach_point,
+        "circumconic": cs.circumcenter,
+        "inconic": cs.q,
+        "inconic-iso": cs.q_iso,
+        "ninepoint-conic": cs.ninepoint_center,
+        "ninepoint-conic-iso": complement(cs.q),
+    }
+    conics = {}
+    for slug, label, conic, _seed in named_conics(cs):
+        if conic is None:
+            continue
+        degenerate = conic.is_degenerate()
+        conics[slug] = {"label": label, "matrix": str(conic), "degenerate": degenerate}
+        if not degenerate:
+            conics[slug]["center"] = str(centers[slug])
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": "construct",
+        "input": {
+            "p": str(cs.p),
+            "triangle": [[str(v[0]), str(v[1])] for v in tri.vertices()],
+            "extension_d": cs.extension_d,
+        },
+        "flags": dataclasses.asdict(cs.flags),
+        "absent": dict(sorted(cs.absent.items())),
+        "points": points,
+        "conics": conics,
+        "maps": {name: str(m) for name, m in named_maps(cs) if m is not None},
+        "render": {
+            "triangle": [[float(x), float(y)] for x, y in tri.vertices()],
+            "points": {
+                slug: _reference_render(p, tri) for slug, _, p in named_points(cs) if p is not None
+            },
+        },
+    }
+
+
+def _entries(bits):
+    """Ints of exactly `bits` bits, of either sign, and 0."""
+    magnitudes = st.integers(0, (1 << bits - 1) - 1).map(lambda n: n | 1 << bits - 1)
+    return st.builds(lambda n, sign: sign * n, magnitudes, st.sampled_from((1, -1, 0)))
+
+
+@st.composite
+def report_points(draw):
+    """The text of a point over Q, Q(sqrt(2)) or Q(sqrt(6)) with entries of
+    up to 1024 bits: generic, on a median (absent members, a degenerate
+    cevian conic), on the Steiner circumellipse (Q at infinity) or at
+    infinity."""
+    d = draw(st.sampled_from((1, 1, 2, 6)))
+    entry = _entries(1 << draw(st.integers(1, 10)))
+    pair = st.tuples(entry, entry if d > 1 else st.just(0))
+    x, y, z = draw(st.tuples(pair, pair, pair))
+    shape = draw(st.sampled_from(("generic", "median", "steiner", "infinite")))
+    if shape == "median":
+        y = x
+    elif shape == "steiner":
+        s = zsum((x, y))
+        x, y, z = zmul(x, s, d), zmul(y, s, d), zscale(-1, zmul(x, y, d))
+    elif shape == "infinite":
+        z = zscale(-1, zsum((x, y)))
+    return ":".join(format_number(a, b, d) for a, b in (x, y, z))
+
+
+_SMALL_FRACTION = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+
+
+@given(report_points(), st.none() | st.tuples(*[_SMALL_FRACTION] * 6))
+@example("1:2:-5", None)  # E = (1 : 0 : -5): w = -4 and x = 0, which is not -0.0
+@example("2:3:6", (0, 0, 5, 0, Fraction(16, 5), Fraction(12, 5)))
+@example("1:1:2", (Fraction(-1, 3), 2, 7, Fraction(1, 9), 3, -5))
+@example("3:6:-2", None)
+@example("1:1+1*sqrt(6):-2+3*sqrt(6)", (0, 0, Fraction(1, 2), 0, 0, 3))
+@settings(max_examples=80, deadline=None)
+def test_report_equals_its_reference_path(text, coords):
+    """The construct report reads its centers and input.p off the point
+    entries and its positions off the triangle's one integer frame; its
+    JSON text is that of the report made the long way."""
+    tri = RenderTriangle.default()
+    if coords is not None:
+        tri = RenderTriangle(*zip(map(Fraction, coords[::2]), map(Fraction, coords[1::2])))
+        assume(tri.doubled_area() != 0)
+    try:
+        cs = construct(parse_point(text))
+    except (cli.InputError, GeometryError):  # the zero tuple, a sideline
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert json.dumps(construction_report(cs, tri), indent=2) == json.dumps(
+            _reference_report(cs, tri), indent=2
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# -- an output that cannot be written, and the CLI gate ---------------------------------
+
+
+def _outcome(argv, out):
+    """(exit code, stdout, stderr, the --out file's text) of one call of
+    main, a JSON report parsed with a suite's elapsed_seconds taken out; a
+    usage error's SystemExit gives its code."""
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    text = out.read_text() if out.exists() else None
+    if text is not None and text.startswith("{"):
+        text = json.loads(text)
+        text.pop("elapsed_seconds", None)
+    return code, stdout.getvalue(), stderr.getvalue(), text
+
+
+def _src_env():
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.parametrize("command", [["construct", "--p", "2:3:6"], ["locus"]])
+def test_closed_stdout_is_an_output_error(command):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "cevian", *command],
+            stdout=write_end, stderr=subprocess.PIPE, env=_src_env(), text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == "error: cannot write standard output: Broken pipe\n"
+
+
+class _BrokenStream(io.StringIO):
+    """A replaced sys.stdout whose reader has gone, with no file descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_unwritable_replaced_stdout_is_an_output_error():
+    """A stream that stands in for stdout in-process fails the same way,
+    and the process's own descriptor 1 is left as it was."""
+    before, err = os.fstat(1), io.StringIO()
+    with contextlib.redirect_stdout(_BrokenStream()), contextlib.redirect_stderr(err):
+        assert main(["locus"]) == 2
+    assert err.getvalue() == "error: cannot write standard output: Broken pipe\n"
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+
+
+# -- the CLI gate: every command, drawn inputs, one process ---------------------------
+
+
+@st.composite
+def gate_points(draw):
+    """The text of a point over Q or Q(sqrt(d)) with entries of up to 4096
+    bits, a point with one character replaced, or arbitrary text."""
+    d = draw(st.sampled_from((1, 1, 2, 6, 1610924047)))
+    entry = _entries(1 << draw(st.integers(1, 12)))
+    pair = st.tuples(entry, entry if d > 1 else st.just(0))
+    text = ":".join(format_number(a, b, d) for a, b in draw(st.tuples(pair, pair, pair)))
+    kind = draw(st.sampled_from(("point", "point", "point", "edited", "text")))
+    if kind == "edited":
+        k = draw(st.integers(0, len(text) - 1))
+        text = text[:k] + draw(st.sampled_from(":+-*/()e_., \u0663x")) + text[k + 1:]
+    elif kind == "text":
+        text = draw(st.text(st.sampled_from("0123456789:+-*/()sqrte_., ;\u0663"), max_size=24))
+    return text
+
+
+_GATE_TRIANGLES = st.sampled_from(
+    ("0,0;5,0;16/5,12/5", "-1/3,2;7,1/9;3,-5", "0,0;1,0;2,0", "0,0;1e-4300,0;0,1", "1,2;3", "")
+)
+_GATE_CHECKS = st.sampled_from(sorted(REGISTRY) + ["no_such_check"])
+
+
+@st.composite
+def gate_commands(draw):
+    """One argument list of construct, svg, verify --check, verify --p or
+    locus, and the lines of a --config file for it (None for no file)."""
+    command = draw(st.sampled_from(("construct", "svg", "verify-check", "verify-p", "locus")))
+    p = ["--p=" + draw(gate_points())]
+    if command == "construct":
+        argv = ["construct", *p, *draw(st.lists(_GATE_TRIANGLES.map("--triangle={}".format), max_size=1))]
+    elif command == "svg":
+        flags = st.sampled_from(["--z-locus", "--preset=fig9", *(f"--preset={k}" for k in sorted(PRESETS))])
+        argv = ["svg", *p, *draw(st.lists(flags, max_size=2))]
+    elif command == "verify-check":
+        argv = ["verify", "--count=1", f"--seed={draw(st.integers(-5, 5))}", "--check=" + draw(_GATE_CHECKS)]
+    elif command == "verify-p":
+        argv = ["verify", *p, "--check=" + draw(_GATE_CHECKS)]
+    else:
+        argv = ["locus", *draw(st.lists(st.sampled_from(["--vertex=B", "--vertex=C", "--vertex=D"]), max_size=1))]
+    lines = draw(st.none() | st.lists(
+        st.sampled_from((
+            "p = 2:3:6", "p = 1:2", "triangle = 0,0;5,0;16/5,12/5", "triangle = 0,0;1,0",
+            "seed = 7", "seed = x", "count = 1", "count = 0", "check = lambda_maps, eta_reflection",
+            "check = nope", "field_policy = rational", "vertex = C", "vertex = D", "preset = fig1",
+            "preset = fig9", "z_locus = yes", "colour = red", "no equals sign", "# a comment", "",
+        )),
+        max_size=4,
+    ))
+    if lines is not None and draw(st.booleans()):
+        del argv[1:]  # the file alone gives the values
+    return argv, lines
+
+
+_TOP = 3**2584  # 4096 bits, the top of the drawn sizes, which draws seldom reach
+
+
+@given(gate_commands())
+@example((["construct", f"--p={_TOP}:{_TOP + 2}:-{_TOP // 7}"], None))
+@example((["svg", f"--p={_TOP}:{_TOP + 2}:-{_TOP // 7}", "--z-locus"], None))
+@example((["verify", f"--p={_TOP}+{_TOP // 5}*sqrt(2):3-1*sqrt(2):-5", "--check=lambda_maps"], None))
+@settings(max_examples=40, deadline=None)
+def test_every_command_exits_with_a_documented_code(case):
+    """In one process, each command exits 0, or 2 for a malformed input or
+    a hard degeneracy, or 1 when a check fails, and raises nothing else."""
+    argv, lines = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if lines is not None:
+            cfg = pathlib.Path(tmp, "run.cfg")
+            cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            argv = ["--config", str(cfg), *argv]
+        code, stdout, stderr, _ = _outcome(argv, pathlib.Path(tmp, "unused"))
+    assert "Traceback" not in stderr
+    if code == 1:  # a claim failed: no construction or check raised an error of its own
+        assert "verify" in argv
+        failed = [r for r in json.loads(stdout)["results"] if r["status"] == "fail"]
+        assert failed and not any("raised_in" in r["witness"] for r in failed), (argv, failed)
+    else:
+        assert code in (0, 2), (argv, code, stderr)

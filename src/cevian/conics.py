@@ -6,9 +6,11 @@ X^T C X = 0.  Degenerate conics (line pairs) are representable and
 flagged, but polarity-based operations reject them explicitly.  The
 conics of a driving point p = (u : v : w) are read off their classical
 barycentric equations: the nine-point conic of A, B, C, p, the inconic with
-perspector p, and the circumconic with a given center.  The conic through
-five points and the nine-point conic of any quadrangle are solved as exact
-null spaces of incidence systems, and stay as the checks' second path.
+perspector p, and the circumconic with a given center.  The nine-point
+conic of any quadrangle, the checks' second path, is read off its pencil as
+the locus of the poles of the line at infinity.  The conic through five
+points is the one conic solved, as the exact null space of its incidence
+system.
 """
 
 from __future__ import annotations
@@ -46,13 +48,12 @@ from .projective import (
     VERTICES,
     adjugate3,
     are_collinear,
+    cross,
     dot,
     incident,
-    join,
     mat_mul,
     mat_vec,
     meet,
-    midpoint,
     null_space,
     perspector,
     transpose,
@@ -141,6 +142,9 @@ def conic_row(p: Point) -> Vector:
         zmul(x, x, d), zmul(y, y, d), zmul(z, z, d),
         zscale(2, zmul(x, y, d)), zscale(2, zmul(x, z, d)), zscale(2, zmul(y, z, d)),
     )
+
+
+_CONIC_ENTRIES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))  # the order of conic_row
 
 
 def conic_from_vector(d: int, v: Sequence[Pair]) -> Conic:
@@ -245,6 +249,14 @@ def nine_point_conic(quadrangle: Sequence[Point]) -> Conic:
     With exactly one infinite vertex the midpoints of the sides through it
     degenerate to that vertex itself (the harmonic conjugate of the vertex
     with respect to the side's endpoints), and the conic passes through it.
+
+    Read off the pencil of conics through P0..P3, which the line pairs
+    C1 = l01.l23 and C2 = l02.l13 span (lij = Pi x Pj): the conic is the
+    locus of the poles of e = [1 : 1 : 1] over the pencil, the points x with
+    det[C1 x, C2 x, e] = 0.  That determinant expands into
+    (l23.x)(m23.x) + (l01.x)(m01.x), where m23 = k1 l13 + k2 l02 and
+    m01 = k3 l13 + k4 l02 with k1 = (l01 x l02).e, k2 = (l01 x l13).e,
+    k3 = (l23 x l02).e and k4 = (l23 x l13).e.
     """
     if len(quadrangle) != 4:
         raise ValueError("exactly four points required")
@@ -254,23 +266,23 @@ def nine_point_conic(quadrangle: Sequence[Point]) -> Conic:
     for trio in combinations(quadrangle, 3):
         if are_collinear(*trio):
             raise DegenerateQuadrangle(f"collinear vertices {trio}")
-    indices = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
-    nine: list[Point] = []
-    for i, j, k, l in indices:
-        nine.append(meet(join(quadrangle[i], quadrangle[j]), join(quadrangle[k], quadrangle[l])))
-    for i, j in combinations(range(4), 2):
-        p, q = quadrangle[i], quadrangle[j]
-        if p.is_infinite():
-            nine.append(p)
-        elif q.is_infinite():
-            nine.append(q)
-        else:
-            nine.append(midpoint(p, q))
     d = reduce(join_d, [p.d for p in quadrangle], 1)
-    basis = null_space(d, [conic_row(p) for p in nine])
-    if len(basis) != 1:
+    p0, p1, p2, p3 = (p.ints for p in quadrangle)
+    l01, l23, l02, l13 = cross(p0, p1, d), cross(p2, p3, d), cross(p0, p2, d), cross(p1, p3, d)
+    k1, k2, k3, k4 = (
+        zsum(cross(a, b, d)) for a, b in ((l01, l02), (l01, l13), (l23, l02), (l23, l13))
+    )
+    m23, m01 = combine(k1, l13, k2, l02, d), combine(k3, l13, k4, l02, d)
+    vector = [
+        zsum((
+            zmul(l23[i], m23[j], d), zmul(m23[i], l23[j], d),
+            zmul(l01[i], m01[j], d), zmul(m01[i], l01[j], d),
+        ))
+        for i, j in _CONIC_ENTRIES
+    ]
+    if all(x == _ZERO for x in vector):
         raise DegenerateQuadrangle("nine-point system is rank-deficient")
-    return conic_from_vector(d, basis[0])
+    return conic_from_vector(d, vector)
 
 
 def second_intersection(l: Line, conic: Conic, known: Point) -> Point:

@@ -888,41 +888,38 @@ def _error_witness(exc: Exception) -> dict:
 
 
 def _check_config(config: Config, wanted: list[str], reg: dict[str, CheckFn]) -> list[CheckResult]:
-    """The wanted checks against one configuration.  A hard degeneracy skips
-    them all; any other error of the construction fails them all, with the
-    error as the witness."""
+    """The wanted checks against one configuration, which all share one
+    description of it.  A hard degeneracy skips them all; any other error
+    of the construction fails them all, with the error as the witness."""
+    described = config.describe()
     try:
         ctx = CheckContext(config)
     except (OnSideline, OnAnticomplementarySideline) as exc:
-        return [CheckResult(cid, "skip", config.describe(), reason=str(exc)) for cid in wanted]
+        return [CheckResult(cid, "skip", described, reason=str(exc)) for cid in wanted]
     except Exception as exc:
         witness = _error_witness(exc)
-        return [CheckResult(cid, "fail", config.describe(), witness=dict(witness)) for cid in wanted]
-    return [_evaluate(reg[cid], cid, ctx) for cid in wanted]
+        return [CheckResult(cid, "fail", described, witness=dict(witness)) for cid in wanted]
+    return [_evaluate(reg[cid], cid, ctx, described) for cid in wanted]
 
 
-def _evaluate(fn: CheckFn, check_id: str, ctx: CheckContext) -> CheckResult:
+def _evaluate(fn: CheckFn, check_id: str, ctx: CheckContext, described: dict) -> CheckResult:
     cl = Claims()
     try:
         fn(ctx, cl)
     except _Skip as s:
-        return CheckResult(check_id, "skip", ctx.config.describe(), reason=s.reason)
+        return CheckResult(check_id, "skip", described, reason=s.reason)
     except GeometryError as exc:
         cl.witness["error"] = f"{type(exc).__name__}: {exc}"
-        return CheckResult(
-            check_id, "fail", ctx.config.describe(), witness=cl.witness
-        )
+        return CheckResult(check_id, "fail", described, witness=cl.witness)
     except Exception as exc:
         cl.witness.update(_error_witness(exc))
-        return CheckResult(check_id, "fail", ctx.config.describe(), witness=cl.witness)
+        return CheckResult(check_id, "fail", described, witness=cl.witness)
     if cl.failed:
         cl.witness["failed_claims"] = ", ".join(cl.failed)
-        return CheckResult(check_id, "fail", ctx.config.describe(), witness=cl.witness)
+        return CheckResult(check_id, "fail", described, witness=cl.witness)
     if cl.checked == 0:
-        return CheckResult(
-            check_id, "skip", ctx.config.describe(), reason="no applicable claims"
-        )
-    return CheckResult(check_id, "pass", ctx.config.describe(), witness=cl.witness)
+        return CheckResult(check_id, "skip", described, reason="no applicable claims")
+    return CheckResult(check_id, "pass", described, witness=cl.witness)
 
 
 def tally(results: Iterable[CheckResult]) -> dict[str, dict[str, int]]:

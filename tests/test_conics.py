@@ -1,7 +1,10 @@
+from functools import reduce
+from itertools import combinations
+
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from cevian.scalar import NeedsExtension, Scalar, combine, zmul, zscale, zsum
+from cevian.scalar import NeedsExtension, Scalar, combine, join_d, zmul, zscale, zsum
 from cevian.projective import (
     CENTROID,
     LINE_AT_INFINITY,
@@ -15,6 +18,7 @@ from cevian.projective import (
     VERTEX_B,
     VERTEX_C,
     anticomplement,
+    are_collinear,
     cevian_traces,
     complement,
     complement_map,
@@ -22,6 +26,7 @@ from cevian.projective import (
     incident,
     isotomic,
     join,
+    meet,
     midpoint,
     null_space,
     perspector,
@@ -239,8 +244,6 @@ def test_nine_point_conic_all_nine_points():
 
 
 def meet_sides(quad, i, j, k, l):
-    from cevian.projective import meet
-
     return meet(join(quad[i], quad[j]), join(quad[k], quad[l]))
 
 
@@ -409,10 +412,11 @@ def test_conic_parse_round_trip():
 
 # -- the closed forms against the solvers they replaced ---------------------------------
 #
-# The cevian conic, the nine-point conic of A, B, C, x, the inconic and the
-# vertex-locus conic are read off closed forms.  Each must equal, as a
-# canonical conic, what the solve it replaced returns: `conic_through_five`,
-# `nine_point_conic`, and a copy of the polar-row solve kept here.
+# The cevian conic, the nine-point conic of A, B, C, x, the nine-point conic
+# of any quadrangle, the inconic and the vertex-locus conic are read off
+# closed forms.  Each must equal, as a canonical conic, what the solve it
+# replaced returns: `conic_through_five`, and copies of the nine-point and
+# polar-row solves kept here.
 
 FIELDS = (1, 2, 6, 1610924047)
 _Z = (0, 0)
@@ -456,6 +460,27 @@ def solved_locus(vertex):
         rows.append(combine(ci, polar[i], zscale(-1, cj), polar[j], 1))
     (vector,) = null_space(1, rows)
     return conic_from_vector(1, vector)
+
+
+def solved_nine_point_conic(quadrangle):
+    """The conic through the three diagonal points and the six side
+    midpoints (an infinite vertex standing in for the midpoints of its
+    sides), solved from their nine incidence rows, behind the same guards as
+    nine_point_conic."""
+    infinite = [p for p in quadrangle if p.is_infinite()]
+    if len(infinite) > 1:
+        raise DegenerateQuadrangle("at most one vertex may be infinite")
+    for trio in combinations(quadrangle, 3):
+        if are_collinear(*trio):
+            raise DegenerateQuadrangle(f"collinear vertices {trio}")
+    nine = [meet_sides(quadrangle, *ijkl) for ijkl in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))]
+    for p, q in combinations(quadrangle, 2):
+        nine.append(p if p.is_infinite() else q if q.is_infinite() else midpoint(p, q))
+    d = reduce(join_d, [p.d for p in quadrangle], 1)
+    basis = null_space(d, [conic_row(p) for p in nine])
+    if len(basis) != 1:
+        raise DegenerateQuadrangle("nine-point system is rank-deficient")
+    return conic_from_vector(d, basis[0])
 
 
 def solved_cevian_conic(p, q):
@@ -517,7 +542,7 @@ def test_closed_forms_equal_the_solved_conics(case):
     if flags.on_median:
         assert closed is None or closed.is_degenerate()
     for x in (p, p_iso):
-        assert vertex_nine_point_conic(x) == nine_point_conic((*VERTICES, x))
+        assert vertex_nine_point_conic(x) == solved_nine_point_conic((*VERTICES, x))
     traces = cevian_traces(p)
     inconic = inconic_with_contacts(*traces)
     assert inconic == solved_inconic(traces)
@@ -528,3 +553,68 @@ def test_closed_forms_equal_the_solved_conics(case):
 def test_vertex_nine_point_conic_rejects_a_sideline_point():
     with pytest.raises(DegenerateQuadrangle):
         vertex_nine_point_conic(Point(0, 1, 2))
+
+
+@st.composite
+def quadrangles(draw):
+    """Four points over Q or Q(sqrt(d)), in a drawn order, of one of the
+    shapes the nine-point conic meets: generic, A, B, C and a point, one
+    infinite vertex (possibly in the direction of a median of the other
+    three), a parallelogram, or three collinear vertices."""
+    d = draw(st.sampled_from(FIELDS))
+    pair = st.tuples(st.integers(-9, 9), st.integers(-4, 4) if d > 1 else st.just(0))
+    triple = st.tuples(pair, pair, pair).filter(lambda v: any(x != _Z for x in v))
+    shape = draw(st.sampled_from(
+        ("generic", "triangle", "infinite", "median", "parallelogram", "collinear")
+    ))
+    if shape == "triangle":
+        points = [*VERTICES, Point.from_ints(d, draw(triple))]
+    else:
+        points = [Point.from_ints(d, draw(triple)) for _ in range(3)]
+        assume(not are_collinear(*points))
+    if shape == "generic":
+        points.append(Point.from_ints(d, draw(triple)))
+    elif shape == "infinite":
+        x, y = draw(pair), draw(pair)
+        assume(x != _Z or y != _Z)
+        points.append(Point.from_ints(d, (x, y, zscale(-1, zsum((x, y))))))
+    elif shape == "median":
+        p0, p1, p2 = points
+        assume(not any(p.is_infinite() for p in points))
+        points.append(meet(join(p0, midpoint(p1, p2)), LINE_AT_INFINITY))
+    elif shape == "parallelogram":
+        # P0 - P1 + P2 in normalized coordinates, times the three weights
+        weights = [zsum(p.ints) for p in points]
+        assume(_Z not in weights)
+        w0, w1, w2 = weights
+        terms = [
+            [zmul(zmul(wa, wb, d), x, d) for x in p.ints]
+            for (wa, wb), p in zip(((w1, w2), (zscale(-1, w0), w2), (w0, w1)), points)
+        ]
+        coords = [zsum(xs) for xs in zip(*terms)]
+        assume(any(x != _Z for x in coords))
+        points.append(Point.from_ints(d, coords))
+    elif shape == "collinear":
+        s, t = draw(pair), draw(pair)
+        coords = combine(s, points[0].ints, t, points[1].ints, d)
+        assume(any(x != _Z for x in coords))
+        points.append(Point.from_ints(d, coords))
+    event(f"{shape} over d = {d}")
+    return draw(st.permutations(points))
+
+
+def conic_or_error(quadrangle, solve):
+    try:
+        return solve(quadrangle)
+    except DegenerateQuadrangle as exc:
+        return type(exc)
+
+
+@given(quadrangles())
+@settings(max_examples=400, deadline=None)
+def test_nine_point_conic_equals_the_solved_conic(quadrangle):
+    """The pole-locus form and the nine-point solve give the same canonical
+    conic, or both raise DegenerateQuadrangle."""
+    closed = conic_or_error(quadrangle, nine_point_conic)
+    assert closed == conic_or_error(quadrangle, solved_nine_point_conic)
+    event("raises" if closed is DegenerateQuadrangle else "conic")

@@ -80,7 +80,7 @@ from cevian.constructions import (
     z_locus_sweep,
 )
 from cevian.render import RenderTriangle
-from cevian.verify import run_check
+from cevian.verify import run_check, run_suite
 
 
 # -- degeneracy flags -----------------------------------------------------------
@@ -766,7 +766,8 @@ def test_construct_transforms_one_conic(monkeypatch):
 
 def test_checks_solve_the_nine_point_conic_as_their_second_path(monkeypatch):
     """The three checks that compare a nine-point conic with the
-    construction's solve it from the quadrangle's nine points."""
+    construction's read it off the quadrangle's pencil with
+    nine_point_conic."""
     solved = count_calls(monkeypatch, "cevian.conics", "nine_point_conic")
     for check_id in (
         "NH_complement_of_circumconic",
@@ -775,6 +776,14 @@ def test_checks_solve_the_nine_point_conic_as_their_second_path(monkeypatch):
     ):
         assert run_check(check_id, Point(3, 5, 7)).status == "pass"
     assert len(solved) == 3
+
+
+def test_the_verify_path_solves_no_linear_system(monkeypatch):
+    """The suite's checks, the nine-point conics of their quadrangles
+    included, read every conic off a closed form."""
+    solves = count_calls(monkeypatch, "cevian.projective", "null_space")
+    assert run_suite(42, 25).ok()
+    assert solves == []
 
 
 # -- sampling -----------------------------------------------------------------------------

@@ -245,7 +245,7 @@ def test_registry_holds_over_quadratic_extension():
             continue
         ctx = CheckContext(Config(p))
         for cid, fn in REGISTRY.items():
-            result = _evaluate(fn, cid, ctx)
+            result = _evaluate(fn, cid, ctx, ctx.config.describe())
             assert result.status != "fail", (cid, str(p), result.witness)
         done += 1
 
@@ -277,13 +277,24 @@ def test_suite_constructs_each_configuration_once(construct_calls):
     assert len(construct_calls) == 10
 
 
+def test_checks_of_a_configuration_share_its_description():
+    report = run_suite(1, 2)
+    by_config = {}
+    for r in report.results:
+        by_config.setdefault(r.config["label"] + r.config["p"], set()).add(id(r.config))
+    assert len(by_config) == 10
+    assert all(len(ids) == 1 for ids in by_config.values())
+
+
 def test_siblings_keep_the_dual_path_check(monkeypatch):
     from cevian import constructions
     from cevian.verify import _evaluate
 
     ctx = CheckContext(Config(Point(2, 3, 6)))
     monkeypatch.setattr(constructions, "_on_parallels", lambda *args: False)
-    result = _evaluate(REGISTRY["four_points_same_HO"], "four_points_same_HO", ctx)
+    result = _evaluate(
+        REGISTRY["four_points_same_HO"], "four_points_same_HO", ctx, ctx.config.describe()
+    )
     assert result.status == "fail"
     assert result.witness["error"].startswith("ConstructionInconsistency: ")
 

@@ -64,10 +64,11 @@ def parse_point(text: str) -> Point:
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """key = value lines; blank lines and #-comments ignored."""
+    """key = value lines; blank lines and #-comments ignored, and so is a
+    leading UTF-8 byte order mark."""
     out: dict[str, str] = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     with fh:

@@ -5,12 +5,11 @@ canonical integer vector over Z[sqrt(d)]; a point X lies on it iff
 X^T C X = 0.  Degenerate conics (line pairs) are representable and
 flagged, but polarity-based operations reject them explicitly.  The
 conics of a driving point p = (u : v : w) are read off their classical
-barycentric equations: the nine-point conic of A, B, C, p, the inconic with
-perspector p, and the circumconic with a given center.  The nine-point
-conic of any quadrangle, the checks' second path, is read off its pencil as
-the locus of the poles of the line at infinity.  The conic through five
-points is the one conic solved, as the exact null space of its incidence
-system.
+barycentric equations: the inconic with perspector p and the circumconic
+with a given center.  The nine-point conic of any quadrangle, the checks'
+second path, is read off its pencil as the locus of the poles of the line at
+infinity.  The conic through five points is the one conic solved, as the
+exact null space of its incidence system.
 """
 
 from __future__ import annotations
@@ -226,20 +225,6 @@ def inconic_from_isotomic(a: Sequence[Pair], d: int) -> Conic:
         [zmul(x, y, d) if i == j else zscale(-1, zmul(x, y, d)) for j, y in enumerate(a)]
         for i, x in enumerate(a)
     ])
-
-
-def vertex_nine_point_conic(p: Point) -> Conic:
-    """The nine-point conic of the quadrangle A, B, C, p for p = (u : v : w)
-    off the sidelines, read off in closed form: the bicevian conic of the
-    centroid and p, sum(-vw x^2 + u(v + w) yz) = 0."""
-    if _ZERO in p.ints:
-        raise DegenerateQuadrangle(f"{p} lies on a sideline")
-    (u, v, w), d = p.ints, p.d
-    vw, wu, uv = zmul(v, w, d), zmul(w, u, d), zmul(u, v, d)
-    return conic_from_vector(d, (
-        zscale(-2, vw), zscale(-2, wu), zscale(-2, uv),
-        zsum((vw, wu)), zsum((vw, uv)), zsum((uv, wu)),
-    ))
 
 
 def nine_point_conic(quadrangle: Sequence[Point]) -> Conic:

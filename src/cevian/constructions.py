@@ -46,7 +46,6 @@ from .projective import (
     cevian_traces,
     combine,
     complement,
-    complement_map,
     direction_of,
     isotomic,
     join,
@@ -61,7 +60,6 @@ from .conics import (
     Conic,
     inconic_from_isotomic,
     isotomic_image_of_line,
-    transform_conic,
 )
 
 if TYPE_CHECKING:
@@ -239,7 +237,10 @@ class ConstructionSet(Centers):
       k) / D_j s_k a_k a_j;
     - the inconics with perspectors p and p_iso: P_k^2 / -P_k P_j and
       x_k^2 / -x_k x_j; the nine-point conic of A, B, C, p_iso: -2 x_k /
-      x_k + x_j.
+      x_k + x_j;
+    - the circumconic, with L = (q_0^2, q_1^2, q_2^2): 0 / L_l, and its
+      complement, the nine-point conic N_H of A, B, C, H: L_k - L_j - L_l
+      ({j, l} the indices other than k) / L_l.
 
     The points are H' = isotomic(c) for c = (u + v + w) p - P, the
     preimage T_p^-1(H) = x_k s_k (x_k (x_l^2 + x_m^2) - s_k a_k) ({l, m}
@@ -324,10 +325,14 @@ class ConstructionSet(Centers):
         self.ninepoint_conic_iso = Conic.from_ints(d, matrix(
             lambda k, j: zscale(-2, x[k]) if k == j else zsum((x[k], x[j]))
         ))
+        q_squares = [mul(qk, qk) for qk in q.ints]
         self.circumconic = isotomic_image_of_line(  # sum u^2(v+w)^2 yz = 0
-            Line.from_ints(d, [mul(qk, qk) for qk in q.ints])
+            Line.from_ints(d, q_squares)
         )
-        self.ninepoint_conic = transform_conic(complement_map(), self.circumconic)
+        self.ninepoint_conic = Conic.from_ints(d, matrix(lambda k, j: (
+            zsub(q_squares[k], zsum((q_squares[k - 1], q_squares[k - 2])))
+            if k == j else q_squares[3 - k - j]
+        )))
         self.ninepoint_center = complement(self.circumcenter)
         self.inconic = inconic_from_isotomic(p_iso.ints, d)
         self.inconic_iso = inconic_from_isotomic(x, d)

@@ -708,34 +708,6 @@ def cevian_map(p: Point) -> AffineMap:
     return AffineMap.from_pairs(tuple(zip(VERTICES, cevian_traces(p))))
 
 
-def reflection_axis_point(p: Point, p_iso: Point, q: Point, q_iso: Point) -> Point:
-    """v = pq . p_iso q_iso, the point that with the centroid spans the axis
-    of the iso-reflection."""
-    try:
-        return meet(join(p, q), join(p_iso, q_iso))
-    except CoincidentArguments as exc:
-        raise DegenerateConfiguration("reflection axis is undetermined") from exc
-
-
-def iso_reflection_map(
-    p: Point, p_iso: Point, q: Point, q_iso: Point, v: Point
-) -> AffineMap:
-    """The affine reflection fixing the centroid and v = pq . p_iso q_iso
-    (from `reflection_axis_point`) pointwise and swapping p with p_iso
-    (hence q with q_iso), built from those three point pairs.
-
-    Verified involutive on construction; configurations where v is
-    infinite or centroidal are rejected rather than guessed at.
-    """
-    if v.is_infinite() or v == CENTROID:
-        raise DegenerateConfiguration(f"axis point {v} unusable")
-    try:
-        eta = AffineMap.from_pairs(((CENTROID, CENTROID), (v, v), (p, p_iso)))
-    except DependentSources as exc:
-        raise DegenerateConfiguration("p lies on the would-be axis") from exc
-    return require_iso_reflection(eta, q, q_iso)
-
-
 def require_iso_reflection(eta: AffineMap, q: Point, q_iso: Point) -> AffineMap:
     """eta, once checked to be an involution swapping q with q_iso.  Neither
     product is canonicalized: eta^2 must be a nonzero scalar matrix, and the

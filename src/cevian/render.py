@@ -83,13 +83,9 @@ class RenderTriangle:
             if max(map(abs, coords[-1])) > _DRAW_LIMIT:
                 raise ValueError(f"vertex {k} has a coordinate beyond {_DRAW_LIMIT:.3g}")
         tri = cls(*coords)
-        if tri.doubled_area() == 0:
+        if sum(w for _, _, w in tri.sidelines) == 0:  # den^2 times the doubled area
             raise ValueError("triangle vertices are collinear")
         return tri
-
-    def doubled_area(self) -> Fraction:
-        (ax, ay), (bx, by), (cx, cy) = self.a, self.b, self.c
-        return (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
 
     def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return (self.a, self.b, self.c)
@@ -107,21 +103,24 @@ class RenderTriangle:
     def float_vertices(self) -> list[tuple[float, float]]:
         return [(float(x), float(y)) for x, y in self.vertices()]
 
-    def line_rows(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-        """The sidelines BC, CA, AB as Cartesian rows (u, v, w) of
-        u*x + v*y + w = 0; applied to (x, y, 1), the rows give the
-        barycentric coordinates of (x, y) times the doubled area."""
-        (ax, ay), (bx, by), (cx, cy) = self.a, self.b, self.c
+    @cached_property
+    def sidelines(self) -> tuple[tuple[int, int, int], ...]:
+        """The sidelines BC, CA, AB as integer Cartesian rows (u, v, w) of
+        u*x + v*y + w = 0: the cross products of the vertex columns
+        (den*x, den*y, den) of `frame`.  Applied to (x, y, 1), the rows give
+        the barycentric coordinates of (x, y) times den^2 times the doubled
+        area."""
+        den, ((ax, bx, cx), (ay, by, cy)) = self.frame
         return (
-            (by - cy, cx - bx, bx * cy - cx * by),
-            (cy - ay, ax - cx, cx * ay - ax * cy),
-            (ay - by, bx - ax, ax * by - bx * ay),
+            (den * (by - cy), den * (cx - bx), bx * cy - cx * by),
+            (den * (cy - ay), den * (ax - cx), cx * ay - ax * cy),
+            (den * (ay - by), den * (bx - ax), ax * by - bx * ay),
         )
 
     def perpendicular_to_bc(self) -> Point:
         """The barycentric direction (a point at infinity) perpendicular to
         side BC: the image of the normal (u, v) of the row of BC."""
-        rows = self.line_rows()
+        rows = self.sidelines
         dx, dy, _ = rows[0]
         return Point(*(u * dx + v * dy for u, v, _ in rows))
 
@@ -187,14 +186,12 @@ def _drawable_xy(p: Optional[Point], tri: RenderTriangle) -> Optional[tuple[floa
 def conic_cartesian_matrix(conic: Conic, tri: RenderTriangle) -> list[list[float]]:
     """Float matrix of the conic in (x, y, 1) coordinates, up to scale: N^T C N
     for the sideline rows N of the triangle, computed exactly over Z[sqrt(d)]
-    with N times the common denominator den, and scaled back by den^2 as in
-    `_floats_up_to_scale`."""
-    rows = tri.line_rows()
-    den = lcm(*[v.denominator for row in rows for v in row])
-    n = [[(v.numerator * (den // v.denominator), 0) for v in row] for row in rows]
+    with the integer rows of `sidelines`, den^2 times N, and scaled back by
+    den^4 as in `_floats_up_to_scale`."""
+    n = [[(v, 0) for v in row] for row in tri.sidelines]
     d = conic.d
     m = mat_mul(transpose(n), mat_mul(conic.ints, n, d), d)
-    c = _floats_up_to_scale(d, [x for row in m for x in row], den * den)
+    c = _floats_up_to_scale(d, [x for row in m for x in row], tri.frame[0] ** 4)
     return [c[0:3], c[3:6], c[6:9]]
 
 

@@ -6,9 +6,11 @@ and its coefficient-bit row reads the `.a` and `.b` of every Scalar of the
 `coords` and `matrix` views of a construction.  Here each workload's
 `operands()` is built from small inputs and the same calls are made, so that
 trimming any of them fails these tests rather than a benchmark run.  The
-names of its `LAYER_SPANS` are resolved here the same way.
+names of its `LAYER_SPANS` are resolved here the same way, and they count
+as used in the gate that keeps code only the tests call out of the library.
 """
 
+import ast
 import operator
 import sys
 from importlib import import_module
@@ -23,7 +25,9 @@ if str(BENCH) not in sys.path:
 import run as bench  # noqa: E402  (perfbench/run.py)
 from workloads import WORKLOADS  # noqa: E402
 
+import cevian  # noqa: E402
 from cevian import AffineMap, Point, Scalar, construct  # noqa: E402
+from cevian.verify import REGISTRY  # noqa: E402
 
 D = 6
 
@@ -73,3 +77,31 @@ def test_layer_spans_resolve(module_name, attr, span):
     for part in path:
         owner = getattr(owner, part)
     assert callable(getattr(owner, name))
+
+
+def test_library_holds_no_code_only_the_tests_call():
+    """Every module-level def and class of the package is named elsewhere in
+    it, exported in `cevian.__all__`, registered as a check, or wrapped by
+    the traced run: a second copy of a computation that only a test calls
+    belongs in the tests."""
+    src = Path(cevian.__file__).parent
+    trees = {path: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    kept = set(cevian.__all__) | {fn.__name__ for fn in REGISTRY.values()}
+    kept |= {attr.split(".")[0] for _, attr, _ in bench.LAYER_SPANS}
+    used = []  # (path, line, name) of every name and attribute
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name is not None:
+                used.append((path, node.lineno, name))
+    unused = [
+        f"{path.name}:{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in kept
+        and not any(
+            name == node.name and not (at == path and node.lineno <= line <= node.end_lineno)
+            for at, line, name in used
+        )
+    ]
+    assert unused == []

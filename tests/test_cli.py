@@ -288,8 +288,13 @@ def test_non_ascii_digits_are_input_errors(capsys, command, flag):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
-def test_construct_degenerate_triangle():
-    assert run(["construct", "--p", "2:3:6", "--triangle", "0,0;1,1;2,2"]) == 2
+@pytest.mark.parametrize("command", ["construct", "svg"])
+@pytest.mark.parametrize("triangle", ["0,0;1,1;2,2", "1/3,1/3;2/3,2/3;1,1", "-1,2;0,0;1/2,-1"])
+def test_construct_degenerate_triangle(capsys, command, triangle):
+    """Collinear vertices, fractional and negative ones included, are
+    refused on the triangle's integer sideline rows."""
+    assert run([command, "--p=2:3:6", f"--triangle={triangle}"]) == 2
+    assert capsys.readouterr().err == "error: triangle vertices are collinear\n"
 
 
 @pytest.mark.parametrize("command", ["construct", "svg"])
@@ -532,6 +537,14 @@ def test_config_file_with_flag_override(tmp_path):
     assert 'id="conic-steiner"' in out2.read_text()
 
 
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    """A file saved with a UTF-8 byte order mark, and CRLF line ends, reads
+    as one without."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfp = 2:3:6\r\n")
+    assert run(["--config", str(cfg), "construct"]) == 0
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("palette = mondrian\n")
@@ -732,7 +745,7 @@ def test_report_equals_its_reference_path(text, coords):
     tri = RenderTriangle.default()
     if coords is not None:
         tri = RenderTriangle(*zip(map(Fraction, coords[::2]), map(Fraction, coords[1::2])))
-        assume(tri.doubled_area() != 0)
+        assume(sum(w for _, _, w in tri.sidelines) != 0)
     try:
         cs = construct(parse_point(text))
     except (cli.InputError, GeometryError):  # the zero tuple, a sideline

@@ -57,9 +57,8 @@ from cevian.conics import (
     steiner_circumellipse,
     tangent_conics_at,
     transform_conic,
-    vertex_nine_point_conic,
 )
-from cevian.constructions import cevian_conic, degeneracy_report, locus_conic
+from cevian.constructions import cevian_conic, construct, degeneracy_report, locus_conic
 
 VERTICES = (VERTEX_A, VERTEX_B, VERTEX_C)
 
@@ -541,18 +540,16 @@ def test_closed_forms_equal_the_solved_conics(case):
     assert (closed is None) == (p == CENTROID)
     if flags.on_median:
         assert closed is None or closed.is_degenerate()
-    for x in (p, p_iso):
-        assert vertex_nine_point_conic(x) == solved_nine_point_conic((*VERTICES, x))
+    # construct(x) reads off the nine-point conic of A, B, C, isotomic(x)
+    for x, x_iso in ((p, p_iso), (p_iso, p)):
+        quadrangle = (*VERTICES, x_iso)
+        conic = construct(x).ninepoint_conic_iso
+        assert conic == nine_point_conic(quadrangle) == solved_nine_point_conic(quadrangle)
     traces = cevian_traces(p)
     inconic = inconic_with_contacts(*traces)
     assert inconic == solved_inconic(traces)
     if shape == "steiner":
         assert infinity_intersection_count(inconic) == 1
-
-
-def test_vertex_nine_point_conic_rejects_a_sideline_point():
-    with pytest.raises(DegenerateQuadrangle):
-        vertex_nine_point_conic(Point(0, 1, 2))
 
 
 @st.composite

@@ -15,6 +15,7 @@ from cevian.projective import (
     HomogeneousTriple,
     CENTROID,
     DegenerateConfiguration,
+    DependentSources,
     Line,
     MID_AB,
     MID_BC,
@@ -38,13 +39,11 @@ from cevian.projective import (
     complement,
     complement_map,
     incident,
-    iso_reflection_map,
     isotomic,
     join,
     meet,
     midpoint,
     parallel_through,
-    reflection_axis_point,
     require_iso_reflection,
     Translation,
     zmul,
@@ -57,10 +56,10 @@ from cevian.conics import (
     inconic_with_contacts,
     infinity_intersection_count,
     isotomic_image_of_line,
+    nine_point_conic,
     second_intersection,
     tangent_conics_at,
     transform_conic,
-    vertex_nine_point_conic,
 )
 from cevian import constructions
 from cevian.constructions import (
@@ -485,7 +484,7 @@ def test_closed_form_centers_equal_the_paths_they_replace(case):
     assert (cs.orthocenter, cs.circumcenter) == affine_centers(p) == parallel_centers(p)
     assert (cs.orthocenter_iso, cs.circumcenter_iso) == affine_centers(cs.p_iso)
     assert (cs.orthocenter_iso, cs.circumcenter_iso) == parallel_centers(cs.p_iso)
-    pullback = transform_conic(cevian_map(cs.p_iso).inverse(), vertex_nine_point_conic(cs.p_iso))
+    pullback = transform_conic(cevian_map(cs.p_iso).inverse(), nine_point_conic((*VERTICES, cs.p_iso)))
     assert cs.circumconic == pullback
     # h_is_vertex names the vertex k whose locus form s - x_k^2 vanishes,
     # and H is that vertex
@@ -533,6 +532,19 @@ def met_insimilicenter(cs):
     return None
 
 
+def paired_iso_reflection(cs):
+    """The affine reflection fixing the centroid and v pointwise and
+    swapping p with p_iso, built from those three point pairs and refused
+    as the construction refuses it."""
+    if cs.v.is_infinite() or cs.v == CENTROID:
+        raise DegenerateConfiguration(f"axis point {cs.v} unusable")
+    try:
+        eta = AffineMap.from_pairs(((CENTROID, CENTROID), (cs.v, cs.v), (cs.p, cs.p_iso)))
+    except DependentSources as exc:
+        raise DegenerateConfiguration("p lies on the would-be axis") from exc
+    return require_iso_reflection(eta, cs.q, cs.q_iso)
+
+
 def composed_members(cs):
     """Every map and point of cs that a closed form replaced, by the paths
     the construction used before."""
@@ -554,7 +566,8 @@ def composed_members(cs):
         "ninepoint_to_inconic": circum_to_inconic @ kinv,
         "orthocenter_iso": generalized_orthocenter(cs.p_iso),
         "orthocenter_preimage": t_inv(cs.orthocenter),
-        "ninepoint_conic_iso": vertex_nine_point_conic(cs.p_iso),
+        "ninepoint_conic_iso": nine_point_conic((*VERTICES, cs.p_iso)),
+        "ninepoint_conic": transform_conic(complement_map(), cs.circumconic),
         "inconic": inconic_with_contacts(*cs.traces),
         "inconic_iso": inconic_with_contacts(*cevian_traces(cs.p_iso)),
         "ninepoint_center": cs.ninepoint_conic.center(),
@@ -579,9 +592,9 @@ def test_closed_form_members_equal_the_paths_they_replace(case):
     assert cs.feuerbach_point == conic.center()
     assert not cs.flags.on_median
     # off the medians the two joins that meet in v always differ
-    assert cs.v == reflection_axis_point(cs.p, cs.p_iso, cs.q, cs.q_iso)
+    assert cs.v == meet(join(cs.p, cs.q), join(cs.p_iso, cs.q_iso))
     try:
-        eta = iso_reflection_map(cs.p, cs.p_iso, cs.q, cs.q_iso, cs.v)
+        eta = paired_iso_reflection(cs)
     except DegenerateConfiguration as exc:
         assert cs.iso_reflection is None and cs.absent["iso_reflection"] == str(exc)
     else:
@@ -756,12 +769,12 @@ def test_construct_builds_inverts_and_composes_no_map(monkeypatch):
     assert calls == []
 
 
-def test_construct_transforms_one_conic(monkeypatch):
-    """The circumconic is read off p; only the nine-point conic of A, B, C, H
-    is mapped, as the complement of the circumconic."""
+def test_construct_transforms_no_conic(monkeypatch):
+    """The circumconic and its complement, the nine-point conic of A, B, C, H,
+    are read off q: construct maps no conic."""
     transforms = count_calls(monkeypatch, "cevian.conics", "transform_conic")
     construct(Point(3, 5, 7))
-    assert len(transforms) == 1
+    assert transforms == []
 
 
 def test_checks_solve_the_nine_point_conic_as_their_second_path(monkeypatch):

@@ -74,7 +74,6 @@ from cevian.projective import (
     complement_map,
     direction_of,
     incident,
-    iso_reflection_map,
     isotomic,
     join,
     mat_mul,
@@ -87,7 +86,6 @@ from cevian.projective import (
     perspector,
     point_reflection,
     reflect_through,
-    reflection_axis_point,
 )
 
 coords = st.integers(min_value=-20, max_value=20)
@@ -315,28 +313,22 @@ def test_isotomic_matches_trace_reflection():
 # -- the iso-reflection ------------------------------------------------------------
 
 
-def _standard_quadruple(p):
-    p_iso = isotomic(p)
-    return p, p_iso, complement(p_iso), complement(p)
-
-
 def test_iso_reflection_swaps_pairs():
-    p, p_iso, q, q_iso = _standard_quadruple(Point(2, 3, 6))
-    eta = iso_reflection_map(p, p_iso, q, q_iso, reflection_axis_point(p, p_iso, q, q_iso))
-    assert eta(p) == p_iso
-    assert eta(q) == q_iso
+    cs = construct(Point(2, 3, 6))
+    eta = cs.iso_reflection
+    assert eta(cs.p) == cs.p_iso
+    assert eta(cs.q) == cs.q_iso
     assert eta @ eta == AffineMap.identity()
     kind = eta.classify()
     assert isinstance(kind, AffineReflection)
-    v = meet(join(p, q), join(p_iso, q_iso))
+    v = meet(join(cs.p, cs.q), join(cs.p_iso, cs.q_iso))
     assert kind.axis == join(CENTROID, v)
-    assert kind.direction == direction_of(join(p, p_iso))
+    assert kind.direction == direction_of(join(cs.p, cs.p_iso))
     assert kind.direction.is_infinite()
 
 
 def test_iso_reflection_commutes_with_complement():
-    p, p_iso, q, q_iso = _standard_quadruple(Point(5, 2, 9))
-    eta = iso_reflection_map(p, p_iso, q, q_iso, reflection_axis_point(p, p_iso, q, q_iso))
+    eta = construct(Point(5, 2, 9)).iso_reflection
     k = complement_map()
     assert eta @ k == k @ eta
 

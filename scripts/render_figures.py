@@ -28,7 +28,7 @@ def main() -> int:
     tri = RenderTriangle.parse("0,0;1,0;7/20,4/5")  # scalene, nice aspect
     for name, p, preset, with_locus in FIGURES:
         cs = construct(p)
-        locus = z_locus_sweep(p, tri) if with_locus else None
+        locus = z_locus_sweep(p, tri.perpendicular_to_bc()) if with_locus else None
         svg = render_svg(cs, tri, preset=preset, z_locus=locus)
         path = out_dir / f"{name}.svg"
         path.write_text(svg, encoding="utf-8")

@@ -38,7 +38,7 @@ from .render import (
     named_points,
     render_svg,
 )
-from .verify import UnknownCheck, run_point, run_suite, tally
+from .verify import run_point, run_suite, tally
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -83,18 +83,6 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-# the center of each proper named conic is a named point (Z, O, Q, Q', N
-# and K(Q)), so the report writes it as that point's bary string
-_CENTER_SLUGS = {
-    "cevian-conic": "Z",
-    "circumconic": "O",
-    "inconic": "Q",
-    "inconic-iso": "Q-prime",
-    "ninepoint-conic": "N",
-    "ninepoint-conic-iso": "KQ",
-}
-
-
 def construction_report(cs: ConstructionSet, tri: RenderTriangle) -> dict:
     points, render_points = {}, {}
     for slug, label, p in named_points(cs):
@@ -107,13 +95,13 @@ def construction_report(cs: ConstructionSet, tri: RenderTriangle) -> dict:
         else:
             render_points[slug] = {"xy": list(bary_to_xy(p, tri))}
     conics = {}
-    for slug, label, conic, _seed in named_conics(cs):
+    for slug, label, conic, _seed, center in named_conics(cs):
         if conic is None:
             continue
         degenerate = conic.is_degenerate()
         conics[slug] = {"label": label, "matrix": str(conic), "degenerate": degenerate}
-        if not degenerate:
-            conics[slug]["center"] = points[_CENTER_SLUGS[slug]]["bary"]
+        if not degenerate:  # the center is a named point: reuse its string
+            conics[slug]["center"] = points[center]["bary"]
     maps = {name: str(m) for name, m in named_maps(cs) if m is not None}
     return {
         "schema_version": SCHEMA_VERSION,
@@ -247,7 +235,7 @@ def cmd_svg(args) -> int:
     p = parse_point(args.p)
     tri = RenderTriangle.parse(args.triangle) if args.triangle else RenderTriangle.default()
     cs = construct(p)
-    locus = z_locus_sweep(p, tri) if args.z_locus else None
+    locus = z_locus_sweep(p, tri.perpendicular_to_bc()) if args.z_locus else None
     svg = render_svg(cs, tri, preset=args.preset, z_locus=locus)
     _emit(svg, args.out)
     return EXIT_OK
@@ -377,7 +365,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         print(f"degenerate input ({flag}): {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (InputError, UnknownCheck, ValueError, ScalarError, GeometryError) as exc:
+    except (InputError, ValueError, ScalarError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -23,6 +23,7 @@ from .scalar import (
     NeedsExtension,
     NoRealRoots,
     Pair,
+    _ZERO,
     combine,
     join_d,
     quadratic_roots,
@@ -57,8 +58,6 @@ from .projective import (
     perspector,
     transpose,
 )
-
-_ZERO: Pair = (0, 0)
 
 
 class RankDeficient(GeometryError):

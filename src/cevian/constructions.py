@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from .scalar import NeedsExtension, Pair, Roots, quadratic_roots
+from .scalar import NeedsExtension, Pair, Roots, _ZERO, quadratic_roots
 from .projective import (
     AffineMap,
     DegenerateConfiguration,
@@ -61,12 +61,6 @@ from .conics import (
     inconic_from_isotomic,
     isotomic_image_of_line,
 )
-
-if TYPE_CHECKING:
-    from .render import RenderTriangle
-
-
-_ZERO: Pair = (0, 0)
 
 
 class OnAnticomplementarySideline(GeometryError):
@@ -440,14 +434,15 @@ def locus_conic(vertex: str) -> Conic:
 _Z_LOCUS_SAMPLES = 80  # sweep positions on each side of p
 
 
-def z_locus_sweep(p: Point, tri: RenderTriangle) -> list[Point]:
+def z_locus_sweep(p: Point, toward: Point) -> list[Point]:
     """Centers of the cevian conics as the driving point slides along the
-    line through p perpendicular to side BC in the render triangle.  Display
-    only: each sample is exact, the sweep itself is a finite sampling.
-    Sample k is p/w + k/(3*count) * direction, scaled by 3*count*w."""
+    line through p toward the rational point at infinity `toward` (the CLI
+    passes the direction perpendicular to side BC in the render triangle).
+    Display only: each sample is exact, the sweep itself is a finite
+    sampling.  Sample k is p/w + k/(3*count) * toward, scaled by 3*count*w."""
     if p.is_infinite():
         raise InfiniteInput(f"--z-locus sweeps from a finite p, and {p} is at infinity")
-    direction = tri.perpendicular_to_bc().ints
+    direction = toward.ints
     w = p._weight()
     count = _Z_LOCUS_SAMPLES
     out: list[Point] = []
@@ -509,10 +504,10 @@ def sample_nondegenerate(seed: int, count: int) -> list[Point]:
     rejections = 0
     while len(points) < count:
         coords = tuple(rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND) for _ in range(3))
-        if 0 in coords or degeneracy_report(Point(*coords)).any():
+        if 0 in coords or degeneracy_report(p := Point(*coords)).any():
             rejections += 1
             if rejections > _SAMPLE_LIMIT:
                 raise ExhaustedRejections(f"10^4 rejections at seed {seed}")
             continue
-        points.append(Point(*coords))
+        points.append(p)
     return points

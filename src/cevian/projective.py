@@ -38,6 +38,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .scalar import (
     Pair,
+    _ZERO,
     Scalar,
     ScalarLike,
     combine,
@@ -93,7 +94,6 @@ Triple = tuple[Scalar, Scalar, Scalar]
 Vector = tuple[Pair, ...]
 Rows = tuple[Vector, Vector, Vector]
 
-_ZERO: Pair = (0, 0)
 _ONE: Pair = (1, 0)
 
 

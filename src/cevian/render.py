@@ -32,7 +32,7 @@ from .projective import (
     transpose,
 )
 from .scalar import Pair, zmul, zscale, zsum
-from .conics import Conic
+from .conics import Conic, steiner_circumellipse
 from .constructions import ConstructionSet
 
 _FMT = "{:.4f}"
@@ -196,16 +196,18 @@ def conic_cartesian_matrix(conic: Conic, tri: RenderTriangle) -> list[list[float
 
 
 def sample_conic(
-    conic: Conic, seed_point: Point, tri: RenderTriangle, clip: float
+    conic: Conic, seed_point: Point, tri: RenderTriangle, center: tuple[float, float], clip: float
 ) -> list[list[tuple[float, float]]]:
     """Polyline segments tracing a conic through one known exact point.
 
     Lines through the seed point hit the conic in exactly one more point, so
     sweeping the direction parameterizes the whole conic rationally; jumps
-    (asymptote crossings) and off-screen excursions split the polyline.
+    (asymptote crossings) and excursions farther than clip from the figure's
+    center split the polyline.
     """
     m = conic_cartesian_matrix(conic, tri)
     x0, y0 = bary_to_xy(seed_point, tri)
+    cx, cy = center
 
     def form(u, v):
         return sum(m[i][j] * u[i] * v[j] for i in range(3) for j in range(3))
@@ -221,7 +223,7 @@ def sample_conic(
             continue
         t = -2.0 * mixed / denom
         px, py = x0 + t * w[0], y0 + t * w[1]
-        if not (abs(px) <= clip and abs(py) <= clip):  # off screen, or not finite
+        if not (abs(px - cx) <= clip and abs(py - cy) <= clip):  # off screen, or not finite
             pts.append(None)
         else:
             pts.append((px, py))
@@ -282,15 +284,16 @@ def named_points(cs: ConstructionSet) -> list[tuple[str, str, Optional[Point]]]:
     ]
 
 
-def named_conics(cs: ConstructionSet) -> list[tuple[str, str, Optional[Conic], Optional[Point]]]:
-    """(slug, label, conic or None, exact seed point for sampling)."""
+def named_conics(cs: ConstructionSet) -> list[tuple[str, str, Optional[Conic], Optional[Point], str]]:
+    """(slug, label, conic or None, exact seed point for sampling, slug of
+    the named point that is the center of the conic when it is proper)."""
     return [
-        ("cevian-conic", "C_P", cs.cevian_conic, VERTEX_A),
-        ("circumconic", "C~_O", cs.circumconic, VERTEX_A),
-        ("ninepoint-conic-iso", "N_P'", cs.ninepoint_conic_iso, MID_BC),
-        ("ninepoint-conic", "N_H", cs.ninepoint_conic, MID_BC),
-        ("inconic", "I", cs.inconic, cs.traces[0]),
-        ("inconic-iso", "I'", cs.inconic_iso, cs.traces_iso[0]),
+        ("cevian-conic", "C_P", cs.cevian_conic, VERTEX_A, "Z"),
+        ("circumconic", "C~_O", cs.circumconic, VERTEX_A, "O"),
+        ("ninepoint-conic-iso", "N_P'", cs.ninepoint_conic_iso, MID_BC, "KQ"),
+        ("ninepoint-conic", "N_H", cs.ninepoint_conic, MID_BC, "N"),
+        ("inconic", "I", cs.inconic, cs.traces[0], "Q"),
+        ("inconic-iso", "I'", cs.inconic_iso, cs.traces_iso[0], "Q-prime"),
     ]
 
 
@@ -354,8 +357,6 @@ def render_svg(
     z_locus: Optional[Sequence[Point]] = None,
 ) -> str:
     """Deterministic standalone SVG for one configuration."""
-    from .conics import steiner_circumellipse
-
     width = _SVG_WIDTH
     try:
         chosen = PRESETS[preset]
@@ -364,16 +365,20 @@ def render_svg(
     point_rows = [row for row in named_points(cs) if row[0] in chosen["points"]]
     conic_rows = [row for row in named_conics(cs) if row[0] in chosen["conics"]]
     if "steiner" in chosen["conics"]:
-        conic_rows.append(("steiner", "S_E", steiner_circumellipse(), Point(-2, -2, 1)))
+        conic_rows.append(("steiner", "S_E", steiner_circumellipse(), Point(-2, -2, 1), "G"))
 
     finite_pts = [xy for _, _, p in point_rows if (xy := _drawable_xy(p, tri)) is not None]
     finite_pts += tri.float_vertices()
     xs = [p[0] for p in finite_pts]
     ys = [p[1] for p in finite_pts]
-    pad = 0.35 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
+    extent = max(max(xs) - min(xs), max(ys) - min(ys))
+    # an extent so small that the scale would overflow (0.0 when every
+    # vertex rounds to 0.0) draws at the unit extent
+    pad = 0.35 * (extent if extent > 1 / _DRAW_LIMIT else 1.0)
     x_lo, x_hi = min(xs) - pad, max(xs) + pad
     y_lo, y_hi = min(ys) - pad, max(ys) + pad
-    span = max(x_hi - x_lo, y_hi - y_lo)
+    center = ((x_lo + x_hi) / 2, (y_lo + y_hi) / 2)
+    clip = 8 * max(x_hi - x_lo, y_hi - y_lo)
     height = int(width * (y_hi - y_lo) / (x_hi - x_lo))
     scale = width / (x_hi - x_lo)
 
@@ -387,14 +392,13 @@ def render_svg(
     )
     out.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
 
-    for slug, label, conic, seed in conic_rows:
+    for slug, label, conic, seed, _center in conic_rows:
         seed_xy = _drawable_xy(seed, tri)
         if conic is None or conic.is_degenerate() or seed_xy is None:
             continue
         out.append(f'<g id="conic-{slug}" fill="none" stroke="{_CONIC_STYLE.get(slug, "#666666")}" stroke-width="1.2">')
-        clip = 8.0 * max(span, 1.0)
         segments = []
-        for segment in sample_conic(conic, seed, tri, clip=clip):
+        for segment in sample_conic(conic, seed, tri, center, clip):
             drawn = [
                 _FMT.format(px) + "," + _FMT.format(py)
                 for px, py in (to_px(x, y) for x, y in segment)
@@ -439,7 +443,7 @@ def render_svg(
             dx, dy = direction_to_xy(p, tri)
             norm = math.hypot(dx, dy) or 1.0
             dx, dy = dx / norm, dy / norm
-            cx_mid, cy_mid = to_px((x_lo + x_hi) / 2, (y_lo + y_hi) / 2)
+            cx_mid, cy_mid = to_px(*center)
             edge_t = 0.46 * min(width, height)
             ex, ey = cx_mid + dx * edge_t, cy_mid - dy * edge_t
             sx, sy = ex - dx * 24, ey + dy * 24

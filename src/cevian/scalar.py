@@ -4,11 +4,10 @@ The kernel computes on integer pairs (a, b) standing for a + b*sqrt(d) in
 Z[sqrt(d)]: their arithmetic, exact sign (``zsign``) and square root
 (``zsqrt``) live here, and so does ``quadratic_roots``, the one quadratic
 solver, whose roots stay numerators over one denominator.  A line meeting a
-conic is the only place a new square root appears.  ``zmul``, ``combine``
-and ``divide_exactly`` branch on d: at d = 1, where every b is 0 (the
-invariant that canonical objects keep, see projective.py), they compute
-only the rational halves and write 0 for b.  Any other d takes the general
-arithmetic.
+conic is the only place a new square root appears.  ``zmul`` and
+``combine`` branch on d: at d = 1, where every b is 0 (the invariant that
+canonical objects keep, see projective.py), they compute only the rational
+halves and write 0 for b.  Any other d takes the general arithmetic.
 
 A ``Scalar`` is a value a + b*sqrt(d) with rational a, b and a square-free
 positive integer d; plain rationals are the case b = 0, d = 1.  It is an
@@ -215,14 +214,6 @@ def divide_exactly(v: Sequence[Pair], y: Pair, d: int) -> list[Pair]:
     """v / y entrywise in Z[sqrt(d)], for a nonzero y that divides every
     entry; raises InexactDivision when one leaves a remainder."""
     c, e = y
-    if d == 1:
-        out = []
-        for a, _ in v:
-            q, r = divmod(a, c)
-            if r:
-                raise InexactDivision(f"an entry is not a multiple of {y} in Z[sqrt({d})]")
-            out.append((q, 0))
-        return out
     if e:  # times the conjugate c - e*sqrt(d): the divisor becomes its norm
         v = [(a * c - b * e * d, b * c - a * e) for a, b in v]
         c = c * c - e * e * d

@@ -164,14 +164,6 @@ class CheckContext:
             self._family = anticevian_family(self.cs)
         return self._family
 
-    def require_off_median(self):
-        if self.cs.flags.on_median:
-            raise _Skip("p lies on a median")
-
-    def require_off_steiner(self):
-        if self.cs.flags.on_steiner_circumellipse:
-            raise _Skip("p lies on the outer centroid ellipse")
-
     def require_center(self, member, name: str):
         if member is None:
             raise _Skip(self.cs.absent.get(name, f"{name} absent"))
@@ -181,14 +173,24 @@ class CheckContext:
 CheckFn = Callable[[CheckContext, Claims], None]
 REGISTRY: dict[str, CheckFn] = {}
 _DESCRIPTIONS: dict[str, str] = {}
+# the loci a check may exclude: the degeneracy flag of each, and the reason
+# a configuration on it is skipped with
+_LOCI = {
+    "median": ("on_median", "p lies on a median"),
+    "steiner": ("on_steiner_circumellipse", "p lies on the outer centroid ellipse"),
+}
+# check id -> the loci of _LOCI it excludes, in the order they are tested
+EXCLUDED_LOCI: dict[str, tuple[str, ...]] = {}
 
 
-def _register(check_id: str, description: str):
-    """Register a check under its id, with the claim it decides."""
+def _register(check_id: str, description: str, *off: str):
+    """Register a check under its id, with the claim it decides and the
+    loci it excludes, which `_evaluate` skips before it calls the check."""
 
     def deco(fn: CheckFn) -> CheckFn:
         REGISTRY[check_id] = fn
         _DESCRIPTIONS[check_id] = description
+        EXCLUDED_LOCI[check_id] = off
         return fn
 
     return deco
@@ -251,10 +253,8 @@ def _check_ho_formula(ctx: CheckContext, cl: Claims) -> None:
     cl.note("o", cs.circumcenter)
 
 
-@_register("lambda_maps", "the cevian-transfer map sends p to q_iso and the orthocenter-like point to q")
+@_register("lambda_maps", "the cevian-transfer map sends p to q_iso and the orthocenter-like point to q", "median", "steiner")
 def _check_lambda(ctx: CheckContext, cl: Claims) -> None:
-    ctx.require_off_median()
-    ctx.require_off_steiner()
     cs = ctx.cs
     cl.equal("transfer_p", cs.transfer_map(cs.p), cs.q_iso)
     cl.equal("transfer_h", cs.transfer_map(cs.orthocenter), cs.q)
@@ -266,10 +266,8 @@ def _check_lambda(ctx: CheckContext, cl: Claims) -> None:
     )
 
 
-@_register("eta_reflection", "the iso-reflection swaps the primed and unprimed centers and keeps joins parallel")
+@_register("eta_reflection", "the iso-reflection swaps the primed and unprimed centers and keeps joins parallel", "median", "steiner")
 def _check_eta(ctx: CheckContext, cl: Claims) -> None:
-    ctx.require_off_median()
-    ctx.require_off_steiner()
     cs = ctx.cs
     eta = ctx.require_center(cs.iso_reflection, "iso_reflection")
     cl.equal("eta_o", eta(cs.circumcenter), cs.circumcenter_iso)
@@ -286,10 +284,8 @@ def _check_eta(ctx: CheckContext, cl: Claims) -> None:
         cl.true("hh_parallel_pp", parallel(join(cs.orthocenter, cs.orthocenter_iso), pp))
 
 
-@_register("H_on_cevian_conic", "both orthocenter-like points lie on the cevian conic")
+@_register("H_on_cevian_conic", "both orthocenter-like points lie on the cevian conic", "median", "steiner")
 def _check_h_on_cp(ctx: CheckContext, cl: Claims) -> None:
-    ctx.require_off_median()
-    ctx.require_off_steiner()
     cs = ctx.cs
     conic = ctx.require_center(cs.cevian_conic, "cevian_conic")
     cl.true("h_on_conic", conic.contains(cs.orthocenter), cs.orthocenter)
@@ -480,9 +476,8 @@ def _check_feuerbach(ctx: CheckContext, cl: Claims) -> None:
         cl.true(f"iso_inconic_contact_{i}", cs.inconic_iso.contains(t))
 
 
-@_register("Z_on_lines", "the cevian-conic center is the meet of the axis with the q-to-n line")
+@_register("Z_on_lines", "the cevian-conic center is the meet of the axis with the q-to-n line", "median")
 def _check_z_on_lines(ctx: CheckContext, cl: Claims) -> None:
-    ctx.require_off_median()
     cs = ctx.cs
     z = ctx.require_center(cs.feuerbach_point, "feuerbach_point")
     axis = join(CENTROID, cs.v) if cs.v is not None and cs.v != CENTROID else None
@@ -562,10 +557,8 @@ def _check_lemma_ha(ctx: CheckContext, cl: Claims) -> None:
     )
 
 
-@_register("four_points_same_HO", "the anticevian sibling points share both generalized centers and their conics meet in a,b,c,h")
+@_register("four_points_same_HO", "the anticevian sibling points share both generalized centers and their conics meet in a,b,c,h", "median", "steiner")
 def _check_four_points(ctx: CheckContext, cl: Claims) -> None:
-    ctx.require_off_median()
-    ctx.require_off_steiner()
     cs = ctx.cs
     fam = ctx.family()
     cl.equal("a_from_anticevian", VERTEX_A, meet(join(fam.q_b, fam.q_c), join(cs.q, fam.q_a)))
@@ -594,19 +587,15 @@ def _check_four_points(ctx: CheckContext, cl: Claims) -> None:
             cl.true(f"conic_{i}_contains_{tag}", conic.contains(pt))
 
 
-@_register("perspectivity_medial_transfer", "q is the perspector of the medial triangle and the transfer image of abc")
+@_register("perspectivity_medial_transfer", "q is the perspector of the medial triangle and the transfer image of abc", "median", "steiner")
 def _check_persp_a(ctx: CheckContext, cl: Claims) -> None:
-    ctx.require_off_median()
-    ctx.require_off_steiner()
     cs = ctx.cs
     tri2 = tuple(cs.transfer_map(v) for v in VERTICES)
     cl.equal("perspector_is_q", perspector(MIDPOINTS, tri2), cs.q)
 
 
-@_register("perspectivity_anticevian_medial", "the orthocenter preimage is the perspector of the two anticevian-derived triangles")
+@_register("perspectivity_anticevian_medial", "the orthocenter preimage is the perspector of the two anticevian-derived triangles", "median", "steiner")
 def _check_persp_b(ctx: CheckContext, cl: Claims) -> None:
-    ctx.require_off_median()
-    ctx.require_off_steiner()
     cs = ctx.cs
     tinv = cs.cevian_map_inverse
     tinv_iso = cs.cevian_map_iso_inverse
@@ -619,10 +608,8 @@ def _check_persp_b(ctx: CheckContext, cl: Claims) -> None:
     )
 
 
-@_register("perspectivity_ABC_medial", "the orthocenter-like point is the perspector of abc and a transfer-medial triangle")
+@_register("perspectivity_ABC_medial", "the orthocenter-like point is the perspector of abc and a transfer-medial triangle", "median", "steiner")
 def _check_persp_c(ctx: CheckContext, cl: Claims) -> None:
-    ctx.require_off_median()
-    ctx.require_off_steiner()
     cs = ctx.cs
     tinv = cs.transfer_map_inverse
     tri2 = tuple(tinv(m) for m in MIDPOINTS)
@@ -634,10 +621,8 @@ def _check_persp_c(ctx: CheckContext, cl: Claims) -> None:
     cl.true("a_h_collinear", are_collinear(VERTEX_A, cs.orthocenter, tri2[0]))
 
 
-@_register("perspectivity_ceva_conjugate", "the orthocenter preimage is the perspector of the anticevian and iso-cevian triangles")
+@_register("perspectivity_ceva_conjugate", "the orthocenter preimage is the perspector of the anticevian and iso-cevian triangles", "median", "steiner")
 def _check_persp_d(ctx: CheckContext, cl: Claims) -> None:
-    ctx.require_off_median()
-    ctx.require_off_steiner()
     cs = ctx.cs
     fam = ctx.family()
     tri1 = (fam.q_a, fam.q_b, fam.q_c)
@@ -648,10 +633,8 @@ def _check_persp_d(ctx: CheckContext, cl: Claims) -> None:
     )
 
 
-@_register("perspectivity_second_cevian", "the orthocenter-like point is the perspector of the inverse-transfer and second-cevian triangles")
+@_register("perspectivity_second_cevian", "the orthocenter-like point is the perspector of the inverse-transfer and second-cevian triangles", "median", "steiner")
 def _check_persp_e(ctx: CheckContext, cl: Claims) -> None:
-    ctx.require_off_median()
-    ctx.require_off_steiner()
     cs = ctx.cs
     tinv = cs.transfer_map_inverse
     tri1 = tuple(tinv(v) for v in VERTICES)
@@ -713,9 +696,8 @@ def _check_psi(ctx: CheckContext, cl: Claims) -> None:
         raise _Skip("all probe directions were self-conjugate")
 
 
-@_register("Htilde_midpoint_reflection", "the orthocenter preimage is a p_iso midpoint and the reflection of q in the circumcenter")
+@_register("Htilde_midpoint_reflection", "the orthocenter preimage is a p_iso midpoint and the reflection of q in the circumcenter", "steiner")
 def _check_htilde(ctx: CheckContext, cl: Claims) -> None:
-    ctx.require_off_steiner()
     cs = ctx.cs
     ht = cs.orthocenter_preimage
     cl.equal(
@@ -903,6 +885,10 @@ def _check_config(config: Config, wanted: list[str], reg: dict[str, CheckFn]) ->
 
 
 def _evaluate(fn: CheckFn, check_id: str, ctx: CheckContext, described: dict) -> CheckResult:
+    for locus in EXCLUDED_LOCI.get(check_id, ()):
+        flag, reason = _LOCI[locus]
+        if getattr(ctx.cs.flags, flag):
+            return CheckResult(check_id, "skip", described, reason=reason)
     cl = Claims()
     try:
         fn(ctx, cl)

@@ -13,6 +13,7 @@ as used in the gate that keeps code only the tests call out of the library.
 import ast
 import operator
 import sys
+from graphlib import CycleError, TopologicalSorter
 from importlib import import_module
 from pathlib import Path
 
@@ -105,3 +106,22 @@ def test_library_holds_no_code_only_the_tests_call():
         )
     ]
     assert unused == []
+
+
+def test_package_imports_form_no_cycle():
+    """The relative imports between the package's modules, those under
+    TYPE_CHECKING included, form no cycle."""
+    src = Path(cevian.__file__).parent
+    imports = {
+        path.stem: {
+            node.module.split(".")[0] if node.module else alias.name  # from . import x
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+        }
+        for path in src.glob("*.py")
+    }
+    try:
+        TopologicalSorter(imports).prepare()
+    except CycleError as exc:
+        pytest.fail(f"import cycle {' -> '.join(exc.args[1])}")

@@ -469,12 +469,12 @@ def test_sampled_conics_lie_on_their_conics(p, tri):
     matrix up to rounding: |X^T M X| is below 1e-12 of the sum of the
     absolute values of its terms."""
     tri = RenderTriangle.parse(tri)
-    steiner = ("steiner", "S_E", steiner_circumellipse(), Point(-2, -2, 1))
+    steiner = ("steiner", "S_E", steiner_circumellipse(), Point(-2, -2, 1), "G")
     rows = named_conics(construct(p)) + [steiner]
-    for slug, _, conic, seed in rows:
+    for slug, _, conic, seed, _ in rows:
         m = conic_cartesian_matrix(conic, tri)
         sampled = 0
-        for segment in sample_conic(conic, seed, tri, clip=1e3):
+        for segment in sample_conic(conic, seed, tri, (0.0, 0.0), clip=1e3):
             for x, y in segment:
                 v = (x, y, 1.0)
                 terms = [m[i][j] * v[i] * v[j] for i in range(3) for j in range(3)]
@@ -488,6 +488,51 @@ def test_svg_deterministic(tmp_path):
     run(["svg", "--p", "5:3:9", "--preset", "fig1", "--out", str(a)])
     run(["svg", "--p", "5:3:9", "--preset", "fig1", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def _svg(*args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["svg", "--p=2:3:6", "--preset=fig2", *args]) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "moved, at_origin",
+    [
+        ("1000,0;1001,0;1000,1", "0,0;1,0;0,1"),
+        ("-50,0;-49,0;-50,1", "0,0;1,0;0,1"),
+        ("100,100;105,100;103.2,102.4", "0,0;5,0;3.2,2.4"),
+    ],
+)
+def test_svg_draws_the_conics_of_a_translated_triangle(moved, at_origin):
+    """Conic samples are clipped around the figure's center, not the
+    origin: a translated triangle draws every polyline it draws at home."""
+    drawn = _svg(f"--triangle={at_origin}").count("<polyline")
+    assert drawn == 4
+    assert _svg(f"--triangle={moved}").count("<polyline") == drawn
+
+
+def test_svg_scales_a_small_triangle_to_the_figure():
+    """A figure's padding grows with its own extent, not from 1.0: the
+    triangle 100 times smaller fills the same pixels."""
+
+    def triangle_px(tri):
+        polygon = re.search(r'<g id="triangle"><polygon points="([^"]*)"', _svg(f"--triangle={tri}"))
+        return [float(c) for xy in polygon.group(1).split() for c in xy.split(",")]
+
+    small, unit = triangle_px("0,0;0.01,0;0,0.01"), triangle_px("0,0;1,0;0,1")
+    assert max(unit) - min(unit) > 400
+    assert small == pytest.approx(unit, abs=1e-3)
+
+
+@pytest.mark.parametrize("tri", ["0,0;1e-306,0;0,1e-306", "0,0;1e-320,0;0,1e-320", "0,0;1e-400,0;0,1e-400"])
+def test_svg_of_a_triangle_too_small_to_scale(tri):
+    """An extent whose scale to the figure's width would overflow draws at
+    the unit extent: no coordinate of the figure is infinite."""
+    svg = _svg(f"--triangle={tri}")
+    ElementTree.fromstring(svg)
+    assert "nan" not in svg.lower() and "inf" not in svg.lower().replace("infinity", "")
 
 
 def test_svg_infinite_point_arrow(tmp_path):
@@ -627,7 +672,7 @@ def test_report_reads_each_center_off_a_member(p):
     """Every center the construct report prints is the conic's own center."""
     cs = construct(parse_point(p))
     report = construction_report(cs, RenderTriangle.default())
-    conics = {slug: conic for slug, _, conic, _ in named_conics(cs)}
+    conics = {slug: conic for slug, _, conic, _, _ in named_conics(cs)}
     centered = {slug for slug, entry in report["conics"].items() if "center" in entry}
     for slug in centered:
         assert report["conics"][slug]["center"] == str(conics[slug].center()), slug
@@ -672,7 +717,7 @@ def _reference_report(cs, tri):
         "ninepoint-conic-iso": complement(cs.q),
     }
     conics = {}
-    for slug, label, conic, _seed in named_conics(cs):
+    for slug, label, conic, _seed, _center in named_conics(cs):
         if conic is None:
             continue
         degenerate = conic.is_degenerate()

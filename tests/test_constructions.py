@@ -688,7 +688,7 @@ def test_construct_total_on_every_non_hard_point(t):
     ],
 )
 def test_z_locus_sweep_is_pinned(p, tri, digest):
-    points = z_locus_sweep(p, tri)
+    points = z_locus_sweep(p, tri.perpendicular_to_bc())
     assert len(points) == 160
     assert hashlib.sha256("\n".join(map(str, points)).encode()).hexdigest() == digest
 
@@ -721,7 +721,7 @@ def test_construction_reads_its_conics_off_closed_forms(monkeypatch):
     construct(special_configuration_point())
     for vertex in "ABC":
         locus_conic(vertex)
-    z_locus_sweep(Point(2, 3, 6), RenderTriangle.default())
+    z_locus_sweep(Point(2, 3, 6), RenderTriangle.default().perpendicular_to_bc())
     assert solves == []
 
 

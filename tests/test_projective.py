@@ -857,7 +857,7 @@ def test_affine_helpers_make_no_scalar_arithmetic(scalar_arithmetic, p, other):
     point_reflection(cs.circumcenter)
     collinear_ratio(cs.p, midpoint(cs.p, other), other)
     centroid_of(p, other, cs.q)
-    z_locus_sweep(p, RenderTriangle.parse("0,0;1,0;7/20,4/5"))
+    z_locus_sweep(p, RenderTriangle.parse("0,0;1,0;7/20,4/5").perpendicular_to_bc())
     assert arithmetic(scalar_arithmetic) == 0
 
 

@@ -21,7 +21,6 @@ from .projective import (
 )
 from .conics import (
     Conic,
-    circumconic_with_center,
     conic_through_five,
     inconic_with_contacts,
     nine_point_conic,
@@ -35,10 +34,9 @@ from .constructions import (
     degeneracy_report,
     locus_conic,
     sample_nondegenerate,
-    special_configuration,
     special_configuration_point,
 )
-from .verify import run_check, run_suite, DOCUMENTED_CHECKS
+from .verify import run_point, run_suite, DOCUMENTED_CHECKS
 
 __version__ = "0.1.0"
 
@@ -55,7 +53,6 @@ __all__ = [
     "Scalar",
     "anticevian_family",
     "anticomplement",
-    "circumconic_with_center",
     "complement",
     "complement_map",
     "conic_through_five",
@@ -68,10 +65,9 @@ __all__ = [
     "meet",
     "midpoint",
     "nine_point_conic",
-    "run_check",
+    "run_point",
     "run_suite",
     "sample_nondegenerate",
-    "special_configuration",
     "special_configuration_point",
     "steiner_circumellipse",
 ]

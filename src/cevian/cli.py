@@ -109,7 +109,7 @@ def construction_report(cs: ConstructionSet, tri: RenderTriangle) -> dict:
         "input": {
             "p": points["P"]["bary"],
             "triangle": [[str(v[0]), str(v[1])] for v in tri.vertices()],
-            "extension_d": cs.extension_d,
+            "extension_d": cs.p.d,
         },
         "flags": dataclasses.asdict(cs.flags),
         "absent": dict(sorted(cs.absent.items())),

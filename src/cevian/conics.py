@@ -6,10 +6,10 @@ X^T C X = 0.  Degenerate conics (line pairs) are representable and
 flagged, but polarity-based operations reject them explicitly.  The
 conics of a driving point p = (u : v : w) are read off their classical
 barycentric equations: the inconic with perspector p and the circumconic
-with a given center.  The nine-point conic of any quadrangle, the checks'
-second path, is read off its pencil as the locus of the poles of the line at
-infinity.  The conic through five points is the one conic solved, as the
-exact null space of its incidence system.
+that is the isotomic image of a line.  The nine-point conic of any
+quadrangle, the checks' second path, is read off its pencil as the locus of
+the poles of the line at infinity.  The conic through five points is the one
+conic solved, as the exact null space of its incidence system.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ class DegenerateConic(GeometryError):
 
 
 class NotPerspective(GeometryError):
-    pass
-
-
-class NoSuchConic(GeometryError):
     pass
 
 
@@ -165,32 +161,6 @@ def conic_through_five(points: Sequence[Point]) -> Conic:
     if len(basis) != 1:
         raise RankDeficient("five points do not determine a unique conic")
     return conic_from_vector(d, basis[0])
-
-
-def circumconic_with_center(o: Point) -> Conic:
-    """The circumconic of ABC with the given ordinary center.
-
-    The circumconic centered at o = (u : v : w) is the isotomic image of the
-    line (u(v+w-u) : v(w+u-v) : w(u+v-w)), read off in closed form.  That
-    line vanishes only when o is the midpoint of a side, where a whole pencil
-    of circumconics shares the center; the mirror-symmetric member is
-    returned, the isotomic image of the line (2 : 1 : 1), with the 2 at the
-    zero coordinate, which is parallel to that side.  For other points of a
-    sideline or a medial sideline only a degenerate line pair qualifies,
-    which is an error.
-    """
-    if o.is_infinite():
-        raise NoSuchConic("center must be ordinary")
-    if o in VERTICES:
-        raise NoSuchConic("no circumconic is centered at a vertex")
-    total = zsum(o.ints)
-    line = [zmul(x, zsub(total, zscale(2, x)), o.d) for x in o.ints]
-    if all(x == _ZERO for x in line):
-        line = [(2, 0) if x == _ZERO else (1, 0) for x in o.ints]
-    conic = isotomic_image_of_line(Line.from_ints(o.d, line))
-    if conic.is_degenerate() or conic.center() != o:
-        raise NoSuchConic(f"only a degenerate conic is centered at {o}")
-    return conic
 
 
 _OPPOSITE_VERTICES = ((VERTEX_B, VERTEX_C), (VERTEX_C, VERTEX_A), (VERTEX_A, VERTEX_B))

@@ -200,10 +200,6 @@ class Centers:
         if self.cevian_conic is None:
             self.absent["cevian_conic"] = "on_median"
 
-    @property
-    def extension_d(self) -> int:
-        return self.p.d
-
 
 class ConstructionSet(Centers):
     """Everything derived from one driving point p = (u : v : w).
@@ -475,10 +471,6 @@ def special_configuration_point() -> Point:
     lifted = quadratic_roots(*coeffs, 1, field_d=first.d)
     assert isinstance(lifted, Roots)
     return Point.from_ints(lifted.d, (lifted.den, *lifted.nums))
-
-
-def special_configuration() -> ConstructionSet:
-    return construct(special_configuration_point())
 
 
 # ---------------------------------------------------------------------------

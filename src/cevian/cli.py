@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import re
@@ -111,7 +110,7 @@ def construction_report(cs: ConstructionSet, tri: RenderTriangle) -> dict:
             "triangle": [[str(v[0]), str(v[1])] for v in tri.vertices()],
             "extension_d": cs.p.d,
         },
-        "flags": dataclasses.asdict(cs.flags),
+        "flags": cs.flags.as_dict(),
         "absent": dict(sorted(cs.absent.items())),
         "points": points,
         "conics": conics,

@@ -14,7 +14,6 @@ conic solved, as the exact null space of its incidence system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from typing import Optional, Sequence, Union
@@ -23,6 +22,7 @@ from .scalar import (
     NeedsExtension,
     NoRealRoots,
     Pair,
+    Record,
     _ZERO,
     combine,
     join_d,
@@ -277,20 +277,16 @@ def _points_on_line(l: Line) -> list[Point]:
     return points
 
 
-@dataclass(frozen=True)
-class TwoPoints:
-    p1: Point
-    p2: Point
+class TwoPoints(Record):
+    __slots__ = _fields = ("p1", "p2")
 
 
-@dataclass(frozen=True)
-class TangentAt:
-    p: Point
+class TangentAt(Record):
+    __slots__ = _fields = ("p",)
 
 
-@dataclass(frozen=True)
-class NoRealIntersection:
-    pass
+class NoRealIntersection(Record):
+    __slots__ = ()
 
 
 LineConicResult = Union[TwoPoints, TangentAt, NoRealIntersection, NeedsExtension]

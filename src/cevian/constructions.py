@@ -27,10 +27,9 @@ orthocenter, circumcenter, and inconic center into one infinite point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
-from .scalar import NeedsExtension, Pair, Roots, _ZERO, quadratic_roots
+from .scalar import NeedsExtension, Pair, Record, Roots, _ZERO, quadratic_roots
 from .projective import (
     AffineMap,
     DegenerateConfiguration,
@@ -75,15 +74,17 @@ class ExhaustedRejections(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
-    """Exact polynomial membership flags for the special loci of p."""
+class DegeneracyReport(Record):
+    """Exact polynomial membership flags for the special loci of p: four
+    bools, and h_is_vertex, one of "A", "B", "C" or None."""
 
-    on_sideline: bool
-    on_anticomplementary_sideline: bool
-    on_median: bool
-    on_steiner_circumellipse: bool
-    h_is_vertex: Optional[str]  # "A", "B", "C", or None
+    __slots__ = _fields = (
+        "on_sideline",
+        "on_anticomplementary_sideline",
+        "on_median",
+        "on_steiner_circumellipse",
+        "h_is_vertex",
+    )
 
     def hard(self) -> bool:
         return self.on_sideline or self.on_anticomplementary_sideline
@@ -382,17 +383,11 @@ def construct(p: Point) -> ConstructionSet:
 # the four-point family
 
 
-@dataclass(frozen=True)
-class AnticevianFamily:
+class AnticevianFamily(Record):
     """Anticevian triangle of q plus the three sibling driving points that
     share p's orthocenter-like and circumcenter-like points."""
 
-    q_a: Point
-    q_b: Point
-    q_c: Point
-    p_a: Point
-    p_b: Point
-    p_c: Point
+    __slots__ = _fields = ("q_a", "q_b", "q_c", "p_a", "p_b", "p_c")
 
     def siblings(self) -> tuple[Point, Point, Point]:
         return (self.p_a, self.p_b, self.p_c)

@@ -31,13 +31,13 @@ take triples and 3x3 matrices, the only shapes the kernel has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .scalar import (
     Pair,
+    Record,
     _ZERO,
     Scalar,
     ScalarLike,
@@ -443,31 +443,24 @@ def isotomic(p: Point) -> Point:
 # affine maps
 
 
-@dataclass(frozen=True)
-class Identity:
-    pass
+class Identity(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Translation:
-    direction: Point
+class Translation(Record):
+    __slots__ = _fields = ("direction",)
 
 
-@dataclass(frozen=True)
-class Homothety:
-    center: Point
-    ratio: Scalar
+class Homothety(Record):
+    __slots__ = _fields = ("center", "ratio")
 
 
-@dataclass(frozen=True)
-class AffineReflection:
-    axis: Line
-    direction: Point
+class AffineReflection(Record):
+    __slots__ = _fields = ("axis", "direction")
 
 
-@dataclass(frozen=True)
-class GeneralMap:
-    pass
+class GeneralMap(Record):
+    __slots__ = ()
 
 
 Classification = Union[Identity, Translation, Homothety, AffineReflection, GeneralMap]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -31,7 +30,7 @@ from .projective import (
     mat_mul,
     transpose,
 )
-from .scalar import Pair, zmul, zscale, zsum
+from .scalar import Pair, Record, zmul, zscale, zsum
 from .conics import Conic, steiner_circumellipse
 from .constructions import ConstructionSet
 
@@ -44,13 +43,13 @@ _DRAW_LIMIT = sys.float_info.max / (4 * _SVG_WIDTH)
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 
-@dataclass(frozen=True)
-class RenderTriangle:
-    """Exact Cartesian positions for the reference triangle's vertices."""
+class RenderTriangle(Record):
+    """Exact Cartesian positions for the reference triangle's vertices: a,
+    b and c, each a pair of Fractions.  Its __dict__ holds the cached
+    properties."""
 
-    a: tuple[Fraction, Fraction]
-    b: tuple[Fraction, Fraction]
-    c: tuple[Fraction, Fraction]
+    _fields = ("a", "b", "c")
+    __slots__ = (*_fields, "__dict__")
 
     @classmethod
     def default(cls) -> "RenderTriangle":

@@ -26,13 +26,15 @@ builds its results with ``Scalar._make``, which never factors.  Besides the
 constructor, only a discriminant that asks for a new field is factored.
 Factoring has a fixed step budget: a d whose prime factors are too large to
 find within it raises ``FactorizationBudgetExceeded``.
+
+``Record`` is the base of the package's immutable record types, here
+because every other module imports this one.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -471,29 +473,101 @@ def integer_vector(values: Sequence[ScalarLike]) -> tuple[int, list[Pair]]:
 
 
 # ---------------------------------------------------------------------------
+# records
+
+
+class Record:
+    """An immutable value of named fields, built positionally or by keyword.
+
+    A subclass names its fields once, ``__slots__ = _fields = (...)``, and
+    gives the defaults of its trailing fields in ``_defaults``.  A record
+    prints as ``Name(field=value, ...)``, equals only a record of its own
+    type with equal fields, hashes by its field tuple, and refuses
+    assignment and deletion with AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+    _setters: tuple = ()  # each field slot's __set__: it stores past the refusing __setattr__
+
+    def __init_subclass__(cls):
+        cls._setters = tuple(getattr(cls, field).__set__ for field in cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values of a call with keywords, defaults or too many
+        positional arguments."""
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields but {len(args)} were given")
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in self._defaults:
+                values.append(self._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing field {field!r}")
+        if kwargs:
+            raise TypeError(f"{name}() got an unexpected field {next(iter(kwargs))!r}")
+        return values
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, field) for field in self._fields])
+
+    def as_dict(self) -> dict:
+        """The fields and their values, in field order."""
+        return {field: getattr(self, field) for field in self._fields}
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # quadratic solving
 
 
-@dataclass(frozen=True)
-class NeedsExtension:
+class NeedsExtension(Record):
     """Positive non-square discriminant; lift to Q(sqrt(d)) and retry."""
 
-    d: int
+    __slots__ = _fields = ("d",)
 
 
-@dataclass(frozen=True)
-class NoRealRoots:
+class NoRealRoots(Record):
     """Negative discriminant: no roots in any real quadratic extension."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Roots:
+
+class Roots(Record):
     """Roots over Z[sqrt(d)] as numerators over one denominator: n / den
-    for each n in nums.  d is 1 when den and every numerator are rational."""
+    for each n in nums, den a Pair and nums a tuple of Pairs.  d is 1 when
+    den and every numerator are rational."""
 
-    d: int
-    den: Pair
-    nums: tuple[Pair, ...]
+    __slots__ = _fields = ("d", "den", "nums")
 
 
 def _roots(d: int, den: Pair, *nums: Pair) -> Roots:

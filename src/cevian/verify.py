@@ -11,7 +11,6 @@ conclusion violations fail.  Nothing in this module ever consults a float.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -74,6 +73,7 @@ from .constructions import (
     special_configuration_point,
 )
 from .projective import OnSideline
+from .scalar import Record
 
 
 class UnknownCheck(GeometryError):
@@ -84,15 +84,13 @@ class UnknownCheck(GeometryError):
 # configurations
 
 
-@dataclass(frozen=True)
-class Config:
-    """One verification target: a driving point, optionally tied to a
-    Euclidean triangle through its exact side lengths (used only by the
-    classical-center cross-checks)."""
+class Config(Record):
+    """One verification target: a driving point p, optionally tied to a
+    Euclidean triangle through its exact side lengths, three Fractions
+    (used only by the classical-center cross-checks), and a label."""
 
-    p: Point
-    sides: Optional[tuple[Fraction, Fraction, Fraction]] = None
-    label: str = ""
+    __slots__ = _fields = ("p", "sides", "label")
+    _defaults = {"sides": None, "label": ""}
 
     def describe(self) -> dict:
         return {
@@ -103,13 +101,20 @@ class Config:
         }
 
 
-@dataclass
 class CheckResult:
-    check_id: str
-    status: str  # "pass" | "fail" | "skip"
-    config: dict
-    reason: Optional[str] = None
-    witness: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        check_id: str,
+        status: str,  # "pass" | "fail" | "skip"
+        config: dict,
+        reason: Optional[str] = None,
+        witness: Optional[dict] = None,
+    ):
+        self.check_id = check_id
+        self.status = status
+        self.config = config
+        self.reason = reason
+        self.witness = {} if witness is None else witness
 
     def to_dict(self) -> dict:
         out = {"check_id": self.check_id, "status": self.status, "config": self.config}
@@ -903,13 +908,15 @@ def tally(results: Iterable[CheckResult]) -> dict[str, dict[str, int]]:
     return out
 
 
-@dataclass
 class SuiteReport:
-    seed: int
-    count: int
-    field_policy: str
-    results: list[CheckResult]
-    elapsed: float
+    def __init__(
+        self, seed: int, count: int, field_policy: str, results: list[CheckResult], elapsed: float
+    ):
+        self.seed = seed
+        self.count = count
+        self.field_policy = field_policy
+        self.results = results
+        self.elapsed = elapsed
 
     def tallies(self) -> dict[str, dict[str, int]]:
         return tally(self.results)

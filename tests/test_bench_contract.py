@@ -12,6 +12,7 @@ as used in the gate that keeps code only the tests call out of the library.
 
 import ast
 import operator
+import subprocess
 import sys
 from graphlib import CycleError, TopologicalSorter
 from importlib import import_module
@@ -148,3 +149,27 @@ def test_package_imports_form_no_cycle():
         TopologicalSorter(imports).prepare()
     except CycleError as exc:
         pytest.fail(f"import cycle {' -> '.join(exc.args[1])}")
+
+
+def test_package_imports_no_dataclasses():
+    """No module of the package imports dataclasses, and a fresh interpreter
+    that imports cevian and cevian.cli loads neither dataclasses nor
+    inspect, which dataclasses imports."""
+    src = Path(cevian.__file__).parent
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            assert "dataclasses" not in {name.split(".")[0] for name in names}, path.name
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src.parent)!r}); import cevian, cevian.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout.split() == ["[]"]

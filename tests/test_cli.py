@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -743,7 +742,13 @@ def _reference_report(cs, tri):
             "triangle": [[str(v[0]), str(v[1])] for v in tri.vertices()],
             "extension_d": cs.p.d,
         },
-        "flags": dataclasses.asdict(cs.flags),
+        "flags": {
+            "on_sideline": cs.flags.on_sideline,
+            "on_anticomplementary_sideline": cs.flags.on_anticomplementary_sideline,
+            "on_median": cs.flags.on_median,
+            "on_steiner_circumellipse": cs.flags.on_steiner_circumellipse,
+            "h_is_vertex": cs.flags.h_is_vertex,
+        },
         "absent": dict(sorted(cs.absent.items())),
         "points": points,
         "conics": conics,

@@ -147,8 +147,14 @@ class Claims:
             self.failed.append(key)
 
     def equal(self, key: str, left, right) -> None:
-        self.witness[key] = f"{left} == {right}"
-        self.check(key, left == right)
+        ok = left == right
+        if ok:
+            # equal canonical values print alike, so print one side once
+            side = str(right)
+            self.witness[key] = f"{side} == {side}"
+        else:
+            self.witness[key] = f"{left} == {right}"
+        self.check(key, ok)
 
     def true(self, key: str, ok: bool, value=None) -> None:
         if value is not None:
@@ -398,11 +404,8 @@ def _check_z_fixed(ctx: CheckContext, cl: Claims) -> None:
     fix = cs.cevian_map @ anticomplement_map()
     cl.equal("z_fixed_by_composite", fix(z), z)
     cl.true("z_on_ninepoint", cs.ninepoint_conic.contains(z), z)
-    cl.true(
-        "anticomplement_z_on_circumconic",
-        cs.circumconic.contains(anticomplement(z)),
-        anticomplement(z),
-    )
+    z_anti = anticomplement(z)
+    cl.true("anticomplement_z_on_circumconic", cs.circumconic.contains(z_anti), z_anti)
 
 
 @_register("phi_map_algebra", "the ninepoint-to-inconic map algebra: images of n, k(s), k(q_iso), and p/p_iso symmetry")
@@ -410,7 +413,9 @@ def _check_phi(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
     phi = cs.ninepoint_to_inconic
     cl.equal("phi_n", phi(cs.ninepoint_center), cs.q)
-    cl.equal("phi_k_q_iso", phi(complement(cs.q_iso)), cs.cevian_map(cs.p))
+    k_q_iso = complement(cs.q_iso)
+    t_of_p = cs.cevian_map(cs.p)
+    cl.equal("phi_k_q_iso", phi(k_q_iso), t_of_p)
     kinv = anticomplement_map()
     phi_iso = cs.cevian_map_iso @ kinv @ cs.cevian_map @ kinv
     cl.equal("phi_symmetric_in_p", phi, phi_iso)
@@ -418,18 +423,17 @@ def _check_phi(ctx: CheckContext, cl: Claims) -> None:
     m2 = cs.cevian_map_iso @ kinv
     cl.equal("half_maps_commute", m1 @ m2, m2 @ m1)
     if cs.circumcenter != cs.q:
+        t_iso_of_p_iso = cs.cevian_map_iso(cs.p_iso)
         cl.true(
             "t_iso_of_p_iso_on_oq",
-            incident(cs.cevian_map_iso(cs.p_iso), join(cs.circumcenter, cs.q)),
-            cs.cevian_map_iso(cs.p_iso),
+            incident(t_iso_of_p_iso, join(cs.circumcenter, cs.q)),
+            t_iso_of_p_iso,
         )
     if cs.circumcenter_iso != cs.q_iso:
         cl.true(
             "t_of_p_on_iso_line",
-            incident(
-                cs.cevian_map(cs.p), join(cs.circumcenter_iso, cs.q_iso)
-            ),
-            cs.cevian_map(cs.p),
+            incident(t_of_p, join(cs.circumcenter_iso, cs.q_iso)),
+            t_of_p,
         )
     if cs.insimilicenter is not None:
         cl.equal("phi_k_s", phi(complement(cs.insimilicenter)), cs.insimilicenter)
@@ -442,14 +446,9 @@ def _check_phi(ctx: CheckContext, cl: Claims) -> None:
             cl.equal("phi_direction_is_z", kind.direction, z)
         else:
             cl.true("phi_is_homothety_or_translation", False, kind)
-        third = complement(cs.q_iso)
-        image = cs.cevian_map(cs.p)
-        if third != image:
-            cl.true(
-                "z_on_third_fixed_line",
-                incident(z, join(third, image)),
-                join(third, image),
-            )
+        if k_q_iso != t_of_p:
+            third_line = join(k_q_iso, t_of_p)
+            cl.true("z_on_third_fixed_line", incident(z, third_line), third_line)
 
 
 @_register("gen_feuerbach_tangency", "the nine-point conic and the inconic are tangent at the cevian-conic center")

@@ -8,6 +8,7 @@ import pytest
 
 from cevian.projective import AffineMap, Point, CENTROID
 from cevian.conics import Conic
+from cevian.scalar import Scalar
 from cevian.verify import (
     CheckContext,
     Claims,
@@ -184,6 +185,26 @@ def test_suite_seed_42_matches_golden_report(suite_42_25):
     assert hashlib.sha256(text.encode()).hexdigest() == golden["sha256"]
 
 
+def test_a_passing_equality_prints_its_side_once(monkeypatch):
+    """Equal canonical values print alike, so a passing claim prints one side
+    and shows it on both; a failing claim prints both sides."""
+    from test_constructions import count_calls
+
+    def point(k):
+        return Point(k * Fraction(1, 3), k * Scalar(2, -1, 6), 5 * k)
+
+    printed = count_calls(monkeypatch, "cevian.scalar", "format_number")
+    text = str(point(1))
+    once = len(printed)
+    printed.clear()
+    cl = Claims()
+    cl.equal("same", point(2), point(3))
+    assert len(printed) == once
+    assert cl.witness["same"] == f"{text} == {text}" and not cl.failed
+    cl.equal("other", point(1), CENTROID)
+    assert cl.witness["other"] == f"{text} == {CENTROID}" and cl.failed == ["other"]
+
+
 def test_suite_rejects_unknown_check_filter():
     with pytest.raises(UnknownCheck):
         run_suite(1, 1, check_ids=["nope"])
@@ -220,6 +241,65 @@ def test_negated_check_fails_with_reproducible_witness():
         rebuilt = run_point(Point.parse(f.config["p"]), ["sabotage"], registry=registry)[0]
         assert rebuilt.status == "fail"
         assert Point.parse(rebuilt.witness["orthocenter"]) == parsed
+
+
+class BothSidesClaims(Claims):
+    """The reference Claims: every equality prints both of its sides."""
+
+    def equal(self, key, left, right):
+        self.witness[key] = f"{left} == {right}"
+        self.check(key, left == right)
+
+
+class _Crossed:
+    """Claims that hand each equality the right side of the one before, so
+    that nearly every `equal` fails and prints both of its sides."""
+
+    def __init__(self, claims):
+        self.claims = claims
+        self.last = None
+
+    def equal(self, key, left, right):
+        self.claims.equal(key, left, right if self.last is None else self.last)
+        self.last = right
+
+    def __getattr__(self, name):
+        return getattr(self.claims, name)
+
+
+def _crossed(fn):
+    return lambda ctx, cl: fn(ctx, _Crossed(cl))
+
+
+NEGATED = {cid: _crossed(fn) for cid, fn in REGISTRY.items()}
+
+
+def test_one_sided_witnesses_print_as_both_sides_do():
+    """Over the fixed configurations (the sqrt(2) one included), a seeded
+    sample and points over Q(sqrt(6)), with the registry and with nearly every
+    equality made to fail, each result prints as it does when every equality
+    prints both of its sides."""
+    import cevian.verify
+
+    points = [
+        Point(Scalar(a, b, 6), Scalar(c, -b, 6), 1 + a * a)
+        for a, b, c in ((1, 1, 3), (2, -1, -5), (-3, 2, 7))
+    ]
+
+    def report(registry):
+        suite = run_suite(7, 4, registry=registry).canonical_dict()["results"]
+        return suite + [r.to_dict() for p in points for r in run_point(p, registry=registry)]
+
+    for registry in (REGISTRY, NEGATED):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cevian.verify, "Claims", BothSidesClaims)
+            both = report(registry)
+        one = report(registry)
+        assert one == both
+    # the failing equalities of the negated registry print two sides
+    failed = [r["witness"] for r in one if r["status"] == "fail"]
+    sides = [w[k].split(" == ") for w in failed for k in w if " == " in w[k]]
+    assert any(left != right for left, right in sides)
 
 
 def test_witnesses_round_trip_through_serialization():

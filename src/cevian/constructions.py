@@ -6,7 +6,10 @@ orthocenter-like point H read off the vertex-locus forms of p, O = K(H),
 both checked to lie on the parallels through the vertices and the midpoints
 that define them, and the cevian conic through A, B, C, p, q, whose center
 is Z.  `ConstructionSet` adds every other member, `construct(p)` builds
-one, and the anticevian siblings need only `Centers`.
+one, and the anticevian siblings need only `Centers`.  Like the
+iso-reflection check, the parallel check runs on uncanonicalized vectors:
+the directions of the q-trace lines are cross products, never points, so
+`construct` canonicalizes only the objects it keeps.
 
 Every member is read off a closed form in the pairs of p = (u : v : w), at
 the degree it keeps once canonical, so no canonicalization divides out a
@@ -35,19 +38,21 @@ from .projective import (
     DegenerateConfiguration,
     GeometryError,
     InfiniteInput,
+    LINE_AT_INFINITY,
     Line,
     MIDPOINTS,
     OnSideline,
     Point,
     VERTICES,
+    Vector,
+    _ZERO_ROW,
     anticomplement,
-    are_collinear,
     cevian_traces,
     combine,
     complement,
-    direction_of,
+    cross,
+    det3,
     isotomic,
-    join,
     reflect_through,
     require_iso_reflection,
     zmul,
@@ -151,12 +156,19 @@ def feuerbach_point(p: Point) -> Point:
     ])
 
 
-def _on_parallels(x: Point, bases: tuple[Point, Point, Point], directions: list[Point]) -> bool:
-    """Whether x lies on the line through each base in the matching
-    direction, tested as a vanishing determinant of x, the base and the
-    direction.  The bases are not collinear, so the three lines are never
+def _on_parallels(
+    x: Point, bases: tuple[Point, Point, Point], directions: list[Vector], d: int
+) -> bool:
+    """Whether x, a point over Q(sqrt(d)), lies on the line through each
+    base in the matching direction, tested as a vanishing determinant of x,
+    the base and the direction.  The directions are uncanonicalized vectors
+    over Z[sqrt(d)]; a zero one fails the test, which would otherwise pass
+    for any x.  The bases are not collinear, so the three lines are never
     one line and share one point at most: x is that point."""
-    return all(are_collinear(x, b, t) for b, t in zip(bases, directions))
+    return all(
+        t != _ZERO_ROW and det3((x.ints, b.ints, t), d) == _ZERO
+        for b, t in zip(bases, directions)
+    )
 
 
 class Centers:
@@ -188,10 +200,12 @@ class Centers:
 
         self.orthocenter = generalized_orthocenter(p)
         self.circumcenter = complement(self.orthocenter)
-        directions = [direction_of(join(q, t)) for t in self.traces]
+        # the point at infinity of each q-trace line, (q x t) x [1 : 1 : 1]
+        d, infinity = p.d, LINE_AT_INFINITY.ints
+        directions = [cross(cross(q.ints, t.ints, d), infinity, d) for t in self.traces]
         if not (
-            _on_parallels(self.orthocenter, VERTICES, directions)
-            and _on_parallels(self.circumcenter, MIDPOINTS, directions)
+            _on_parallels(self.orthocenter, VERTICES, directions, d)
+            and _on_parallels(self.circumcenter, MIDPOINTS, directions, d)
         ):
             raise ConstructionInconsistency(
                 f"formula and parallel definitions disagree at p={p}"

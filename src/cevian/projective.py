@@ -25,8 +25,9 @@ they read only the rational half of each pair and write 0 for the other,
 which is exact because at d = 1 every b is 0: `_canonical`, which builds
 every object, refuses a vector that breaks this.  Objects over Q take that
 branch, and objects over Q(sqrt(d)), with everything built from them, take
-the general one.  The d = 1 branches of `dot`, `mat_vec` and `mat_mul`
-take triples and 3x3 matrices, the only shapes the kernel has.
+the general one.  `dot`, `cross` and `mat_vec` are written out term by term
+for triples in both branches, and the d = 1 branch of `mat_mul` takes 3x3
+matrices: these are the only shapes the kernel has.
 """
 
 from __future__ import annotations
@@ -124,13 +125,15 @@ def _canonical(d: int, v: Sequence[Pair]) -> tuple[int, Vector]:
         if x < 0:
             g = -g
         return 1, tuple([(x // g, 0) for x in xs]) if g != 1 else tuple(v)
-    lead = next((x for x in v if x != _ZERO), None)
-    if lead is None:
+    for a, b in v:
+        if a or b:
+            break
+    else:
         raise ValueError("zero tuple has no projective meaning")
-    a, b = lead
     if b:
-        v = [(x * a - y * b * d, y * a - x * b) for x, y in v]
-        a = a * a - b * b * d
+        bd = b * d
+        v = [(x * a - y * bd, y * a - x * b) for x, y in v]
+        a = a * a - b * bd
     g = gcd(*[n for pair in v for n in pair])
     if a < 0:
         g = -g
@@ -141,15 +144,14 @@ def _canonical(d: int, v: Sequence[Pair]) -> tuple[int, Vector]:
 
 
 def dot(u: Sequence[Pair], v: Sequence[Pair], d: int) -> Pair:
+    (a0, b0), (a1, b1), (a2, b2) = u
+    (c0, e0), (c1, e1), (c2, e2) = v
     if d == 1:
-        (x0, _), (x1, _), (x2, _) = u
-        (z0, _), (z1, _), (z2, _) = v
-        return x0 * z0 + x1 * z1 + x2 * z2, 0
-    a = b = 0
-    for (x, y), (z, w) in zip(u, v):
-        a += x * z + y * w * d
-        b += x * w + y * z
-    return a, b
+        return a0 * c0 + a1 * c1 + a2 * c2, 0
+    return (
+        a0 * c0 + a1 * c1 + a2 * c2 + (b0 * e0 + b1 * e1 + b2 * e2) * d,
+        a0 * e0 + b0 * c0 + a1 * e1 + b1 * c1 + a2 * e2 + b2 * c2,
+    )
 
 
 def cross(u: Sequence[Pair], v: Sequence[Pair], d: int) -> Vector:
@@ -169,10 +171,16 @@ def transpose(m: Sequence[Sequence[Pair]]) -> Rows:
 
 
 def mat_vec(m: Sequence[Sequence[Pair]], v: Sequence[Pair], d: int) -> Vector:
+    (c0, e0), (c1, e1), (c2, e2) = v
     if d == 1:
-        (x, _), (y, _), (z, _) = v
-        return tuple([(a * x + b * y + c * z, 0) for (a, _), (b, _), (c, _) in m])
-    return tuple([dot(row, v, d) for row in m])
+        return tuple([(a0 * c0 + a1 * c1 + a2 * c2, 0) for (a0, _), (a1, _), (a2, _) in m])
+    return tuple([
+        (
+            a0 * c0 + a1 * c1 + a2 * c2 + (b0 * e0 + b1 * e1 + b2 * e2) * d,
+            a0 * e0 + b0 * c0 + a1 * e1 + b1 * c1 + a2 * e2 + b2 * c2,
+        )
+        for (a0, b0), (a1, b1), (a2, b2) in m
+    ])
 
 
 def mat_mul(a: Sequence[Sequence[Pair]], b: Sequence[Sequence[Pair]], d: int) -> Rows:
@@ -482,7 +490,8 @@ class HomogeneousMatrix(CanonicalObject):
 
     def _set(self, d: int, rows: Sequence[Sequence[Pair]]) -> None:
         self._validate(rows)
-        d, flat = _canonical(d, [x for row in rows for x in row])
+        r0, r1, r2 = rows
+        d, flat = _canonical(d, (*r0, *r1, *r2))
         self.d = d
         self.ints: Rows = (flat[0:3], flat[3:6], flat[6:9])
 
@@ -675,8 +684,12 @@ def point_reflection(center: Point) -> AffineMap:
 
 
 def reflect_through(center: Point, p: Point) -> Point:
-    """Half-turn about an ordinary center; fixes every point at infinity."""
-    return point_reflection(center)(p)
+    """Half-turn about an ordinary center; fixes every point at infinity.
+    This is `point_reflection(center)(p)` without the matrix: 2 w_p c - w_c p
+    for the coordinate sums w."""
+    w_c, w_p = center._weight(), zsum(p.ints)
+    d = join_d(center.d, p.d)
+    return Point.from_ints(d, combine(zscale(2, w_p), center.ints, zscale(-1, w_c), p.ints, d))
 
 
 def cevian_traces(p: Point) -> tuple[Point, Point, Point]:

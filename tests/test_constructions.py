@@ -260,6 +260,36 @@ def test_dual_path_rejects_a_center_off_the_parallels(monkeypatch):
         construct(Point(21, 24, 28))
 
 
+SQRT6_POINT = Point(3, Scalar(1, 2, 6), Scalar(-2, 1, 6))
+
+
+@pytest.mark.parametrize("p", [Point(21, 24, 28), SQRT6_POINT], ids=["Q", "Q(sqrt(6))"])
+def test_dual_path_rejects_the_anticomplement_of_h(monkeypatch, p):
+    """The parallel-line check runs on uncanonicalized directions and still
+    refuses an H that is off its parallels, over Q and over Q(sqrt(6))."""
+    h = generalized_orthocenter(p)
+    monkeypatch.setattr(constructions, "generalized_orthocenter", lambda p: anticomplement(h))
+    with pytest.raises(ConstructionInconsistency) as raised:
+        Centers(p)
+    assert str(raised.value) == f"formula and parallel definitions disagree at p={p}"
+
+
+def test_dual_path_refuses_a_zero_direction(monkeypatch):
+    """A zero direction puts every point on its "parallel", so the check
+    must refuse it rather than pass: here every trace is q itself, which
+    makes each q-trace line, and so its direction, zero."""
+    x, zero = Point(2, 3, 6), ((0, 0),) * 3
+    assert not constructions._on_parallels(x, VERTICES, [zero, zero, zero], 1)
+    monkeypatch.setattr(
+        constructions, "cevian_traces", lambda p: (complement(isotomic(p)),) * 3
+    )
+    with pytest.raises(
+        ConstructionInconsistency,
+        match=r"^formula and parallel definitions disagree at p=\(2 : 3 : 6\)$",
+    ):
+        Centers(x)
+
+
 # -- anticevian family -------------------------------------------------------------
 
 
@@ -638,7 +668,7 @@ def test_construct_divides_out_only_integer_constants(monkeypatch):
 
     monkeypatch.setattr(projective, "_canonical", recorded)
     construct(p)
-    assert len(removed) > 40
+    assert len(removed) == 39
     assert max(removed) <= 8, sorted(removed)[-5:]
 
 
@@ -709,6 +739,20 @@ def count_calls(monkeypatch, home, name):
         if key.startswith("cevian") and getattr(module, name, None) is fn:
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("p", [Point(2, 3, 6), SQRT6_POINT], ids=["Q", "Q(sqrt(6))"])
+def test_canonicalization_counts_are_pinned(monkeypatch, p):
+    """construct canonicalizes the objects it keeps and no more: the
+    parallel-line check of Centers and the half-turn of the fourth
+    intersection canonicalize nothing of their own."""
+    complement_map(), anticomplement_map()  # cached constants, built once
+    calls = count_calls(monkeypatch, "cevian.projective", "_canonical")
+    construct(p)
+    assert len(calls) == 39
+    calls.clear()
+    Centers(p)
+    assert len(calls) == 9
 
 
 def test_construction_reads_its_conics_off_closed_forms(monkeypatch):

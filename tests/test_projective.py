@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,6 +14,8 @@ from cevian.scalar import (
     combine,
     divide_exactly,
     zmul,
+    zscale,
+    zsum,
 )
 from cevian.conics import (
     Conic,
@@ -650,6 +652,125 @@ def test_rational_branch_matches_the_general_kernel(m, v, s, t, flat, exact):
     y = s if s != (0, 0) else (-3, 0)
     w = tuple([pair_mul(y, x, 1) for x in v]) if exact else v
     assert outcome(divide_exactly, w, y, 1) == outcome(fraction_divide_exactly, w, y, 1)
+
+
+# The kernel routines as they were before they were written out for 3-vectors:
+# the loop forms, which the written-out ones must agree with entry for entry.
+
+
+def loop_dot(u, v, d):
+    if d == 1:
+        (x0, _), (x1, _), (x2, _) = u
+        (z0, _), (z1, _), (z2, _) = v
+        return x0 * z0 + x1 * z1 + x2 * z2, 0
+    return general_dot(u, v, d)
+
+
+def loop_mat_vec(m, v, d):
+    if d == 1:
+        (x, _), (y, _), (z, _) = v
+        return tuple([(a * x + b * y + c * z, 0) for (a, _), (b, _), (c, _) in m])
+    return general_mat_vec(m, v, d)
+
+
+def loop_canonical(d, v):
+    if d == 1:
+        xs = [x for x, y in v if not y]
+        if len(xs) != len(v):
+            i, entry = next((i, e) for i, e in enumerate(v) if e[1])
+            raise ValueError(f"entry {i} = {entry} has an irrational part at d = 1")
+        g = gcd(*xs)
+        if not g:
+            raise ValueError("zero tuple has no projective meaning")
+        for x in xs:
+            if x:
+                break
+        if x < 0:
+            g = -g
+        return 1, tuple([(x // g, 0) for x in xs]) if g != 1 else tuple(v)
+    return general_canonical(d, v)
+
+
+def loop_matrix(d, rows):
+    """HomogeneousMatrix._set as it was: flatten, canonicalize, cut."""
+    d, flat = loop_canonical(d, [x for row in rows for x in row])
+    return d, (flat[0:3], flat[3:6], flat[6:9])
+
+
+def built_matrix(d, rows):
+    m = HomogeneousMatrix.from_ints(d, rows)
+    return m.d, m.ints
+
+
+def reflected(reflect, center, p):
+    """The half-turn of p about center, or the message of InfiniteInput."""
+    try:
+        return reflect(center, p)
+    except InfiniteInput as exc:
+        return InfiniteInput, str(exc)
+
+
+_BIG = st.integers(0, 4096).flatmap(lambda k: st.integers(-(1 << k), 1 << k))
+
+
+@st.composite
+def kernel_vectors(draw, d, length, stray=False):
+    """Pair vectors over Z[sqrt(d)] with ints of up to 4096 bits: any, zero,
+    with leading zero entries, or led by an irrational entry of negative
+    norm a^2 - b^2 d.  With stray, an irrational part at d = 1 too."""
+    v = [(draw(_BIG), draw(_BIG) if d != 1 else 0) for _ in range(length)]
+    kind = draw(st.sampled_from(
+        ["any", "zero", "zero lead", "negative norm lead"] + ["stray"] * stray
+    ))
+    if kind == "zero":
+        v = [(0, 0)] * length
+    elif kind == "zero lead":
+        k = draw(st.integers(1, length - 1))
+        v[:k] = [(0, 0)] * k
+    elif kind == "negative norm lead" and d != 1:
+        k = draw(st.integers(0, length - 1))
+        b = draw(_BIG.filter(bool))
+        a = draw(st.integers(-isqrt(b * b * d - 1), isqrt(b * b * d - 1)))
+        v[:k + 1] = [(0, 0)] * k + [(a, b)]
+    elif kind == "stray" and d == 1:
+        k = draw(st.integers(0, length - 1))
+        v[k] = (v[k][0], draw(_BIG.filter(bool)))
+    return tuple(v)
+
+
+@st.composite
+def kernel_points(draw, d):
+    """A point over Q(sqrt(d)) of up to 4096 bits, a third of them at
+    infinity."""
+    v = list(draw(kernel_vectors(d, 3)))
+    if draw(st.integers(0, 2)) == 0:
+        v[2] = zscale(-1, zsum(v[:2]))
+    if all(x == (0, 0) for x in v):
+        v[0] = (1, 0)
+    return Point.from_ints(d, v)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_written_out_kernel_matches_the_loop_forms(data):
+    """dot, mat_vec, _canonical, HomogeneousMatrix._set and reflect_through
+    give what their loop forms give, with 4096-bit ints, irrational leads of
+    negative norm and leading zeros, and the same errors and messages: the
+    zero vector, an irrational part at d = 1 and an infinite center."""
+    d = data.draw(st.sampled_from(FIELDS))
+    u, v, r0, r1, r2 = (data.draw(kernel_vectors(d, 3)) for _ in range(5))
+    m = (r0, r1, r2)
+    assert dot(u, v, d) == loop_dot(u, v, d)
+    assert mat_vec(m, v, d) == loop_mat_vec(m, v, d)
+    flat = data.draw(kernel_vectors(d, 9, stray=True))
+    for w in (u, v, flat):
+        assert outcome(_canonical, d, w) == outcome(loop_canonical, d, w)
+    for rows in (m, (flat[0:3], flat[3:6], flat[6:9])):
+        assert outcome(built_matrix, d, rows) == outcome(loop_matrix, d, rows)
+    center, p = data.draw(kernel_points(d)), data.draw(kernel_points(d))
+    expected = reflected(lambda c, x: point_reflection(c)(x), center, p)
+    assert reflected(reflect_through, center, p) == expected
+    assert isinstance(expected, tuple) == center.is_infinite()
 
 
 @pytest.fixture

@@ -386,8 +386,9 @@ def steiner_circumellipse() -> Conic:
 
 
 def infinity_intersection_count(conic: Conic) -> int:
-    """0, 1, or 2 meets with the line at infinity (ellipse/parabola/hyperbola
-    in the rendering triangle), from the sign of the discriminant; no theorem
-    check depends on this label."""
+    """0, 1, or 2 meets with the line at infinity, from the sign of the
+    discriminant: the affine type of the conic (ellipse/parabola/hyperbola).
+    The `steiner_collapse` check reads it to assert that the inconic of a
+    point on the outer centroid ellipse is a parabola."""
     _, _, d, a, b, c = _restriction(LINE_AT_INFINITY, conic)
     return 1 + zsign(zsub(zmul(b, b, d), zmul(a, c, d)), d)

@@ -4,10 +4,10 @@ The kernel computes on integer pairs (a, b) standing for a + b*sqrt(d) in
 Z[sqrt(d)]: their arithmetic, exact sign (``zsign``) and square root
 (``zsqrt``) live here, and so does ``quadratic_roots``, the one quadratic
 solver, whose roots stay numerators over one denominator.  A line meeting a
-conic is the only place a new square root appears.  ``zmul`` and
-``combine`` branch on d: at d = 1, where every b is 0 (the invariant that
-canonical objects keep, see projective.py), they compute only the rational
-halves and write 0 for b.  Any other d takes the general arithmetic.
+conic is the only place a new square root appears.  The pair arithmetic has
+one body for every d: at d = 1 it computes the irrational halves too, so it
+does not rely on their being 0.  Skipping them saved at most 1.4% of any
+workload's time.
 
 A ``Scalar`` is a value a + b*sqrt(d) with rational a, b and a square-free
 positive integer d; plain rationals are the case b = 0, d = 1.  It is an
@@ -180,8 +180,6 @@ _ZERO: Pair = (0, 0)
 
 def zmul(x: Pair, y: Pair, d: int) -> Pair:
     (a, b), (c, e) = x, y
-    if d == 1:
-        return a * c, 0
     return a * c + b * e * d, a * e + b * c
 
 
@@ -204,8 +202,6 @@ def zsum(v: Iterable[Pair]) -> Pair:
 def combine(s: Pair, u: Sequence[Pair], t: Pair, v: Sequence[Pair], d: int) -> tuple[Pair, ...]:
     """s*u + t*v, entrywise."""
     (sa, sb), (ta, tb) = s, t
-    if d == 1:
-        return tuple([(sa * a + ta * c, 0) for (a, _), (c, _) in zip(u, v)])
     return tuple([
         (sa * a + sb * b * d + ta * c + tb * e * d, sa * b + sb * a + ta * e + tb * c)
         for (a, b), (c, e) in zip(u, v)
@@ -216,9 +212,9 @@ def divide_exactly(v: Sequence[Pair], y: Pair, d: int) -> list[Pair]:
     """v / y entrywise in Z[sqrt(d)], for a nonzero y that divides every
     entry; raises InexactDivision when one leaves a remainder."""
     c, e = y
-    if e:  # times the conjugate c - e*sqrt(d): the divisor becomes its norm
-        v = [(a * c - b * e * d, b * c - a * e) for a, b in v]
-        c = c * c - e * e * d
+    # times the conjugate c - e*sqrt(d): the divisor becomes its norm
+    v = [(a * c - b * e * d, b * c - a * e) for a, b in v]
+    c = c * c - e * e * d
     out = []
     for a, b in v:
         qa, ra = divmod(a, c)
@@ -369,10 +365,8 @@ class Scalar:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        if not o.b:
-            if not o.a:
-                raise DivisionByZero("scalar division by zero")
-            return _make(self.a / o.a, self.b / o.a, self.d)
+        if not o:
+            raise DivisionByZero("scalar division by zero")
         d = join_d(self.d, o.d)
         # multiply by the conjugate a' - b'*sqrt(d); the norm is rational
         norm = o.a * o.a - o.b * o.b * d
@@ -446,8 +440,7 @@ def ratio(x: Pair, y: Pair, d: int) -> Scalar:
     """x / y as a Scalar, for a nonzero y over Z[sqrt(d)]: the one way a
     pair becomes a Scalar."""
     (a, b), (c, e) = x, y
-    if e:
-        a, b, c = a * c - b * e * d, b * c - a * e, c * c - e * e * d
+    a, b, c = a * c - b * e * d, b * c - a * e, c * c - e * e * d
     return _make(Fraction(a, c), Fraction(b, c), d)
 
 

@@ -170,6 +170,6 @@ def test_package_imports_no_dataclasses():
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     done = subprocess.run(
-        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-I", "-B", "-c", probe], capture_output=True, text=True, timeout=60, check=True
     )
     assert done.stdout.split() == ["[]"]

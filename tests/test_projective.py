@@ -1,6 +1,9 @@
+import ast
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,9 +14,7 @@ from cevian.scalar import (
     NeedsExtension,
     Scalar,
     ScalarError,
-    combine,
     divide_exactly,
-    zmul,
     zscale,
     zsum,
 )
@@ -31,7 +32,7 @@ from cevian.conics import (
 )
 from cevian.cli import main as cli_main
 from cevian.constructions import construct, locus_conic, special_configuration_point, z_locus_sweep
-from cevian.render import RenderTriangle
+from cevian.render import RenderTriangle, _cartesian, _float, bary_to_xy
 from cevian.verify import run_suite
 from cevian.projective import (
     AffineMap,
@@ -77,7 +78,6 @@ from cevian.projective import (
     incident,
     isotomic,
     join,
-    mat_mul,
     mat_vec,
     meet,
     midpoint,
@@ -528,16 +528,27 @@ def test_canonical_refuses_an_irrational_part_at_d_1():
         HomogeneousMatrix.from_ints(1, rows)
 
 
-# The kernel routines as they were before their d = 1 branch: the general
-# Z[sqrt(d)] bodies, which the branch must agree with on rational entries.
+def test_readme_names_the_fast_paths_at_d_1():
+    """The functions of the number, object and rendering modules with an
+    `if d == 1` branch are the ones the README's kernel paragraph names."""
+    src = Path(scalar_module.__file__).parent
+    branched = {
+        fn.name
+        for name in ("scalar.py", "projective.py", "render.py")
+        for fn in ast.parse((src / name).read_text(encoding="utf-8")).body
+        if isinstance(fn, ast.FunctionDef) and any(
+            isinstance(node, ast.If) and ast.unparse(node.test) == "d == 1"
+            for node in ast.walk(fn)
+        )
+    }
+    readme = (src.parents[1] / "README.md").read_text(encoding="utf-8")
+    named = re.search(r"keep a fast path at `d = 1`:(.*?)\.", readme, flags=re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", named)) == branched
 
 
-def general_combine(s, u, t, v, d):
-    (sa, sb), (ta, tb) = s, t
-    return tuple([
-        (sa * a + sb * b * d + ta * c + tb * e * d, sa * b + sb * a + ta * e + tb * c)
-        for (a, b), (c, e) in zip(u, v)
-    ])
+# One general Z[sqrt(d)] reference for each kernel routine that keeps a fast
+# path, with no shortcut of its own: the kernel must give what it gives at
+# every d, d = 1 included.
 
 
 def general_dot(u, v, d):
@@ -562,54 +573,36 @@ def general_mat_vec(m, v, d):
     return tuple([general_dot(row, v, d) for row in m])
 
 
-def general_mat_mul(a, b, d):
-    cols = [*zip(*b)]
-    return tuple([tuple([general_dot(row, col, d) for col in cols]) for row in a])
-
-
 def general_canonical(d, v):
+    """v times the conjugate of its lead, divided by the gcd of its ints,
+    with the sign that makes the lead positive; the kernel's two errors."""
+    if d == 1 and any(y for _, y in v):
+        i, entry = next((i, e) for i, e in enumerate(v) if e[1])
+        raise ValueError(f"entry {i} = {entry} has an irrational part at d = 1")
     lead = next((x for x in v if x != (0, 0)), None)
     if lead is None:
         raise ValueError("zero tuple has no projective meaning")
     a, b = lead
-    if b:
-        v = [(x * a - y * b * d, y * a - x * b) for x, y in v]
-        a = a * a - b * b * d
-    g = gcd(*[n for pair in v for n in pair])
-    if a < 0:
-        g = -g
-    v = tuple([(x // g, y // g) for x, y in v]) if g != 1 else tuple(v)
-    if d != 1 and not any(y for _, y in v):
-        d = 1
-    return d, v
+    v = [(x * a - y * b * d, y * a - x * b) for x, y in v]
+    g = gcd(*[n for pair in v for n in pair]) * (1 if a * a > b * b * d else -1)
+    v = tuple([(x // g, y // g) for x, y in v])
+    return (d if any(y for _, y in v) else 1), v
 
 
-def outcome(f, *args):
-    """The result of f, or the type and message of the error it raises."""
-    try:
-        return f(*args)
-    except (ValueError, ScalarError, ZeroDivisionError) as exc:
-        return type(exc), str(exc)
+def general_matrix(d, rows):
+    """HomogeneousMatrix._set by the reference: flatten, canonicalize, cut."""
+    d, flat = general_canonical(d, [x for row in rows for x in row])
+    return d, (flat[0:3], flat[3:6], flat[6:9])
 
 
-_RATIONAL = st.one_of(
-    st.sampled_from([0, 0, 1, -1]),
-    st.builds(lambda sign, k: sign * 2**k, st.sampled_from([1, -1]), st.integers(0, 1100)),
-).map(lambda a: (a, 0))
-
-
-@st.composite
-def rational_vectors(draw, length=3):
-    """Rational pair vectors, a quarter of them zero and a quarter with a
-    zero lead."""
-    v = draw(st.lists(_RATIONAL, min_size=length, max_size=length))
-    kind = draw(st.sampled_from(["any", "any", "zero", "zero lead"]))
-    if kind == "zero":
-        v = [(0, 0)] * length
-    elif kind == "zero lead":
-        k = draw(st.integers(1, length - 1))
-        v = [(0, 0)] * k + v[k:]
-    return tuple(v)
+def general_bary_to_xy(p, tri):
+    """(X, Y) / w, w the coordinate sum of p, with w times its conjugate as
+    the denominator."""
+    d, xy, den = _cartesian(p, tri)
+    a, b = zsum(p.ints)
+    norm = a * a - b * b * d
+    conj = (a, -b) if norm > 0 else (-a, b)
+    return tuple([_float(*pair_mul(v, conj, d), d, den * abs(norm)) for v in xy])
 
 
 def fraction_divide_exactly(v, y, d):
@@ -626,75 +619,12 @@ def fraction_divide_exactly(v, y, d):
     return out
 
 
-@given(
-    st.lists(rational_vectors(), min_size=3, max_size=3),
-    rational_vectors(),
-    _RATIONAL,
-    _RATIONAL,
-    rational_vectors(9),
-    st.booleans(),
-)
-@settings(max_examples=300, deadline=None)
-def test_rational_branch_matches_the_general_kernel(m, v, s, t, flat, exact):
-    """At d = 1 each kernel routine gives what its general Z[sqrt(d)] body
-    gives, and exact division what Fraction quotients give, errors and
-    their messages included."""
-    u = m[0]
-    assert zmul(s, t, 1) == pair_mul(s, t, 1)
-    assert combine(s, u, t, v, 1) == general_combine(s, u, t, v, 1)
-    assert dot(u, v, 1) == general_dot(u, v, 1)
-    assert cross(u, v, 1) == general_cross(u, v, 1)
-    assert mat_vec(m, v, 1) == general_mat_vec(m, v, 1)
-    assert mat_mul(m, m[::-1], 1) == general_mat_mul(m, m[::-1], 1)
-    for w in (u, v, flat):
-        assert outcome(_canonical, 1, w) == outcome(general_canonical, 1, w)
-    # a divisor y divides y * w exactly, and w itself only now and then
-    y = s if s != (0, 0) else (-3, 0)
-    w = tuple([pair_mul(y, x, 1) for x in v]) if exact else v
-    assert outcome(divide_exactly, w, y, 1) == outcome(fraction_divide_exactly, w, y, 1)
-
-
-# The kernel routines as they were before they were written out for 3-vectors:
-# the loop forms, which the written-out ones must agree with entry for entry.
-
-
-def loop_dot(u, v, d):
-    if d == 1:
-        (x0, _), (x1, _), (x2, _) = u
-        (z0, _), (z1, _), (z2, _) = v
-        return x0 * z0 + x1 * z1 + x2 * z2, 0
-    return general_dot(u, v, d)
-
-
-def loop_mat_vec(m, v, d):
-    if d == 1:
-        (x, _), (y, _), (z, _) = v
-        return tuple([(a * x + b * y + c * z, 0) for (a, _), (b, _), (c, _) in m])
-    return general_mat_vec(m, v, d)
-
-
-def loop_canonical(d, v):
-    if d == 1:
-        xs = [x for x, y in v if not y]
-        if len(xs) != len(v):
-            i, entry = next((i, e) for i, e in enumerate(v) if e[1])
-            raise ValueError(f"entry {i} = {entry} has an irrational part at d = 1")
-        g = gcd(*xs)
-        if not g:
-            raise ValueError("zero tuple has no projective meaning")
-        for x in xs:
-            if x:
-                break
-        if x < 0:
-            g = -g
-        return 1, tuple([(x // g, 0) for x in xs]) if g != 1 else tuple(v)
-    return general_canonical(d, v)
-
-
-def loop_matrix(d, rows):
-    """HomogeneousMatrix._set as it was: flatten, canonicalize, cut."""
-    d, flat = loop_canonical(d, [x for row in rows for x in row])
-    return d, (flat[0:3], flat[3:6], flat[6:9])
+def outcome(f, *args):
+    """The result of f, or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except (ValueError, ScalarError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
 
 
 def built_matrix(d, rows):
@@ -711,6 +641,8 @@ def reflected(reflect, center, p):
 
 
 _BIG = st.integers(0, 4096).flatmap(lambda k: st.integers(-(1 << k), 1 << k))
+
+_TRIANGLES = (RenderTriangle.default(), RenderTriangle.parse("1/3,2;-5,7/2;4,-1/6"))
 
 
 @st.composite
@@ -750,27 +682,51 @@ def kernel_points(draw, d):
     return Point.from_ints(d, v)
 
 
-@given(st.data())
-@settings(max_examples=300, deadline=None)
-def test_written_out_kernel_matches_the_loop_forms(data):
-    """dot, mat_vec, _canonical, HomogeneousMatrix._set and reflect_through
-    give what their loop forms give, with 4096-bit ints, irrational leads of
-    negative norm and leading zeros, and the same errors and messages: the
-    zero vector, an irrational part at d = 1 and an infinite center."""
-    d = data.draw(st.sampled_from(FIELDS))
+def check_kernel_against_references(data, d):
+    """dot, cross, mat_vec, _canonical, HomogeneousMatrix._set and
+    bary_to_xy give what their general references give over Z[sqrt(d)],
+    with 4096-bit ints, zero vectors, leading zeros and irrational leads of
+    negative norm, and the same errors and messages: the zero vector and an
+    irrational part at d = 1.  Exact division gives what Fraction quotients
+    give, and reflect_through what point_reflection gives, an infinite
+    center's error included."""
     u, v, r0, r1, r2 = (data.draw(kernel_vectors(d, 3)) for _ in range(5))
     m = (r0, r1, r2)
-    assert dot(u, v, d) == loop_dot(u, v, d)
-    assert mat_vec(m, v, d) == loop_mat_vec(m, v, d)
+    assert dot(u, v, d) == general_dot(u, v, d)
+    assert cross(u, v, d) == general_cross(u, v, d)
+    assert mat_vec(m, v, d) == general_mat_vec(m, v, d)
     flat = data.draw(kernel_vectors(d, 9, stray=True))
     for w in (u, v, flat):
-        assert outcome(_canonical, d, w) == outcome(loop_canonical, d, w)
+        assert outcome(_canonical, d, w) == outcome(general_canonical, d, w)
     for rows in (m, (flat[0:3], flat[3:6], flat[6:9])):
-        assert outcome(built_matrix, d, rows) == outcome(loop_matrix, d, rows)
+        assert outcome(built_matrix, d, rows) == outcome(general_matrix, d, rows)
+    # a divisor y divides y * w exactly, and w itself only now and then
+    y = next((x for x in u if x != (0, 0)), (-3, 0))
+    w = tuple([pair_mul(y, x, d) for x in v]) if data.draw(st.booleans()) else v
+    assert outcome(divide_exactly, w, y, d) == outcome(fraction_divide_exactly, w, y, d)
     center, p = data.draw(kernel_points(d)), data.draw(kernel_points(d))
     expected = reflected(lambda c, x: point_reflection(c)(x), center, p)
     assert reflected(reflect_through, center, p) == expected
     assert isinstance(expected, tuple) == center.is_infinite()
+    if not p.is_infinite():
+        tri = data.draw(st.sampled_from(_TRIANGLES))
+        assert bary_to_xy(p, tri) == general_bary_to_xy(p, tri)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_rational_branch_matches_the_general_kernel(data):
+    """At d = 1 each kernel routine's fast path gives what the general
+    Z[sqrt(d)] reference gives, errors and their messages included."""
+    check_kernel_against_references(data, 1)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_written_out_kernel_matches_the_loop_forms(data):
+    """Over Q(sqrt(d)), d != 1, the kernel written out for 3-vectors gives
+    what the general references, loops over the entries, give."""
+    check_kernel_against_references(data, data.draw(st.sampled_from(FIELDS[1:])))
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ extensions Q(sqrt(d)), the conic constructions attached to a driving point
 and a zero-tolerance verifier for the theorems relating them.
 """
 
-from .scalar import Scalar, NeedsExtension, NoRealRoots
+from .scalar import Scalar, NoRealRoots
 from .projective import (
     AffineMap,
     Line,
@@ -47,7 +47,6 @@ __all__ = [
     "ConstructionSet",
     "DOCUMENTED_CHECKS",
     "Line",
-    "NeedsExtension",
     "NoRealRoots",
     "Point",
     "Scalar",

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .scalar import (
-    NeedsExtension,
     NoRealRoots,
     Pair,
     Record,
@@ -289,7 +288,7 @@ class NoRealIntersection(Record):
     __slots__ = ()
 
 
-LineConicResult = Union[TwoPoints, TangentAt, NoRealIntersection, NeedsExtension]
+LineConicResult = Union[TwoPoints, TangentAt, NoRealIntersection]
 
 
 def _restriction(l: Line, conic: Conic) -> tuple[Point, Point, int, Pair, Pair, Pair]:
@@ -303,15 +302,13 @@ def _restriction(l: Line, conic: Conic) -> tuple[Point, Point, int, Pair, Pair, 
     return x, y, d, conic._form(x, d), b, conic._form(y, d)
 
 
-def line_conic_intersections(
-    l: Line, conic: Conic, field_d: Optional[int] = None
-) -> LineConicResult:
+def line_conic_intersections(l: Line, conic: Conic) -> LineConicResult:
     """All intersections of a line with a nondegenerate conic.
 
     Reduces to one exact quadratic in t on t*x + y; a root n / den is the
-    point n*x + den*y.  A positive non-square discriminant surfaces as
-    NeedsExtension(d) so the caller can lift the coordinates to Q(sqrt(d))
-    and pass field_d=d to retry.
+    point n*x + den*y.  Rational line and conic whose meets need a square
+    root meet in points over Q(sqrt(f)), f the square-free part of the
+    discriminant; over a d > 1 such meets raise IncompatibleExtensions.
     """
     x, y, d, a2, b2, c2 = _restriction(l, conic)
     if a2 == _ZERO and c2 == _ZERO:
@@ -324,11 +321,9 @@ def line_conic_intersections(
         if b2 == _ZERO:
             return TangentAt(y)
         return TwoPoints(y, _residual(y, x, a2, b2, d))
-    roots = quadratic_roots(a2, zscale(2, b2), c2, d, field_d)
+    roots = quadratic_roots(a2, zscale(2, b2), c2, d)
     if isinstance(roots, NoRealRoots):
         return NoRealIntersection()
-    if isinstance(roots, NeedsExtension):
-        return roots
     e = join_d(join_d(x.d, y.d), roots.d)
     points = [Point.from_ints(e, combine(n, x.ints, roots.den, y.ints, e)) for n in roots.nums]
     return TwoPoints(*points) if len(points) == 2 else TangentAt(*points)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .scalar import NeedsExtension, Pair, Record, Roots, _ZERO, quadratic_roots
+from .scalar import Pair, Record, _ZERO, quadratic_roots
 from .projective import (
     AffineMap,
     DegenerateConfiguration,
@@ -55,6 +55,7 @@ from .projective import (
     isotomic,
     reflect_through,
     require_iso_reflection,
+    row_constant_map,
     zmul,
     zscale,
     zsub,
@@ -234,10 +235,11 @@ class ConstructionSet(Centers):
     - T_p^-1: -s_k P_k / s_k P_j, and T_p'^-1: -s_k x_k^2 / s_k x_k x_j;
     - the transfer map T_p' T_p^-1: P_k s_k / P_j (x_j - x_l), and its
       inverse x_k^2 s_k / x_k x_j (x_l - x_j);
-    - T_p T_p': x_k (x_k s_k + 2 P_k) / x_k^2 s_k, and T_p' T_p:
-      P_k (s_k + 2 x_k) / P_k s_k;
-    - T_p K^-1 T_p': x_k D_k^2 / x_k s_k^2, and that map followed by K^-1:
-      x_k (D_k^2 + 8 P_k) / x_k D_k^2;
+    - four maps of the shape c 1^T + m I (`row_constant_map`), whose row k
+      is c_k in every column plus m on the diagonal, with uvw = x_0 x_1 x_2:
+      T_p T_p' has c = x_k^2 s_k and T_p' T_p has c = P_k s_k, both with
+      m = 2uvw; T_p K^-1 T_p' has c = S = x_k s_k^2 and m = -4uvw, and that
+      map followed by K^-1 has c = Z = x_k D_k^2 and m = 8uvw;
     - the iso-reflection: -D_k x_k a_l a_m ({l, m} the indices other than
       k) / D_j s_k a_k a_j;
     - the inconics with perspectors p and p_iso: P_k^2 / -P_k P_j and
@@ -250,9 +252,9 @@ class ConstructionSet(Centers):
     The points are H' = isotomic(c) for c = (u + v + w) p - P, the
     preimage T_p^-1(H) = x_k s_k (x_k (x_l^2 + x_m^2) - s_k a_k) ({l, m}
     the indices other than k), the axis point v = x_k (s_k^2 - P_k), the
-    insimilicenter x_k s_k^2 (q * q_iso coordinatewise), Z
-    (`feuerbach_point`) and the nine-point center K(O).  None divides out a polynomial content: each is
-    built at the degree it keeps once canonical.
+    insimilicenter S (q * q_iso coordinatewise), Z (`feuerbach_point`) and
+    the nine-point center K(O).  None divides out a polynomial content: each
+    is built at the degree it keeps once canonical.
     """
 
     def __init__(self, p: Point):
@@ -313,19 +315,17 @@ class ConstructionSet(Centers):
         self.transfer_map_inverse = AffineMap.from_ints(d, matrix(
             lambda k, j: mul(x[k], x[j], s[k] if k == j else zsub(x[3 - k - j], x[j]))
         ))
-        self.second_cevian_map = AffineMap.from_ints(d, matrix(
-            lambda k, j: mul(x[k], zsum((mul(x[k], s[k]), zscale(2 * (k == j), prods[k]))))
-        ))
-        self.second_cevian_map_iso = AffineMap.from_ints(d, matrix(
-            lambda k, j: mul(prods[k], zsum((s[k], zscale(2 * (k == j), x[k]))))
-        ))
-        diff_squares = [mul(dk, dk) for dk in diffs]
-        self.circum_to_inconic = AffineMap.from_ints(d, matrix(
-            lambda k, j: mul(x[k], diff_squares[k] if k == j else mul(s[k], s[k]))
-        ))
-        self.ninepoint_to_inconic = AffineMap.from_ints(d, matrix(
-            lambda k, j: mul(x[k], zsum((diff_squares[k], zscale(8 * (k == j), prods[k]))))
-        ))
+        uvw = mul(x[0], prods[0])
+        self.second_cevian_map = row_constant_map(
+            d, [mul(xk, xk, sk) for xk, sk in zip(x, s)], zscale(2, uvw)
+        )
+        self.second_cevian_map_iso = row_constant_map(
+            d, [mul(pk, sk) for pk, sk in zip(prods, s)], zscale(2, uvw)
+        )
+        big_s = [mul(xk, sk, sk) for xk, sk in zip(x, s)]
+        big_z = [mul(xk, dk, dk) for xk, dk in zip(x, diffs)]
+        self.circum_to_inconic = row_constant_map(d, big_s, zscale(-4, uvw))
+        self.ninepoint_to_inconic = row_constant_map(d, big_z, zscale(8, uvw))
 
         self.ninepoint_conic_iso = Conic.from_ints(d, matrix(
             lambda k, j: zscale(-2, x[k]) if k == j else zsum((x[k], x[j]))
@@ -373,13 +373,11 @@ class ConstructionSet(Centers):
             # and the axis gv meet.  Off the medians two of them differ: v is
             # not G, G lies on oq only where O = q (on the outer ellipse) and
             # on o'q' only where O' = q' (at infinity), and no real p is
-            # both.  Every such meet is q * q_iso coordinatewise,
+            # both.  Every such meet is S = q * q_iso coordinatewise,
             # (u(v+w)^2 : v(w+u)^2 : w(u+v)^2)
-            self.insimilicenter = Point.from_ints(d, [
-                mul(a, b) for a, b in zip(q.ints, q_iso.ints)
-            ])
+            self.insimilicenter = Point.from_ints(d, big_s)
             # off the medians the cevian conic is proper, with center Z
-            self.feuerbach_point = feuerbach_point(p)
+            self.feuerbach_point = Point.from_ints(d, big_z)
             try:
                 self.fourth_intersection = reflect_through(
                     self.circumcenter, anticomplement(self.feuerbach_point)
@@ -471,15 +469,12 @@ def special_configuration_point() -> Point:
     p_iso trace on BC bisects the segment from A to p_iso.
 
     Those two conditions reduce to y + z = 2x and yz = -x^2; with x = 1 the
-    coordinates solve t^2 - 2t - 1 = 0, which forces the field extension;
-    the roots n1 / den and n2 / den give the point (den : n1 : n2).
+    coordinates solve t^2 - 2t - 1 = 0, whose discriminant 8 asks
+    `quadratic_roots` for sqrt(2); the roots n1 / den and n2 / den give the
+    point (den : n1 : n2).
     """
-    coeffs = (1, 0), (-2, 0), (-1, 0)
-    first = quadratic_roots(*coeffs, 1)
-    assert isinstance(first, NeedsExtension)
-    lifted = quadratic_roots(*coeffs, 1, field_d=first.d)
-    assert isinstance(lifted, Roots)
-    return Point.from_ints(lifted.d, (lifted.den, *lifted.nums))
+    roots = quadratic_roots((1, 0), (-2, 0), (-1, 0), 1)
+    return Point.from_ints(roots.d, (roots.den, *roots.nums))
 
 
 # ---------------------------------------------------------------------------

@@ -672,14 +672,20 @@ def anticomplement(p: Point) -> Point:
     return anticomplement_map()(p)
 
 
+def row_constant_map(d: int, c: Sequence[Pair], m: Pair) -> AffineMap:
+    """The affine map c 1^T + m I over Z[sqrt(d)]: row k is c_k in every
+    column, plus m on the diagonal."""
+    return AffineMap.from_ints(d, [
+        [zsum((ck, m)) if k == j else ck for j in range(3)] for k, ck in enumerate(c)
+    ])
+
+
 def point_reflection(center: Point) -> AffineMap:
     """The half-turn about an ordinary point, as an affine map: 2c/w - I for
     the coordinate sum w of c, scaled by w."""
-    w = center._weight()
-    return AffineMap.from_ints(center.d, [
-        [zsub(zscale(2, c), w) if i == j else zscale(2, c) for j in range(3)]
-        for i, c in enumerate(center.ints)
-    ])
+    return row_constant_map(
+        center.d, [zscale(2, c) for c in center.ints], zscale(-1, center._weight())
+    )
 
 
 def reflect_through(center: Point, p: Point) -> Point:

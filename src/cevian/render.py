@@ -79,6 +79,8 @@ class RenderTriangle(Record):
                 coords.append((Fraction(xy[0]), Fraction(xy[1])))
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in vertex {part!r}") from None
+            except ValueError:  # nan, inf and other text Fraction refuses
+                raise ValueError(f"malformed vertex {part!r}") from None
             if max(map(abs, coords[-1])) > _DRAW_LIMIT:
                 raise ValueError(f"vertex {k} has a coordinate beyond {_DRAW_LIMIT:.3g}")
         tri = cls(*coords)

@@ -63,11 +63,7 @@ class FactorizationBudgetExceeded(ScalarError):
 
 
 class DegenerateEquation(ScalarError):
-    """a = b = 0 with c != 0: no roots at all."""
-
-
-class AllZeroEquation(ScalarError):
-    """a = b = c = 0: every value is a root."""
+    """A quadratic equation whose leading coefficient a is 0."""
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +539,6 @@ class Record:
 # quadratic solving
 
 
-class NeedsExtension(Record):
-    """Positive non-square discriminant; lift to Q(sqrt(d)) and retry."""
-
-    __slots__ = _fields = ("d",)
-
-
 class NoRealRoots(Record):
     """Negative discriminant: no roots in any real quadratic extension."""
 
@@ -568,43 +558,29 @@ def _roots(d: int, den: Pair, *nums: Pair) -> Roots:
     return Roots(1 if rational else d, den, nums)
 
 
-def quadratic_roots(
-    a: Pair, b: Pair, c: Pair, d: int, field_d: Optional[int] = None
-) -> Union[Roots, NeedsExtension, NoRealRoots]:
-    """Exact roots of a*x^2 + b*x + c for a, b, c over Z[sqrt(d)], in their
-    field, which a square-free field_d widens when they are rational.
+def quadratic_roots(a: Pair, b: Pair, c: Pair, d: int) -> Union[Roots, NoRealRoots]:
+    """Exact roots of a*x^2 + b*x + c, a != 0, for a, b, c over Z[sqrt(d)].
 
     The roots are -b + r and -b - r over 2a, r the positive square root of
-    the discriminant; a double root is -b over 2a, and the root of a linear
-    equation -c over b.  A positive non-square rational discriminant over Q
-    returns NeedsExtension(f), f its square-free part, to re-solve with
-    field_d=f; a second, distinct extension raises IncompatibleExtensions.
+    the discriminant, and a double root is -b over 2a.  r is looked for in
+    Q(sqrt(d)) first.  Over Q a positive non-square discriminant f*s^2, f
+    square-free, is factored only then, and its roots are returned over
+    Q(sqrt(f)) with r = s*sqrt(f); over a d > 1 a root that needs a second
+    extension raises IncompatibleExtensions.
     """
-    ambient = field_d if field_d is not None else 1
-    if a[1] or b[1] or c[1]:
-        if ambient not in (1, d):
-            raise IncompatibleExtensions(f"coefficients mix sqrt({ambient}) and sqrt({d})")
-        ambient = d
     if a == _ZERO:
-        if b == _ZERO:
-            if c == _ZERO:
-                raise AllZeroEquation("0 = 0 holds identically")
-            raise DegenerateEquation("constant nonzero equation has no roots")
-        return _roots(ambient, b, zscale(-1, c))
-    disc = zsub(zmul(b, b, ambient), zscale(4, zmul(a, c, ambient)))
+        raise DegenerateEquation("a = 0: the equation is not quadratic")
+    disc = zsub(zmul(b, b, d), zscale(4, zmul(a, c, d)))
     if disc == _ZERO:
-        return _roots(ambient, zscale(2, a), zscale(-1, b))
-    if zsign(disc, ambient) < 0:
+        return _roots(d, zscale(2, a), zscale(-1, b))
+    if zsign(disc, d) < 0:
         return NoRealRoots()
-    r = zsqrt(disc, ambient)
-    if r is not None:
-        return _roots(ambient, zscale(2, a), zsub(r, b), zsub(zscale(-1, r), b))
-    if not disc[1]:
-        f, _ = squarefree_decompose(disc[0])
-        if ambient != 1:
-            raise IncompatibleExtensions(f"root needs sqrt({f}) on top of sqrt({ambient})")
-        return NeedsExtension(f)
-    raise IncompatibleExtensions(
-        f"discriminant {format_number(*disc, ambient)} has no square root in Q(sqrt({ambient}))"
-    )
-
+    r = zsqrt(disc, d)
+    if r is None:
+        if d != 1 or disc[1]:
+            raise IncompatibleExtensions(
+                f"discriminant {format_number(*disc, d)} has no square root in Q(sqrt({d}))"
+            )
+        d, s = squarefree_decompose(disc[0])
+        r = (0, s)
+    return _roots(d, zscale(2, a), zsub(r, b), zsub(zscale(-1, r), b))

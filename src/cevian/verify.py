@@ -789,7 +789,7 @@ def _check_special(ctx: CheckContext, cl: Claims) -> None:
         second_intersection(join(cs.p, CENTROID), cs.circumconic, cs.p),
     )
     locus = locus_conic("A")
-    hits = line_conic_intersections(l_g, locus, field_d=cs.p.d)
+    hits = line_conic_intersections(l_g, locus)
     cl.true("two_locus_points_on_line", isinstance(hits, TwoPoints), hits)
     if isinstance(hits, TwoPoints):
         cl.true("p_is_a_locus_meet", cs.p in (hits.p1, hits.p2))

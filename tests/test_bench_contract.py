@@ -132,6 +132,26 @@ def test_library_holds_no_code_only_the_tests_call():
     assert unused == []
 
 
+def test_package_modules_read_every_name_they_import():
+    """No module of the package but `__init__.py`, which re-exports, imports
+    a name it never reads: a name an edit leaves unread is dead code too."""
+    src = Path(cevian.__file__).parent
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = [
+            (node.lineno, alias.asname or alias.name.split(".")[0])
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.name}:{line}:{name}" for line, name in imported if name not in read]
+    assert unread == []
+
+
 def test_package_imports_form_no_cycle():
     """The relative imports between the package's modules, those under
     TYPE_CHECKING included, form no cycle."""

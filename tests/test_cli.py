@@ -297,6 +297,15 @@ def test_construct_degenerate_triangle(capsys, command, triangle):
 
 
 @pytest.mark.parametrize("command", ["construct", "svg"])
+@pytest.mark.parametrize("vertex", ["nan,0", "0,inf", "-Infinity,1", "a,1", "1/2/3,0", "1,"])
+def test_vertex_that_is_not_a_number_is_named(capsys, command, vertex):
+    """A vertex Fraction cannot read is an input error that names the
+    vertex, as a zero denominator is."""
+    assert run([command, "--p=2:3:6", f"--triangle=0,0;{vertex};0,1"]) == 2
+    assert capsys.readouterr().err == f"error: malformed vertex {vertex!r}\n"
+
+
+@pytest.mark.parametrize("command", ["construct", "svg"])
 @pytest.mark.parametrize("triangle", ["0,0;1e400,0;0,1", "0,0;1e308,0;0,1", "0,0;1/3,0;0,10e305"])
 def test_triangle_beyond_draw_limit(capsys, command, triangle):
     """A vertex beyond the figure's drawable range is rejected, whether or
@@ -860,6 +869,23 @@ def test_closed_stdout_is_an_output_error(command):
         os.close(write_end)
     assert done.returncode == 2
     assert done.stderr == "error: cannot write standard output: Broken pipe\n"
+
+
+def test_render_figures_script_writes_its_five_figures(tmp_path):
+    """scripts/render_figures.py, the sqrt(2) figure included, exits 0 and
+    writes one well-formed SVG per figure into the directory it is given."""
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "render_figures.py"
+    done = subprocess.run(
+        [sys.executable, "-B", str(script), str(tmp_path)],
+        capture_output=True, env=_src_env(), text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    names = {
+        "fig1-generic", "fig2-generic", "fig3-tangency-with-locus", "steiner-collapse", "sqrt2-special"
+    }
+    assert {path.name for path in tmp_path.iterdir()} == {f"{name}.svg" for name in names}
+    for path in tmp_path.iterdir():
+        assert ElementTree.parse(path).getroot().tag == f"{SVG_NS}svg"
 
 
 class _BrokenStream(io.StringIO):

@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings, strategies as st
 from cevian import scalar as scalar_module
 from cevian.scalar import (
     InexactDivision,
-    NeedsExtension,
     Scalar,
     ScalarError,
     divide_exactly,
@@ -844,8 +843,9 @@ def test_solvers_build_no_scalar(scalar_arithmetic, p, other):
 
 @pytest.mark.parametrize("p, other", FIELD_POINTS)
 def test_quadratic_roots_build_no_scalar(scalar_arithmetic, p, other):
-    """A line meets a conic on pair vectors in each of the four outcomes, the
-    lifted one included: the roots stay numerators over one denominator.
+    """A line meets a conic on pair vectors in each outcome, two points over
+    the extension that a rational discriminant asks for included: the roots
+    stay numerators over one denominator.
     So does the sqrt(2) point, and the count of meets at infinity reads the
     sign of the discriminant."""
     cs = construct(p)
@@ -862,15 +862,15 @@ def test_quadratic_roots_build_no_scalar(scalar_arithmetic, p, other):
         line_conic_intersections(tangent, conic),
         line_conic_intersections(LINE_AT_INFINITY, inellipse),
         line_conic_intersections(l_g, locus),
-        line_conic_intersections(l_g, locus, field_d=2),
     ]
     special = special_configuration_point()
     counts = [infinity_intersection_count(c) for c in (inellipse, parabola, hyperbola)]
     assert scalar_arithmetic["built"] == 0
     assert outcomes[0] in (TwoPoints(cs.p, cs.q), TwoPoints(cs.q, cs.p))
     assert outcomes[1] == TangentAt(cs.p)
-    assert outcomes[2:4] == [NoRealIntersection(), NeedsExtension(2)]
-    assert isinstance(outcomes[4], TwoPoints) and locus.contains(outcomes[4].p1)
+    assert outcomes[2] == NoRealIntersection()
+    assert isinstance(outcomes[3], TwoPoints) and outcomes[3].p1.d == 2
+    assert locus.contains(outcomes[3].p1) and locus.contains(outcomes[3].p2)
     assert str(special) == "(1 : 1+1*sqrt(2) : 1-1*sqrt(2))"
     assert counts == [0, 1, 2]
 

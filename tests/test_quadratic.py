@@ -1,6 +1,7 @@
 """The quadratic solver over Z[sqrt(d)] against the Scalar solver it
-replaced: a copy of that code, kept here as the reference with its own
-arithmetic, must give equal outcomes and equal error messages for
+replaced: that code, kept here as the reference with its own arithmetic and
+brought to the one-call contract (a root over Q that needs sqrt(f) is
+returned over Q(sqrt(f))), must give equal outcomes and equal error messages for
 `quadratic_roots` (its roots read through `ratio`), `zsqrt` and
 `line_conic_intersections`, over Q and three quadratic fields."""
 
@@ -23,10 +24,8 @@ from cevian.conics import (
 )
 from cevian.projective import Line, Point, dot, join, mat_vec
 from cevian.scalar import (
-    AllZeroEquation,
     DegenerateEquation,
     IncompatibleExtensions,
-    NeedsExtension,
     NoRealRoots,
     Roots,
     Scalar,
@@ -54,11 +53,6 @@ class TwoRoots:
 
 @dataclass(frozen=True)
 class DoubleRoot:
-    r: Scalar
-
-
-@dataclass(frozen=True)
-class Linear:
     r: Scalar
 
 
@@ -116,38 +110,31 @@ def ref_sqrt_in_field(x, ambient_d=None):
     return None
 
 
-def ref_solve_quadratic(a, b, c, field_d=None):
+def ref_solve_quadratic(a, b, c, d=1):
+    """The roots of a*x^2 + b*x + c for coefficients of Q(sqrt(d)): found in
+    Q(sqrt(d)) first, and over Q in the field the square-free part of the
+    discriminant names."""
     a, b, c = as_scalar(a), as_scalar(b), as_scalar(c)
-    ambient = field_d if field_d is not None else 1
     for coeff in (a, b, c):
-        if coeff.d != 1:
-            if ambient not in (1, coeff.d):
-                raise IncompatibleExtensions(
-                    f"coefficients mix sqrt({ambient}) and sqrt({coeff.d})"
-                )
-            ambient = coeff.d
-    if a.is_zero() and b.is_zero():
-        if c.is_zero():
-            raise AllZeroEquation("0 = 0 holds identically")
-        raise DegenerateEquation("constant nonzero equation has no roots")
+        if coeff.d not in (1, d):
+            raise IncompatibleExtensions(f"coefficients mix sqrt({d}) and sqrt({coeff.d})")
     if a.is_zero():
-        return Linear(-c / b)
+        raise DegenerateEquation("a = 0: the equation is not quadratic")
     disc = b * b - 4 * a * c
     if disc.is_zero():
         return DoubleRoot(-b / (2 * a))
     if sign(disc) < 0:
         return NoRealRoots()
-    root = ref_sqrt_in_field(disc, ambient)
-    if root is not None:
-        return TwoRoots((-b + root) / (2 * a), (-b - root) / (2 * a))
-    if disc.b == 0:
-        f, _ = squarefree_decompose(disc.a.numerator * disc.a.denominator)
-        if ambient != 1:
-            raise IncompatibleExtensions(f"root needs sqrt({f}) on top of sqrt({ambient})")
-        return NeedsExtension(f)
-    raise IncompatibleExtensions(
-        f"discriminant {disc} has no square root in Q(sqrt({disc.d}))"
-    )
+    root = ref_sqrt_in_field(disc, d)
+    if root is None and d == 1:
+        # sqrt(n/m) = sqrt(n*m) / m, and n*m = f*s^2 for a square-free f
+        f, s = squarefree_decompose(disc.a.numerator * disc.a.denominator)
+        root = Scalar(0, Fraction(s, disc.a.denominator), f)
+    if root is None:
+        raise IncompatibleExtensions(
+            f"discriminant {disc} has no square root in Q(sqrt({d}))"
+        )
+    return TwoRoots((-b + root) / (2 * a), (-b - root) / (2 * a))
 
 
 def to_scalar(x, d):
@@ -161,7 +148,7 @@ def ref_combine(x, y, t):
     return Point.from_ints(d, combine(s, x.ints, (den, 0), y.ints, d))
 
 
-def ref_line_conic_intersections(l, conic, field_d=None):
+def ref_line_conic_intersections(l, conic):
     if conic.is_degenerate():
         raise DegenerateConic("intersection needs a nondegenerate conic")
     x, y = _points_on_line(l)[:2]
@@ -175,29 +162,25 @@ def ref_line_conic_intersections(l, conic, field_d=None):
         return TangentAt(x) if b2 == (0, 0) else TwoPoints(x, _residual(x, y, c2, b2, d))
     if c2 == (0, 0):
         return TangentAt(y) if b2 == (0, 0) else TwoPoints(y, _residual(y, x, a2, b2, d))
-    outcome = ref_solve_quadratic(
-        to_scalar(a2, d), to_scalar(zscale(2, b2), d), to_scalar(c2, d), field_d=field_d
-    )
+    outcome = ref_solve_quadratic(to_scalar(a2, d), to_scalar(zscale(2, b2), d), to_scalar(c2, d), d)
     if isinstance(outcome, TwoRoots):
         return TwoPoints(ref_combine(x, y, outcome.r1), ref_combine(x, y, outcome.r2))
     if isinstance(outcome, DoubleRoot):
         return TangentAt(ref_combine(x, y, outcome.r))
-    if isinstance(outcome, NoRealRoots):
-        return NoRealIntersection()
-    return outcome
+    return NoRealIntersection()
 
 
 # -- the solver under test, read as the reference's outcomes --------------------
 
 
-def solve(a, b, c, field_d=None):
+def solve(a, b, c, d=1):
     """quadratic_roots on the coefficients times the lcm of their
-    denominators, its roots read as Scalars through ratio."""
-    d, (a, b, c) = integer_vector([a, b, c])
-    out = quadratic_roots(a, b, c, d, field_d)
+    denominators, over Q(sqrt(d)), its roots read as Scalars through ratio."""
+    _, (a, b, c) = integer_vector([a, b, c])
+    out = quadratic_roots(a, b, c, d)
     if not isinstance(out, Roots):
         return out
-    kind = TwoRoots if len(out.nums) == 2 else Linear if a == (0, 0) else DoubleRoot
+    kind = TwoRoots if len(out.nums) == 2 else DoubleRoot
     return kind(*[ratio(n, out.den, out.d) for n in out.nums])
 
 
@@ -226,15 +209,6 @@ def assert_same(new, ref, *args, **kwargs):
     assert outcome(new, *args, **kwargs) == expected
     event(expected[0].__name__ if isinstance(expected, tuple) else type(expected).__name__)
     return expected
-
-
-def assert_same_with_lift(new, ref, *args):
-    """Compare, and when both ask for an extension, compare the lifted
-    solve too; the first outcome is returned."""
-    first = assert_same(new, ref, *args)
-    if isinstance(first, NeedsExtension):
-        assert_same(new, ref, *args, field_d=first.d)
-    return first
 
 
 small = st.fractions(min_value=-12, max_value=12, max_denominator=6)
@@ -270,8 +244,8 @@ def equations(draw):
             s, t = draw(small), draw(small)
             u, v = Scalar(s, t, d), Scalar(s, -t, d)
         coeffs = [Scalar(k), -k * (as_scalar(u) + v), k * u * v]
-    field_d = draw(st.sampled_from([None, None, *FIELDS[1:]]))
-    return coeffs, field_d
+    ambient = draw(st.sampled_from([None, None, *FIELDS[1:]]))
+    return coeffs, ambient
 
 
 @given(equations())
@@ -279,22 +253,22 @@ def equations(draw):
 def test_solve_quadratic_matches_scalar_reference(equation):
     """quadratic_roots solves the equation with cleared denominators, so
     the reference solves that one too, whose discriminant its messages
-    print; the roots and the extension asked for are those of the equation
-    as drawn."""
-    coeffs, field_d = equation
+    print; the roots and the extension they need are those of the equation
+    as drawn.  Rational coefficients are read over Q or over the drawn
+    ambient field."""
+    coeffs, ambient = equation
     try:
         d, pairs = integer_vector(coeffs)
     except IncompatibleExtensions:
         # two fields: the pair conversion refuses them, as the reference does
         assert outcome(ref_solve_quadratic, *coeffs)[0] is IncompatibleExtensions
         return
+    if d == 1 and ambient is not None:
+        d = ambient
     cleared = [ratio(x, (1, 0), d) for x in pairs]
-    if field_d is None:
-        first = assert_same_with_lift(solve, ref_solve_quadratic, *cleared)
-    else:
-        first = assert_same(solve, ref_solve_quadratic, *cleared, field_d=field_d)
+    first = assert_same(solve, ref_solve_quadratic, *cleared, d)
     if not isinstance(first, tuple):
-        assert outcome(ref_solve_quadratic, *coeffs, field_d=field_d) == first
+        assert outcome(ref_solve_quadratic, *coeffs, d) == first
 
 
 @st.composite
@@ -345,16 +319,10 @@ def lines_and_conics(draw):
         line = Line(1, Scalar(1, 1, other), -2)
     else:
         line = Line.from_ints(d, draw(vectors))
-    return line, conic, draw(st.sampled_from([None, None, *FIELDS[1:]]))
+    return line, conic
 
 
 @given(lines_and_conics())
 @settings(max_examples=400, deadline=None)
 def test_line_conic_intersections_match_scalar_reference(case):
-    line, conic, field_d = case
-    if field_d is None:
-        assert_same_with_lift(line_conic_intersections, ref_line_conic_intersections, line, conic)
-    else:
-        assert_same(
-            line_conic_intersections, ref_line_conic_intersections, line, conic, field_d=field_d
-        )
+    assert_same(line_conic_intersections, ref_line_conic_intersections, *case)

@@ -16,7 +16,7 @@ from cevian.conics import NoRealIntersection, TangentAt, TwoPoints
 from cevian.constructions import AnticevianFamily, DegeneracyReport, anticevian_family, construct
 from cevian.projective import AffineReflection, GeneralMap, Homothety, Identity, Line, Translation
 from cevian.render import RenderTriangle
-from cevian.scalar import NeedsExtension, NoRealRoots, Roots
+from cevian.scalar import NoRealRoots, Roots
 from cevian.verify import CheckResult, Config
 
 P, Q = Point(2, 3, 6), Point(1, -1, 0)
@@ -26,7 +26,6 @@ GERGONNE_SIDES = (Fraction(3), Fraction(4), Fraction(5))
 def records():
     """(record, a copy built anew, its repr) for every record type."""
     makers = [
-        (lambda: NeedsExtension(2), "NeedsExtension(d=2)"),
         (NoRealRoots, "NoRealRoots()"),
         (
             lambda: Roots(1, (2, 0), ((1, 0), (-3, 0))),

@@ -9,12 +9,10 @@ import cevian.scalar as scalar_module
 from cevian.constructions import construct
 from cevian.projective import Point
 from cevian.scalar import (
-    AllZeroEquation,
     DegenerateEquation,
     DivisionByZero,
     FactorizationBudgetExceeded,
     IncompatibleExtensions,
-    NeedsExtension,
     NoRealRoots,
     Roots,
     Scalar,
@@ -201,11 +199,11 @@ def test_rational_sqrt():
     assert zsqrt((0, 0), 1) == (0, 0)
 
 
-def solved(a, b, c, d=1, field_d=None):
+def solved(a, b, c, d=1):
     """The roots of a*x^2 + b*x + c, for pairs a, b, c over Z[sqrt(d)] or
     ints, as Scalars, or the outcome that has no roots."""
     a, b, c = [x if isinstance(x, tuple) else (x, 0) for x in (a, b, c)]
-    out = quadratic_roots(a, b, c, d, field_d)
+    out = quadratic_roots(a, b, c, d)
     if not isinstance(out, Roots):
         return out
     return [ratio(n, out.den, out.d) for n in out.nums]
@@ -216,16 +214,16 @@ def test_solve_quadratic_factorable():
 
 
 def test_solve_quadratic_needs_extension_then_lift():
-    assert solved(1, -2, -1) == NeedsExtension(2)
-    lifted = solved(1, -2, -1, field_d=2)
+    """Over Q a non-square discriminant asks for the field its square-free
+    part names, and the same call returns the roots lifted to it."""
+    lifted = solved(1, -2, -1)
     assert len(lifted) == 2
     for r in lifted:
         assert r * r - 2 * r - 1 == 0
     assert lifted[0] == Scalar(1, 1, 2)
-
-
-def test_solve_quadratic_linear():
-    assert solved(0, 2, -4) == [Scalar(2)]
+    assert quadratic_roots((1, 0), (-2, 0), (-1, 0), 1) == Roots(2, (2, 0), ((2, 2), (2, -2)))
+    # rational coefficients read over Q(sqrt(2)) find the root there
+    assert quadratic_roots((1, 0), (-2, 0), (-1, 0), 2) == Roots(2, (2, 0), ((2, 2), (2, -2)))
 
 
 def test_solve_quadratic_double_root():
@@ -237,10 +235,11 @@ def test_solve_quadratic_no_real_roots():
 
 
 def test_solve_quadratic_degenerate():
-    with pytest.raises(DegenerateEquation):
-        solved(0, 0, 5)
-    with pytest.raises(AllZeroEquation):
-        solved(0, 0, 0)
+    """a = 0 is not a quadratic: the linear, the constant and the all-zero
+    equation raise DegenerateEquation alike."""
+    for b, c in [(2, -4), (0, 5), (0, 0)]:
+        with pytest.raises(DegenerateEquation, match="^a = 0: the equation is not quadratic$"):
+            solved(0, b, c)
 
 
 def test_solve_quadratic_over_extension():
@@ -250,10 +249,25 @@ def test_solve_quadratic_over_extension():
 
 def test_solve_quadratic_tower_rejected():
     # discriminant 12 needs sqrt(3) but coefficients pin the field to sqrt(2)
-    with pytest.raises(IncompatibleExtensions, match="sqrt.3. on top of sqrt.2."):
+    with pytest.raises(IncompatibleExtensions, match="discriminant 12 has no square root in Q.sqrt.2.."):
         solved(1, (0, 2), -1, d=2)
-    with pytest.raises(IncompatibleExtensions, match="mix sqrt.3. and sqrt.2."):
-        solved(1, (0, 2), -1, d=2, field_d=3)
+    # so does a rational discriminant read over Q(sqrt(2))
+    with pytest.raises(IncompatibleExtensions, match="discriminant 12 has no square root in Q.sqrt.2.."):
+        solved(1, 0, -3, d=2)
+
+
+MERSENNE_PRODUCT = (2**89 - 1) * (2**107 - 1)  # two primes beyond the rho budget
+
+
+def test_solver_factors_only_after_zsqrt_fails():
+    """The solver's cost stays bounded by its input: a square discriminant
+    whose square-free part cannot be found within the factoring budget is
+    solved by zsqrt alone, over Q and over Q(sqrt(2))."""
+    n = MERSENNE_PRODUCT
+    with pytest.raises(FactorizationBudgetExceeded):
+        squarefree_decompose(4 * n * n)
+    assert quadratic_roots((1, 0), (0, 0), (-n * n, 0), 1) == Roots(1, (2, 0), ((2 * n, 0), (-2 * n, 0)))
+    assert quadratic_roots((1, 0), (0, 0), (-2 * n * n, 0), 2) == Roots(2, (2, 0), ((0, 2 * n), (0, -2 * n)))
 
 
 @given(
@@ -263,15 +277,15 @@ def test_solve_quadratic_tower_rejected():
 )
 @settings(max_examples=300, deadline=None)
 def test_needs_extension_is_squarefree_and_roots_substitute(a, b, c):
-    if a == 0 and b == 0:
+    """A root over an extension names a square-free d, and every root
+    substitutes to 0."""
+    if a == 0:
         return
     out = solved(a, b, c)
-    if isinstance(out, NeedsExtension):
-        _, square = squarefree_decompose(out.d)
-        assert square == 1
-        out = solved(a, b, c, field_d=out.d)
-        assert len(out) == 2
     if isinstance(out, list):
+        if out[0].b:
+            _, square = squarefree_decompose(out[0].d)
+            assert square == 1 and len(out) == 2
         for r in out:
             assert Scalar(a) * r * r + Scalar(b) * r + Scalar(c) == 0
 

@@ -324,7 +324,10 @@ def _apply_config(args: argparse.Namespace) -> None:
         for key, value in raw.items():
             if key not in _CONFIG_KEYS:
                 raise InputError(f"unknown configuration key {key!r}")
-            file_values[key] = _CONFIG_KEYS[key](value)
+            try:
+                file_values[key] = _CONFIG_KEYS[key](value)
+            except ValueError as exc:
+                raise InputError(f"{args.config}: bad value for {key!r}: {exc}") from exc
     for key in _CONFIG_KEYS:
         if not hasattr(args, key):
             continue

@@ -222,7 +222,8 @@ class ConstructionSet(Centers):
 
     q_iso is the construction of q applied to p_iso, i.e. the complement of
     p itself.  Members that a degenerate p cannot support are None, with the
-    reason recorded in `absent`.
+    reason recorded in `absent`.  The iso-reflection is checked as `Centers`
+    checks H and O, and a failure raises out of `construct` the same way.
 
     Each member is a closed form in the pairs of p = (x_0 : x_1 : x_2),
     written with the sums s = (v+w, w+u, u+v), the products
@@ -365,10 +366,7 @@ class ConstructionSet(Centers):
                     diffs[j],
                     zscale(-1, mul(x[k], a[k - 2], a[k - 1])) if k == j else mul(s[k], a[k], a[j]),
                 )))
-                try:
-                    self.iso_reflection = require_iso_reflection(eta, q, q_iso)
-                except DegenerateConfiguration as exc:
-                    self.absent["iso_reflection"] = str(exc)
+                self.iso_reflection = require_iso_reflection(eta, q, q_iso)
             # the fixed point of circum_to_inconic, where the lines oq, o'q'
             # and the axis gv meet.  Off the medians two of them differ: v is
             # not G, G lies on oq only where O = q (on the outer ellipse) and

@@ -35,6 +35,7 @@ comment gives what removing it cost.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache, reduce
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
@@ -513,17 +514,16 @@ class HomogeneousMatrix(CanonicalObject):
         )
         return f"[{rows}]"
 
+    # "[[a, b, c], [d, e, f], [g, h, i]]" with free spacing: three rows of
+    # bracketed entries, none of which holds a bracket
+    _TEXT = re.compile(r"\s*\[" + ",".join([r"\s*\[([^\[\]]*)\]\s*"] * 3) + r"\]\s*")
+
     @classmethod
     def parse(cls, text: str):
-        inner = text.strip()
-        if not (inner.startswith("[[") and inner.endswith("]]")):
+        m = cls._TEXT.fullmatch(text)
+        if m is None:
             raise ValueError(f"malformed matrix {text!r}")
-        rows = inner[1:-1].split("],")
-        entries = [
-            [Scalar.parse(x) for x in row.strip().lstrip("[").rstrip("]").split(",")]
-            for row in rows
-        ]
-        return cls(entries)
+        return cls([[Scalar.parse(x) for x in row.split(",")] for row in m.groups()])
 
 
 _ZERO_ROW: Vector = (_ZERO,) * 3

@@ -16,6 +16,7 @@ import subprocess
 import sys
 from graphlib import CycleError, TopologicalSorter
 from importlib import import_module
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 import cevian  # noqa: E402
 from cevian import AffineMap, Point, Scalar, construct  # noqa: E402
-from cevian.verify import REGISTRY  # noqa: E402
+from cevian.verify import REGISTRY, fixed_configurations, run_point  # noqa: E402
 
 D = 6
 
@@ -130,6 +131,33 @@ def test_library_holds_no_code_only_the_tests_call():
         )
     ]
     assert unused == []
+
+
+def test_every_skip_a_check_can_give_is_given_and_nothing_fails():
+    """A guard no point can reach hides a bug when one fires it, so every
+    skip reason written into a check as a literal must be given somewhere
+    on the loci.  The points are every (u : v : w) with nonzero integer
+    coordinates of absolute value at most 4, u > 0 and gcd 1: medians,
+    anticomplementary sidelines, the line at infinity, the outer ellipse and
+    the vertex loci of H all hold some of them.  With the fixed
+    configurations and a triangle whose Gergonne point is not p, every
+    check runs on each, and none may fail.  A reason no point gives needs a
+    point that gives it, not an exemption."""
+    src = Path(cevian.__file__).parent / "verify.py"
+    literals = {
+        node.args[0].value
+        for node in ast.walk(ast.parse(src.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Skip"
+        and isinstance(node.args[0], ast.Constant)
+    }
+    nonzero = [c for c in range(-4, 5) if c]
+    points = [Point(u, v, w) for u in range(1, 5) for v in nonzero for w in nonzero if gcd(u, v, w) == 1]
+    assert len(points) == 220
+    results = [r for p in points for r in run_point(p)]
+    results += [r for config in fixed_configurations() for r in run_point(config.p, sides=config.sides)]
+    results += run_point(Point(1, 2, 3), sides=(3, 4, 5))
+    assert [r.to_dict() for r in results if r.status == "fail"] == []
+    assert sorted(literals - {r.reason for r in results}) == []
 
 
 def test_package_modules_read_every_name_they_import():

@@ -102,6 +102,9 @@ def test_construct_exact_strings_parse_back(tmp_path):
         (AffineMap, "[[1, 0, 0], [0, 1, 0]]"),
         (AffineMap, "[[1, 0, 0], [0, 1, 0], [0, 0, 2]]"),
         (AffineMap, "[[1/0, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+        (AffineMap, "[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]"),
+        (AffineMap, "[[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]"),
+        (AffineMap, "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]]]"),
         (Conic, "[[1, 2, 0], [0, 1, 0], [0, 0, 1]]"),
         (Conic, "[[1, 0, 0], [0, 1, 0], [0, 0, 1]"),
         (Conic, "[[1, 0, 0], [0, 1+1/0*sqrt(2), 0], [0, 0, 1]]"),
@@ -613,6 +616,15 @@ def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("palette = mondrian\n")
     assert run(["--config", str(cfg), "locus"]) == 2
+
+
+@pytest.mark.parametrize("line, key", [("seed = x", "seed"), ("count = 2.5", "count")])
+def test_config_value_that_does_not_convert_names_its_key(tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run(["--config", str(cfg), "verify"]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and repr(key) in err
 
 
 def test_config_file_missing_point(tmp_path):

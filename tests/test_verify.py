@@ -495,3 +495,34 @@ def test_run_check_fails_on_a_construction_error(monkeypatch):
     assert result.witness == {"error": DISAGREE, "raised_in": "cevian.constructions"}
     # the hard degeneracies still skip
     assert run_point(Point(0, 1, 2), ["lambda_maps"])[0].status == "skip"
+
+
+# -- a broken closed form fails; it does not skip ------------------------------------
+
+
+def test_a_missing_cevian_conic_fails_the_checks_that_read_it(monkeypatch):
+    """Off the medians the cevian conic exists, so the checks that exclude
+    the medians read it unguarded: a closed form that loses it at (2 : 3 : 6),
+    a point on no median, fails them instead of skipping or passing them."""
+    from cevian import constructions
+
+    monkeypatch.setattr(constructions, "cevian_conic", lambda p: None)
+    ids = ["H_on_cevian_conic", "Z_on_lines", "Ztilde_fourth_intersection", "four_points_same_HO"]
+    for result in run_point(Point(2, 3, 6), ids):
+        assert result.status == "fail", result.check_id
+        assert result.witness["error"].startswith("AttributeError: "), result.check_id
+
+
+def test_a_failing_iso_reflection_check_raises_out_of_construct(monkeypatch):
+    from cevian import constructions
+    from cevian.projective import DegenerateConfiguration
+
+    def fails(eta, q, q_iso):
+        raise DegenerateConfiguration("constructed reflection is not involutive")
+
+    monkeypatch.setattr(constructions, "require_iso_reflection", fails)
+    with pytest.raises(DegenerateConfiguration):
+        constructions.construct(Point(2, 3, 6))
+    result = run_point(Point(2, 3, 6), ["eta_reflection"])[0]
+    assert result.status == "fail"
+    assert result.witness["error"] == "DegenerateConfiguration: constructed reflection is not involutive"

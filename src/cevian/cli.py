@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
@@ -240,7 +241,13 @@ def cmd_svg(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one:
+    nothing in it depends on the input.  Parsing leaves it unchanged, since
+    every default is None or immutable and `parse_args` returns a fresh
+    namespace; the command's function is looked up in `main`, so the parser
+    holds no reference to it."""
     parser = argparse.ArgumentParser(
         prog="cevian",
         description="Exact barycentric triangle geometry and theorem verification.",
@@ -255,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--p", help="driving point, e.g. 2:3:6 or 1:1+1*sqrt(2):1-1*sqrt(2)")
     p_construct.add_argument("--triangle", help='Cartesian vertices "x1,y1;x2,y2;x3,y3" (render only)')
     p_construct.add_argument("--out", help="output path (default stdout)")
-    p_construct.set_defaults(fn=cmd_construct)
 
     p_verify = sub.add_parser("verify", help="run the theorem-check suite")
     p_verify.add_argument("--seed", type=int, default=None)
@@ -274,12 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
         "points; takes a witness's config.p, (x : y : z), as it is",
     )
     p_verify.add_argument("--out", help="output path (default stdout)")
-    p_verify.set_defaults(fn=cmd_verify)
 
     p_locus = sub.add_parser("locus", help="the conic of points whose orthocenter-like point is a vertex")
     p_locus.add_argument("--vertex", choices=("A", "B", "C"), default=None)
     p_locus.add_argument("--out", help="output path (default stdout)")
-    p_locus.set_defaults(fn=cmd_locus)
 
     p_svg = sub.add_parser("svg", help="render a figure")
     p_svg.add_argument("--p", help="driving point")
@@ -290,8 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="overlay the sweep of cevian-conic centers (display only, no exactness claim)",
     )
     p_svg.add_argument("--out", help="output path (default stdout)")
-    p_svg.set_defaults(fn=cmd_svg)
     return parser
+
+
+def _parse_bool(text: str) -> bool:
+    value = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}.get(text.lower())
+    if value is None:
+        raise ValueError(f"expected 1, true, yes, 0, false or no, not {text!r}")
+    return value
 
 
 _CONFIG_KEYS = {
@@ -304,7 +314,7 @@ _CONFIG_KEYS = {
     "vertex": str,
     "preset": str,
     "out": str,
-    "z_locus": lambda v: v.lower() in ("1", "true", "yes"),
+    "z_locus": _parse_bool,
 }
 
 _DEFAULTS = {
@@ -358,7 +368,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _apply_config(args)
         if args.command in ("construct", "svg") and args.p is None:
             raise InputError("a driving point is required (--p or config file)")
-        return args.fn(args)
+        commands = {"construct": cmd_construct, "verify": cmd_verify, "locus": cmd_locus, "svg": cmd_svg}
+        return commands[args.command](args)
     except (OnSideline, OnAnticomplementarySideline) as exc:
         flag = (
             "on_sideline"

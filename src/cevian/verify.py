@@ -879,8 +879,9 @@ def _evaluate(fn: CheckFn, check_id: str, ctx: CheckContext, described: dict) ->
     if cl.failed:
         cl.witness["failed_claims"] = ", ".join(cl.failed)
         return CheckResult(check_id, "fail", described, witness=cl.witness)
-    if cl.checked == 0:
-        return CheckResult(check_id, "skip", described, reason="no applicable claims")
+    if cl.checked == 0:  # a check that returns without a claim has a bug
+        cl.witness["reason"] = "the check made no claim"
+        return CheckResult(check_id, "fail", described, witness=cl.witness)
     return CheckResult(check_id, "pass", described, witness=cl.witness)
 
 

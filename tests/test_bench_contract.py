@@ -26,10 +26,11 @@ if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
 
 import run as bench  # noqa: E402  (perfbench/run.py)
+from tracing import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 import cevian  # noqa: E402
-from cevian import AffineMap, Point, Scalar, construct  # noqa: E402
+from cevian import AffineMap, Point, Scalar, cli, construct  # noqa: E402
 from cevian.verify import REGISTRY, fixed_configurations, run_point  # noqa: E402
 
 D = 6
@@ -80,6 +81,23 @@ def test_layer_spans_resolve(module_name, attr, span):
     for part in path:
         owner = getattr(owner, part)
     assert callable(getattr(owner, name))
+
+
+def test_traced_build_parser_runs_on_every_cli_call(tmp_path):
+    """The traced run wraps `cevian.cli.build_parser` as `cli.parse`: the
+    parser is cached behind that module-level name, so `main` calls the
+    wrapper on every run and the row keeps timing the lookup."""
+    assert cli.build_parser() is cli.build_parser()
+    cached = cli.build_parser
+    tracer = Tracer()
+    tracer.patch(cli, "build_parser", "cli.parse")
+    try:
+        for _ in range(2):
+            assert cli.main(["locus", "--out", str(tmp_path / "locus.json")]) == 0
+    finally:
+        tracer.unpatch()
+    assert cli.build_parser is cached
+    assert tracer.totals()["cli.parse"][0] == 2
 
 
 def names_read(tree):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -627,10 +628,82 @@ def test_config_value_that_does_not_convert_names_its_key(tmp_path, capsys, line
     assert str(cfg) in err and repr(key) in err
 
 
+@pytest.mark.parametrize("value, drawn", [("no", False), ("NO", False), ("0", False), ("Yes", True), ("true", True)])
+def test_config_z_locus_reads_a_boolean(tmp_path, value, drawn):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"p = 2:3:6\nz_locus = {value}\n")
+    out = tmp_path / "fig.svg"
+    assert run(["--config", str(cfg), "svg", "--out", str(out)]) == 0
+    assert ('id="z-locus"' in out.read_text()) == drawn
+
+
+@pytest.mark.parametrize("value", ["ture", "on", "2", ""])
+def test_config_z_locus_that_is_not_a_boolean_exits_2(tmp_path, capsys, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"p = 2:3:6\nz_locus = {value}\n")
+    out = tmp_path / "fig.svg"
+    assert run(["--config", str(cfg), "svg", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: bad value for 'z_locus': expected 1, true, yes, 0, false or no, not {value!r}\n"
+    )
+
+
 def test_config_file_missing_point(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("preset = fig1\n")
     assert run(["--config", str(cfg), "svg"]) == 2
+
+
+# -- one parser for every call in a process ------------------------------------------
+
+
+def test_parser_is_built_once_and_calls_stay_independent(tmp_path, capsys, monkeypatch):
+    """`main` may run many times in one process: its parser is built once,
+    and nothing one call parses or reads from a config file reaches the next."""
+    first = (run(["construct", "--p", "2:3:6"]), capsys.readouterr())
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(["locus"]) == 0
+    assert run(["construct", "--p", "2:3:6"]) == 0
+    assert built == []
+    capsys.readouterr()
+
+    # an appended --check list does not outlive its call
+    one, every = tmp_path / "one.json", tmp_path / "every.json"
+    assert run(["verify", "--check", "lambda_maps", "--count", "1", "--out", str(one)]) == 0
+    assert run(["verify", "--count", "1", "--out", str(every)]) == 0
+    assert {r["check_id"] for r in json.loads(one.read_text())["results"]} == {"lambda_maps"}
+    assert {r["check_id"] for r in json.loads(every.read_text())["results"]} == set(REGISTRY)
+    assert len(REGISTRY) == 26
+
+    # nor does a value read from a config file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 2:3:6\n")
+    assert run(["--config", str(cfg), "construct", "--out", str(tmp_path / "report.json")]) == 0
+    capsys.readouterr()
+    assert run(["construct"]) == 2
+    assert capsys.readouterr().err == "error: a driving point is required (--p or config file)\n"
+
+    for _ in range(3):
+        assert run(["construct", "--p", "2:3:6"]) == 0
+    capsys.readouterr()
+    assert (run(["construct", "--p", "2:3:6"]), capsys.readouterr()) == first
+    assert built == []
+
+
+def test_a_command_patched_after_the_parser_is_built_runs(monkeypatch):
+    """The shared parser holds no command function: `main` looks each one up
+    by its module-level name when it runs."""
+    assert run(["locus"]) == 0
+    monkeypatch.setattr(cli, "cmd_locus", lambda args: 7)
+    assert run(["locus"]) == 7
 
 
 # -- verify at one point, and errors inside the suite --------------------------------

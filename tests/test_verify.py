@@ -471,6 +471,18 @@ def test_a_check_that_raises_fails_with_its_error():
         }
 
 
+def test_a_check_that_makes_no_claim_fails():
+    """A check that returns without a claim has lost its claims to a bug
+    (say every probe direction of `psi_involutions_agree` taken as
+    self-conjugate): it fails, and does not skip."""
+    def claims_nothing(ctx, cl):
+        cl.note("reached", ctx.config.p)
+
+    result = run_point(Point(2, 3, 6), ["claims_nothing"], registry={"claims_nothing": claims_nothing})[0]
+    assert result.status == "fail" and result.reason is None
+    assert result.witness == {"reached": "(2 : 3 : 6)", "reason": "the check made no claim"}
+
+
 def test_a_geometry_error_in_a_check_names_its_module():
     """A GeometryError raised inside a check fails it with the error and
     the module it was raised in, like any other error."""

@@ -19,15 +19,9 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .scalar import Scalar, ScalarError
-from .projective import VERTICES, GeometryError, OnSideline, Point
-from .constructions import (
-    ConstructionSet,
-    OnAnticomplementarySideline,
-    construct,
-    locus_conic,
-    z_locus_sweep,
-)
+from .scalar import ScalarError
+from .projective import VERTICES, GeometryError, HardDegeneracy, Point
+from .constructions import ConstructionSet, construct, locus_conic, z_locus_sweep
 from .render import (
     PRESETS,
     RenderTriangle,
@@ -54,11 +48,8 @@ def parse_point(text: str) -> Point:
     limit = sys.get_int_max_str_digits()
     if limit and re.search(rf"\d{{{limit + 1}}}", text):
         raise InputError(f"--p has a number of over {limit} digits (the str limit): {text[:20]}...")
-    parts = text.strip().split(":")
-    if len(parts) != 3:
-        raise InputError(f"point needs three colon-separated coordinates: {text!r}")
     try:
-        return Point(*(Scalar.parse(p) for p in parts))
+        return Point.parse(text)
     except (ValueError, ScalarError) as exc:
         raise InputError(f"bad point {text!r}: {exc}") from exc
 
@@ -68,18 +59,20 @@ def load_config_file(path: str) -> dict[str, str]:
     leading UTF-8 byte order mark."""
     out: dict[str, str] = {}
     try:
-        fh = open(path, "r", encoding="utf-8-sig")
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InputError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InputError(f"{path}:{lineno}: expected key = value")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -147,9 +140,10 @@ def _emit(payload: str, out: Optional[str]) -> None:
 @contextlib.contextmanager
 def _str_limit_for(text: str):
     """The str limit lifted for the numbers grown from the point `text`: a
-    report number has at most about 16 times the digits of its longest
-    coordinate and of d, so at most 16 times all the digits of text.  The
-    limit guards against untrusted input, which parse_point has checked."""
+    member is a form of degree at most 8 in the canonical ints of the point,
+    so a report number has at most about 10 times all the digits of text,
+    and 16 times leaves room.  The limit guards against untrusted input,
+    which parse_point has checked."""
     limit = sys.get_int_max_str_digits()
     if limit:
         sys.set_int_max_str_digits(max(limit, 16 * sum(map(str.isdigit, text))))
@@ -166,14 +160,9 @@ def cmd_construct(args) -> int:
     with _str_limit_for(args.p):
         try:
             report = construction_report(cs, tri)
-        except ValueError as exc:  # an exact coordinate too long even so
+        except ValueError as exc:  # the lift covers the point's numbers, not the triangle's
             cap = sys.get_int_max_str_digits()
-            flag = "--p"
-            try:  # the report also writes back the triangle's own numbers
-                [str(x) for v in tri.vertices() for x in v]
-            except ValueError:
-                flag = "--triangle"
-            raise InputError(f"{flag} is too large: its report needs numbers of over {cap} digits") from exc
+            raise InputError(f"--triangle is too large: its report needs numbers of over {cap} digits") from exc
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -184,10 +173,8 @@ def cmd_verify(args) -> int:
         checks = list(dict.fromkeys(args.check))
     payload = {"schema_version": SCHEMA_VERSION, "command": "verify"}
     if args.p is not None:
-        # a witness prints its point as (x : y : z), which pastes as it is
-        text = args.p.strip()
-        p = parse_point(text[1:-1] if text[:1] + text[-1:] == "()" else text)
-        with _str_limit_for(text):  # the witnesses' strings
+        p = parse_point(args.p)
+        with _str_limit_for(args.p):  # the witnesses' strings
             results = run_point(p, check_ids=checks)
             payload.update({
                 "p": str(p),
@@ -264,14 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--out", help="output path (default stdout)")
 
     p_verify = sub.add_parser("verify", help="run the theorem-check suite")
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--count", type=int, default=None)
+    p_verify.add_argument("--seed", type=_parse_int)
+    p_verify.add_argument("--count", type=_parse_int)
     p_verify.add_argument(
         "--check", action="append", metavar="ID",
         help="run only this check id (repeatable); see README for the list",
     )
     p_verify.add_argument(
-        "--field-policy", choices=("auto", "rational"), default=None,
+        "--field-policy", choices=("auto", "rational"),
         help="auto includes the quadratic-extension fixture",
     )
     p_verify.add_argument(
@@ -282,13 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", help="output path (default stdout)")
 
     p_locus = sub.add_parser("locus", help="the conic of points whose orthocenter-like point is a vertex")
-    p_locus.add_argument("--vertex", choices=("A", "B", "C"), default=None)
+    p_locus.add_argument("--vertex", choices=("A", "B", "C"))
     p_locus.add_argument("--out", help="output path (default stdout)")
 
     p_svg = sub.add_parser("svg", help="render a figure")
     p_svg.add_argument("--p", help="driving point")
     p_svg.add_argument("--triangle", help='Cartesian vertices "x1,y1;x2,y2;x3,y3"')
-    p_svg.add_argument("--preset", choices=sorted(PRESETS), default=None)
+    p_svg.add_argument("--preset", choices=sorted(PRESETS))
     p_svg.add_argument(
         "--z-locus", action="store_true", default=None,
         help="overlay the sweep of cevian-conic centers (display only, no exactness claim)",
@@ -297,33 +284,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_int(text: str) -> int:
+    """An integer in ASCII digits, as every number the CLI reads: int()
+    alone reads other Unicode digits too."""
+    if text.isascii():
+        with contextlib.suppress(ValueError):
+            return int(text)
+    raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, not {text!r}")
+
+
 def _parse_bool(text: str) -> bool:
     value = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}.get(text.lower())
     if value is None:
-        raise ValueError(f"expected 1, true, yes, 0, false or no, not {text!r}")
+        raise argparse.ArgumentTypeError(f"expected 1, true, yes, 0, false or no, not {text!r}")
     return value
 
 
+# each config key's converter, which raises the error argparse prints for a
+# type=, and the default of an option that neither the flags nor the file give
 _CONFIG_KEYS = {
-    "p": str,
-    "triangle": str,
-    "seed": int,
-    "count": int,
-    "check": lambda v: [s.strip() for s in v.split(",") if s.strip()],
-    "field_policy": str,
-    "vertex": str,
-    "preset": str,
-    "out": str,
-    "z_locus": _parse_bool,
-}
-
-_DEFAULTS = {
-    "seed": 42,
-    "count": 25,
-    "field_policy": "auto",
-    "vertex": "A",
-    "preset": "fig2",
-    "z_locus": False,
+    "p": (str, None),
+    "triangle": (str, None),
+    "seed": (_parse_int, 42),
+    "count": (_parse_int, 25),
+    "check": (lambda v: [s.strip() for s in v.split(",") if s.strip()], None),
+    "field_policy": (str, "auto"),
+    "vertex": (str, "A"),
+    "preset": (str, "fig2"),
+    "out": (str, None),
+    "z_locus": (_parse_bool, False),
 }
 
 
@@ -335,17 +324,12 @@ def _apply_config(args: argparse.Namespace) -> None:
             if key not in _CONFIG_KEYS:
                 raise InputError(f"unknown configuration key {key!r}")
             try:
-                file_values[key] = _CONFIG_KEYS[key](value)
-            except ValueError as exc:
+                file_values[key] = _CONFIG_KEYS[key][0](value)
+            except argparse.ArgumentTypeError as exc:
                 raise InputError(f"{args.config}: bad value for {key!r}: {exc}") from exc
-    for key in _CONFIG_KEYS:
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) is None:
-            if key in file_values:
-                setattr(args, key, file_values[key])
-            elif key in _DEFAULTS:
-                setattr(args, key, _DEFAULTS[key])
+    for key, (_, default) in _CONFIG_KEYS.items():
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, file_values.get(key, default))
 
 
 def _attach_signed_values(argv: Sequence[str]) -> list[str]:
@@ -370,13 +354,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise InputError("a driving point is required (--p or config file)")
         commands = {"construct": cmd_construct, "verify": cmd_verify, "locus": cmd_locus, "svg": cmd_svg}
         return commands[args.command](args)
-    except (OnSideline, OnAnticomplementarySideline) as exc:
-        flag = (
-            "on_sideline"
-            if isinstance(exc, OnSideline)
-            else "on_anticomplementary_sideline"
-        )
-        print(f"degenerate input ({flag}): {exc}", file=sys.stderr)
+    except HardDegeneracy as exc:
+        print(f"degenerate input ({exc.flag}): {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (InputError, ValueError, ScalarError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,6 +37,7 @@ from .projective import (
     AffineMap,
     DegenerateConfiguration,
     GeometryError,
+    HardDegeneracy,
     InfiniteInput,
     LINE_AT_INFINITY,
     Line,
@@ -68,8 +69,8 @@ from .conics import (
 )
 
 
-class OnAnticomplementarySideline(GeometryError):
-    pass
+class OnAnticomplementarySideline(HardDegeneracy):
+    flag = "on_anticomplementary_sideline"
 
 
 class ConstructionInconsistency(GeometryError):

@@ -91,8 +91,16 @@ class DegenerateConfiguration(GeometryError):
     pass
 
 
-class OnSideline(GeometryError):
-    pass
+class HardDegeneracy(GeometryError):
+    """The point lies on a locus where its configuration does not exist.
+    Each subclass's `flag` names the field of DegeneracyReport that marks
+    that locus."""
+
+    flag: str
+
+
+class OnSideline(HardDegeneracy):
+    flag = "on_sideline"
 
 
 Triple = tuple[Scalar, Scalar, Scalar]
@@ -304,9 +312,13 @@ class HomogeneousTriple(CanonicalObject):
 
     @classmethod
     def parse(cls, text: str):
+        """The inverse of str(), which also reads the text without its
+        brackets: "(x : y : z)" or "x:y:z" for a point."""
         inner = text.strip()
-        parts = inner[1:-1].split(":")
-        if inner[:1] + inner[-1:] != cls.BRACKETS or len(parts) != 3:
+        if inner[:1] + inner[-1:] == cls.BRACKETS:
+            inner = inner[1:-1]
+        parts = inner.split(":")
+        if len(parts) != 3:
             raise ValueError(f"malformed {cls.__name__.lower()} {text!r}")
         return cls(*(Scalar.parse(p) for p in parts))
 

@@ -18,6 +18,7 @@ from .projective import (
     AffineReflection,
     CENTROID,
     GeometryError,
+    HardDegeneracy,
     Homothety,
     LINE_AT_INFINITY,
     MID_AB,
@@ -65,14 +66,12 @@ from .conics import (
 from .constructions import (
     Centers,
     ConstructionSet,
-    OnAnticomplementarySideline,
     anticevian_family,
     construct,
     locus_conic,
     sample_nondegenerate,
     special_configuration_point,
 )
-from .projective import OnSideline
 from .scalar import Record
 
 
@@ -855,7 +854,7 @@ def _check_config(config: Config, wanted: list[str], reg: dict[str, CheckFn]) ->
     described = config.describe()
     try:
         ctx = CheckContext(config)
-    except (OnSideline, OnAnticomplementarySideline) as exc:
+    except HardDegeneracy as exc:
         return [CheckResult(cid, "skip", described, reason=str(exc)) for cid in wanted]
     except Exception as exc:
         witness = _error_witness(exc)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -18,8 +19,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cevian import cli
 from cevian.cli import SCHEMA_VERSION, construction_report, main, parse_point
-from cevian.constructions import construct
-from cevian.projective import AffineMap, GeometryError, Line, Point, complement
+from cevian.constructions import DegeneracyReport, construct
+from cevian.projective import AffineMap, GeometryError, HardDegeneracy, Line, Point, complement
 from cevian.conics import Conic
 from cevian.conics import steiner_circumellipse
 from cevian.render import (
@@ -195,6 +196,9 @@ def test_construct_report_of_a_long_point_is_written(tmp_path):
 
 
 def test_construct_report_beyond_the_lifted_limit_names_the_flag(capsys, monkeypatch):
+    """The lift covers every number the point grows (see the test below), so
+    a report that overflows even so is blamed on --triangle, at the lifted
+    limit."""
     def too_long(cs, tri):
         raise ValueError("Exceeds the limit for integer string conversion")
 
@@ -202,10 +206,49 @@ def test_construct_report_beyond_the_lifted_limit_names_the_flag(capsys, monkeyp
     monkeypatch.setattr("cevian.cli.construction_report", too_long)
     assert run(["construct", f"--p={'7' * 1000}:2:3"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --p is too large")
+    assert err.startswith("error: --triangle is too large")
     assert str(16 * 1002) in err  # 16 times the digits of --p
     assert "Traceback" not in err
     assert sys.get_int_max_str_digits() == limit
+
+
+def _report_bound_points():
+    """32 points of 4 to 4096 bits over Q and Q(sqrt(d)), with and without
+    denominators and irrational leads.  An irrational lead is made rational
+    by its conjugate, which doubles its digits: the lead 1/c + b*sqrt(6)
+    grows the longest report numbers for its digits."""
+    rng = random.Random("report-bound")
+    points = []
+    for bits in (4, 64, 1024, 4096):
+        def n():
+            return rng.getrandbits(bits - 1) | 1 << (bits - 1)
+
+        points += [
+            f"{n()}:{n()}:{n()}",
+            f"{n()}:2:3",
+            f"1/{n()}:1/{n()}:1/{n()}",
+            f"{n()}/{n()}:2:3",
+            f"{format_number(n(), n(), 6)}:2:3",
+            f"{format_number(1, n(), 6)}:2:3",
+            f"{format_number(Fraction(1, n()), n(), 6)}:2:3",
+            f"{format_number(n(), n(), 1610924047)}:2:3",
+        ]
+    return points
+
+
+def test_construct_report_numbers_stay_within_the_lift(capsys):
+    """A member is a form of degree at most 8 (MEMBER_DEGREES) in the
+    canonical ints of p, so a report number has at most about 10 times the
+    digits of --p (9.98 at the worst of these points).  A bound of 12 fails
+    well before a grown member could reach the 16 times the str limit is
+    lifted to, which `construct` rests on when it blames an overflowing
+    report on --triangle alone."""
+    for text in _report_bound_points():
+        assert run(["construct", f"--p={text}"]) == 0, text[:40]
+        digits = sum(map(str.isdigit, text))
+        longest = max(map(len, re.findall(r"\d+", capsys.readouterr().out)))
+        if digits >= 50:
+            assert longest <= 12 * digits, (text[:40], longest / digits)
 
 
 def test_construct_report_of_a_long_triangle_number_names_the_flag(capsys):
@@ -238,6 +281,19 @@ def test_construct_sideline_exit_code(capsys):
     assert run(["construct", "--p", "0:1:2"]) == 2
     err = capsys.readouterr().err
     assert "on_sideline" in err
+
+
+def test_hard_degeneracies_name_their_flags(capsys):
+    """Each hard degeneracy names the DegeneracyReport field of its locus,
+    which the CLI prints."""
+    assert run(["construct", "--p", "1:-1:5"]) == 2
+    assert capsys.readouterr().err == (
+        "degenerate input (on_anticomplementary_sideline): "
+        "(1 : -1 : 5) lies on a sideline of the anticomplementary triangle\n"
+    )
+    flags = [cls.flag for cls in HardDegeneracy.__subclasses__()]
+    assert sorted(flags) == ["on_anticomplementary_sideline", "on_sideline"]
+    assert set(flags) <= set(DegeneracyReport._fields)
 
 
 def test_construct_median_absences(tmp_path):
@@ -387,6 +443,15 @@ def test_unreadable_config_is_input_error(tmp_path, capsys):
     assert run(["--config", str(missing), "construct", "--p", "2:3:6"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_config_file_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    assert run(["--config", str(cfg), "locus"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {cfg}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
 
 
 def test_unwritable_out_is_input_error(tmp_path, capsys):
@@ -628,6 +693,22 @@ def test_config_value_that_does_not_convert_names_its_key(tmp_path, capsys, line
     assert str(cfg) in err and repr(key) in err
 
 
+@pytest.mark.parametrize("key", ["seed", "count"])
+@pytest.mark.parametrize("digit", ["\u0663", "\uff11"])  # an Arabic-Indic 3, a full-width 1
+def test_seed_and_count_refuse_non_ascii_digits(tmp_path, capsys, key, digit):
+    """Numbers are written in ASCII digits, as a flag and as a config key."""
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", f"--{key}", digit])
+    assert exc.value.code == 2
+    assert f"argument --{key}: expected an integer in ASCII digits" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {digit}\n", encoding="utf-8")
+    assert run(["--config", str(cfg), "verify"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: bad value for {key!r}: expected an integer in ASCII digits, not {digit!r}\n"
+    )
+
+
 @pytest.mark.parametrize("value, drawn", [("no", False), ("NO", False), ("0", False), ("Yes", True), ("true", True)])
 def test_config_z_locus_reads_a_boolean(tmp_path, value, drawn):
     cfg = tmp_path / "run.cfg"
@@ -735,7 +816,7 @@ def test_verify_replays_a_witness_from_its_config(tmp_path):
 
 def test_verify_at_a_point_parses_it_as_construct_does(capsys):
     assert run(["verify", "--p", "1:2"]) == 2
-    assert capsys.readouterr().err == "error: point needs three colon-separated coordinates: '1:2'\n"
+    assert capsys.readouterr().err == "error: bad point '1:2': malformed point '1:2'\n"
     assert run(["verify", "--p", "-5:3:7", "--check", "lambda_maps"]) == 0
     # a hard degeneracy is a skip, as in the suite
     assert run(["verify", "--p", "0:1:2", "--check", "lambda_maps"]) == 0
@@ -743,6 +824,19 @@ def test_verify_at_a_point_parses_it_as_construct_does(capsys):
     printed = str(parse_point("1:1+1*sqrt(6):-2+3*sqrt(6)"))
     assert printed.startswith("(") and "sqrt(6)" in printed
     assert run(["verify", "--p", printed, "--check", "eta_reflection"]) == 0
+
+
+@pytest.mark.parametrize("bare", ["2:3:6", "1:1+1*sqrt(6):-2+3*sqrt(6)"])
+def test_a_witness_point_pastes_into_every_command(capsys, bare):
+    """Every --p reads a point as verify prints it, (x : y : z), and bare."""
+    printed = str(parse_point(bare))
+    assert printed == "(" + bare.replace(":", " : ") + ")"
+    for command in (["construct"], ["svg", "--preset", "all"], ["verify", "--check", "lambda_maps"]):
+        outputs = []
+        for text in (printed, bare):
+            assert run([*command, "--p", text]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1], command
 
 
 def test_verify_at_a_large_point_prints_its_witnesses():

@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -116,6 +117,47 @@ def construction_report(cs: ConstructionSet, tri: RenderTriangle) -> dict:
     }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj: object, newline: str = "\n") -> str:
+    """What json.dumps writes for obj with an indent of 2, byte for byte:
+    every report is written by this one function.  Each leaf goes through
+    the C helpers json itself uses: json has no C encoder for an indent,
+    and its pure-Python one took a quarter of a `construct` at a small
+    point.  It takes dicts with str keys, lists, tuples, str, int, float,
+    bool and None, and raises TypeError on anything else, as json.dumps
+    does; also on a key that is not a str, which json.dumps would turn
+    into one and no report holds."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else json.dumps(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_encode_str(key) + ": " + _json_text(value, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in obj]) + newline + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(payload: str, out: Optional[str]) -> None:
     if out:
         try:
@@ -163,7 +205,7 @@ def cmd_construct(args) -> int:
         except ValueError as exc:  # the lift covers the point's numbers, not the triangle's
             cap = sys.get_int_max_str_digits()
             raise InputError(f"--triangle is too large: its report needs numbers of over {cap} digits") from exc
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    _emit(_json_text(report) + "\n", args.out)
     return EXIT_OK
 
 
@@ -187,13 +229,13 @@ def cmd_verify(args) -> int:
         )
         results = report.results
         payload.update(report.to_dict())
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_json_text(payload) + "\n", args.out)
     summary = ", ".join(
         f"{cid}: {t['pass']}/{t['pass'] + t['fail']}"
         for cid, t in sorted(payload["tallies"].items())
         if t["pass"] + t["fail"]
     )
-    print(f"checks passed: {summary}", file=sys.stderr)
+    print(f"checks passed: {summary or 'none (every check skipped)'}", file=sys.stderr)
     return EXIT_CHECK_FAILURE if any(r.status == "fail" for r in results) else EXIT_OK
 
 
@@ -214,7 +256,7 @@ def cmd_locus(args) -> int:
         "polar_of_vertex": str(conic.polar(vertex)),
         "excluded_points": list(excluded),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_json_text(payload) + "\n", args.out)
     return EXIT_OK
 
 

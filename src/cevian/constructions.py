@@ -224,7 +224,10 @@ class ConstructionSet(Centers):
     q_iso is the construction of q applied to p_iso, i.e. the complement of
     p itself.  Members that a degenerate p cannot support are None, with the
     reason recorded in `absent`.  The iso-reflection is checked as `Centers`
-    checks H and O, and a failure raises out of `construct` the same way.
+    checks H and O, and a failure raises out of `construct` the same way:
+    `require_iso_reflection` reads its closed form as an affine reflection
+    (eta - s*I of rank one and trace -2s, s its column sum) that swaps q
+    with q_iso.
 
     Each member is a closed form in the pairs of p = (x_0 : x_1 : x_2),
     written with the sums s = (v+w, w+u, u+v), the products

@@ -632,7 +632,8 @@ class AffineMap(HomogeneousMatrix):
         M - k*I = c 1^T, c the center (k != s) or the translation direction
         (k = s).  An affine reflection is M = s*I + c r^T with trace s, which
         makes M^2 = s^2 I: r is its axis and c the direction it reverses (r
-        is never the line at infinity, which would make M a translation)."""
+        is never the line at infinity, which would make M a translation).
+        `require_iso_reflection` tests the same two conditions."""
         if self.is_degenerate():
             raise DegenerateMap("cannot classify a degenerate map")
         m, d = self.ints, self.d
@@ -645,7 +646,7 @@ class AffineMap(HomogeneousMatrix):
         if all(row[0] == row[1] == row[2] for row in m_minus_k):
             c = Point.from_ints(d, [row[0] for row in m_minus_k])
             return Translation(c) if k == s else Homothety(c, ratio(k, s, d))
-        if adjugate3(m_minus_s, d) == _ZERO_MATRIX and zsum(r[i] for i, r in enumerate(m)) == s:
+        if _trace(m) == s and _rank_one(m_minus_s, d):
             axis = next(row for row in m_minus_s if row != _ZERO_ROW)
             direction = next(col for col in zip(*m_minus_s) if col != _ZERO_ROW)
             return AffineReflection(Line.from_ints(d, axis), Point.from_ints(d, direction))
@@ -654,9 +655,35 @@ class AffineMap(HomogeneousMatrix):
 
 def _minus_diagonal(m: Sequence[Sequence[Pair]], k: Pair) -> Rows:
     """m - k*I."""
-    return tuple([
-        tuple([zsub(x, k) if i == j else x for j, x in enumerate(row)]) for i, row in enumerate(m)
-    ])  # type: ignore[return-value]
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = m
+    return ((zsub(x0, k), x1, x2), (y0, zsub(y1, k), y2), (z0, z1, zsub(z2, k)))
+
+
+def _trace(m: Sequence[Sequence[Pair]]) -> Pair:
+    return zsum([m[0][0], m[1][1], m[2][2]])
+
+
+_OTHER_INDICES = ((1, 2), (0, 2), (0, 1))
+
+
+def _rank_one(m: Sequence[Sequence[Pair]], d: int) -> bool:
+    """Whether m has rank one: its first nonzero entry p = m[i][j] exists,
+    and the four 2x2 minors through it vanish, which makes m its column j
+    times its row i over p.  Eight products of entries, where adj(m) = 0
+    takes 18."""
+    for i, row in enumerate(m):
+        for j, (a, b) in enumerate(row):
+            if a or b:
+                for k in _OTHER_INDICES[i]:
+                    other = m[k]
+                    c, e = other[j]
+                    for l in _OTHER_INDICES[j]:
+                        (x, y), (g, h) = other[l], row[l]
+                        # p * m[k][l] - m[i][l] * m[k][j]
+                        if a * x + b * y * d != g * c + h * e * d or a * y + b * x != g * e + h * c:
+                            return False
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -728,13 +755,14 @@ def cevian_map(p: Point) -> AffineMap:
 
 
 def require_iso_reflection(eta: AffineMap, q: Point, q_iso: Point) -> AffineMap:
-    """eta, once checked to be an involution swapping q with q_iso.  Neither
-    product is canonicalized: eta^2 must be a nonzero scalar matrix, and the
-    cross product of eta(q) with q_iso must vanish."""
-    sq = mat_mul(eta.ints, eta.ints, eta.d)
-    if sq[0][0] == _ZERO or any(
-        x != (sq[0][0] if i == j else _ZERO) for i, row in enumerate(sq) for j, x in enumerate(row)
-    ):
+    """eta, once checked to be an affine reflection swapping q with q_iso.
+    With s its column sum, eta - s*I must have rank one and trace -2s, which
+    is `classify`'s test for a reflection: it makes eta^2 = s^2 I, and a
+    half-turn, whose square is scalar as well, fails it.  The cross product
+    of eta(q) with q_iso must vanish.  Nothing is canonicalized."""
+    m = eta.ints
+    s = zsum([row[0] for row in m])
+    if _trace(m) != s or not _rank_one(_minus_diagonal(m, s), eta.d):
         raise DegenerateConfiguration("constructed reflection is not involutive")
     d = join_d(join_d(eta.d, q.d), q_iso.d)
     if any(x != _ZERO for x in cross(mat_vec(eta.ints, q.ints, d), q_iso.ints, d)):

@@ -35,7 +35,7 @@ from cevian.render import (
     named_points,
     sample_conic,
 )
-from cevian.scalar import format_number, zmul, zscale, zsum
+from cevian.scalar import Scalar, format_number, zmul, zscale, zsum
 from cevian.verify import REGISTRY
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -800,6 +800,15 @@ def test_verify_at_a_point(tmp_path):
     assert [r["check_id"] for r in report["results"]] == ["thm_HO_formula"]
 
 
+def test_verify_summary_names_each_check_run_or_says_none_was(capsys):
+    """The stderr summary lists the checks that passed or failed, and says
+    so when every check was skipped, as at a point on a sideline."""
+    assert run(["verify", "--p", "2:3:6", "--check", "thm_HO_formula"]) == 0
+    assert capsys.readouterr().err == "checks passed: thm_HO_formula: 1/1\n"
+    assert run(["verify", "--p", "0:1:1"]) == 0
+    assert capsys.readouterr().err == "checks passed: none (every check skipped)\n"
+
+
 def test_verify_replays_a_witness_from_its_config(tmp_path):
     """A suite result at a sampled point comes back as it was from
     verify --p with that point and that check."""
@@ -1167,3 +1176,51 @@ def test_every_command_exits_with_a_documented_code(case):
         assert failed and not any("raised_in" in r["witness"] for r in failed), (argv, failed)
     else:
         assert code in (0, 2), (argv, code, stderr)
+
+
+# -- the JSON writer ---------------------------------------------------------------
+
+_JSON_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\U0001f600'))
+)
+_JSON_LEAVES = st.one_of(
+    _JSON_TEXT,
+    st.integers(),
+    st.integers(-(10**4000), 10**4000),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300]),
+    st.booleans(),
+    st.none(),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_TEXT, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+@example({})
+@example([])
+@example({"a": [(), {}, [[]]], "": None})
+def test_json_text_is_json_dumps_with_indent_2(value):
+    """Every report is written by _json_text, which gives what json.dumps
+    with indent=2 gives, byte for byte: over non-ASCII, quoted, escaped and
+    control characters, ints of thousands of digits, every special float,
+    tuples and empty containers."""
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [Scalar.parse("1+1*sqrt(2)"), {1, 2}, {1: "a"}, {"ok": [{(1, 2): 0}]}]
+)
+def test_json_text_refuses_what_no_report_holds(value):
+    """A value json cannot write raises TypeError as in json.dumps, and so
+    does a key that is not a str, which json.dumps would turn into one."""
+    with pytest.raises(TypeError):
+        cli._json_text(value)

@@ -648,6 +648,29 @@ def test_iso_reflection_checks_refuse_what_they_should():
         require_iso_reflection(AffineMap(((1, 1, 1), (0, 0, 0), (0, 0, 0))), q, q_iso)
 
 
+def test_iso_reflection_check_refuses_a_map_whose_square_is_scalar_but_is_no_reflection():
+    """eta - s*I must have rank one and trace -2s, s the column sum of eta:
+    a half-turn squares to a scalar matrix as a reflection does and is
+    refused all the same, and so are the identity, a translation, and the
+    closed-form eta with an off-diagonal entry changed (another entry of its
+    column takes up the change, so the column sums stay equal)."""
+    cs = construct(Point(2, 3, 6))
+    eta, q, q_iso = cs.iso_reflection, cs.q, cs.q_iso
+    half_turn = projective.point_reflection(Point(1, 2, 3))
+    assert half_turn @ half_turn == AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    rows = [list(row) for row in eta.ints]
+    rows[1][0], rows[2][0] = zsum([rows[1][0], (1, 0)]), zsub(rows[2][0], (1, 0))
+    changed = AffineMap.from_ints(1, rows)
+    for refused in (
+        half_turn,
+        AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        AffineMap(((2, 1, 1), (-1, 0, -1), (0, 0, 1))),
+        changed,
+    ):
+        with pytest.raises(DegenerateConfiguration, match="^constructed reflection is not involutive$"):
+            require_iso_reflection(refused, q, q_iso)
+
+
 def test_construct_divides_out_only_integer_constants(monkeypatch):
     """At a generic 4096-bit point, no canonicalization in construct divides
     out a content of more than a few bits: every member is built at the

@@ -71,6 +71,8 @@ from cevian.projective import (
     HomogeneousMatrix,
     HomogeneousTriple,
     _canonical,
+    _rank_one,
+    adjugate3,
     complement,
     complement_map,
     direction_of,
@@ -710,6 +712,39 @@ def check_kernel_against_references(data, d):
     if not p.is_infinite():
         tri = data.draw(st.sampled_from(_TRIANGLES))
         assert bary_to_xy(p, tri) == general_bary_to_xy(p, tri)
+
+
+@st.composite
+def rank_test_matrices(draw, d):
+    """3x3 pair matrices over Z[sqrt(d)]: any, zero, rank one (a column
+    times a row), rank one with one entry changed, and rank two."""
+    def outer():
+        c, r = draw(kernel_vectors(d, 3)), draw(kernel_vectors(d, 3))
+        return [[pair_mul(ck, rj, d) for rj in r] for ck in c]
+
+    kind = draw(st.sampled_from(["any", "zero", "rank one", "changed", "rank two"]))
+    if kind == "any":
+        return tuple(draw(kernel_vectors(d, 3)) for _ in range(3))
+    if kind == "zero":
+        return (((0, 0),) * 3,) * 3
+    m = outer()
+    if kind == "changed":
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        m[i][j] = (m[i][j][0] + draw(st.integers(-2, 2)), m[i][j][1])
+    elif kind == "rank two":
+        m = [[(a + x, b + y) for (a, b), (x, y) in zip(row, more)] for row, more in zip(m, outer())]
+    return tuple(tuple(row) for row in m)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_rank_one_is_a_vanishing_adjugate_of_a_nonzero_matrix(data):
+    """_rank_one(m), read off one pivot and its four 2x2 minors, says what
+    adj(m) = 0 with m != 0 says, over Q and Q(sqrt(d))."""
+    d = data.draw(st.sampled_from(FIELDS))
+    m = data.draw(rank_test_matrices(d))
+    zero = (((0, 0),) * 3,) * 3
+    assert _rank_one(m, d) == (adjugate3(m, d) == zero and m != zero)
 
 
 @given(st.data())

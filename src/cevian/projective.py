@@ -28,9 +28,8 @@ configurations are over Q, runs measurably slower without it: `_canonical`,
 `dot`, `cross` and `mat_vec`.  The fast paths are exact because at d = 1
 every b is 0: `_canonical`, which builds every object, refuses a vector that
 breaks this.  `_canonical` also skips the conjugate multiply for a rational
-lead, which construct() over Q(sqrt(d)) pays for, and the division of a
-vector whose gcd is 1, which both workloads pay for.  Each fast path's
-comment gives what removing it cost.
+lead, which construct() over Q(sqrt(d)) pays for.  Each fast path's comment
+gives what removing it cost.
 """
 
 from __future__ import annotations
@@ -136,8 +135,7 @@ def _canonical(d: int, v: Sequence[Pair]) -> tuple[int, Vector]:
                 break
         if x < 0:
             g = -g
-        # suite: without g != 1 run_suite(42, 25) took 1.0% longer (Python 3.11, x86-64)
-        return 1, tuple([(x // g, 0) for x in xs]) if g != 1 else tuple(v)
+        return 1, tuple([(x // g, 0) for x in xs])
     for a, b in v:
         if a or b:
             break
@@ -150,8 +148,7 @@ def _canonical(d: int, v: Sequence[Pair]) -> tuple[int, Vector]:
     g = gcd(*[n for pair in v for n in pair])
     if a < 0:
         g = -g
-    # quadratic_field: without g != 1 construct() took 0.9% longer (Python 3.11, x86-64)
-    v = tuple([(x // g, y // g) for x, y in v]) if g != 1 else tuple(v)
+    v = tuple([(x // g, y // g) for x, y in v])
     if not any(y for _, y in v):
         d = 1
     return d, v
@@ -160,7 +157,7 @@ def _canonical(d: int, v: Sequence[Pair]) -> tuple[int, Vector]:
 def dot(u: Sequence[Pair], v: Sequence[Pair], d: int) -> Pair:
     (a0, b0), (a1, b1), (a2, b2) = u
     (c0, e0), (c1, e1), (c2, e2) = v
-    if d == 1:  # suite: without it run_suite(42, 25) took 1.9% longer (Python 3.11, x86-64)
+    if d == 1:  # suite: without it run_suite(42, 25) took 5.2% longer (Python 3.11, x86-64)
         return a0 * c0 + a1 * c1 + a2 * c2, 0
     return (
         a0 * c0 + a1 * c1 + a2 * c2 + (b0 * e0 + b1 * e1 + b2 * e2) * d,
@@ -171,7 +168,7 @@ def dot(u: Sequence[Pair], v: Sequence[Pair], d: int) -> Pair:
 def cross(u: Sequence[Pair], v: Sequence[Pair], d: int) -> Vector:
     (a0, b0), (a1, b1), (a2, b2) = u
     (c0, e0), (c1, e1), (c2, e2) = v
-    if d == 1:  # suite: without it run_suite(42, 25) took 3.2% longer (Python 3.11, x86-64)
+    if d == 1:  # suite: without it run_suite(42, 25) took 3.1% longer (Python 3.11, x86-64)
         return ((a1 * c2 - a2 * c1, 0), (a2 * c0 - a0 * c2, 0), (a0 * c1 - a1 * c0, 0))
     return (
         (a1 * c2 - a2 * c1 + (b1 * e2 - b2 * e1) * d, a1 * e2 + b1 * c2 - a2 * e1 - b2 * c1),
@@ -186,7 +183,7 @@ def transpose(m: Sequence[Sequence[Pair]]) -> Rows:
 
 def mat_vec(m: Sequence[Sequence[Pair]], v: Sequence[Pair], d: int) -> Vector:
     (c0, e0), (c1, e1), (c2, e2) = v
-    if d == 1:  # suite: without it run_suite(42, 25) took 3.9% longer (Python 3.11, x86-64)
+    if d == 1:  # suite: without it run_suite(42, 25) took 3.8% longer (Python 3.11, x86-64)
         return tuple([(a0 * c0 + a1 * c1 + a2 * c2, 0) for (a0, _), (a1, _), (a2, _) in m])
     return tuple([
         (
@@ -763,7 +760,7 @@ def require_iso_reflection(eta: AffineMap, q: Point, q_iso: Point) -> AffineMap:
     m = eta.ints
     s = zsum([row[0] for row in m])
     if _trace(m) != s or not _rank_one(_minus_diagonal(m, s), eta.d):
-        raise DegenerateConfiguration("constructed reflection is not involutive")
+        raise DegenerateConfiguration("constructed map is not an affine reflection")
     d = join_d(join_d(eta.d, q.d), q_iso.d)
     if any(x != _ZERO for x in cross(mat_vec(eta.ints, q.ints, d), q_iso.ints, d)):
         raise DegenerateConfiguration("reflection does not swap the companion pair")

@@ -466,45 +466,25 @@ def integer_vector(values: Sequence[ScalarLike]) -> tuple[int, list[Pair]]:
 
 
 class Record:
-    """An immutable value of named fields, built positionally or by keyword.
+    """An immutable value of named fields, built positionally.
 
-    A subclass names its fields once, ``__slots__ = _fields = (...)``, and
-    gives the defaults of its trailing fields in ``_defaults``.  A record
-    prints as ``Name(field=value, ...)``, equals only a record of its own
-    type with equal fields, hashes by its field tuple, and refuses
-    assignment and deletion with AttributeError."""
+    A subclass names its fields once, ``__slots__ = _fields = (...)``; one
+    that wants keywords or defaults states them in its own ``__init__``,
+    which passes every field on.  A record prints as ``Name(field=value,
+    ...)``, equals only a record of its own type with equal fields, hashes
+    by its field tuple, and refuses assignment and deletion with
+    AttributeError."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _defaults: dict = {}
-    _setters: tuple = ()  # each field slot's __set__: it stores past the refusing __setattr__
 
-    def __init_subclass__(cls):
-        cls._setters = tuple(getattr(cls, field).__set__ for field in cls._fields)
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):
-            args = self._bind(args, kwargs)
-        for setter, value in zip(self._setters, args):
-            setter(self, value)
-
-    def _bind(self, args: tuple, kwargs: dict) -> list:
-        """The field values of a call with keywords, defaults or too many
-        positional arguments."""
-        name, fields = type(self).__name__, self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} fields but {len(args)} were given")
-        values = list(args)
-        for field in fields[len(args):]:
-            if field in kwargs:
-                values.append(kwargs.pop(field))
-            elif field in self._defaults:
-                values.append(self._defaults[field])
-            else:
-                raise TypeError(f"{name}() missing field {field!r}")
-        if kwargs:
-            raise TypeError(f"{name}() got an unexpected field {next(iter(kwargs))!r}")
-        return values
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__}() takes {len(self._fields)} fields but {len(values)} were given"
+            )
+        for field, value in zip(self._fields, values):
+            object.__setattr__(self, field, value)  # past the refusing __setattr__
 
     def _values(self) -> tuple:
         return tuple([getattr(self, field) for field in self._fields])

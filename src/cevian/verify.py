@@ -89,7 +89,9 @@ class Config(Record):
     (used only by the classical-center cross-checks), and a label."""
 
     __slots__ = _fields = ("p", "sides", "label")
-    _defaults = {"sides": None, "label": ""}
+
+    def __init__(self, p: Point, sides: Optional[tuple[Fraction, ...]] = None, label: str = ""):
+        super().__init__(p, sides, label)
 
     def describe(self) -> dict:
         return {
@@ -174,7 +176,9 @@ class CheckContext:
             self._family = anticevian_family(self.cs)
         return self._family
 
-    def require_center(self, member, name: str):
+    def require(self, name: str):
+        """The construction's member `name`, or a skip with the reason it is absent."""
+        member = getattr(self.cs, name)
         if member is None:
             raise _Skip(self.cs.absent[name])
         return member
@@ -279,7 +283,7 @@ def _check_lambda(ctx: CheckContext, cl: Claims) -> None:
 @_register("eta_reflection", "the iso-reflection swaps the primed and unprimed centers and keeps joins parallel", "median", "steiner")
 def _check_eta(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
-    eta = ctx.require_center(cs.iso_reflection, "iso_reflection")
+    eta = ctx.require("iso_reflection")
     cl.equal("eta_o", eta(cs.circumcenter), cs.circumcenter_iso)
     cl.equal("eta_h", eta(cs.orthocenter), cs.orthocenter_iso)
     cl.equal("eta_q", eta(cs.q), cs.q_iso)
@@ -395,7 +399,7 @@ def _check_m_to_inconic(ctx: CheckContext, cl: Claims) -> None:
 @_register("Z_fixed_point", "the cevian-conic center is fixed by the composite map and lies on the nine-point conic")
 def _check_z_fixed(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
-    z = ctx.require_center(cs.feuerbach_point, "feuerbach_point")
+    z = ctx.require("feuerbach_point")
     fix = cs.cevian_map @ anticomplement_map()
     cl.equal("z_fixed_by_composite", fix(z), z)
     cl.true("z_on_ninepoint", cs.ninepoint_conic.contains(z), z)
@@ -449,7 +453,7 @@ def _check_phi(ctx: CheckContext, cl: Claims) -> None:
 @_register("gen_feuerbach_tangency", "the nine-point conic and the inconic are tangent at the cevian-conic center")
 def _check_feuerbach(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
-    z = ctx.require_center(cs.feuerbach_point, "feuerbach_point")
+    z = ctx.require("feuerbach_point")
     cl.true("z_on_ninepoint", cs.ninepoint_conic.contains(z), z)
     cl.true("z_on_inconic", cs.inconic.contains(z), z)
     cl.true(
@@ -494,7 +498,7 @@ def _check_z_on_lines(ctx: CheckContext, cl: Claims) -> None:
 @_register("Ztilde_fourth_intersection", "the reflected center is the fourth common point of cevian conic and circumconic")
 def _check_ztilde(ctx: CheckContext, cl: Claims) -> None:
     cs = ctx.cs
-    zt = ctx.require_center(cs.fourth_intersection, "fourth_intersection")
+    zt = ctx.require("fourth_intersection")
     cl.true("ztilde_on_cevian_conic", cs.cevian_conic.contains(zt), zt)
     cl.true("ztilde_on_circumconic", cs.circumconic.contains(zt), zt)
 
@@ -646,7 +650,7 @@ def _check_gergonne(ctx: CheckContext, cl: Claims) -> None:
     cl.equal("p_iso_is_nagel", cs.p_iso, oracle["nagel"])
     cl.equal("q_iso_is_mittenpunkt", cs.q_iso, oracle["mittenpunkt"])
     cl.equal("h_is_classical_orthocenter", cs.orthocenter, oracle["orthocenter"])
-    conic = ctx.require_center(cs.cevian_conic, "cevian_conic")
+    conic = ctx.require("cevian_conic")
     for name in ("incenter", "nagel", "mittenpunkt", "orthocenter"):
         cl.true(f"{name}_on_conic", conic.contains(oracle[name]), oracle[name])
 
@@ -797,12 +801,9 @@ def fixed_configurations(field_policy: str = "auto") -> list[Config]:
     """The pinned configurations every suite run covers in addition to the
     seeded random sample."""
     configs = [
-        Config(Point(2, 3, 6), sides=(Fraction(3), Fraction(4), Fraction(5)), label="gergonne-3-4-5"),
-        Config(
-            Point(21, 24, 28),
-            sides=(Fraction(13), Fraction(14), Fraction(15)),
-            label="gergonne-13-14-15",
-        ),
+        Config(gergonne_point(sides), sides, "gergonne-" + "-".join(map(str, sides)))
+        for sides in [(Fraction(3), Fraction(4), Fraction(5)), (Fraction(13), Fraction(14), Fraction(15))]
+    ] + [
         Config(Point(6, 3, 2), label="vertex-locus-interior"),
         Config(Point(-1, 3, 2), label="vertex-locus-exterior"),
         Config(Point(1, 1, 2), label="on-median"),

@@ -635,16 +635,16 @@ def test_closed_form_members_equal_the_paths_they_replace(case):
 
 def test_iso_reflection_checks_refuse_what_they_should():
     """The two checks of the iso-reflection, made on uncanonicalized
-    products, refuse a map that is not involutive and one that does not
-    swap the pair."""
+    products, refuse a map that is not an affine reflection and one that
+    does not swap the pair."""
     cs = construct(Point(2, 3, 6))
     eta, q, q_iso = cs.iso_reflection, cs.q, cs.q_iso
     assert require_iso_reflection(eta, q, q_iso) is eta
-    with pytest.raises(DegenerateConfiguration, match="^constructed reflection is not involutive$"):
+    with pytest.raises(DegenerateConfiguration, match="^constructed map is not an affine reflection$"):
         require_iso_reflection(cs.transfer_map, q, q_iso)
     with pytest.raises(DegenerateConfiguration, match="^reflection does not swap the companion pair$"):
         require_iso_reflection(eta, q, cs.p)
-    with pytest.raises(DegenerateConfiguration, match="^constructed reflection is not involutive$"):
+    with pytest.raises(DegenerateConfiguration, match="^constructed map is not an affine reflection$"):
         require_iso_reflection(AffineMap(((1, 1, 1), (0, 0, 0), (0, 0, 0))), q, q_iso)
 
 
@@ -667,7 +667,7 @@ def test_iso_reflection_check_refuses_a_map_whose_square_is_scalar_but_is_no_ref
         AffineMap(((2, 1, 1), (-1, 0, -1), (0, 0, 1))),
         changed,
     ):
-        with pytest.raises(DegenerateConfiguration, match="^constructed reflection is not involutive$"):
+        with pytest.raises(DegenerateConfiguration, match="^constructed map is not an affine reflection$"):
             require_iso_reflection(refused, q, q_iso)
 
 

@@ -124,10 +124,25 @@ def test_config_defaults_and_keywords():
 
 def test_records_built_positionally_or_by_keyword_agree():
     family = anticevian_family(construct(P))
-    assert AnticevianFamily(**family.as_dict()) == family
-    assert Homothety(ratio=Scalar(2), center=P) == Homothety(P, Scalar(2))
+    with pytest.raises(TypeError):
+        AnticevianFamily(**family.as_dict())
+    with pytest.raises(TypeError):
+        Homothety(ratio=Scalar(2), center=P)
     with pytest.raises(TypeError):
         Homothety(P)
+
+
+@pytest.mark.parametrize("record, again, text", records())
+def test_record_refuses_a_wrong_number_of_fields(record, again, text):
+    values = tuple(record.as_dict().values())
+    if isinstance(record, Config):  # sides and label have defaults
+        wrong = [(), (*values, "extra")]
+    else:
+        wrong = [(*values, None)] + ([values[:-1]] if values else [])
+    for args in wrong:
+        with pytest.raises(TypeError):
+            type(record)(*args)
+    assert type(record)(*values) == record
 
 
 def test_render_triangle_caches_its_frame():

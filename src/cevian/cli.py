@@ -120,42 +120,63 @@ def construction_report(cs: ConstructionSet, tri: RenderTriangle) -> dict:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _json_text(obj: object, newline: str = "\n") -> str:
+def _json_text(obj: object) -> str:
     """What json.dumps writes for obj with an indent of 2, byte for byte:
     every report is written by this one function.  Each leaf goes through
     the C helpers json itself uses: json has no C encoder for an indent,
     and its pure-Python one took a quarter of a `construct` at a small
-    point.  It takes dicts with str keys, lists, tuples, str, int, float,
-    bool and None, and raises TypeError on anything else, as json.dumps
-    does; also on a key that is not a str, which json.dumps would turn
-    into one and no report holds."""
+    point.  Every leaf and separator is appended to one list, joined once.
+    It takes dicts with str keys, lists, tuples, str, int, float, bool and
+    None, and raises TypeError on anything else, as json.dumps does; also
+    on a key that is not a str, which json.dumps would turn into one and
+    no report holds."""
+    parts: list[str] = []
+    _json_parts(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _json_parts(obj: object, newline: str, append) -> None:
+    """Append the text of obj, indented to the depth of newline."""
     if isinstance(obj, str):
-        return _encode_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return float.__repr__(obj) if math.isfinite(obj) else json.dumps(obj)
-    inner = newline + "  "
-    if isinstance(obj, dict):
+        append(_encode_str(obj))
+    elif obj is None:
+        append("null")
+    elif obj is True:
+        append("true")
+    elif obj is False:
+        append("false")
+    elif isinstance(obj, int):
+        append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        append(float.__repr__(obj) if math.isfinite(obj) else json.dumps(obj))
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = []
+            append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(_encode_str(key) + ": " + _json_text(value, inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, (list, tuple)):
+            append(sep)
+            append(_encode_str(key))
+            append(": ")
+            _json_parts(value, inner, append)
+            sep = "," + inner
+        append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in obj]) + newline + "]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            append(sep)
+            _json_parts(value, inner, append)
+            sep = "," + inner
+        append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(payload: str, out: Optional[str]) -> None:

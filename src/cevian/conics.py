@@ -188,10 +188,14 @@ def inconic_with_contacts(d: Point, e: Point, f: Point) -> Conic:
 def inconic_from_isotomic(a: Sequence[Pair], d: int) -> Conic:
     """The inconic whose perspector is the isotomic conjugate of
     (a_0 : a_1 : a_2) off the sidelines, read off in closed form: the matrix
-    with entries a_k a_j on the diagonal and -a_k a_j off it."""
+    with entries a_k a_j on the diagonal and -a_k a_j off it, each product
+    computed once."""
+    a0, a1, a2 = a
+    m01, m02, m12 = (zscale(-1, zmul(x, y, d)) for x, y in ((a0, a1), (a0, a2), (a1, a2)))
     return Conic.from_ints(d, [
-        [zmul(x, y, d) if i == j else zscale(-1, zmul(x, y, d)) for j, y in enumerate(a)]
-        for i, x in enumerate(a)
+        [zmul(a0, a0, d), m01, m02],
+        [m01, zmul(a1, a1, d), m12],
+        [m02, m12, zmul(a2, a2, d)],
     ])
 
 

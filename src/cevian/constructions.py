@@ -260,6 +260,17 @@ class ConstructionSet(Centers):
     insimilicenter S (q * q_iso coordinatewise), Z (`feuerbach_point`) and
     the nine-point center K(O).  None divides out a polynomial content: each
     is built at the degree it keeps once canonical.
+
+    The entries are read off tables of shared products, each product made
+    once: x_k t_j (k != j) is T_p, whose entry at (l, j) is that of T_p' at
+    (k, j); s_k P_j is T_p^-1, and its diagonal P_k s_k is also that of the
+    transfer map and the c of T_p' T_p; s_k x_k x_j is T_p'^-1, and its
+    diagonal x_k^2 s_k is also that of the transfer inverse and the c of
+    T_p T_p'; P_j (x_j - x_l) serves the transfer map and its inverse.
+    s_k x_k also serves H~ and S, s_k a_k serves H~ and the iso-reflection,
+    and x_k D_k serves Z and the iso-reflection.  v and c need no product
+    of their own: v_k = S_k - uvw, since x_k P_k = uvw, and
+    c_k = x_k^2 + s_k x_k - P_k.
     """
 
     def __init__(self, p: Point):
@@ -267,82 +278,75 @@ class ConstructionSet(Centers):
         p_iso, q = self.p_iso, self.q
         self.q_iso = q_iso = complement(p)
         d, x = p.d, p.ints
+        r = range(3)
 
-        def mul(*factors: Pair) -> Pair:
-            out = factors[0]
-            for f in factors[1:]:
-                out = zmul(out, f, d)
-            return out
-
-        def matrix(entry) -> list[list[Pair]]:
-            return [[entry(k, j) for j in range(3)] for k in range(3)]
-
-        def neg_diagonal(k: int, j: int, value: Pair) -> Pair:
-            return zscale(-1, value) if k == j else value
-
-        s = [zsum((x[k - 2], x[k - 1])) for k in range(3)]
-        prods = [mul(x[k - 2], x[k - 1]) for k in range(3)]
-        diffs = [zsub(x[k - 2], x[k - 1]) for k in range(3)]
-        squares = [mul(c, c) for c in x]
-        t = [mul(s[j - 2], s[j - 1]) for j in range(3)]
+        s = [zsum((x[k - 2], x[k - 1])) for k in r]
+        diffs = [zsub(x[k - 2], x[k - 1]) for k in r]
+        prods = [zmul(x[k - 2], x[k - 1], d) for k in r]
+        squares = [zmul(c, c, d) for c in x]
+        a = [zsub(sq, pk) for sq, pk in zip(squares, prods)]
+        t = [zmul(s[j - 2], s[j - 1], d) for j in r]
+        # the shared products (see the class docstring)
+        xt = [[_ZERO if k == j else zmul(x[k], t[j], d) for j in r] for k in r]  # x_k t_j
+        sp = [[zmul(sk, pj, d) for pj in prods] for sk in s]  # s_k P_j
+        sx = [zmul(sk, xk, d) for sk, xk in zip(s, x)]  # s_k x_k
+        sxx = [[zmul(sxk, xj, d) for xj in x] for sxk in sx]  # s_k x_k x_j
+        pd = [  # P_j (x_j - x_l)
+            [_ZERO if j == l else zmul(prods[j], zsub(x[j], x[l]), d) for l in r] for j in r
+        ]
+        xd = [zmul(xk, dk, d) for xk, dk in zip(x, diffs)]  # x_k D_k
+        sa = [zmul(sk, ak, d) for sk, ak in zip(s, a)]  # s_k a_k
+        uvw = zmul(x[0], prods[0], d)
 
         self.traces_iso = tuple(
-            Point.from_ints(d, [_ZERO if k == j else x[3 - j - k] for k in range(3)])
-            for j in range(3)
+            Point.from_ints(d, [_ZERO if k == j else x[3 - j - k] for k in r])
+            for j in r
         )
-        self.cevian_map = AffineMap.from_ints(d, matrix(
-            lambda k, j: _ZERO if k == j else mul(x[k], t[j])
-        ))
-        self.cevian_map_inverse = AffineMap.from_ints(d, matrix(
-            lambda k, j: neg_diagonal(k, j, mul(s[k], prods[j]))
-        ))
-        self.cevian_map_iso = AffineMap.from_ints(d, matrix(
-            lambda k, j: _ZERO if k == j else mul(x[3 - k - j], t[j])
-        ))
-        self.cevian_map_iso_inverse = AffineMap.from_ints(d, matrix(
-            lambda k, j: neg_diagonal(k, j, mul(s[k], x[k], x[j]))
-        ))
-
-        c = [zsub(mul(zsum(x), xk), pk) for xk, pk in zip(x, prods)]
-        self.orthocenter_iso = Point.from_ints(d, [mul(c[k - 2], c[k - 1]) for k in range(3)])
-        self.circumcenter_iso = complement(self.orthocenter_iso)
-        self.orthocenter_preimage = Point.from_ints(d, [
-            mul(x[k], s[k], zsub(
-                mul(x[k], zsum((squares[k - 2], squares[k - 1]))),
-                mul(s[k], zsub(squares[k], prods[k])),
-            ))
-            for k in range(3)
+        self.cevian_map = AffineMap.from_ints(d, xt)
+        self.cevian_map_inverse = AffineMap.from_ints(d, [
+            [zscale(-1, sp[k][j]) if k == j else sp[k][j] for j in r] for k in r
+        ])
+        self.cevian_map_iso = AffineMap.from_ints(d, [
+            [_ZERO if k == j else xt[3 - k - j][j] for j in r] for k in r
+        ])
+        self.cevian_map_iso_inverse = AffineMap.from_ints(d, [
+            [zscale(-1, sxx[k][j]) if k == j else sxx[k][j] for j in r] for k in r
         ])
 
-        self.transfer_map = AffineMap.from_ints(d, matrix(
-            lambda k, j: mul(prods[j], s[k] if k == j else zsub(x[j], x[3 - k - j]))
-        ))
-        self.transfer_map_inverse = AffineMap.from_ints(d, matrix(
-            lambda k, j: mul(x[k], x[j], s[k] if k == j else zsub(x[3 - k - j], x[j]))
-        ))
-        uvw = mul(x[0], prods[0])
-        self.second_cevian_map = row_constant_map(
-            d, [mul(xk, xk, sk) for xk, sk in zip(x, s)], zscale(2, uvw)
-        )
-        self.second_cevian_map_iso = row_constant_map(
-            d, [mul(pk, sk) for pk, sk in zip(prods, s)], zscale(2, uvw)
-        )
-        big_s = [mul(xk, sk, sk) for xk, sk in zip(x, s)]
-        big_z = [mul(xk, dk, dk) for xk, dk in zip(x, diffs)]
+        # (u + v + w) x_k - P_k
+        c = [zsub(zsum((sq, sxk)), pk) for sq, sxk, pk in zip(squares, sx, prods)]
+        self.orthocenter_iso = Point.from_ints(d, [zmul(c[k - 2], c[k - 1], d) for k in r])
+        self.circumcenter_iso = complement(self.orthocenter_iso)
+        self.orthocenter_preimage = Point.from_ints(d, [
+            zmul(sx[k], zsub(zmul(x[k], zsum((squares[k - 2], squares[k - 1])), d), sa[k]), d)
+            for k in r
+        ])
+
+        self.transfer_map = AffineMap.from_ints(d, [
+            [sp[k][k] if k == j else pd[j][3 - k - j] for j in r] for k in r
+        ])
+        self.transfer_map_inverse = AffineMap.from_ints(d, [
+            [sxx[k][k] if k == j else pd[3 - k - j][j] for j in r] for k in r
+        ])
+        self.second_cevian_map = row_constant_map(d, [sxx[k][k] for k in r], zscale(2, uvw))
+        self.second_cevian_map_iso = row_constant_map(d, [sp[k][k] for k in r], zscale(2, uvw))
+        big_s = [zmul(sxk, sk, d) for sxk, sk in zip(sx, s)]
+        big_z = [zmul(xdk, dk, d) for xdk, dk in zip(xd, diffs)]
         self.circum_to_inconic = row_constant_map(d, big_s, zscale(-4, uvw))
         self.ninepoint_to_inconic = row_constant_map(d, big_z, zscale(8, uvw))
 
-        self.ninepoint_conic_iso = Conic.from_ints(d, matrix(
-            lambda k, j: zscale(-2, x[k]) if k == j else zsum((x[k], x[j]))
-        ))
-        q_squares = [mul(qk, qk) for qk in q.ints]
+        self.ninepoint_conic_iso = Conic.from_ints(d, [
+            [zscale(-2, x[k]) if k == j else zsum((x[k], x[j])) for j in r] for k in r
+        ])
+        q_squares = [zmul(qk, qk, d) for qk in q.ints]
         self.circumconic = isotomic_image_of_line(  # sum u^2(v+w)^2 yz = 0
             Line.from_ints(d, q_squares)
         )
-        self.ninepoint_conic = Conic.from_ints(d, matrix(lambda k, j: (
+        self.ninepoint_conic = Conic.from_ints(d, [[
             zsub(q_squares[k], zsum((q_squares[k - 1], q_squares[k - 2])))
             if k == j else q_squares[3 - k - j]
-        )))
+            for j in r
+        ] for k in r])
         self.ninepoint_center = complement(self.circumcenter)
         self.inconic = inconic_from_isotomic(p_iso.ints, d)
         self.inconic_iso = inconic_from_isotomic(x, d)
@@ -358,18 +362,18 @@ class ConstructionSet(Centers):
         else:
             # v is pq . p_iso q_iso, a meet of two lines that differ off the
             # medians; it is infinite exactly when p is at infinity or on the
-            # outer ellipse, and it is the centroid only on a median
-            self.v = Point.from_ints(d, [
-                mul(x[k], zsub(mul(s[k], s[k]), prods[k])) for k in range(3)
-            ])
+            # outer ellipse, and it is the centroid only on a median.  Its
+            # x_k (s_k^2 - P_k) is S_k - uvw, since x_k P_k = uvw
+            self.v = Point.from_ints(d, [zsub(bk, uvw) for bk in big_s])
             if self.v.is_infinite():
                 self.absent["iso_reflection"] = f"axis point {self.v} unusable"
             else:
-                a = [zsub(sq, pk) for sq, pk in zip(squares, prods)]
-                eta = AffineMap.from_ints(d, matrix(lambda k, j: mul(
-                    diffs[j],
-                    zscale(-1, mul(x[k], a[k - 2], a[k - 1])) if k == j else mul(s[k], a[k], a[j]),
-                )))
+                ad = [zmul(aj, dj, d) for aj, dj in zip(a, diffs)]  # a_j D_j
+                eta = AffineMap.from_ints(d, [[
+                    zscale(-1, zmul(xd[k], zmul(a[k - 2], a[k - 1], d), d))
+                    if k == j else zmul(sa[k], ad[j], d)
+                    for j in r
+                ] for k in r])
                 self.iso_reflection = require_iso_reflection(eta, q, q_iso)
             # the fixed point of circum_to_inconic, where the lines oq, o'q'
             # and the axis gv meet.  Off the medians two of them differ: v is

@@ -778,6 +778,17 @@ def test_canonicalization_counts_are_pinned(monkeypatch, p):
     assert len(calls) == 9
 
 
+@pytest.mark.parametrize("p", [Point(5, -7, 11), SQRT6_POINT], ids=["Q", "Q(sqrt(6))"])
+def test_product_counts_are_pinned(monkeypatch, p):
+    """construct reads its closed forms off shared product tables, each
+    product made once: 121 products of pairs, over Q and over Q(sqrt(6))
+    alike, the checks of Centers included."""
+    complement_map(), anticomplement_map()  # cached constants, built once
+    calls = count_calls(monkeypatch, "cevian.scalar", "zmul")
+    construct(p)
+    assert len(calls) == 121
+
+
 def test_construction_reads_its_conics_off_closed_forms(monkeypatch):
     """construct, over Q and over Q(sqrt(d)), the vertex-locus conics and
     the cevian-conic sweep solve no linear system."""

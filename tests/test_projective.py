@@ -714,6 +714,29 @@ def check_kernel_against_references(data, d):
         assert bary_to_xy(p, tri) == general_bary_to_xy(p, tri)
 
 
+@pytest.mark.parametrize(
+    "coords", [(3, -5, 7), (10**400, -1, 1), (2**1100, 1 - 2**1100, 0), (1, 10**400, -(10**400))]
+)
+def test_rational_bary_to_xy_gives_the_general_doubles(coords):
+    """At d = 1 bary_to_xy reads the ints alone, and gives the doubles of
+    the general path to the sign of a zero: an underflow is 0.0, never
+    -0.0, and a coordinate beyond the double range is None."""
+    p = Point(*coords)
+    for tri in _TRIANGLES:
+        assert repr(bary_to_xy(p, tri)) == repr(general_bary_to_xy(p, tri))
+
+
+@pytest.mark.parametrize(
+    "p, d", [(Point(1, -2, 1), 1), (Point(Scalar(1, 1, 2), -1, Scalar(0, -1, 2)), 2)], ids=["Q", "Q(sqrt(2))"]
+)
+def test_bary_to_xy_names_a_point_at_infinity(p, d):
+    """A point at infinity has no position: bary_to_xy raises InfiniteInput
+    over Q as over Q(sqrt(d)), and no ZeroDivisionError."""
+    assert p.is_infinite() and p.d == d
+    with pytest.raises(InfiniteInput, match=r" is at infinity$"):
+        bary_to_xy(p, RenderTriangle.default())
+
+
 @st.composite
 def rank_test_matrices(draw, d):
     """3x3 pair matrices over Z[sqrt(d)]: any, zero, rank one (a column

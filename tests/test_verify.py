@@ -530,11 +530,11 @@ def test_a_failing_iso_reflection_check_raises_out_of_construct(monkeypatch):
     from cevian.projective import DegenerateConfiguration
 
     def fails(eta, q, q_iso):
-        raise DegenerateConfiguration("constructed reflection is not involutive")
+        raise DegenerateConfiguration("constructed map is not an affine reflection")
 
     monkeypatch.setattr(constructions, "require_iso_reflection", fails)
     with pytest.raises(DegenerateConfiguration):
         constructions.construct(Point(2, 3, 6))
     result = run_point(Point(2, 3, 6), ["eta_reflection"])[0]
     assert result.status == "fail"
-    assert result.witness["error"] == "DegenerateConfiguration: constructed reflection is not involutive"
+    assert result.witness["error"] == "DegenerateConfiguration: constructed map is not an affine reflection"

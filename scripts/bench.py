@@ -15,8 +15,8 @@ host falls on both alike.
 Every row is end to end, and one operation of a row is one round of it:
 run_suite(42, 25); the 64 `cevian construct` CLI calls of the
 construct_bits workload at a fixed seed; and construct() on points of 4,
-64, 256 and 1024 bits, over Q(sqrt(2)) and over Q(sqrt(d)) for d a product
-of two 12-bit primes.  The inputs come from perfbench/workloads.py; the
+64, 256, 1024 and 4096 bits, over Q(sqrt(2)) and over Q(sqrt(d)) for d a
+product of two 12-bit primes.  The inputs come from perfbench/workloads.py; the
 Q(sqrt(2)) points read the quadratic_field coefficients over sqrt(2), and
 perfbench's oracle rules out those that are degenerate there.
 
@@ -57,7 +57,7 @@ import workloads  # noqa: E402
 SUITE_ARGS = (42, 25)
 CLI_SEED = 7  # the seed of the construct_bits inputs
 POINTS = 16  # points of each construct() row
-BITS = (4, 64, 256, 1024)
+BITS = (4, 64, 256, 1024, 4096)
 QUADRATIC_SEED = 11
 
 

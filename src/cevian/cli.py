@@ -1,11 +1,13 @@
 """Command-line front end: construct configurations, run the verification
 suite, inspect the vertex-orthocenter locus, and emit SVG figures.
 
-Reports are UTF-8 JSON.  Every geometric value appears as an exact
-coordinate string that parses back bit-identically; floats occur only inside
-the dedicated "render" sub-object.  Exit codes: 0 success, 1 verification
-failure, 2 malformed input, hard degeneracy or an output that cannot be
-written (a closed pipe included).
+Reports are UTF-8 JSON.  Every geometric value appears as an exact string:
+a point reads back bit-identically through `Point.parse`, and a conic or map
+has the documented "[[a, b, c], [d, e, f], [g, h, i]]" shape, which the
+tests' reader checks.  Floats occur only inside the dedicated "render"
+sub-object.  Exit codes: 0 success, 1 verification failure, 2 malformed
+input, hard degeneracy or an output that cannot be written (a closed pipe
+included).
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ pays for.  Each fast path's comment gives what removing it cost.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache, reduce
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
@@ -540,17 +539,6 @@ class HomogeneousMatrix(CanonicalObject):
             "[" + ", ".join(format_number(a, b, d) for a, b in row) + "]" for row in self.ints
         )
         return f"[{rows}]"
-
-    # "[[a, b, c], [d, e, f], [g, h, i]]" with free spacing: three rows of
-    # bracketed entries, none of which holds a bracket
-    _TEXT = re.compile(r"\s*\[" + ",".join([r"\s*\[([^\[\]]*)\]\s*"] * 3) + r"\]\s*")
-
-    @classmethod
-    def parse(cls, text: str):
-        m = cls._TEXT.fullmatch(text)
-        if m is None:
-            raise ValueError(f"malformed matrix {text!r}")
-        return cls([[Scalar.parse(x) for x in row.split(",")] for row in m.groups()])
 
 
 _ZERO_ROW: Vector = (_ZERO,) * 3

@@ -16,8 +16,9 @@ inside the package.  Values are immutable, canonical and compared
 structurally, so ``==`` is semantic equality.  Scalars enter by parsing and
 by ``ratio``, the one way a pair becomes a Scalar; ``integer_vector`` turns
 them into pairs.  ``format_number`` prints Scalars and pairs alike; floats
-are made only in rendering.  The remaining ``+ - * /`` (one field at a
-time; mixing two fields raises) serve callers outside the package.
+are made only in rendering.  The remaining arithmetic works one field at
+a time (mixing two fields raises): perfbench times ``+``, ``*`` and ``/``,
+and only tests use ``-``, unary minus and the reflected forms.
 
 Canonical form is established where a value enters: the public constructor
 ``Scalar(a, b, d)`` (and ``parse``, which calls it) factors d to its

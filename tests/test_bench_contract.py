@@ -8,9 +8,12 @@ and its coefficient-bit row reads the `.a` and `.b` of every Scalar of the
 trimming any of them fails these tests rather than a benchmark run.  The
 names of its `LAYER_SPANS` are resolved here the same way, and they count
 as used in the gate that keeps code only the tests call out of the library.
+A second gate runs the program and names the reason for every package body
+it never enters.
 """
 
 import ast
+import json
 import operator
 import subprocess
 import sys
@@ -115,7 +118,8 @@ def test_library_holds_no_code_only_the_tests_call():
     elsewhere in it, unless the benchmark's scripts name it, it is registered
     as a check, or the traced run wraps it: a second copy of a computation
     that only a test calls belongs in the tests.  Dunder methods are run by
-    the language, and count as used."""
+    the language, and count as used.  Bodies that share a name with a used
+    one are left to the coverage gate below, which runs the program."""
     src = Path(cevian.__file__).parent
     trees = {path: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     kept = {fn.__name__ for fn in REGISTRY.values()}
@@ -149,6 +153,91 @@ def test_library_holds_no_code_only_the_tests_call():
         )
     ]
     assert unused == []
+
+
+TRAFFIC = Path(__file__).resolve().parent / "coverage_traffic.py"
+PERFBENCH = "perfbench"
+
+# Every body of the package that coverage_traffic.py never enters, and why
+# it stays: a kind, and for the "perfbench" kind the LAYER_SPANS function of
+# the traced run that is it or calls it.
+NEVER_ENTERED = {
+    "conics.py:conic_row": (PERFBENCH, "conic_through_five", "builds the five rows it solves"),
+    "conics.py:conic_through_five": (PERFBENCH, "conic_through_five", "a LAYER_SPANS span"),
+    "conics.py:inconic_with_contacts": (PERFBENCH, "inconic_with_contacts", "a LAYER_SPANS span"),
+    "projective.py:null_space": (PERFBENCH, "null_space", "a LAYER_SPANS span; conic_through_five calls it"),
+    "scalar.py:divide_exactly": (PERFBENCH, "null_space", "the exact division of its Bareiss step"),
+    "scalar.py:Scalar.__sub__": ("tests", "the Scalar arithmetic moves to the tests in one piece"),
+    "scalar.py:Scalar.__neg__": ("tests", "the Scalar arithmetic moves to the tests in one piece"),
+    "projective.py:CanonicalObject.__hash__": ("language", "hash() of a point, line or matrix"),
+    "scalar.py:Scalar.__hash__": ("language", "hash() equal to that of an equal rational"),
+    "scalar.py:Record.__eq__": ("language", "== of two records"),
+    "scalar.py:Record.__hash__": ("language", "hash() of a record"),
+    "scalar.py:Record._values": ("language", "the field tuple of __eq__, __hash__ and __reduce__"),
+    "scalar.py:Record.__reduce__": ("language", "pickle and copy of a record"),
+    "scalar.py:Record.__setattr__": ("language", "refuses assignment to a field"),
+    "scalar.py:Record.__delattr__": ("language", "refuses deletion of a field"),
+    "projective.py:HomogeneousMatrix._validate": ("hook", "the base's no-op: AffineMap and Conic override it"),
+    "verify.py:_error_witness": ("error path", "the witness of a check or construction that raises"),
+}
+
+
+def package_bodies():
+    """(qualified name, file name, first line) of every function, method and
+    property of the package, nested ones included; the first line is that
+    of the first decorator, as in the body's code object."""
+
+    def walk(path, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [deco.lineno for deco in child.decorator_list])
+                yield f"{path.name}:{prefix}{child.name}", path.name, first
+                yield from walk(path, child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(path, child, f"{prefix}{child.name}.")
+            else:
+                yield from walk(path, child, prefix)
+
+    for path in sorted(Path(cevian.__file__).parent.glob("*.py")):
+        yield from walk(path, ast.parse(path.read_text()), "")
+
+
+def test_every_body_of_the_package_runs_or_says_why_not():
+    """Code only the tests call belongs in the tests, and a name gate cannot
+    see a method whose bare name another one shares.  So the program runs
+    its users' traffic (coverage_traffic.py, in a fresh interpreter under
+    sys.setprofile), and every package body it never enters must be listed
+    in NEVER_ENTERED with its reason: no more, so that a body that starts to
+    run or is deleted leaves the list too."""
+    done = subprocess.run(
+        [sys.executable, "-I", "-B", str(TRAFFIC), str(Path(cevian.__file__).parents[1])],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    entered = {tuple(key) for key in json.loads(done.stdout)}
+    never = {name for name, file, line in package_bodies() if (file, line) not in entered}
+    unlisted = sorted(never - NEVER_ENTERED.keys())
+    stale = sorted(NEVER_ENTERED.keys() - never)
+    assert not unlisted, f"never entered, with no reason in NEVER_ENTERED: {unlisted}"
+    assert not stale, f"in NEVER_ENTERED, but entered or gone: {stale}"
+
+
+def test_what_perfbench_keeps_the_traced_run_wraps():
+    """A "perfbench" entry of NEVER_ENTERED is a function the traced run
+    wraps as a LAYER_SPANS span, or one that such a function's body calls."""
+    spans = {attr for _, attr, _ in bench.LAYER_SPANS}
+    functions = {
+        node.name: node
+        for path in Path(cevian.__file__).parent.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    for entry, (kind, via, *_) in NEVER_ENTERED.items():
+        if kind != PERFBENCH:
+            continue
+        assert via in spans, entry
+        name = entry.split(":")[1]
+        assert name == via or name in {read for _, read, _ in names_read(functions[via])}, entry
 
 
 def test_every_skip_a_check_can_give_is_given_and_nothing_fails():

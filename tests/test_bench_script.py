@@ -20,6 +20,7 @@ ROWS = [
     "construct() x16, 64 bits",
     "construct() x16, 256 bits",
     "construct() x16, 1024 bits",
+    "construct() x16, 4096 bits",
     "construct() x16, Q(sqrt(2))",
     "construct() x16, Q(sqrt(d)), d of two 12-bit primes",
 ]

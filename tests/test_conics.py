@@ -58,6 +58,7 @@ from cevian.conics import (
 )
 from cevian.constructions import cevian_conic, construct, degeneracy_report, locus_conic
 
+from matrix_text import read_matrix
 from test_classification import NoSuchConic, reference_circumconic_with_center
 
 VERTICES = (VERTEX_A, VERTEX_B, VERTEX_C)
@@ -405,7 +406,7 @@ def test_isotomic_image_of_line():
 
 def test_conic_parse_round_trip():
     conic = reference_circumconic_with_center(Point(1, 2, 4))
-    assert Conic.parse(str(conic)) == conic
+    assert read_matrix(Conic, str(conic)) == conic
 
 
 # -- the closed forms against the solvers they replaced ---------------------------------

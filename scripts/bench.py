@@ -12,13 +12,15 @@ resolve to it.  Each round runs every row once on each side, the side that
 goes first alternating from round to round, so a slow stretch of a shared
 host falls on both alike.
 
-Every row is end to end, and one operation of a row is one round of it:
-run_suite(42, 25); the 64 `cevian construct` CLI calls of the
-construct_bits workload at a fixed seed; and construct() on points of 4,
-64, 256, 1024 and 4096 bits, over Q(sqrt(2)) and over Q(sqrt(d)) for d a
-product of two 12-bit primes.  The inputs come from perfbench/workloads.py; the
-Q(sqrt(2)) points read the quadratic_field coefficients over sqrt(2), and
-perfbench's oracle rules out those that are degenerate there.
+The end-to-end rows time one round of an operation each: run_suite(42, 25);
+the 64 `cevian construct` CLI calls of the construct_bits workload at a
+fixed seed; and construct() on points of 4, 64, 256, 1024 and 4096 bits,
+over Q(sqrt(2)) and over Q(sqrt(d)) for d a product of two 12-bit primes.
+The inputs come from perfbench/workloads.py; the Q(sqrt(2)) points read the
+quadratic_field coefficients over sqrt(2), and perfbench's oracle rules out
+those that are degenerate there.  The layer rows follow, one per check id
+that both trees register: the time that check takes over one more round of
+run_suite(42, 25), which runs each REGISTRY entry wrapped in a timer.
 
 The JSON report gives, for each row, each side's median time of a round
 scaled to the reference pace of perfbench/pace.py, the ratio of this tree's
@@ -55,6 +57,7 @@ import pace  # noqa: E402
 import workloads  # noqa: E402
 
 SUITE_ARGS = (42, 25)
+CHECK_ROW = "check %%s in run_suite(%d, %d)" % SUITE_ARGS
 CLI_SEED = 7  # the seed of the construct_bits inputs
 POINTS = 16  # points of each construct() row
 BITS = (4, 64, 256, 1024, 4096)
@@ -150,6 +153,37 @@ def quadratic_row() -> Callable[[], object]:
     return _construct_row([point for *_, point in gen.make_inputs(QUADRATIC_SEED)])
 
 
+def check_rounds() -> tuple[list[str], Callable[[], dict[str, float]]]:
+    """For the active package, its check ids and a round of
+    run_suite(42, 25) with each REGISTRY entry wrapped in a timer, which
+    returns the seconds each check id took, summed over the configurations
+    it ran on.  The checks run through run_suite's registry argument, so the
+    end-to-end row times the suite unwrapped."""
+    from cevian.verify import REGISTRY, run_suite
+
+    spent = dict.fromkeys(REGISTRY, 0.0)
+
+    def timed(cid: str, check: Callable) -> Callable:
+        def run(ctx, claims):
+            start = time.perf_counter()
+            try:
+                return check(ctx, claims)
+            finally:
+                spent[cid] += time.perf_counter() - start
+
+        return run
+
+    registry = {cid: timed(cid, check) for cid, check in REGISTRY.items()}
+
+    def run() -> dict[str, float]:
+        for cid in spent:
+            spent[cid] = 0.0
+        run_suite(*SUITE_ARGS, registry=registry)
+        return dict(spent)
+
+    return list(REGISTRY), run
+
+
 def rows(out: str) -> dict[str, Callable[[], Callable[[], object]]]:
     """Row name -> a builder of its round for the active package."""
     table = {
@@ -216,17 +250,20 @@ def unpack(rev: str, dest: Path) -> None:
 
 def measure(against: Path, rounds: int) -> dict:
     sides = {"this": load_package(ROOT), "against": load_package(against)}
-    times: dict[str, dict[str, list[float]]] = {}
-    paces: dict[str, dict[str, list[float]]] = {}
     with tempfile.TemporaryDirectory() as tmp:
         table = rows(os.path.join(tmp, "report.json"))
-        runs = {}
+        runs, checks, registered = {}, {}, {}
         for side, modules in sides.items():
             activate(modules)
             runs[side] = {name: build() for name, build in table.items()}
-        for name in table:
-            times[name] = {side: [] for side in sides}
-            paces[name] = {side: [] for side in sides}
+            registered[side], checks[side] = check_rounds()
+        # the check ids of this tree, in its order, that the other registers too
+        check_rows = {
+            CHECK_ROW % cid: cid for cid in registered["this"] if cid in registered["against"]
+        }
+        names = [*table, *check_rows]
+        times = {name: {side: [] for side in sides} for name in names}
+        paces = {name: {side: [] for side in sides} for name in names}
         order = list(sides)
         for k in range(rounds + 1):  # round 0 warms both sides up and is not kept
             for name in table:
@@ -238,9 +275,17 @@ def measure(against: Path, rounds: int) -> dict:
                     if k:
                         times[name][side].append(elapsed)
                         paces[name][side].append(pace.kernel())
+            for side in order if k % 2 else order[::-1]:
+                activate(sides[side])
+                spent = checks[side]()
+                if k:
+                    now = pace.kernel()
+                    for name, cid in check_rows.items():
+                        times[name][side].append(spent[cid])
+                        paces[name][side].append(now)
     _drop_cevian()
     report_rows = []
-    for name in table:
+    for name in names:
         t, a = times[name]["this"], times[name]["against"]
         ratios = [x / y for x, y in zip(t, a)]
         q1, median, q3 = quartiles(ratios)

@@ -52,7 +52,6 @@ from .projective import (
     incident,
     mat_mul,
     mat_vec,
-    meet,
     null_space,
     perspector,
     transpose,
@@ -345,7 +344,17 @@ def tangent_conics_at(c1: Conic, c2: Conic, z: Point) -> bool:
 
 class InfinityInvolution:
     """The conjugate-direction involution a central conic induces on the
-    line at infinity: X -> polar(X) . l_inf."""
+    line at infinity: X -> polar(X) . l_inf.
+
+    The image is read off the raw vector Cx = (a, b, c) of the polar:
+    polar(x) x [1 : 1 : 1] = (b - c : c - a : a - b), and x is
+    self-conjugate when x . Cx = 0, so only the image is canonicalized.
+    That vector is never zero.  It vanishes only when Cx is a multiple of
+    [1 : 1 : 1], and then x . Cx is that multiple of the coordinate sum of
+    x, which is 0 at infinity, so x is refused as self-conjugate first.
+    For the nondegenerate central conics accepted here that cannot even
+    happen: Cx = 0 would make x a singular point, and polar(x) = l_inf
+    would make x the pole of l_inf, the center, which is finite."""
 
     __slots__ = ("conic",)
 
@@ -359,9 +368,12 @@ class InfinityInvolution:
     def __call__(self, x: Point) -> Point:
         if not x.is_infinite():
             raise NotIncident(f"{x} is not at infinity")
-        if self.conic.contains(x):
+        conic = self.conic
+        d = join_d(conic.d, x.d)
+        a, b, c = cx = mat_vec(conic.ints, x.ints, d)
+        if dot(x.ints, cx, d) == _ZERO:
             raise SelfConjugate(f"{x} is an asymptotic direction")
-        return meet(self.conic.polar(x), LINE_AT_INFINITY)
+        return Point.from_ints(d, (zsub(b, c), zsub(c, a), zsub(a, b)))
 
 
 def transform_conic(mapping: AffineMap, conic: Conic) -> Conic:

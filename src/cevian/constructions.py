@@ -105,30 +105,31 @@ class DegeneracyReport(Record):
         )
 
 
-def _locus_forms(p: Point) -> tuple[Pair, tuple[Pair, ...]]:
-    """s = xy + yz + zx and e = (s - x^2, s - y^2, s - z^2) at p = (x : y : z).
-    s vanishes on the outer centroid ellipse, and e_k off the sidelines on
-    the locus of points whose orthocenter-like point is vertex k."""
+def _report_and_forms(p: Point) -> tuple[DegeneracyReport, tuple[Pair, Pair, Pair]]:
+    """degeneracy_report(p), and the locus forms e = (s - x^2, s - y^2,
+    s - z^2) at p = (x : y : z) for s = xy + yz + zx.  s vanishes on the
+    outer centroid ellipse, and e_k off the sidelines on the locus of points
+    whose orthocenter-like point is vertex k.  Centers reads the report and
+    H off one call."""
     (x, y, z), d = p.ints, p.d
-    s = zsum((zmul(x, y, d), zmul(y, z, d), zmul(z, x, d)))
-    return s, tuple(zsub(s, zmul(c, c, d)) for c in p.ints)
-
-
-def degeneracy_report(p: Point) -> DegeneracyReport:
-    x, y, z = p.ints
     on_side = (0, 0) in p.ints
     on_anti = any(zsum(pair) == (0, 0) for pair in ((y, z), (z, x), (x, y)))
     on_median = x == y or y == z or z == x
-    s, e = _locus_forms(p)
+    s = zsum((zmul(x, y, d), zmul(y, z, d), zmul(z, x, d)))
+    e = (zsub(s, zmul(x, x, d)), zsub(s, zmul(y, y, d)), zsub(s, zmul(z, z, d)))
     h_vertex = None if on_side else next((k for k, e_k in zip("ABC", e) if e_k == (0, 0)), None)
-    return DegeneracyReport(on_side, on_anti, on_median, s == (0, 0), h_vertex)
+    return DegeneracyReport(on_side, on_anti, on_median, s == (0, 0), h_vertex), e
 
 
-def generalized_orthocenter(p: Point) -> Point:
+def degeneracy_report(p: Point) -> DegeneracyReport:
+    return _report_and_forms(p)[0]
+
+
+def _orthocenter(p: Point, e: tuple[Pair, Pair, Pair]) -> Point:
     """The orthocenter-like point H of p = (u : v : w) off the sidelines of
     both triangles: (u e_v e_w : v e_w e_u : w e_u e_v) for the locus forms
     e of p, so H is vertex k exactly where e_k vanishes."""
-    d, (_, e) = p.d, _locus_forms(p)
+    d = p.d
     others = (zmul(e[1], e[2], d), zmul(e[2], e[0], d), zmul(e[0], e[1], d))
     return Point.from_ints(d, [zmul(c, e_c, d) for c, e_c in zip(p.ints, others)])
 
@@ -177,16 +178,17 @@ class Centers:
     """The defining objects of one driving point p.
 
     q is the complement of the isotomic conjugate p_iso of p (the inconic
-    center).  The orthocenter-like point H is `generalized_orthocenter(p)`,
-    read off the vertex-locus forms, and the circumcenter-like point is
-    O = K(H).  Both are checked to lie on the parallels to the q-trace lines
-    through the vertices (H) and the midpoints (O), which define them.
+    center).  The orthocenter-like point H is read off the vertex-locus
+    forms of p, computed once for it and for the degeneracy flags, and the
+    circumcenter-like point is O = K(H).  Both are checked to lie on the
+    parallels to the q-trace lines through the vertices (H) and the
+    midpoints (O), which define them.
     The cevian conic through A, B, C, p, q is None when p is the centroid,
     with the reason recorded in `absent`.
     """
 
     def __init__(self, p: Point):
-        flags = degeneracy_report(p)
+        flags, forms = _report_and_forms(p)
         if flags.on_sideline:
             raise OnSideline(f"{p} lies on a sideline of the reference triangle")
         if flags.on_anticomplementary_sideline:
@@ -200,7 +202,7 @@ class Centers:
         self.q = q = complement(self.p_iso)
         self.traces = cevian_traces(p)
 
-        self.orthocenter = generalized_orthocenter(p)
+        self.orthocenter = _orthocenter(p, forms)
         self.circumcenter = complement(self.orthocenter)
         # the point at infinity of each q-trace line, (q x t) x [1 : 1 : 1]
         d, infinity = p.d, LINE_AT_INFINITY.ints

@@ -400,13 +400,6 @@ def are_collinear(p1: Point, p2: Point, p3: Point) -> bool:
     return det3((p1.ints, p2.ints, p3.ints), d) == _ZERO
 
 
-def direction_of(l: Line) -> Point:
-    """The point at infinity of an ordinary line."""
-    if l.is_line_at_infinity():
-        raise InfiniteInput("the line at infinity has no single direction")
-    return meet(l, LINE_AT_INFINITY)
-
-
 def parallel(l1: Line, l2: Line) -> bool:
     """Whether the lines meet at infinity: their cross product sums to 0."""
     if l1.is_line_at_infinity() or l2.is_line_at_infinity():
@@ -415,11 +408,22 @@ def parallel(l1: Line, l2: Line) -> bool:
 
 
 def parallel_through(p: Point, l: Line) -> Line:
-    """The line through p parallel to l (i.e. through l's point at infinity)."""
-    d = direction_of(l)
-    if p == d:
+    """The line through p parallel to l, i.e. through l's point at infinity.
+
+    That point is l x [1 : 1 : 1] = (b - c : c - a : a - b) for
+    l = [a : b : c], and the line is its raw cross product with p: only the
+    returned line is canonicalized.  The direction is zero exactly on the line at infinity,
+    which raises InfiniteInput first, and the cross product is zero exactly
+    when p is that direction.  p and l share one field: a p over a second
+    Q(sqrt(d)) raises IncompatibleExtensions, as join_d does."""
+    if l.is_line_at_infinity():
+        raise InfiniteInput("the line at infinity has no single direction")
+    a, b, c = l.ints
+    d = join_d(p.d, l.d)
+    line = cross(p.ints, (zsub(b, c), zsub(c, a), zsub(a, b)), d)
+    if all(x == _ZERO for x in line):
         raise CoincidentArguments("point is the direction itself")
-    return join(p, d)
+    return Line.from_ints(d, line)
 
 
 def collinear_ratio(x: Point, y: Point, z: Point) -> Scalar:
@@ -773,29 +777,37 @@ def require_iso_reflection(eta: AffineMap, q: Point, q_iso: Point) -> AffineMap:
     return eta
 
 
-def common_point(lines: Sequence[Line]) -> Optional[Point]:
-    """The point all the lines pass through, or None when they do not
-    concur.  Raises CoincidentArguments when the lines are all one line,
-    since then every point of it is common."""
-    first = lines[0]
-    other = next((l for l in lines[1:] if l != first), None)
-    if other is None:
-        raise CoincidentArguments(f"the lines all coincide with {first}")
-    candidate = meet(first, other)
-    if all(incident(candidate, l) for l in lines):
-        return candidate
-    return None
-
-
 def perspector(
     tri1: tuple[Point, Point, Point], tri2: tuple[Point, Point, Point]
 ) -> Optional[Point]:
     """Common point of the three lines joining corresponding vertices, or
-    None when the triangles are not perspective.  Corresponding vertices must
-    be distinct."""
-    lines = [join(a, b) for a, b in zip(tri1, tri2)]
-    try:
-        return common_point(lines)
-    except CoincidentArguments:
-        # all three joins are one line: every point of it works; degenerate
+    None when the triangles are not perspective, and None too when the three
+    joins are one line, since then every point of it is common.
+    Corresponding vertices must be distinct: a coincident pair raises
+    CoincidentArguments, as `join` does.
+
+    The joins are raw cross products.  The first two meet in their cross
+    product unless they are one line, when the third join takes the second's
+    place, and a zero cross product there means all three are one line.  The
+    joins concur when the third passes through the meet of the first two,
+    one `dot`; the second join of the fallback passes through it already.
+    Only the perspector is canonicalized, and its vector is never zero.  The
+    six points share one field: a second Q(sqrt(d)) raises
+    IncompatibleExtensions, as join_d does."""
+    d = 1
+    joins = []
+    for a, b in zip(tri1, tri2):
+        d = join_d(d, join_d(a.d, b.d))
+        line = cross(a.ints, b.ints, d)
+        if all(x == _ZERO for x in line):
+            raise CoincidentArguments(f"join of coincident points {a}")
+        joins.append(line)
+    first, second, third = joins
+    common = cross(first, second, d)
+    if all(x == _ZERO for x in common):
+        common = cross(first, third, d)
+        if all(x == _ZERO for x in common):
+            return None
+    elif dot(common, third, d) != _ZERO:
         return None
+    return Point.from_ints(d, common)

@@ -1,8 +1,10 @@
 """scripts/bench.py, the in-process A/B timing script, run for one round.
 
 The tree is timed against its own HEAD, unpacked by the script from git
-archive and loaded as the other package.  Only the shape of the JSON report is checked: no timing is
-asserted, since one round on a shared host says nothing about speed."""
+archive and loaded as the other package.  Only the shape of the JSON report
+is checked, the end-to-end rows and the per-check layer rows alike: no
+timing is asserted, since one round on a shared host says nothing about
+speed."""
 
 import json
 import subprocess
@@ -10,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from cevian.verify import REGISTRY
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,6 +28,8 @@ ROWS = [
     "construct() x16, Q(sqrt(2))",
     "construct() x16, Q(sqrt(d)), d of two 12-bit primes",
 ]
+# the layer rows: one per check id, in registry order
+ROWS += [f"check {cid} in run_suite(42, 25)" for cid in REGISTRY]
 
 
 def is_number(x):

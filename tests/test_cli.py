@@ -864,11 +864,11 @@ def test_verify_at_a_large_point_prints_its_witnesses():
 def test_verify_reports_an_internal_error_and_exits_1(tmp_path, monkeypatch):
     from cevian import constructions
 
-    right = constructions.generalized_orthocenter
+    right = constructions._orthocenter
     monkeypatch.setattr(
         constructions,
-        "generalized_orthocenter",
-        lambda p: Point(1, 2, 3) if p == Point(21, 24, 28) else right(p),
+        "_orthocenter",
+        lambda p, e: Point(1, 2, 3) if p == Point(21, 24, 28) else right(p, e),
     )
     for args in (["--seed", "42", "--count", "2"], ["--p", "21:24:28"]):
         out = tmp_path / "verify.json"

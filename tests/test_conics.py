@@ -22,7 +22,6 @@ from cevian.projective import (
     cevian_traces,
     complement,
     complement_map,
-    direction_of,
     incident,
     isotomic,
     join,
@@ -59,6 +58,7 @@ from cevian.conics import (
 from cevian.constructions import cevian_conic, construct, degeneracy_report, locus_conic
 
 from matrix_text import read_matrix
+from projective_reference import direction_of
 from test_classification import NoSuchConic, reference_circumconic_with_center
 
 VERTICES = (VERTEX_A, VERTEX_B, VERTEX_C)

@@ -35,7 +35,6 @@ from cevian.projective import (
     cevian_traces,
     centroid_of,
     collinear_ratio,
-    common_point,
     complement,
     complement_map,
     incident,
@@ -71,7 +70,6 @@ from cevian.constructions import (
     anticevian_family,
     construct,
     degeneracy_report,
-    generalized_orthocenter,
     locus_conic,
     sample_nondegenerate,
     special_configuration_point,
@@ -79,6 +77,12 @@ from cevian.constructions import (
 )
 from cevian.render import RenderTriangle
 from cevian.verify import run_point, run_suite
+from projective_reference import common_point
+
+
+def generalized_orthocenter(p):
+    """H of p off the hard loci, read off its locus forms as Centers reads it."""
+    return constructions._orthocenter(p, constructions._report_and_forms(p)[1])
 
 
 # -- degeneracy flags -----------------------------------------------------------
@@ -252,7 +256,7 @@ def test_extension_marker():
 def test_dual_path_rejects_a_center_off_the_parallels(monkeypatch):
     """Centers checks H and O against the parallels that define them, so a
     wrong H raises by name rather than entering the construction."""
-    monkeypatch.setattr(constructions, "generalized_orthocenter", lambda p: Point(1, 2, 3))
+    monkeypatch.setattr(constructions, "_orthocenter", lambda p, e: Point(1, 2, 3))
     with pytest.raises(
         ConstructionInconsistency,
         match=r"^formula and parallel definitions disagree at p=\(21 : 24 : 28\)$",
@@ -268,7 +272,7 @@ def test_dual_path_rejects_the_anticomplement_of_h(monkeypatch, p):
     """The parallel-line check runs on uncanonicalized directions and still
     refuses an H that is off its parallels, over Q and over Q(sqrt(6))."""
     h = generalized_orthocenter(p)
-    monkeypatch.setattr(constructions, "generalized_orthocenter", lambda p: anticomplement(h))
+    monkeypatch.setattr(constructions, "_orthocenter", lambda p, e: anticomplement(h))
     with pytest.raises(ConstructionInconsistency) as raised:
         Centers(p)
     assert str(raised.value) == f"formula and parallel definitions disagree at p={p}"
@@ -781,12 +785,13 @@ def test_canonicalization_counts_are_pinned(monkeypatch, p):
 @pytest.mark.parametrize("p", [Point(5, -7, 11), SQRT6_POINT], ids=["Q", "Q(sqrt(6))"])
 def test_product_counts_are_pinned(monkeypatch, p):
     """construct reads its closed forms off shared product tables, each
-    product made once: 121 products of pairs, over Q and over Q(sqrt(6))
-    alike, the checks of Centers included."""
+    product made once: 115 products of pairs, over Q and over Q(sqrt(6))
+    alike, the checks of Centers included, whose flags and H share one
+    computation of the locus forms."""
     complement_map(), anticomplement_map()  # cached constants, built once
     calls = count_calls(monkeypatch, "cevian.scalar", "zmul")
     construct(p)
-    assert len(calls) == 121
+    assert len(calls) == 115
 
 
 def test_construction_reads_its_conics_off_closed_forms(monkeypatch):

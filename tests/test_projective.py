@@ -6,19 +6,26 @@ from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from cevian import scalar as scalar_module
 from cevian.scalar import (
     InexactDivision,
     Scalar,
     ScalarError,
+    combine,
     divide_exactly,
+    zmul,
     zscale,
+    zsub,
     zsum,
 )
 from cevian.conics import (
     Conic,
+    DegenerateConic,
+    InfinityInvolution,
+    NotIncident,
+    SelfConjugate,
     NoRealIntersection,
     TangentAt,
     TwoPoints,
@@ -37,9 +44,11 @@ from cevian.projective import (
     AffineMap,
     AffineReflection,
     CENTROID,
+    CanonicalObject,
     CoincidentArguments,
     DependentSources,
     GeneralMap,
+    GeometryError,
     Homothety,
     Identity,
     InfiniteInput,
@@ -62,6 +71,7 @@ from cevian.projective import (
     VERTICES,
     anticomplement,
     anticomplement_map,
+    are_collinear,
     centroid_of,
     cevian_map,
     cevian_traces,
@@ -75,7 +85,6 @@ from cevian.projective import (
     adjugate3,
     complement,
     complement_map,
-    direction_of,
     incident,
     isotomic,
     join,
@@ -90,6 +99,12 @@ from cevian.projective import (
     reflect_through,
 )
 
+from projective_reference import (
+    composed_involution,
+    composed_parallel_through,
+    composed_perspector,
+    direction_of,
+)
 from test_classification import reference_circumconic_with_center
 
 IDENTITY = AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -1029,3 +1044,161 @@ def test_affine_helpers_match_affine_coordinates(p, other):
             image = Point(*(2 * c - a for c, a in zip(center, normalized(x))))
             assert point_reflection(cs.circumcenter)(x) == image
             assert reflect_through(cs.circumcenter, x) == image
+
+
+# -- the raw-vector helpers against the compositions they replaced ------------------
+#
+# parallel_through, perspector and InfinityInvolution canonicalize only what
+# they return.  Each must give what its composition of canonical objects in
+# projective_reference.py gives, or raise the same GeometryError with the
+# same message, over Q and over Q(sqrt(d)): a bare ValueError from a zero
+# vector fails these tests.  Each case is built to reach one outcome, and
+# the test asserts that it does.
+
+
+def small_pairs(d):
+    return st.tuples(st.integers(-9, 9), st.integers(-9, 9) if d != 1 else st.just(0))
+
+
+def nonzero(v):
+    assume(any(x != (0, 0) for x in v))
+    return v
+
+
+def raw_vector(data, d):
+    return nonzero(data.draw(st.tuples(small_pairs(d), small_pairs(d), small_pairs(d))))
+
+
+def nonzero_pair(data, d):
+    return data.draw(small_pairs(d).filter(lambda x: x != (0, 0)))
+
+
+def on_line(data, d, u, v):
+    """A point of the line through the vectors u and v."""
+    return Point.from_ints(d, nonzero(combine(nonzero_pair(data, d), u, nonzero_pair(data, d), v, d)))
+
+
+def outcome_of(f, *args):
+    """What f returns, or the type and message of the GeometryError it raises."""
+    try:
+        return f(*args)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+def outcome_name(outcome):
+    if outcome is None or isinstance(outcome, CanonicalObject):
+        return type(outcome).__name__
+    return outcome[0].__name__
+
+
+_ONES = ((1, 0), (1, 0), (1, 0))
+
+
+@given(
+    st.data(),
+    st.sampled_from(FIELDS),
+    st.sampled_from(["any", "p on l", "p at the direction", "l at infinity"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_parallel_through_is_the_join_with_the_direction(data, d, case):
+    p, l = raw_vector(data, d), raw_vector(data, d)
+    if case == "p on l":
+        l = nonzero(cross(p, raw_vector(data, d), d))
+    elif case == "p at the direction":
+        p = nonzero(cross(l, _ONES, d))
+    elif case == "l at infinity":
+        l = (nonzero_pair(data, d),) * 3
+    p, l = Point.from_ints(d, p), Line.from_ints(d, l)
+    got = outcome_of(parallel_through, p, l)
+    assert got == outcome_of(composed_parallel_through, p, l)
+    event(f"{case}: {outcome_name(got)}")
+    if case == "l at infinity":
+        assert got == (InfiniteInput, "the line at infinity has no single direction")
+    elif case == "p at the direction":
+        assert got == (CoincidentArguments, "point is the direction itself")
+    elif isinstance(got, Line) and not p.is_infinite():
+        assert incident(p, got) and parallel(got, l)
+        if case == "p on l":
+            assert got == l
+
+
+@given(
+    st.data(),
+    st.sampled_from(FIELDS),
+    st.sampled_from(["perspective", "any", "two joins one line", "one line", "coincident pair"]),
+)
+@settings(max_examples=400, deadline=None)
+def test_perspector_is_the_common_point_of_the_joins(data, d, case):
+    tri1 = [Point.from_ints(d, raw_vector(data, d)) for _ in range(3)]
+    tri2 = [Point.from_ints(d, raw_vector(data, d)) for _ in range(3)]
+    center = Point.from_ints(d, raw_vector(data, d))
+    if case == "perspective":
+        tri2 = [on_line(data, d, a.ints, center.ints) for a in tri1]
+    elif case in ("two joins one line", "one line"):
+        # the joins of every pair but the odd one lie on the line uv
+        u, v = raw_vector(data, d), raw_vector(data, d)
+        odd = data.draw(st.integers(0, 2)) if case == "two joins one line" else None
+        for k in range(3):
+            if k != odd:
+                tri1[k], tri2[k] = on_line(data, d, u, v), on_line(data, d, u, v)
+    elif case == "coincident pair":
+        k, scale = data.draw(st.integers(0, 2)), nonzero_pair(data, d)
+        tri2[k] = Point.from_ints(d, [zmul(x, scale, d) for x in tri1[k].ints])
+    tri1, tri2 = tuple(tri1), tuple(tri2)
+    got = outcome_of(perspector, tri1, tri2)
+    assert got == outcome_of(composed_perspector, tri1, tri2)
+    event(f"{case}: {outcome_name(got)}")
+    coincident = [a for a, b in zip(tri1, tri2) if a == b]
+    assert coincident or case != "coincident pair"
+    if coincident:
+        assert got == (CoincidentArguments, f"join of coincident points {coincident[0]}")
+    elif case == "perspective":
+        one_line = are_collinear(*tri1[:2], center) and are_collinear(tri1[0], tri1[2], center)
+        assert got == (None if one_line else center)
+    elif case == "one line":
+        assert got is None
+    if isinstance(got, Point):
+        assert all(incident(got, join(a, b)) for a, b in zip(tri1, tri2))
+
+
+@given(
+    st.data(),
+    st.sampled_from(FIELDS),
+    st.sampled_from(["direction", "asymptotic direction", "finite x"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_conjugate_direction_is_the_polar_meet_with_infinity(data, d, case):
+    m00, m11, m22, m01, m02, m12 = data.draw(st.tuples(*[small_pairs(d)] * 6))
+    rows = ((m00, m01, m02), (m01, m11, m12), (m02, m12, m22))
+    a, b = nonzero_pair(data, d), data.draw(small_pairs(d))
+    x = nonzero((a, b, zscale(-1, zsum((a, b)))))
+    if case == "finite x":
+        x = (a, b, data.draw(small_pairs(d).filter(lambda c: zsum((a, b, c)) != (0, 0))))
+    elif case == "asymptotic direction":
+        # s C - f S, for S = u u^T with s = x.Sx = (u.x)^2 != 0 and f = x.Cx,
+        # has x on it
+        u = raw_vector(data, d)
+        ux = dot(u, x, d)
+        assume(ux != (0, 0))
+        s, f = zmul(ux, ux, d), dot(x, mat_vec(rows, x, d), d)
+        rows = tuple(
+            tuple(zsub(zmul(s, c, d), zmul(f, zmul(ui, uj, d), d)) for c, uj in zip(row, u))
+            for row, ui in zip(rows, u)
+        )
+    nonzero([c for row in rows for c in row])
+    conic = Conic.from_ints(d, rows)
+    try:
+        inv = InfinityInvolution(conic)
+    except DegenerateConic:
+        assume(False)
+    x = Point.from_ints(d, x)
+    got = outcome_of(inv, x)
+    assert got == outcome_of(composed_involution, conic, x)
+    event(f"{case}: {outcome_name(got)}")
+    if case == "finite x":
+        assert got == (NotIncident, f"{x} is not at infinity")
+    elif case == "asymptotic direction":
+        assert got == (SelfConjugate, f"{x} is an asymptotic direction")
+    elif not conic.contains(x):
+        assert got.is_infinite() and inv(got) == x

@@ -421,6 +421,46 @@ def test_siblings_keep_the_hard_degeneracy_gate():
         Centers(Point(1, 2, -2))
 
 
+# _canonical calls of a check's own body, past the construction it reads,
+# at a generic point over Q and over Q(sqrt(6)) alike: each parallel,
+# perspector and conjugate direction is canonicalized once, as the object it
+# returns, and never through a direction, join or polar it throws away
+CHECK_CANONICALIZATIONS = {
+    "thm_HO_formula": 21,
+    "psi_involutions_agree": 23,
+    "perspectivity_medial_transfer": 4,
+    "perspectivity_anticevian_medial": 7,
+    "perspectivity_ABC_medial": 4,
+    "perspectivity_ceva_conjugate": 10,
+    "perspectivity_second_cevian": 7,
+}
+
+
+@pytest.mark.parametrize(
+    "p", [Point(5, -7, 11), Point(3, Scalar(1, 2, 6), Scalar(-2, 1, 6))], ids=["Q", "Q(sqrt(6))"]
+)
+def test_check_canonicalization_counts_are_pinned(monkeypatch, p):
+    from cevian import projective
+
+    projective.complement_map(), projective.anticomplement_map()  # cached constants, built once
+    canonical, calls = projective._canonical, []
+
+    def counted(d, v):
+        calls.append(d)
+        return canonical(d, v)
+
+    counts = {}
+    for cid in CHECK_CANONICALIZATIONS:
+        ctx, cl = CheckContext(Config(p)), Claims()
+        monkeypatch.setattr(projective, "_canonical", counted)
+        calls.clear()
+        REGISTRY[cid](ctx, cl)
+        monkeypatch.undo()
+        counts[cid] = len(calls)
+        assert cl.checked and not cl.failed, cid
+    assert counts == CHECK_CANONICALIZATIONS
+
+
 
 # -- errors inside the suite ----------------------------------------------------------
 
@@ -429,14 +469,14 @@ DISAGREE = "ConstructionInconsistency: formula and parallel definitions disagree
 
 
 def make_orthocenter_wrong(monkeypatch):
-    """Make generalized_orthocenter wrong at (21 : 24 : 28) alone."""
+    """Make the orthocenter-like point wrong at (21 : 24 : 28) alone."""
     from cevian import constructions
 
-    right = constructions.generalized_orthocenter
+    right = constructions._orthocenter
     monkeypatch.setattr(
         constructions,
-        "generalized_orthocenter",
-        lambda p: Point(1, 2, 3) if p == GERGONNE_13_14_15 else right(p),
+        "_orthocenter",
+        lambda p, e: Point(1, 2, 3) if p == GERGONNE_13_14_15 else right(p, e),
     )
 
 

@@ -22,12 +22,14 @@ those that are degenerate there.  The layer rows follow, one per check id
 that both trees register: the time that check takes over one more round of
 run_suite(42, 25), which runs each REGISTRY entry wrapped in a timer.
 
-The JSON report gives, for each row, each side's median time of a round
-scaled to the reference pace of perfbench/pace.py, the ratio of this tree's
-time to the other's within each round as its median and quartiles, the
-number of rounds and the rounds this tree was faster.  It also names the
-Python version, the machine and both trees: each side's commit, with a
-sha256 over its src/cevian, since this tree may hold uncommitted changes.
+The JSON report gives, for each row, each side's median time of a round,
+the ratio of this tree's time to the other's within each round as its
+median and quartiles, the number of rounds and the rounds this tree was
+faster.  The medians and the ratios are taken from the same raw times: the
+alternated rounds already share the host's pace, so no side is rescaled.
+It also names the Python version, the machine and both trees: each side's
+commit, with a sha256 over its src/cevian, since this tree may hold
+uncommitted changes.
 Nothing in it is asserted here: the script measures, and the reader
 compares.
 """
@@ -53,7 +55,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import oracle  # noqa: E402
-import pace  # noqa: E402
 import workloads  # noqa: E402
 
 SUITE_ARGS = (42, 25)
@@ -263,7 +264,6 @@ def measure(against: Path, rounds: int) -> dict:
         }
         names = [*table, *check_rows]
         times = {name: {side: [] for side in sides} for name in names}
-        paces = {name: {side: [] for side in sides} for name in names}
         order = list(sides)
         for k in range(rounds + 1):  # round 0 warms both sides up and is not kept
             for name in table:
@@ -274,15 +274,12 @@ def measure(against: Path, rounds: int) -> dict:
                     elapsed = time.perf_counter() - start
                     if k:
                         times[name][side].append(elapsed)
-                        paces[name][side].append(pace.kernel())
             for side in order if k % 2 else order[::-1]:
                 activate(sides[side])
                 spent = checks[side]()
                 if k:
-                    now = pace.kernel()
                     for name, cid in check_rows.items():
                         times[name][side].append(spent[cid])
-                        paces[name][side].append(now)
     _drop_cevian()
     report_rows = []
     for name in names:
@@ -291,8 +288,8 @@ def measure(against: Path, rounds: int) -> dict:
         q1, median, q3 = quartiles(ratios)
         report_rows.append({
             "name": name,
-            "this_median_s": statistics.median(pace.scaled(t, paces[name]["this"])),
-            "against_median_s": statistics.median(pace.scaled(a, paces[name]["against"])),
+            "this_median_s": statistics.median(t),
+            "against_median_s": statistics.median(a),
             "ratio": {"median": median, "q1": q1, "q3": q3},
             "rounds": len(ratios),
             "rounds_won": sum(x < y for x, y in zip(t, a)),
@@ -334,7 +331,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 "against": {"rev": args.against, "commit": against, "src_sha256": src_digest(Path(tmp))},
             },
             "ratio": "this tree's time of a round over the other's, in the same round",
-            "reference_pace_s": pace.REFERENCE_S,
             **measure(Path(tmp), args.rounds),
         }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

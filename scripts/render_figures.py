@@ -3,15 +3,18 @@
 
 Covers the generic configuration, the tangency diagram with the center
 locus sweep, the Steiner collapse with its points at infinity, and the
-sqrt(2) special configuration.
+sqrt(2) special configuration.  The cevian package is imported from the
+src/ of the checkout that holds this script, so it runs uninstalled.
 """
 
 import pathlib
 import sys
 
-from cevian.constructions import construct, special_configuration_point, z_locus_sweep
-from cevian.projective import Point
-from cevian.render import RenderTriangle, render_svg
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from cevian.constructions import construct, special_configuration_point, z_locus_sweep  # noqa: E402
+from cevian.projective import Point  # noqa: E402
+from cevian.render import RenderTriangle, render_svg  # noqa: E402
 
 FIGURES = (
     ("fig1-generic", Point(2, 3, 6), "fig1", False),

@@ -13,7 +13,12 @@ the directions of the q-trace lines are cross products, never points, so
 
 Every member is read off a closed form in the pairs of p = (u : v : w), at
 the degree it keeps once canonical, so no canonicalization divides out a
-polynomial content.  The maps T_p, T_p', their inverses and their
+polynomial content.  The products of two coordinates of p are made in one
+table, `_report_and_forms`: the squares, the products P = (vw, wu, uv),
+which are the coordinates of isotomic(p), and the vertex-locus forms.  The
+degeneracy flags, H, isotomic(p), the cevian conic and every member of
+`ConstructionSet` read them off it, so no other code here multiplies two
+coordinates of p.  The maps T_p, T_p', their inverses and their
 composites, the primed centers, the conics and the axis point are such
 forms, not products, inverses or conic centers; those paths, the affine
 formula O = T_p_iso^-1(K(q)) among them, run only in the checks and the
@@ -105,20 +110,29 @@ class DegeneracyReport(Record):
         )
 
 
-def _report_and_forms(p: Point) -> tuple[DegeneracyReport, tuple[Pair, Pair, Pair]]:
-    """degeneracy_report(p), and the locus forms e = (s - x^2, s - y^2,
-    s - z^2) at p = (x : y : z) for s = xy + yz + zx.  s vanishes on the
-    outer centroid ellipse, and e_k off the sidelines on the locus of points
-    whose orthocenter-like point is vertex k.  Centers reads the report and
-    H off one call."""
-    (x, y, z), d = p.ints, p.d
-    on_side = (0, 0) in p.ints
-    on_anti = any(zsum(pair) == (0, 0) for pair in ((y, z), (z, x), (x, y)))
-    on_median = x == y or y == z or z == x
-    s = zsum((zmul(x, y, d), zmul(y, z, d), zmul(z, x, d)))
-    e = (zsub(s, zmul(x, x, d)), zsub(s, zmul(y, y, d)), zsub(s, zmul(z, z, d)))
-    h_vertex = None if on_side else next((k for k, e_k in zip("ABC", e) if e_k == (0, 0)), None)
-    return DegeneracyReport(on_side, on_anti, on_median, s == (0, 0), h_vertex), e
+def _report_and_forms(
+    p: Point,
+) -> tuple[DegeneracyReport, list[Pair], list[Pair], tuple[Pair, Pair, Pair]]:
+    """degeneracy_report(p) and the one table of p's forms, each product of
+    two coordinates of p = (x_0 : x_1 : x_2) made here and nowhere else: the
+    squares x_k^2; the products P_k = x_l x_m of the other two coordinates,
+    which are the coordinates of the isotomic conjugate; and the locus forms
+    e = (s - x_0^2, s - x_1^2, s - x_2^2) for s = P_0 + P_1 + P_2.  s
+    vanishes on the outer centroid ellipse, and e_k off the sidelines on the
+    locus of points whose orthocenter-like point is vertex k.  Centers reads
+    the report, p_iso, the cevian conic and H off one call, and
+    ConstructionSet its forms."""
+    x, d = p.ints, p.d
+    on_side = _ZERO in x
+    on_anti = any(zsum((x[k - 2], x[k - 1])) == _ZERO for k in range(3))
+    on_median = x[0] == x[1] or x[1] == x[2] or x[2] == x[0]
+    squares = [zmul(c, c, d) for c in x]
+    prods = [zmul(x[k - 2], x[k - 1], d) for k in range(3)]
+    s = zsum(prods)
+    e = (zsub(s, squares[0]), zsub(s, squares[1]), zsub(s, squares[2]))
+    h_vertex = None if on_side else next((k for k, e_k in zip("ABC", e) if e_k == _ZERO), None)
+    report = DegeneracyReport(on_side, on_anti, on_median, s == _ZERO, h_vertex)
+    return report, squares, prods, e
 
 
 def degeneracy_report(p: Point) -> DegeneracyReport:
@@ -134,15 +148,15 @@ def _orthocenter(p: Point, e: tuple[Pair, Pair, Pair]) -> Point:
     return Point.from_ints(d, [zmul(c, e_c, d) for c, e_c in zip(p.ints, others)])
 
 
-def cevian_conic(p: Point) -> Optional[Conic]:
+def cevian_conic(p: Point, squares: list[Pair]) -> Optional[Conic]:
     """The conic through A, B, C, p and q = K(isotomic(p)) for p = (u : v : w)
-    off the sidelines of both triangles: the isotomic image of the line
+    off the sidelines of both triangles, given the squares of p's
+    coordinates: the isotomic image of the line
     (u(v^2 - w^2) : v(w^2 - u^2) : w(u^2 - v^2)) through the isotomic
     conjugates of p and q.  None when that line vanishes, which happens at
     the centroid alone, where p = q and a whole pencil passes through the five
     points."""
     d = p.d
-    squares = [zmul(c, c, d) for c in p.ints]
     line = [zmul(c, zsub(squares[k - 2], squares[k - 1]), d) for k, c in enumerate(p.ints)]
     if all(c == _ZERO for c in line):
         return None
@@ -188,7 +202,12 @@ class Centers:
     """
 
     def __init__(self, p: Point):
-        flags, forms = _report_and_forms(p)
+        self._centers(p)
+
+    def _centers(self, p: Point) -> tuple[list[Pair], list[Pair]]:
+        """Set the defining objects of p off its table of forms, and return
+        the squares and products of that table for ConstructionSet."""
+        flags, squares, prods, e = _report_and_forms(p)
         if flags.on_sideline:
             raise OnSideline(f"{p} lies on a sideline of the reference triangle")
         if flags.on_anticomplementary_sideline:
@@ -198,14 +217,14 @@ class Centers:
         self.p = p
         self.flags = flags
         self.absent: dict[str, str] = {}
-        self.p_iso = isotomic(p)
+        d, infinity = p.d, LINE_AT_INFINITY.ints
+        self.p_iso = Point.from_ints(d, prods)
         self.q = q = complement(self.p_iso)
         self.traces = cevian_traces(p)
 
-        self.orthocenter = _orthocenter(p, forms)
+        self.orthocenter = _orthocenter(p, e)
         self.circumcenter = complement(self.orthocenter)
         # the point at infinity of each q-trace line, (q x t) x [1 : 1 : 1]
-        d, infinity = p.d, LINE_AT_INFINITY.ints
         directions = [cross(cross(q.ints, t.ints, d), infinity, d) for t in self.traces]
         if not (
             _on_parallels(self.orthocenter, VERTICES, directions, d)
@@ -215,9 +234,10 @@ class Centers:
                 f"formula and parallel definitions disagree at p={p}"
             )
 
-        self.cevian_conic = cevian_conic(p)
+        self.cevian_conic = cevian_conic(p, squares)
         if self.cevian_conic is None:
             self.absent["cevian_conic"] = "on_median"
+        return squares, prods
 
 
 class ConstructionSet(Centers):
@@ -263,20 +283,23 @@ class ConstructionSet(Centers):
     the nine-point center K(O).  None divides out a polynomial content: each
     is built at the degree it keeps once canonical.
 
-    The entries are read off tables of shared products, each product made
-    once: x_k t_j (k != j) is T_p, whose entry at (l, j) is that of T_p' at
-    (k, j); s_k P_j is T_p^-1, and its diagonal P_k s_k is also that of the
-    transfer map and the c of T_p' T_p; s_k x_k x_j is T_p'^-1, and its
-    diagonal x_k^2 s_k is also that of the transfer inverse and the c of
-    T_p T_p'; P_j (x_j - x_l) serves the transfer map and its inverse.
-    s_k x_k also serves H~ and S, s_k a_k serves H~ and the iso-reflection,
-    and x_k D_k serves Z and the iso-reflection.  v and c need no product
-    of their own: v_k = S_k - uvw, since x_k P_k = uvw, and
-    c_k = x_k^2 + s_k x_k - P_k.
+    The squares x_k^2 and the products P come from the one table of p's
+    forms (`_report_and_forms`), which `Centers` reads too and hands on;
+    the inconic with perspector p_iso is x_k^2 on the diagonal and -P_l
+    off it.  The other entries are read off tables of shared products,
+    each product made once: x_k t_j (k != j) is T_p, whose entry at (l, j)
+    is that of T_p' at (k, j); s_k P_j is T_p^-1, and its diagonal P_k s_k
+    is also that of the transfer map and the c of T_p' T_p; s_k x_k x_j is
+    T_p'^-1, and its diagonal x_k^2 s_k is also that of the transfer
+    inverse and the c of T_p T_p'; P_j (x_j - x_l) serves the transfer map
+    and its inverse.  s_k x_k also serves H~ and S, s_k a_k serves H~ and
+    the iso-reflection, and x_k D_k serves Z and the iso-reflection.  v and
+    c need no product of their own: v_k = S_k - uvw, since x_k P_k = uvw,
+    and c_k = x_k^2 + s_k x_k - P_k.
     """
 
     def __init__(self, p: Point):
-        super().__init__(p)
+        squares, prods = self._centers(p)
         p_iso, q = self.p_iso, self.q
         self.q_iso = q_iso = complement(p)
         d, x = p.d, p.ints
@@ -284,8 +307,6 @@ class ConstructionSet(Centers):
 
         s = [zsum((x[k - 2], x[k - 1])) for k in r]
         diffs = [zsub(x[k - 2], x[k - 1]) for k in r]
-        prods = [zmul(x[k - 2], x[k - 1], d) for k in r]
-        squares = [zmul(c, c, d) for c in x]
         a = [zsub(sq, pk) for sq, pk in zip(squares, prods)]
         t = [zmul(s[j - 2], s[j - 1], d) for j in r]
         # the shared products (see the class docstring)
@@ -351,7 +372,9 @@ class ConstructionSet(Centers):
         ] for k in r])
         self.ninepoint_center = complement(self.circumcenter)
         self.inconic = inconic_from_isotomic(p_iso.ints, d)
-        self.inconic_iso = inconic_from_isotomic(x, d)
+        self.inconic_iso = Conic.from_ints(d, [
+            [squares[k] if k == j else zscale(-1, prods[3 - k - j]) for j in r] for k in r
+        ])
 
         self.v: Optional[Point] = None
         self.iso_reflection: Optional[AffineMap] = None

@@ -2,9 +2,10 @@
 
 The tree is timed against its own HEAD, unpacked by the script from git
 archive and loaded as the other package.  Only the shape of the JSON report
-is checked, the end-to-end rows and the per-check layer rows alike: no
-timing is asserted, since one round on a shared host says nothing about
-speed."""
+is checked, the end-to-end rows and the per-check layer rows alike, and
+that each row's ratio is the ratio of its two medians, which one round
+makes an identity: no timing is asserted, since one round on a shared host
+says nothing about speed."""
 
 import json
 import subprocess
@@ -62,7 +63,7 @@ def test_one_round_writes_the_report(tmp_path):
     assert done.returncode == 0, done.stderr
     report = json.loads(out.read_text(encoding="utf-8"))
     assert set(report) == {
-        "python", "implementation", "machine", "trees", "ratio", "reference_pace_s", "rows",
+        "python", "implementation", "machine", "trees", "ratio", "rows",
     }
     assert report["python"] == ".".join(map(str, sys.version_info[:3]))
     assert set(report["machine"]) == {"platform", "architecture", "cpus"}
@@ -81,4 +82,6 @@ def test_one_round_writes_the_report(tmp_path):
         assert set(row["ratio"]) == {"median", "q1", "q3"}
         assert all(is_number(v) for v in row["ratio"].values())
         assert row["rounds"] == 1 and row["rounds_won"] in (0, 1)
+        # the medians are the raw times of the round the ratio divides
+        assert row["ratio"]["median"] == row["this_median_s"] / row["against_median_s"]
     assert done.stdout.count("\n") == len(ROWS)

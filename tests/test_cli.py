@@ -1067,11 +1067,13 @@ def test_closed_stdout_is_an_output_error(command):
 
 def test_render_figures_script_writes_its_five_figures(tmp_path):
     """scripts/render_figures.py, the sqrt(2) figure included, exits 0 and
-    writes one well-formed SVG per figure into the directory it is given."""
+    writes one well-formed SVG per figure into the directory it is given.
+    It runs isolated (-I: no PYTHONPATH, no user site), as from a fresh
+    checkout with the package not installed."""
     script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "render_figures.py"
     done = subprocess.run(
-        [sys.executable, "-B", str(script), str(tmp_path)],
-        capture_output=True, env=_src_env(), text=True, timeout=120,
+        [sys.executable, "-I", "-B", str(script), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     names = {

@@ -535,7 +535,7 @@ def test_closed_forms_equal_the_solved_conics(case):
         assert flags.on_steiner_circumellipse
     p_iso = isotomic(p)
     q = complement(p_iso)
-    closed = cevian_conic(p)
+    closed = cevian_conic(p, [zmul(c, c, p.d) for c in p.ints])
     assert closed == solved_cevian_conic(p, q)
     assert (closed is None) == (p == CENTROID)
     if flags.on_median:

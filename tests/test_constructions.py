@@ -82,7 +82,7 @@ from projective_reference import common_point
 
 def generalized_orthocenter(p):
     """H of p off the hard loci, read off its locus forms as Centers reads it."""
-    return constructions._orthocenter(p, constructions._report_and_forms(p)[1])
+    return constructions._orthocenter(p, constructions._report_and_forms(p)[3])
 
 
 # -- degeneracy flags -----------------------------------------------------------
@@ -785,13 +785,17 @@ def test_canonicalization_counts_are_pinned(monkeypatch, p):
 @pytest.mark.parametrize("p", [Point(5, -7, 11), SQRT6_POINT], ids=["Q", "Q(sqrt(6))"])
 def test_product_counts_are_pinned(monkeypatch, p):
     """construct reads its closed forms off shared product tables, each
-    product made once: 115 products of pairs, over Q and over Q(sqrt(6))
-    alike, the checks of Centers included, whose flags and H share one
-    computation of the locus forms."""
+    product made once: 97 products of pairs, over Q and over Q(sqrt(6))
+    alike, the checks of Centers included.  Centers makes 15 of them: the
+    squares and pairwise products of p's coordinates once, in the table that
+    the flags, p_iso, H, the cevian conic and ConstructionSet all read."""
     complement_map(), anticomplement_map()  # cached constants, built once
     calls = count_calls(monkeypatch, "cevian.scalar", "zmul")
     construct(p)
-    assert len(calls) == 115
+    assert len(calls) == 97
+    calls.clear()
+    Centers(p)
+    assert len(calls) == 15
 
 
 def test_construction_reads_its_conics_off_closed_forms(monkeypatch):

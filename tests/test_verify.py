@@ -559,7 +559,7 @@ def test_a_missing_cevian_conic_fails_the_checks_that_read_it(monkeypatch):
     a point on no median, fails them instead of skipping or passing them."""
     from cevian import constructions
 
-    monkeypatch.setattr(constructions, "cevian_conic", lambda p: None)
+    monkeypatch.setattr(constructions, "cevian_conic", lambda p, squares: None)
     ids = ["H_on_cevian_conic", "Z_on_lines", "Ztilde_fourth_intersection", "four_points_same_HO"]
     for result in run_point(Point(2, 3, 6), ids):
         assert result.status == "fail", result.check_id

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .scalar import (
     NoRealRoots,
@@ -50,6 +50,7 @@ from .projective import (
     cross,
     dot,
     incident,
+    isotomic_ints,
     mat_mul,
     mat_vec,
     null_space,
@@ -180,21 +181,18 @@ def inconic_with_contacts(d: Point, e: Point, f: Point) -> Conic:
     p = perspector(VERTICES, contacts)
     if p is None:
         raise NotPerspective("contacts are not the cevian traces of one point")
-    (u, v, w), d = p.ints, p.d
-    return inconic_from_isotomic((zmul(v, w, d), zmul(w, u, d), zmul(u, v, d)), d)
+    return inconic_from_isotomic(isotomic_ints(p.ints, p.d), p.d)
 
 
 def inconic_from_isotomic(a: Sequence[Pair], d: int) -> Conic:
     """The inconic whose perspector is the isotomic conjugate of
     (a_0 : a_1 : a_2) off the sidelines, read off in closed form: the matrix
     with entries a_k a_j on the diagonal and -a_k a_j off it, each product
-    computed once."""
-    a0, a1, a2 = a
-    m01, m02, m12 = (zscale(-1, zmul(x, y, d)) for x, y in ((a0, a1), (a0, a2), (a1, a2)))
+    computed once: off the diagonal at (k, j) it is minus the isotomic
+    product's entry l, l the index other than k and j."""
+    off = [zscale(-1, x) for x in isotomic_ints(a, d)]
     return Conic.from_ints(d, [
-        [zmul(a0, a0, d), m01, m02],
-        [m01, zmul(a1, a1, d), m12],
-        [m02, m12, zmul(a2, a2, d)],
+        [zmul(a[k], a[k], d) if k == j else off[3 - k - j] for j in range(3)] for k in range(3)
     ])
 
 
@@ -245,14 +243,10 @@ def second_intersection(l: Line, conic: Conic, known: Point) -> Point:
     """The residual intersection of a line with a conic through a known
     point of both; equals the known point exactly when l is tangent there.
     Rational in the working field because one root is already known."""
-    if conic.is_degenerate():
-        raise DegenerateConic("second_intersection needs a nondegenerate conic")
-    if not incident(known, l) or not conic.contains(known):
+    x, y, d, a, b, c = _restriction(l, conic, known)
+    if a != _ZERO or not incident(known, l):
         raise NotIncident(f"{known} must lie on both the line and the conic")
-    other = next(p for p in _points_on_line(l) if p != known)
-    d = join_d(conic.d, join_d(known.d, other.d))
-    cy = mat_vec(conic.ints, other.ints, d)
-    return _residual(known, other, dot(other.ints, cy, d), dot(known.ints, cy, d), d)
+    return _residual(x, y, c, b, d)
 
 
 def _residual(known: Point, other: Point, u: Pair, v: Pair, d: int) -> Point:
@@ -294,15 +288,24 @@ class NoRealIntersection(Record):
 LineConicResult = Union[TwoPoints, TangentAt, NoRealIntersection]
 
 
-def _restriction(l: Line, conic: Conic) -> tuple[Point, Point, int, Pair, Pair, Pair]:
-    """(x, y, d, a, b, c): two points of l, and the conic's form on t*x + y
-    as a*t^2 + 2*b*t + c over Z[sqrt(d)]."""
+def _restriction(
+    l: Line, conic: Conic, known: Optional[Point] = None
+) -> tuple[Point, Point, int, Pair, Pair, Pair]:
+    """(x, y, d, a, b, c): two points of l, x the known point when one is
+    given (it is not checked to lie on l), and the conic's form on t*x + y
+    as a*t^2 + 2*b*t + c over Z[sqrt(d)].  d joins the known point's field:
+    a point over Q(sqrt(d)) can lie on a rational line."""
     if conic.is_degenerate():
         raise DegenerateConic("intersection needs a nondegenerate conic")
-    x, y = _points_on_line(l)[:2]
+    points = _points_on_line(l)
     d = join_d(conic.d, l.d)
-    b = dot(x.ints, mat_vec(conic.ints, y.ints, d), d)
-    return x, y, d, conic._form(x, d), b, conic._form(y, d)
+    if known is None:
+        x, y = points[:2]
+    else:
+        x, y = known, next(p for p in points if p != known)
+        d = join_d(d, known.d)
+    cy = mat_vec(conic.ints, y.ints, d)
+    return x, y, d, conic._form(x, d), dot(x.ints, cy, d), dot(y.ints, cy, d)
 
 
 def line_conic_intersections(l: Line, conic: Conic) -> LineConicResult:

@@ -16,9 +16,11 @@ the degree it keeps once canonical, so no canonicalization divides out a
 polynomial content.  The products of two coordinates of p are made in one
 table, `_report_and_forms`: the squares, the products P = (vw, wu, uv),
 which are the coordinates of isotomic(p), and the vertex-locus forms.  The
-degeneracy flags, H, isotomic(p), the cevian conic and every member of
-`ConstructionSet` read them off it, so no other code here multiplies two
-coordinates of p.  The maps T_p, T_p', their inverses and their
+degeneracy flags, H, isotomic(p), the cevian conic, every member of
+`ConstructionSet` and the Z sweep read them off it, so no other code here
+multiplies two coordinates of p.  Z has one body, `_feuerbach_ints`, and
+the isotomic product of p, of the locus forms and of the other forms one,
+`projective.isotomic_ints`.  The maps T_p, T_p', their inverses and their
 composites, the primed centers, the conics and the axis point are such
 forms, not products, inverses or conic centers; those paths, the affine
 formula O = T_p_iso^-1(K(q)) among them, run only in the checks and the
@@ -59,6 +61,7 @@ from .projective import (
     cross,
     det3,
     isotomic,
+    isotomic_ints,
     reflect_through,
     require_iso_reflection,
     row_constant_map,
@@ -112,7 +115,7 @@ class DegeneracyReport(Record):
 
 def _report_and_forms(
     p: Point,
-) -> tuple[DegeneracyReport, list[Pair], list[Pair], tuple[Pair, Pair, Pair]]:
+) -> tuple[DegeneracyReport, list[Pair], Vector, tuple[Pair, Pair, Pair]]:
     """degeneracy_report(p) and the one table of p's forms, each product of
     two coordinates of p = (x_0 : x_1 : x_2) made here and nowhere else: the
     squares x_k^2; the products P_k = x_l x_m of the other two coordinates,
@@ -127,7 +130,7 @@ def _report_and_forms(
     on_anti = any(zsum((x[k - 2], x[k - 1])) == _ZERO for k in range(3))
     on_median = x[0] == x[1] or x[1] == x[2] or x[2] == x[0]
     squares = [zmul(c, c, d) for c in x]
-    prods = [zmul(x[k - 2], x[k - 1], d) for k in range(3)]
+    prods = isotomic_ints(x, d)
     s = zsum(prods)
     e = (zsub(s, squares[0]), zsub(s, squares[1]), zsub(s, squares[2]))
     h_vertex = None if on_side else next((k for k, e_k in zip("ABC", e) if e_k == _ZERO), None)
@@ -144,8 +147,7 @@ def _orthocenter(p: Point, e: tuple[Pair, Pair, Pair]) -> Point:
     both triangles: (u e_v e_w : v e_w e_u : w e_u e_v) for the locus forms
     e of p, so H is vertex k exactly where e_k vanishes."""
     d = p.d
-    others = (zmul(e[1], e[2], d), zmul(e[2], e[0], d), zmul(e[0], e[1], d))
-    return Point.from_ints(d, [zmul(c, e_c, d) for c, e_c in zip(p.ints, others)])
+    return Point.from_ints(d, [zmul(c, e_c, d) for c, e_c in zip(p.ints, isotomic_ints(e, d))])
 
 
 def cevian_conic(p: Point, squares: list[Pair]) -> Optional[Conic]:
@@ -163,14 +165,12 @@ def cevian_conic(p: Point, squares: list[Pair]) -> Optional[Conic]:
     return isotomic_image_of_line(Line.from_ints(d, line))
 
 
-def feuerbach_point(p: Point) -> Point:
-    """The center Z = (u(v - w)^2 : v(w - u)^2 : w(u - v)^2) of the cevian
-    conic of p = (u : v : w) off the medians and the hard loci."""
-    d = p.d
-    return Point.from_ints(d, [
-        zmul(c, zmul(dc, dc, d), d)
-        for c, dc in zip(p.ints, (zsub(p.ints[k - 2], p.ints[k - 1]) for k in range(3)))
-    ])
+def _feuerbach_ints(x: Vector, squares: list[Pair], uvw: Pair, d: int) -> list[Pair]:
+    """The center Z of the cevian conic of p = (x_0 : x_1 : x_2) off the
+    medians and the hard loci, from the table's squares and uvw = x_0 x_1 x_2:
+    Z_k = x_k (x_l^2 + x_m^2) - 2uvw, which is x_k (x_l - x_m)^2."""
+    two_uvw = zscale(2, uvw)
+    return [zsub(zmul(c, zsum((squares[k - 2], squares[k - 1])), d), two_uvw) for k, c in enumerate(x)]
 
 
 def _on_parallels(
@@ -204,7 +204,7 @@ class Centers:
     def __init__(self, p: Point):
         self._centers(p)
 
-    def _centers(self, p: Point) -> tuple[list[Pair], list[Pair]]:
+    def _centers(self, p: Point) -> tuple[list[Pair], Vector]:
         """Set the defining objects of p off its table of forms, and return
         the squares and products of that table for ConstructionSet."""
         flags, squares, prods, e = _report_and_forms(p)
@@ -266,7 +266,8 @@ class ConstructionSet(Centers):
       is c_k in every column plus m on the diagonal, with uvw = x_0 x_1 x_2:
       T_p T_p' has c = x_k^2 s_k and T_p' T_p has c = P_k s_k, both with
       m = 2uvw; T_p K^-1 T_p' has c = S = x_k s_k^2 and m = -4uvw, and that
-      map followed by K^-1 has c = Z = x_k D_k^2 and m = 8uvw;
+      map followed by K^-1 has c = Z = x_k D_k^2 = x_k (x_l^2 + x_m^2) - 2uvw
+      ({l, m} the indices other than k) and m = 8uvw;
     - the iso-reflection: -D_k x_k a_l a_m ({l, m} the indices other than
       k) / D_j s_k a_k a_j;
     - the inconics with perspectors p and p_iso: P_k^2 / -P_k P_j and
@@ -279,7 +280,7 @@ class ConstructionSet(Centers):
     The points are H' = isotomic(c) for c = (u + v + w) p - P, the
     preimage T_p^-1(H) = x_k s_k (x_k (x_l^2 + x_m^2) - s_k a_k) ({l, m}
     the indices other than k), the axis point v = x_k (s_k^2 - P_k), the
-    insimilicenter S (q * q_iso coordinatewise), Z (`feuerbach_point`) and
+    insimilicenter S (q * q_iso coordinatewise), Z (`_feuerbach_ints`) and
     the nine-point center K(O).  None divides out a polynomial content: each
     is built at the degree it keeps once canonical.
 
@@ -292,9 +293,11 @@ class ConstructionSet(Centers):
     is also that of the transfer map and the c of T_p' T_p; s_k x_k x_j is
     T_p'^-1, and its diagonal x_k^2 s_k is also that of the transfer
     inverse and the c of T_p T_p'; P_j (x_j - x_l) serves the transfer map
-    and its inverse.  s_k x_k also serves H~ and S, s_k a_k serves H~ and
-    the iso-reflection, and x_k D_k serves Z and the iso-reflection.  v and
-    c need no product of their own: v_k = S_k - uvw, since x_k P_k = uvw,
+    and its inverse.  s_k x_k also serves H~ and S, and s_k a_k serves H~
+    and the iso-reflection.  Z is read off the squares of the table, and H~
+    off Z: H~_k = s_k x_k (Z_k + 2uvw - s_k a_k).  The isotomic products
+    t of s, H' of c and a_l a_m of a come from `isotomic_ints`.  v and c
+    need no product of their own: v_k = S_k - uvw, since x_k P_k = uvw,
     and c_k = x_k^2 + s_k x_k - P_k.
     """
 
@@ -306,9 +309,8 @@ class ConstructionSet(Centers):
         r = range(3)
 
         s = [zsum((x[k - 2], x[k - 1])) for k in r]
-        diffs = [zsub(x[k - 2], x[k - 1]) for k in r]
         a = [zsub(sq, pk) for sq, pk in zip(squares, prods)]
-        t = [zmul(s[j - 2], s[j - 1], d) for j in r]
+        t = isotomic_ints(s, d)
         # the shared products (see the class docstring)
         xt = [[_ZERO if k == j else zmul(x[k], t[j], d) for j in r] for k in r]  # x_k t_j
         sp = [[zmul(sk, pj, d) for pj in prods] for sk in s]  # s_k P_j
@@ -317,9 +319,9 @@ class ConstructionSet(Centers):
         pd = [  # P_j (x_j - x_l)
             [_ZERO if j == l else zmul(prods[j], zsub(x[j], x[l]), d) for l in r] for j in r
         ]
-        xd = [zmul(xk, dk, d) for xk, dk in zip(x, diffs)]  # x_k D_k
         sa = [zmul(sk, ak, d) for sk, ak in zip(s, a)]  # s_k a_k
         uvw = zmul(x[0], prods[0], d)
+        big_z = _feuerbach_ints(x, squares, uvw, d)
 
         self.traces_iso = tuple(
             Point.from_ints(d, [_ZERO if k == j else x[3 - j - k] for k in r])
@@ -338,11 +340,12 @@ class ConstructionSet(Centers):
 
         # (u + v + w) x_k - P_k
         c = [zsub(zsum((sq, sxk)), pk) for sq, sxk, pk in zip(squares, sx, prods)]
-        self.orthocenter_iso = Point.from_ints(d, [zmul(c[k - 2], c[k - 1], d) for k in r])
+        self.orthocenter_iso = Point.from_ints(d, isotomic_ints(c, d))
         self.circumcenter_iso = complement(self.orthocenter_iso)
+        # x_k (x_l^2 + x_m^2) - s_k a_k, where x_k (x_l^2 + x_m^2) = Z_k + 2uvw
+        two_uvw = zscale(2, uvw)
         self.orthocenter_preimage = Point.from_ints(d, [
-            zmul(sx[k], zsub(zmul(x[k], zsum((squares[k - 2], squares[k - 1])), d), sa[k]), d)
-            for k in r
+            zmul(sx[k], zsub(zsum((big_z[k], two_uvw)), sa[k]), d) for k in r
         ])
 
         self.transfer_map = AffineMap.from_ints(d, [
@@ -351,10 +354,9 @@ class ConstructionSet(Centers):
         self.transfer_map_inverse = AffineMap.from_ints(d, [
             [sxx[k][k] if k == j else pd[3 - k - j][j] for j in r] for k in r
         ])
-        self.second_cevian_map = row_constant_map(d, [sxx[k][k] for k in r], zscale(2, uvw))
-        self.second_cevian_map_iso = row_constant_map(d, [sp[k][k] for k in r], zscale(2, uvw))
+        self.second_cevian_map = row_constant_map(d, [sxx[k][k] for k in r], two_uvw)
+        self.second_cevian_map_iso = row_constant_map(d, [sp[k][k] for k in r], two_uvw)
         big_s = [zmul(sxk, sk, d) for sxk, sk in zip(sx, s)]
-        big_z = [zmul(xdk, dk, d) for xdk, dk in zip(xd, diffs)]
         self.circum_to_inconic = row_constant_map(d, big_s, zscale(-4, uvw))
         self.ninepoint_to_inconic = row_constant_map(d, big_z, zscale(8, uvw))
 
@@ -393,9 +395,12 @@ class ConstructionSet(Centers):
             if self.v.is_infinite():
                 self.absent["iso_reflection"] = f"axis point {self.v} unusable"
             else:
+                diffs = [zsub(x[k - 2], x[k - 1]) for k in r]  # D
                 ad = [zmul(aj, dj, d) for aj, dj in zip(a, diffs)]  # a_j D_j
+                xd = [zmul(xk, dk, d) for xk, dk in zip(x, diffs)]  # x_k D_k
+                aa = isotomic_ints(a, d)  # a_l a_m
                 eta = AffineMap.from_ints(d, [[
-                    zscale(-1, zmul(xd[k], zmul(a[k - 2], a[k - 1], d), d))
+                    zscale(-1, zmul(xd[k], aa[k], d))
                     if k == j else zmul(sa[k], ad[j], d)
                     for j in r
                 ] for k in r])
@@ -484,10 +489,11 @@ def z_locus_sweep(p: Point, toward: Point) -> list[Point]:
         if k == 0:
             continue
         moved = Point.from_ints(p.d, combine((3 * count, 0), p.ints, zscale(k, w), direction, p.d))
-        rep = degeneracy_report(moved)
+        rep, squares, prods, _ = _report_and_forms(moved)
         if rep.hard() or rep.on_median:
             continue  # off the medians the cevian conic is a proper conic
-        out.append(feuerbach_point(moved))
+        x, d = moved.ints, moved.d
+        out.append(Point.from_ints(d, _feuerbach_ints(x, squares, zmul(x[0], prods[0], d), d)))
     return out
 
 

@@ -463,13 +463,19 @@ def midpoint(p1: Point, p2: Point) -> Point:
     return centroid_of(p1, p2)
 
 
+def isotomic_ints(v: Sequence[Pair], d: int) -> Vector:
+    """The isotomic product (v_1 v_2, v_2 v_0, v_0 v_1) of a vector over
+    Z[sqrt(d)], not normalized: the one body of that product, for isotomic
+    and for every closed form that takes it."""
+    v0, v1, v2 = v
+    return (zmul(v1, v2, d), zmul(v2, v0, d), zmul(v0, v1, d))
+
+
 def isotomic(p: Point) -> Point:
     """Isotomic conjugate (x:y:z) -> (yz:zx:xy); involution off the sidelines."""
-    x, y, z = p.ints
     if _ZERO in p.ints:
         raise OnSideline(f"{p} lies on a sideline; isotomic conjugate undefined")
-    d = p.d
-    return Point.from_ints(d, (zmul(y, z, d), zmul(z, x, d), zmul(x, y, d)))
+    return Point.from_ints(p.d, isotomic_ints(p.ints, p.d))
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +601,8 @@ class AffineMap(HomogeneousMatrix):
             raise DependentSources("source points are affinely dependent")
         s = [zsum(src.ints) for src, _ in pairs]
         t = [zsum(tgt.ints) for _, tgt in pairs]
-        weighted = [
-            [zmul(x, zmul(s[j], zmul(t[j - 1], t[j - 2], d), d), d) for x in tgt.ints]
-            for j, (_, tgt) in enumerate(pairs)
-        ]
+        scales = [zmul(sj, tt, d) for sj, tt in zip(s, isotomic_ints(t, d))]  # s_j t_k t_l
+        weighted = [[zmul(x, scales[j], d) for x in tgt.ints] for j, (_, tgt) in enumerate(pairs)]
         return cls.from_ints(d, mat_mul(transpose(weighted), adjugate3(s_mat, d), d))
 
     # -- algebra ---------------------------------------------------------------

@@ -258,11 +258,11 @@ def _check_ho_formula(ctx: CheckContext, cl: Claims) -> None:
     cl.equal("o_formula", o_formula, cs.circumcenter)
     cl.equal("h_formula", h_formula, cs.orthocenter)
     cl.equal("o_is_complement_of_h", complement(cs.orthocenter), cs.circumcenter)
+    q_lines = [join(cs.q, trace) for trace in cs.traces]
     for tag, bases in (("h", VERTICES), ("o", MIDPOINTS)):
         target = cs.orthocenter if tag == "h" else cs.circumcenter
-        for i, (base, trace) in enumerate(zip(bases, cs.traces)):
-            line = parallel_through(base, join(cs.q, trace))
-            cl.true(f"{tag}_parallel_{i}", incident(target, line))
+        for i, (base, q_line) in enumerate(zip(bases, q_lines)):
+            cl.true(f"{tag}_parallel_{i}", incident(target, parallel_through(base, q_line)))
     cl.note("h", cs.orthocenter)
     cl.note("o", cs.circumcenter)
 
@@ -416,11 +416,11 @@ def _check_phi(ctx: CheckContext, cl: Claims) -> None:
     t_of_p = cs.cevian_map(cs.p)
     cl.equal("phi_k_q_iso", phi(k_q_iso), t_of_p)
     kinv = anticomplement_map()
-    phi_iso = cs.cevian_map_iso @ kinv @ cs.cevian_map @ kinv
-    cl.equal("phi_symmetric_in_p", phi, phi_iso)
     m1 = cs.cevian_map @ kinv
     m2 = cs.cevian_map_iso @ kinv
-    cl.equal("half_maps_commute", m1 @ m2, m2 @ m1)
+    phi_iso = m2 @ m1  # T_p' K^-1 T_p K^-1
+    cl.equal("phi_symmetric_in_p", phi, phi_iso)
+    cl.equal("half_maps_commute", m1 @ m2, phi_iso)
     if cs.circumcenter != cs.q:
         t_iso_of_p_iso = cs.cevian_map_iso(cs.p_iso)
         cl.true(

@@ -684,6 +684,13 @@ def test_config_file_with_a_byte_order_mark(tmp_path):
     assert run(["--config", str(cfg), "construct"]) == 0
 
 
+def test_config_line_without_equals_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a figure\np = 2:3:6\nno equals sign\n")
+    assert run(["--config", str(cfg), "construct"]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:3: expected key = value\n"
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("palette = mondrian\n")

@@ -309,9 +309,23 @@ def test_line_conic_tangent():
     assert out == TangentAt(VERTEX_A)
 
 
+@pytest.mark.parametrize("line, tangent", [(Line(1, 0, 2), False), (Line(1, 0, 1), True)])
+def test_line_conic_through_its_first_sideline_meet(line, tangent):
+    """A line through B meets BC at B first, on the Steiner circumellipse:
+    a secant gives B and the residual meet, the tangent at B gives B alone."""
+    conic = steiner_circumellipse()
+    assert incident(VERTEX_B, line)
+    out = line_conic_intersections(line, conic)
+    if tangent:
+        assert out == TangentAt(VERTEX_B)
+    else:
+        assert out == TwoPoints(VERTEX_B, second_intersection(line, conic, VERTEX_B))
+        assert out.p2 != VERTEX_B and conic.contains(out.p2)
+
+
 def test_line_conic_needs_extension_then_lift():
     """A rational line meets a rational conic in points over Q(sqrt(2)) in
-    one call."""
+    one call, and either point gives the other as the residual meet."""
     locus = Conic(((-2, 1, 1), (1, 0, 1), (1, 1, 0)))  # -x^2 + xy + xz + yz = 0
     l_g = Line(-2, 1, 1)
     out = line_conic_intersections(l_g, locus)
@@ -322,6 +336,8 @@ def test_line_conic_needs_extension_then_lift():
     }
     for p in (out.p1, out.p2):
         assert locus.contains(p)
+    # the residual meet works in the known point's field, Q(sqrt(2)) here
+    assert second_intersection(l_g, locus, out.p1) == out.p2
 
 
 def test_tangent_conics_at():

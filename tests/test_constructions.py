@@ -52,6 +52,7 @@ from cevian.projective import (
 )
 from cevian.conics import (
     Conic,
+    conic_through_five,
     inconic_with_contacts,
     infinity_intersection_count,
     isotomic_image_of_line,
@@ -749,6 +750,30 @@ def test_z_locus_sweep_is_pinned(p, tri, digest):
     assert hashlib.sha256("\n".join(map(str, points)).encode()).hexdigest() == digest
 
 
+def test_z_locus_sweep_leaves_out_a_sample_on_a_median(monkeypatch):
+    """Sample k of the sweep from (2 : 9 : 3) toward (1 : -1 : 0) is
+    p/w + k/240 * toward; one of them lies on a median and is left out.
+    Every other gives the center of the conic through A, B, C, the sample
+    and the complement of its isotomic conjugate, the definition of Z, at
+    10 products each: the 6 of the table and the 4 of Z."""
+    u, t = (2, 9, 3), (1, -1, 0)
+    p, toward = Point(*u), Point(*t)
+    samples = [
+        Point(*[Fraction(uk, 14) + Fraction(k, 240) * tk for uk, tk in zip(u, t)])
+        for k in range(-80, 81)
+        if k
+    ]
+    kept = [s for s in samples if not degeneracy_report(s).on_median]
+    assert len(kept) == 159 and not any(degeneracy_report(s).hard() for s in samples)
+    calls = count_calls(monkeypatch, "cevian.scalar", "zmul")
+    points = z_locus_sweep(p, toward)
+    assert len(calls) == 159 * 10 + 6
+    monkeypatch.undo()
+    assert points == [
+        conic_through_five((*VERTICES, s, complement(isotomic(s)))).center() for s in kept
+    ]
+
+
 # -- the solves left ----------------------------------------------------------------------
 
 
@@ -785,14 +810,14 @@ def test_canonicalization_counts_are_pinned(monkeypatch, p):
 @pytest.mark.parametrize("p", [Point(5, -7, 11), SQRT6_POINT], ids=["Q", "Q(sqrt(6))"])
 def test_product_counts_are_pinned(monkeypatch, p):
     """construct reads its closed forms off shared product tables, each
-    product made once: 97 products of pairs, over Q and over Q(sqrt(6))
+    product made once: 94 products of pairs, over Q and over Q(sqrt(6))
     alike, the checks of Centers included.  Centers makes 15 of them: the
     squares and pairwise products of p's coordinates once, in the table that
     the flags, p_iso, H, the cevian conic and ConstructionSet all read."""
     complement_map(), anticomplement_map()  # cached constants, built once
     calls = count_calls(monkeypatch, "cevian.scalar", "zmul")
     construct(p)
-    assert len(calls) == 97
+    assert len(calls) == 94
     calls.clear()
     Centers(p)
     assert len(calls) == 15

@@ -138,6 +138,11 @@ def test_join_coincident_raises():
         join(Point(2, 4, 6), Point(1, 2, 3))
 
 
+def test_meet_coincident_raises():
+    with pytest.raises(CoincidentArguments, match="meet of coincident lines"):
+        meet(Line(2, 4, 6), Line(1, 2, 3))
+
+
 def test_median_infinite_point():
     median_a = join(CENTROID, MID_BC)
     at_inf = meet(median_a, LINE_AT_INFINITY)
@@ -182,6 +187,11 @@ def test_collinear_ratio_midpoint():
 def test_collinear_ratio_requires_collinearity():
     with pytest.raises(NotCollinear):
         collinear_ratio(VERTEX_A, VERTEX_B, CENTROID)
+
+
+def test_collinear_ratio_refuses_coincident_base_points():
+    with pytest.raises(CoincidentArguments, match="ratio base points coincide"):
+        collinear_ratio(MID_BC, VERTEX_B, Point(0, 2, 2))
 
 
 def test_reflection_fixes_infinite_points():

@@ -424,9 +424,11 @@ def test_siblings_keep_the_hard_degeneracy_gate():
 # _canonical calls of a check's own body, past the construction it reads,
 # at a generic point over Q and over Q(sqrt(6)) alike: each parallel,
 # perspector and conjugate direction is canonicalized once, as the object it
-# returns, and never through a direction, join or polar it throws away
+# returns, and never through a direction, join or polar it throws away; and
+# no check builds a join or a composite map twice
 CHECK_CANONICALIZATIONS = {
-    "thm_HO_formula": 21,
+    "thm_HO_formula": 18,
+    "phi_map_algebra": 15,
     "psi_involutions_agree": 23,
     "perspectivity_medial_transfer": 4,
     "perspectivity_anticevian_medial": 7,

@@ -18,9 +18,12 @@ fixed seed; and construct() on points of 4, 64, 256, 1024 and 4096 bits,
 over Q(sqrt(2)) and over Q(sqrt(d)) for d a product of two 12-bit primes.
 The inputs come from perfbench/workloads.py; the Q(sqrt(2)) points read the
 quadratic_field coefficients over sqrt(2), and perfbench's oracle rules out
-those that are degenerate there.  The layer rows follow, one per check id
-that both trees register: the time that check takes over one more round of
-run_suite(42, 25), which runs each REGISTRY entry wrapped in a timer.
+those that are degenerate there.  The layer rows follow.  The _canonical
+row replays, through each side's own _canonical, the (d, v) arguments of
+every call that side made in one run_suite(42, 25), recorded once before
+the rounds.  Then comes one row per check id that both trees register: the
+time that check takes over one more round of run_suite(42, 25), which runs
+each REGISTRY entry wrapped in a timer.
 
 The JSON report gives, for each row, each side's median time of a round,
 the ratio of this tree's time to the other's within each round as its
@@ -154,6 +157,32 @@ def quadratic_row() -> Callable[[], object]:
     return _construct_row([point for *_, point in gen.make_inputs(QUADRATIC_SEED)])
 
 
+def canonical_row() -> Callable[[], object]:
+    """The (d, v) arguments of every _canonical call that one
+    run_suite(42, 25) makes, recorded once for the active package and
+    replayed through its _canonical in each round."""
+    from cevian import projective
+    from cevian.verify import run_suite
+
+    canonical, calls = projective._canonical, []
+
+    def recorded(d, v):
+        calls.append((d, v))
+        return canonical(d, v)
+
+    projective._canonical = recorded
+    try:
+        run_suite(*SUITE_ARGS)
+    finally:
+        projective._canonical = canonical
+
+    def run() -> None:
+        for d, v in calls:
+            canonical(d, v)
+
+    return run
+
+
 def check_rounds() -> tuple[list[str], Callable[[], dict[str, float]]]:
     """For the active package, its check ids and a round of
     run_suite(42, 25) with each REGISTRY entry wrapped in a timer, which
@@ -195,6 +224,7 @@ def rows(out: str) -> dict[str, Callable[[], Callable[[], object]]]:
         table[f"construct() x{POINTS}, {bits} bits"] = lambda bits=bits: bits_row(bits)
     table[f"construct() x{POINTS}, Q(sqrt(2))"] = sqrt2_row
     table[f"construct() x{POINTS}, Q(sqrt(d)), d of two 12-bit primes"] = quadratic_row
+    table["_canonical, the calls of run_suite(%d, %d) replayed" % SUITE_ARGS] = canonical_row
     return table
 
 

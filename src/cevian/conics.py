@@ -89,10 +89,9 @@ class Conic(HomogeneousMatrix):
     __slots__ = ()
 
     def _validate(self, rows: Sequence[Sequence[Pair]]) -> None:
-        for i in range(3):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("conic matrix must be symmetric")
+        (_, x01, x02), (x10, _, x12), (x20, x21, _) = rows
+        if x01 != x10 or x02 != x20 or x12 != x21:
+            raise ValueError("conic matrix must be symmetric")
 
     def _form(self, p: Point, d: int) -> Pair:
         return dot(p.ints, mat_vec(self.ints, p.ints, d), d)

@@ -22,10 +22,15 @@ by ``ratio`` for a ratio and the ``coords`` and ``matrix`` views.
 
 Each kernel routine has one general body over Z[sqrt(d)], and `dot`, `cross`
 and `mat_vec` are written out term by term for triples, the only shape they
-take.  Four of them keep a fast path at d = 1 that reads only the rational
+take.  Five of them keep a fast path at d = 1 that reads only the rational
 half of each pair and writes 0 for the other, because the verify suite, whose
 configurations are over Q, runs measurably slower without it: `_canonical`,
-`dot`, `cross` and `mat_vec`.  Printing keeps one too, for the `construct`
+`dot`, `cross`, `mat_vec` and `mat_mul`.  Each is written out term by term
+for the fixed shapes it takes, a triple or a 3x3 matrix, and for
+`_canonical` a point or line (3 entries) or a flattened matrix (9): on
+Python 3.11 a list comprehension runs in a frame of its own, which at d = 1
+costs more than the arithmetic.  `AffineMap._validate` writes out its
+column sums at every d.  Printing keeps one too, for the `construct`
 reports of rational points: at d = 1 a point, line or matrix prints with
 one `%d` format of its ints, which writes what `format_number` writes and
 raises the same ValueError past the int str limit.  The fast paths are
@@ -124,20 +129,34 @@ def _canonical(d: int, v: Sequence[Pair]) -> tuple[int, Vector]:
 
     At d = 1 every b must be 0, the invariant the d = 1 branches of the
     kernel rely on; an entry with an irrational part raises ValueError."""
-    if d == 1:  # suite: without it run_suite(42, 25) took 16% longer (Python 3.11, x86-64)
-        xs = [x for x, y in v if not y]
-        if len(xs) != len(v):
-            i, entry = next((i, e) for i, e in enumerate(v) if e[1])
-            raise ValueError(f"entry {i} = {entry} has an irrational part at d = 1")
-        g = gcd(*xs)
-        if not g:
-            raise ValueError("zero tuple has no projective meaning")
-        for x in xs:
-            if x:
-                break
-        if x < 0:
-            g = -g
-        return 1, tuple([(x // g, 0) for x in xs])
+    if d == 1:  # suite: without it run_suite(42, 25) took 33% longer (Python 3.11, x86-64)
+        # points and lines, then flattened matrices: the only shapes at d = 1
+        if len(v) == 3:
+            (a0, b0), (a1, b1), (a2, b2) = v
+            if not (b0 or b1 or b2):
+                g = gcd(a0, a1, a2)
+                if g:
+                    if (a0 or a1 or a2) < 0:
+                        g = -g
+                    return 1, ((a0 // g, 0), (a1 // g, 0), (a2 // g, 0))
+        elif len(v) == 9:
+            (
+                (a0, b0), (a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5), (a6, b6), (a7, b7), (a8, b8)
+            ) = v
+            if not (b0 or b1 or b2 or b3 or b4 or b5 or b6 or b7 or b8):
+                g = gcd(a0, a1, a2, a3, a4, a5, a6, a7, a8)
+                if g:
+                    if (a0 or a1 or a2 or a3 or a4 or a5 or a6 or a7 or a8) < 0:
+                        g = -g
+                    return 1, (
+                        (a0 // g, 0), (a1 // g, 0), (a2 // g, 0),
+                        (a3 // g, 0), (a4 // g, 0), (a5 // g, 0),
+                        (a6 // g, 0), (a7 // g, 0), (a8 // g, 0),
+                    )
+        # an irrational part raises here, and the zero vector below
+        for i, entry in enumerate(v):
+            if entry[1]:
+                raise ValueError(f"entry {i} = {entry} has an irrational part at d = 1")
     for a, b in v:
         if a or b:
             break
@@ -159,7 +178,7 @@ def _canonical(d: int, v: Sequence[Pair]) -> tuple[int, Vector]:
 def dot(u: Sequence[Pair], v: Sequence[Pair], d: int) -> Pair:
     (a0, b0), (a1, b1), (a2, b2) = u
     (c0, e0), (c1, e1), (c2, e2) = v
-    if d == 1:  # suite: without it run_suite(42, 25) took 5.2% longer (Python 3.11, x86-64)
+    if d == 1:  # suite: without it run_suite(42, 25) took 1.4% longer (Python 3.11, x86-64)
         return a0 * c0 + a1 * c1 + a2 * c2, 0
     return (
         a0 * c0 + a1 * c1 + a2 * c2 + (b0 * e0 + b1 * e1 + b2 * e2) * d,
@@ -170,7 +189,7 @@ def dot(u: Sequence[Pair], v: Sequence[Pair], d: int) -> Pair:
 def cross(u: Sequence[Pair], v: Sequence[Pair], d: int) -> Vector:
     (a0, b0), (a1, b1), (a2, b2) = u
     (c0, e0), (c1, e1), (c2, e2) = v
-    if d == 1:  # suite: without it run_suite(42, 25) took 3.1% longer (Python 3.11, x86-64)
+    if d == 1:  # suite: without it run_suite(42, 25) took 3.5% longer (Python 3.11, x86-64)
         return ((a1 * c2 - a2 * c1, 0), (a2 * c0 - a0 * c2, 0), (a0 * c1 - a1 * c0, 0))
     return (
         (a1 * c2 - a2 * c1 + (b1 * e2 - b2 * e1) * d, a1 * e2 + b1 * c2 - a2 * e1 - b2 * c1),
@@ -185,8 +204,13 @@ def transpose(m: Sequence[Sequence[Pair]]) -> Rows:
 
 def mat_vec(m: Sequence[Sequence[Pair]], v: Sequence[Pair], d: int) -> Vector:
     (c0, e0), (c1, e1), (c2, e2) = v
-    if d == 1:  # suite: without it run_suite(42, 25) took 3.8% longer (Python 3.11, x86-64)
-        return tuple([(a0 * c0 + a1 * c1 + a2 * c2, 0) for (a0, _), (a1, _), (a2, _) in m])
+    if d == 1:  # suite: without it run_suite(42, 25) took 6.7% longer (Python 3.11, x86-64)
+        ((a0, _), (a1, _), (a2, _)), ((a3, _), (a4, _), (a5, _)), ((a6, _), (a7, _), (a8, _)) = m
+        return (
+            (a0 * c0 + a1 * c1 + a2 * c2, 0),
+            (a3 * c0 + a4 * c1 + a5 * c2, 0),
+            (a6 * c0 + a7 * c1 + a8 * c2, 0),
+        )
     return tuple([
         (
             a0 * c0 + a1 * c1 + a2 * c2 + (b0 * e0 + b1 * e1 + b2 * e2) * d,
@@ -197,6 +221,26 @@ def mat_vec(m: Sequence[Sequence[Pair]], v: Sequence[Pair], d: int) -> Vector:
 
 
 def mat_mul(a: Sequence[Sequence[Pair]], b: Sequence[Sequence[Pair]], d: int) -> Rows:
+    if d == 1:  # suite: without it run_suite(42, 25) took 4.5% longer (Python 3.11, x86-64)
+        ((x0, _), (x1, _), (x2, _)), ((x3, _), (x4, _), (x5, _)), ((x6, _), (x7, _), (x8, _)) = a
+        ((y0, _), (y1, _), (y2, _)), ((y3, _), (y4, _), (y5, _)), ((y6, _), (y7, _), (y8, _)) = b
+        return (
+            (
+                (x0 * y0 + x1 * y3 + x2 * y6, 0),
+                (x0 * y1 + x1 * y4 + x2 * y7, 0),
+                (x0 * y2 + x1 * y5 + x2 * y8, 0),
+            ),
+            (
+                (x3 * y0 + x4 * y3 + x5 * y6, 0),
+                (x3 * y1 + x4 * y4 + x5 * y7, 0),
+                (x3 * y2 + x4 * y5 + x5 * y8, 0),
+            ),
+            (
+                (x6 * y0 + x7 * y3 + x8 * y6, 0),
+                (x6 * y1 + x7 * y4 + x8 * y7, 0),
+                (x6 * y2 + x7 * y5 + x8 * y8, 0),
+            ),
+        )
     cols = [*zip(*b)]
     return tuple([tuple([dot(row, col, d) for col in cols]) for row in a])  # type: ignore[return-value]
 
@@ -565,10 +609,15 @@ class AffineMap(HomogeneousMatrix):
     __slots__ = ()
 
     def _validate(self, rows: Sequence[Sequence[Pair]]) -> None:
-        sums = [zsum(col) for col in zip(*rows)]
-        if sums[0] != sums[1] or sums[1] != sums[2]:
+        (
+            ((a0, b0), (a1, b1), (a2, b2)), ((c0, e0), (c1, e1), (c2, e2)), ((f0, h0), (f1, h1), (f2, h2))
+        ) = rows
+        s0 = a0 + c0 + f0, b0 + e0 + h0
+        s1 = a1 + c1 + f1, b1 + e1 + h1
+        s2 = a2 + c2 + f2, b2 + e2 + h2
+        if s0 != s1 or s1 != s2:
             raise ValueError("column sums differ: not an affine map")
-        if sums[0] == _ZERO:
+        if s0 == _ZERO:
             raise ValueError("zero column sums: does not fix the affine plane")
 
     # -- constructors ---------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The tree is timed against its own HEAD, unpacked by the script from git
 archive and loaded as the other package.  Only the shape of the JSON report
-is checked, the end-to-end rows and the per-check layer rows alike, and
+is checked, the end-to-end rows and the layer rows alike, and
 that each row's ratio is the ratio of its two medians, which one round
 makes an identity: no timing is asserted, since one round on a shared host
 says nothing about speed."""
@@ -28,8 +28,9 @@ ROWS = [
     "construct() x16, 4096 bits",
     "construct() x16, Q(sqrt(2))",
     "construct() x16, Q(sqrt(d)), d of two 12-bit primes",
+    # the layer rows: _canonical, then one per check id, in registry order
+    "_canonical, the calls of run_suite(42, 25) replayed",
 ]
-# the layer rows: one per check id, in registry order
 ROWS += [f"check {cid} in run_suite(42, 25)" for cid in REGISTRY]
 
 

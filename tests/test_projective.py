@@ -88,6 +88,7 @@ from cevian.projective import (
     incident,
     isotomic,
     join,
+    mat_mul,
     mat_vec,
     meet,
     midpoint,
@@ -554,6 +555,35 @@ def test_canonical_refuses_an_irrational_part_at_d_1():
         HomogeneousMatrix.from_ints(1, rows)
 
 
+# Matrices that HomogeneousMatrix subclasses refuse, as pair rows over
+# Z[sqrt(d)]: over Q(sqrt(2)) each differs from an accepted one only in the
+# irrational parts.
+_REFUSED_MATRICES = [
+    (AffineMap, 1, [[1, 0, 0], [0, 1, 0], [0, 0, 2]], "column sums differ: not an affine map"),
+    (AffineMap, 2, [[(0, 1), 0, 0], [0, (0, 1), (0, 1)], [1, 1, (1, 1)]], "column sums differ: not an affine map"),
+    (AffineMap, 1, [[1, 0, 0], [0, 1, 0], [-1, -1, 0]], "zero column sums: does not fix the affine plane"),
+    (AffineMap, 2, [[(0, 1), 0, 0], [0, (0, 1), 0], [(0, -1), (0, -1), 0]],
+     "zero column sums: does not fix the affine plane"),
+    (Conic, 1, [[1, 2, 0], [0, 1, 0], [0, 0, 1]], "conic matrix must be symmetric"),
+    (Conic, 2, [[1, (1, 1), 0], [1, 1, 0], [0, 0, 1]], "conic matrix must be symmetric"),
+]
+
+
+@pytest.mark.parametrize("cls, d, matrix, message", _REFUSED_MATRICES)
+def test_matrix_validation_messages(cls, d, matrix, message):
+    """Unequal column sums, zero column sums and an asymmetric conic are
+    refused with their own messages, by from_ints and by the constructor,
+    at d = 1 and over Q(sqrt(2))."""
+    pairs = [[x if isinstance(x, tuple) else (x, 0) for x in row] for row in matrix]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls.from_ints(d, pairs)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls([[Scalar(a, b, d) if b else a for a, b in row] for row in pairs])
+    # unequal sums and asymmetry over Q(sqrt(2)) lie in the irrational parts alone
+    if d != 1 and not message.startswith("zero"):
+        assert cls.from_ints(1, [[(a, 0) for a, _ in row] for row in pairs]).d == 1
+
+
 def test_readme_names_the_fast_paths_at_d_1():
     """The functions of the number, object and rendering modules with an
     `if d == 1` branch are the ones the README's kernel paragraph names."""
@@ -597,6 +627,10 @@ def general_cross(u, v, d):
 
 def general_mat_vec(m, v, d):
     return tuple([general_dot(row, v, d) for row in m])
+
+
+def general_mat_mul(a, b, d):
+    return tuple([tuple([general_dot(row, col, d) for col in zip(*b)]) for row in a])
 
 
 def general_canonical(d, v):
@@ -709,9 +743,9 @@ def kernel_points(draw, d):
 
 
 def check_kernel_against_references(data, d):
-    """dot, cross, mat_vec, _canonical, HomogeneousMatrix._set and
+    """dot, cross, mat_vec, mat_mul, _canonical, HomogeneousMatrix._set and
     bary_to_xy give what their general references give over Z[sqrt(d)],
-    with 4096-bit ints, zero vectors, leading zeros and irrational leads of
+    with 4096-bit ints, zero vectors and zero rows, leading zeros and irrational leads of
     negative norm, and the same errors and messages: the zero vector and an
     irrational part at d = 1.  Exact division gives what Fraction quotients
     give, and reflect_through what point_reflection gives, an infinite
@@ -721,6 +755,9 @@ def check_kernel_against_references(data, d):
     assert dot(u, v, d) == general_dot(u, v, d)
     assert cross(u, v, d) == general_cross(u, v, d)
     assert mat_vec(m, v, d) == general_mat_vec(m, v, d)
+    n = tuple(data.draw(kernel_vectors(d, 3)) for _ in range(3))
+    assert mat_mul(m, n, d) == general_mat_mul(m, n, d)
+    assert mat_mul(n, m, d) == general_mat_mul(n, m, d)
     flat = data.draw(kernel_vectors(d, 9, stray=True))
     for w in (u, v, flat):
         assert outcome(_canonical, d, w) == outcome(general_canonical, d, w)

@@ -18,12 +18,14 @@ fixed seed; and construct() on points of 4, 64, 256, 1024 and 4096 bits,
 over Q(sqrt(2)) and over Q(sqrt(d)) for d a product of two 12-bit primes.
 The inputs come from perfbench/workloads.py; the Q(sqrt(2)) points read the
 quadratic_field coefficients over sqrt(2), and perfbench's oracle rules out
-those that are degenerate there.  The layer rows follow.  The _canonical
-row replays, through each side's own _canonical, the (d, v) arguments of
-every call that side made in one run_suite(42, 25), recorded once before
-the rounds.  Then comes one row per check id that both trees register: the
-time that check takes over one more round of run_suite(42, 25), which runs
-each REGISTRY entry wrapped in a timer.
+those that are degenerate there.  The layer rows follow.  The two
+_canonical rows replay, through each side's own _canonical, the (d, v)
+arguments of every call that side made in one round of an end-to-end row,
+recorded once before the rounds: run_suite(42, 25), whose calls are nearly
+all at d = 1, and construct() over Q(sqrt(d)).  Then comes one row per
+check id that both trees register: the time that check takes over one more
+round of run_suite(42, 25), which runs each REGISTRY entry wrapped in a
+timer.
 
 The JSON report gives, for each row, each side's median time of a round,
 the ratio of this tree's time to the other's within each round as its
@@ -157,13 +159,13 @@ def quadratic_row() -> Callable[[], object]:
     return _construct_row([point for *_, point in gen.make_inputs(QUADRATIC_SEED)])
 
 
-def canonical_row() -> Callable[[], object]:
-    """The (d, v) arguments of every _canonical call that one
-    run_suite(42, 25) makes, recorded once for the active package and
-    replayed through its _canonical in each round."""
+def canonical_row(workload: Callable[[], Callable[[], object]]) -> Callable[[], object]:
+    """The (d, v) arguments of every _canonical call that one round of a
+    workload row makes, recorded once for the active package and replayed
+    through its _canonical in each round."""
     from cevian import projective
-    from cevian.verify import run_suite
 
+    run_once = workload()
     canonical, calls = projective._canonical, []
 
     def recorded(d, v):
@@ -172,7 +174,7 @@ def canonical_row() -> Callable[[], object]:
 
     projective._canonical = recorded
     try:
-        run_suite(*SUITE_ARGS)
+        run_once()
     finally:
         projective._canonical = canonical
 
@@ -224,7 +226,10 @@ def rows(out: str) -> dict[str, Callable[[], Callable[[], object]]]:
         table[f"construct() x{POINTS}, {bits} bits"] = lambda bits=bits: bits_row(bits)
     table[f"construct() x{POINTS}, Q(sqrt(2))"] = sqrt2_row
     table[f"construct() x{POINTS}, Q(sqrt(d)), d of two 12-bit primes"] = quadratic_row
-    table["_canonical, the calls of run_suite(%d, %d) replayed" % SUITE_ARGS] = canonical_row
+    table["_canonical, the calls of run_suite(%d, %d) replayed" % SUITE_ARGS] = lambda: canonical_row(suite_row)
+    table[f"_canonical, the calls of construct() x{POINTS}, Q(sqrt(d)) replayed"] = (
+        lambda: canonical_row(quadratic_row)
+    )
     return table
 
 
@@ -367,7 +372,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     for row in report["rows"]:
         r = row["ratio"]
         print(
-            f"{row['name']:<58} {row['against_median_s'] * 1e3:9.2f} -> "
+            f"{row['name']:<62} {row['against_median_s'] * 1e3:9.2f} -> "
             f"{row['this_median_s'] * 1e3:9.2f} ms  ratio {r['median']:.3f} "
             f"[{r['q1']:.3f}, {r['q3']:.3f}]  won {row['rounds_won']}/{row['rounds']}"
         )

@@ -20,24 +20,24 @@ through ``format_number`` and hash from their type name, d and ints.
 There is no Scalar arithmetic here: Scalars are built only by parsing, and
 by ``ratio`` for a ratio and the ``coords`` and ``matrix`` views.
 
-Each kernel routine has one general body over Z[sqrt(d)], and `dot`, `cross`
-and `mat_vec` are written out term by term for triples, the only shape they
-take.  Five of them keep a fast path at d = 1 that reads only the rational
-half of each pair and writes 0 for the other, because the verify suite, whose
-configurations are over Q, runs measurably slower without it: `_canonical`,
-`dot`, `cross`, `mat_vec` and `mat_mul`.  Each is written out term by term
-for the fixed shapes it takes, a triple or a 3x3 matrix, and for
-`_canonical` a point or line (3 entries) or a flattened matrix (9): on
-Python 3.11 a list comprehension runs in a frame of its own, which at d = 1
-costs more than the arithmetic.  `AffineMap._validate` writes out its
-column sums at every d.  Printing keeps one too, for the `construct`
-reports of rational points: at d = 1 a point, line or matrix prints with
-one `%d` format of its ints, which writes what `format_number` writes and
-raises the same ValueError past the int str limit.  The fast paths are
-exact because at d = 1 every b is 0: `_canonical`, which builds every
-object, refuses a vector that breaks this.  `_canonical` also skips the
-conjugate multiply for a rational lead, which construct() over Q(sqrt(d))
-pays for.  Each fast path's comment gives what removing it cost.
+The kernel routines are written out term by term, at every d, for the fixed
+shapes they take: `dot`, `cross` and `mat_vec` for a triple or a 3x3 matrix,
+and `_canonical` for a point or line (3 entries) or a flattened matrix (9),
+refusing any other length.  On Python 3.11 a list comprehension runs in a
+frame of its own, which costs more than the arithmetic.  Five of them keep a
+fast path at d = 1 that reads only the rational half of each pair and writes
+0 for the other, because the verify suite, whose configurations are over Q,
+runs measurably slower without it: `_canonical`, `dot`, `cross`, `mat_vec`
+and `mat_mul`.  `AffineMap._validate` writes out its column sums at every d.
+Printing keeps one too, for the `construct` reports of rational points: at
+d = 1 a point, line or matrix prints with one `%d` format of its ints, which
+writes what `format_number` writes and raises the same ValueError past the
+int str limit.  The fast paths are exact because at d = 1 every b is 0:
+`_canonical`, which builds every object, refuses a vector that breaks this,
+before any arithmetic of its d != 1 bodies could conjugate an irrational
+part away.  `_canonical` also skips the conjugate multiply for a rational
+lead, which construct() over Q(sqrt(d)) pays for.  Each fast path's comment
+gives what removing it cost.
 """
 
 from __future__ import annotations
@@ -125,11 +125,13 @@ def _canonical(d: int, v: Sequence[Pair]) -> tuple[int, Vector]:
     Q(sqrt(d)): an irrational lead is made rational by multiplying with its
     conjugate, the gcd of all the ints is divided out, and the sign is fixed
     so that the lead is positive.  This is v divided by its lead, with the
-    rational content then cleared.  d folds to 1 when every b is 0.
+    rational content then cleared.  d folds to 1 when every b is 0.  v is
+    a point or line (3 entries) or a flattened matrix (9); any other length
+    raises ValueError.
 
     At d = 1 every b must be 0, the invariant the d = 1 branches of the
     kernel rely on; an entry with an irrational part raises ValueError."""
-    if d == 1:  # suite: without it run_suite(42, 25) took 33% longer (Python 3.11, x86-64)
+    if d == 1:  # suite: without it run_suite(42, 25) took 7.3% longer (Python 3.11, x86-64)
         # points and lines, then flattened matrices: the only shapes at d = 1
         if len(v) == 3:
             (a0, b0), (a1, b1), (a2, b2) = v
@@ -157,22 +159,82 @@ def _canonical(d: int, v: Sequence[Pair]) -> tuple[int, Vector]:
         for i, entry in enumerate(v):
             if entry[1]:
                 raise ValueError(f"entry {i} = {entry} has an irrational part at d = 1")
-    for a, b in v:
-        if a or b:
-            break
-    else:
-        raise ValueError("zero tuple has no projective meaning")
-    if b:  # quadratic_field: without it construct() took 3.3% longer (Python 3.11, x86-64)
-        bd = b * d
-        v = [(x * a - y * bd, y * a - x * b) for x, y in v]
-        a = a * a - b * bd
-    g = gcd(*[n for pair in v for n in pair])
-    if a < 0:
-        g = -g
-    v = tuple([(x // g, y // g) for x, y in v])
-    if not any(y for _, y in v):
-        d = 1
-    return d, v
+    elif len(v) == 3:
+        (a0, b0), (a1, b1), (a2, b2) = v
+        if a0 or b0:
+            a, b = a0, b0
+        elif a1 or b1:
+            a, b = a1, b1
+        else:
+            a, b = a2, b2
+        # quadratic_field: without this test and the 9-entry one, construct() took 2.4%
+        # longer and its _canonical calls 9.9% (Python 3.11, x86-64)
+        if b:
+            bd = b * d
+            a0, b0 = a0 * a - b0 * bd, b0 * a - a0 * b
+            a1, b1 = a1 * a - b1 * bd, b1 * a - a1 * b
+            a2, b2 = a2 * a - b2 * bd, b2 * a - a2 * b
+            a = a * a - b * bd
+        g = gcd(a0, b0, a1, b1, a2, b2)
+        if g:  # else v is zero
+            if a < 0:
+                g = -g
+            # b // g is 0 exactly when b is
+            if b0 or b1 or b2:
+                return d, ((a0 // g, b0 // g), (a1 // g, b1 // g), (a2 // g, b2 // g))
+            return 1, ((a0 // g, 0), (a1 // g, 0), (a2 // g, 0))
+    elif len(v) == 9:
+        (
+            (a0, b0), (a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5), (a6, b6), (a7, b7), (a8, b8)
+        ) = v
+        if a0 or b0:
+            a, b = a0, b0
+        elif a1 or b1:
+            a, b = a1, b1
+        elif a2 or b2:
+            a, b = a2, b2
+        elif a3 or b3:
+            a, b = a3, b3
+        elif a4 or b4:
+            a, b = a4, b4
+        elif a5 or b5:
+            a, b = a5, b5
+        elif a6 or b6:
+            a, b = a6, b6
+        elif a7 or b7:
+            a, b = a7, b7
+        else:
+            a, b = a8, b8
+        if b:
+            bd = b * d
+            a0, b0 = a0 * a - b0 * bd, b0 * a - a0 * b
+            a1, b1 = a1 * a - b1 * bd, b1 * a - a1 * b
+            a2, b2 = a2 * a - b2 * bd, b2 * a - a2 * b
+            a3, b3 = a3 * a - b3 * bd, b3 * a - a3 * b
+            a4, b4 = a4 * a - b4 * bd, b4 * a - a4 * b
+            a5, b5 = a5 * a - b5 * bd, b5 * a - a5 * b
+            a6, b6 = a6 * a - b6 * bd, b6 * a - a6 * b
+            a7, b7 = a7 * a - b7 * bd, b7 * a - a7 * b
+            a8, b8 = a8 * a - b8 * bd, b8 * a - a8 * b
+            a = a * a - b * bd
+        g = gcd(a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8)
+        if g:
+            if a < 0:
+                g = -g
+            if b0 or b1 or b2 or b3 or b4 or b5 or b6 or b7 or b8:
+                return d, (
+                    (a0 // g, b0 // g), (a1 // g, b1 // g), (a2 // g, b2 // g),
+                    (a3 // g, b3 // g), (a4 // g, b4 // g), (a5 // g, b5 // g),
+                    (a6 // g, b6 // g), (a7 // g, b7 // g), (a8 // g, b8 // g),
+                )
+            return 1, (
+                (a0 // g, 0), (a1 // g, 0), (a2 // g, 0),
+                (a3 // g, 0), (a4 // g, 0), (a5 // g, 0),
+                (a6 // g, 0), (a7 // g, 0), (a8 // g, 0),
+            )
+    if len(v) != 3 and len(v) != 9:
+        raise ValueError(f"{len(v)} entries: a point or line has 3 and a flattened matrix 9")
+    raise ValueError("zero tuple has no projective meaning")
 
 
 def dot(u: Sequence[Pair], v: Sequence[Pair], d: int) -> Pair:
@@ -204,21 +266,28 @@ def transpose(m: Sequence[Sequence[Pair]]) -> Rows:
 
 def mat_vec(m: Sequence[Sequence[Pair]], v: Sequence[Pair], d: int) -> Vector:
     (c0, e0), (c1, e1), (c2, e2) = v
-    if d == 1:  # suite: without it run_suite(42, 25) took 6.7% longer (Python 3.11, x86-64)
+    if d == 1:  # suite: without it run_suite(42, 25) took 2.4% longer (Python 3.11, x86-64)
         ((a0, _), (a1, _), (a2, _)), ((a3, _), (a4, _), (a5, _)), ((a6, _), (a7, _), (a8, _)) = m
         return (
             (a0 * c0 + a1 * c1 + a2 * c2, 0),
             (a3 * c0 + a4 * c1 + a5 * c2, 0),
             (a6 * c0 + a7 * c1 + a8 * c2, 0),
         )
-    return tuple([
+    ((a0, b0), (a1, b1), (a2, b2)), ((a3, b3), (a4, b4), (a5, b5)), ((a6, b6), (a7, b7), (a8, b8)) = m
+    return (
         (
             a0 * c0 + a1 * c1 + a2 * c2 + (b0 * e0 + b1 * e1 + b2 * e2) * d,
             a0 * e0 + b0 * c0 + a1 * e1 + b1 * c1 + a2 * e2 + b2 * c2,
-        )
-        for (a0, b0), (a1, b1), (a2, b2) in m
-    ])
-
+        ),
+        (
+            a3 * c0 + a4 * c1 + a5 * c2 + (b3 * e0 + b4 * e1 + b5 * e2) * d,
+            a3 * e0 + b3 * c0 + a4 * e1 + b4 * c1 + a5 * e2 + b5 * c2,
+        ),
+        (
+            a6 * c0 + a7 * c1 + a8 * c2 + (b6 * e0 + b7 * e1 + b8 * e2) * d,
+            a6 * e0 + b6 * c0 + a7 * e1 + b7 * c1 + a8 * e2 + b8 * c2,
+        ),
+    )
 
 def mat_mul(a: Sequence[Sequence[Pair]], b: Sequence[Sequence[Pair]], d: int) -> Rows:
     if d == 1:  # suite: without it run_suite(42, 25) took 4.5% longer (Python 3.11, x86-64)

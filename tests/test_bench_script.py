@@ -28,8 +28,9 @@ ROWS = [
     "construct() x16, 4096 bits",
     "construct() x16, Q(sqrt(2))",
     "construct() x16, Q(sqrt(d)), d of two 12-bit primes",
-    # the layer rows: _canonical, then one per check id, in registry order
+    # the layer rows: _canonical twice, then one per check id, in registry order
     "_canonical, the calls of run_suite(42, 25) replayed",
+    "_canonical, the calls of construct() x16, Q(sqrt(d)) replayed",
 ]
 ROWS += [f"check {cid} in run_suite(42, 25)" for cid in REGISTRY]
 

@@ -555,6 +555,61 @@ def test_canonical_refuses_an_irrational_part_at_d_1():
         HomogeneousMatrix.from_ints(1, rows)
 
 
+
+def test_canonical_refuses_rational_multiples_of_an_irrational_lead_at_d_1():
+    """Every entry a rational multiple of an irrational lead: conjugating
+    the lead away would leave a rational vector, so the invariant at d = 1
+    must be tested before any d != 1 arithmetic runs."""
+    with pytest.raises(ValueError, match=r"^entry 0 = \(2, 1\) has an irrational part at d = 1$"):
+        Point.from_ints(1, [(2, 1), (4, 2), (0, 0)])
+    rows = (((0, 0), (3, -1), (0, 0)), ((-6, 2), (0, 0), (0, 0)), ((0, 0), (0, 0), (9, -3)))
+    with pytest.raises(ValueError, match=r"^entry 1 = \(3, -1\) has an irrational part at d = 1$"):
+        HomogeneousMatrix.from_ints(1, rows)
+
+
+def led_at(length, k, lead):
+    """Zeros before position k, lead at k, then even entries, rational and
+    irrational: a vector whose gcd and sign both matter."""
+    tail = [(2 * (j + 1) * (-1) ** j, 2 * j * (j % 3 != 1)) for j in range(k + 1, length)]
+    return [(0, 0)] * k + [lead] + tail
+
+
+@pytest.mark.parametrize("d", [2, 1610924047])
+@pytest.mark.parametrize("lead", [(-6, 0), (-2, 4)], ids=["rational", "negative-norm"])
+@pytest.mark.parametrize("length, k", [(3, k) for k in range(3)] + [(9, k) for k in range(9)])
+def test_canonical_at_every_lead_position(length, k, lead, d):
+    """The written-out d != 1 bodies pick the first nonzero entry as the
+    lead in every position, for a rational lead and an irrational one of
+    negative norm, and give what the general reference gives."""
+    v = led_at(length, k, lead)
+    assert _canonical(d, v) == general_canonical(d, v)
+
+
+@pytest.mark.parametrize("d, v, expected", [
+    (2, [(0, 1), (0, 2), (0, 0)], (1, ((1, 0), (2, 0), (0, 0)))),
+    (6, [(0, -3), (0, 0), (0, 0), (0, 0), (0, -3), (0, 0), (0, 0), (0, 0), (0, -3)],
+     (1, ((1, 0), (0, 0), (0, 0), (0, 0), (1, 0), (0, 0), (0, 0), (0, 0), (1, 0)))),
+])
+def test_canonical_folds_to_d_1(d, v, expected):
+    """sqrt(d) times a rational vector canonicalizes to the rational one at d = 1."""
+    assert _canonical(d, v) == expected == general_canonical(d, v)
+
+
+@pytest.mark.parametrize("d, v, message", [
+    (2, [(0, 0)] * 3, "zero tuple has no projective meaning"),
+    (1610924047, [(0, 0)] * 9, "zero tuple has no projective meaning"),
+    (1, [(1, 0), (2, 0)], "2 entries: a point or line has 3 and a flattened matrix 9"),
+    (2, [(1, 0), (2, 0)], "2 entries: a point or line has 3 and a flattened matrix 9"),
+    (2, [(0, 0)] * 4, "4 entries: a point or line has 3 and a flattened matrix 9"),
+    (1, [(0, 1)] * 4, "entry 0 = (0, 1) has an irrational part at d = 1"),
+])
+def test_canonical_errors(d, v, message):
+    """The zero vector at d != 1, and a length that is neither a point's or
+    line's 3 nor a flattened matrix's 9, are refused with their messages."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _canonical(d, v)
+
+
 # Matrices that HomogeneousMatrix subclasses refuse, as pair rows over
 # Z[sqrt(d)]: over Q(sqrt(2)) each differs from an accepted one only in the
 # irrational parts.
